@@ -19,6 +19,8 @@
 //!   generation instead of re-snapshotting (asserted via the dispatch
 //!   counters and the traced `dispatch_batch`/`retry_batch` events).
 
+mod common;
+
 use chameleon_repro::cache::{AdapterCache, EvictionPolicy};
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, DispatchSpec, FaultSpec, RouterPolicy, SystemConfig,
@@ -29,6 +31,7 @@ use chameleon_repro::predictor::OraclePredictor;
 use chameleon_repro::sched::{FifoScheduler, WrsConfig};
 use chameleon_repro::simcore::{SimDuration, SimTime};
 use chameleon_repro::workload::{Request, Trace};
+use common::kitchen_sink_faults;
 
 const SEEDS: [u64; 2] = [3, 11];
 /// One worker (trivially serial), two, and an oversubscribed pool (more
@@ -115,21 +118,6 @@ fn bounded_staleness_batching_is_bit_identical_across_worker_counts() {
             );
         }
     }
-}
-
-/// A fault spec exercising every injector at once: a crash, a straggler
-/// window, a flaky host link, and SLO shedding.
-fn kitchen_sink_faults() -> FaultSpec {
-    FaultSpec::new()
-        .with_crash(1, SimTime::from_secs_f64(6.0))
-        .with_straggler(
-            2,
-            SimTime::from_secs_f64(2.0),
-            SimTime::from_secs_f64(9.0),
-            3.0,
-        )
-        .with_pcie_fail_prob(0.05)
-        .with_shedding(8.0)
 }
 
 /// Fault-armed bounded-staleness batching: crashes retire engines

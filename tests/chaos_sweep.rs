@@ -22,75 +22,13 @@
 //! `CHAMELEON_WORKERS` scales the pooled arm in CI; the schedule count
 //! here is the full sweep the acceptance criteria name (>= 8).
 
-use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, FleetSpec, SystemConfig,
-    TopologySpec,
-};
-use chameleon_repro::fault::fault_roll;
-use chameleon_repro::simcore::SimTime;
+mod common;
+
+use chameleon_repro::core::{sim::Simulation, workloads, ClusterExecution};
+use common::{chaos_fleet, chaos_schedule};
 
 const SCHEDULES: u64 = 8;
 const AVAILABILITY_FLOOR: f64 = 0.5;
-
-/// Three racks of two: one crashed rack plus one partitioned rack still
-/// leaves a reachable rack, so most schedules pass the injection guards
-/// and actually land.
-fn chaos_fleet() -> SystemConfig {
-    preset::chameleon_cluster_predictive(6)
-        .with_fleet(
-            FleetSpec::homogeneous(6, 1).with_topology(TopologySpec::racks(&[0, 0, 1, 1, 2, 2])),
-        )
-        .with_label("Chameleon-DP6-Chaos")
-}
-
-/// One seeded random schedule. Streams partition the dice so adding a
-/// fault class never perturbs the draws of another.
-fn chaos_schedule(seed: u64) -> FaultSpec {
-    let roll = |stream: u64, counter: u64| fault_roll(seed, stream, counter);
-    let mut spec = FaultSpec::new().with_shedding(8.0);
-
-    // Usually a whole-domain crash somewhere mid-trace.
-    let crash_rack = (roll(1, 0) * 3.0) as u32;
-    if roll(1, 1) < 0.75 {
-        let at = 3.0 + roll(1, 2) * 5.0;
-        spec = spec.with_domain_crash(crash_rack, SimTime::from_secs_f64(at));
-    }
-
-    // Often a partition on one of the other racks.
-    if roll(2, 0) < 0.6 {
-        let rack = (crash_rack + 1 + (roll(2, 1) * 2.0) as u32) % 3;
-        let from = 2.0 + roll(2, 2) * 4.0;
-        let until = from + 1.0 + roll(2, 3) * 3.0;
-        spec = spec.with_partition(
-            rack,
-            SimTime::from_secs_f64(from),
-            SimTime::from_secs_f64(until),
-        );
-    }
-
-    // Sometimes a domain-scoped brownout.
-    if roll(3, 0) < 0.5 {
-        let rack = (roll(3, 1) * 3.0) as u32;
-        let from = 1.0 + roll(3, 2) * 3.0;
-        let until = from + 2.0 + roll(3, 3) * 4.0;
-        let factor = 1.5 + roll(3, 4) * 4.0;
-        spec = spec.with_domain_brownout(
-            rack,
-            SimTime::from_secs_f64(from),
-            SimTime::from_secs_f64(until),
-            factor,
-        );
-    }
-
-    // Sometimes a lone-engine crash on top of the correlated faults.
-    if roll(4, 0) < 0.4 {
-        let engine = (roll(4, 1) * 6.0) as u32;
-        let at = 4.0 + roll(4, 2) * 4.0;
-        spec = spec.with_crash(engine, SimTime::from_secs_f64(at));
-    }
-
-    spec
-}
 
 /// Returns `(canonical_text, availability, correlated_faults_landed)`
 /// for one schedule under one execution mode.

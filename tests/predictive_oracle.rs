@@ -1,26 +1,38 @@
-//! Oracle regression suite for the predictive control plane.
+//! Frozen-digest oracle suite for the cluster's opt-in planes and its
+//! dispatch paths.
 //!
 //! The control plane (burst pre-replication, SLO/forecast autoscaling,
 //! drain-time shard handoff) must be a **strict opt-in overlay**: with
 //! `PredictiveSpec` disabled (the default), every cluster run is
 //! byte-for-byte what it was before the control plane existed. The
-//! digests below were captured from the pre-PR tree (commit `1aeabfa`,
-//! the commit this PR branched from) on exactly these scenarios; the
-//! tests re-run the scenarios through the current tree and compare the
+//! digests of the first pins were captured from the tree before that
+//! plane landed (commit `1aeabfa`) on exactly these scenarios; the tests
+//! re-run the scenarios through the current tree and compare the
 //! `canonical_text` length + FNV-1a digest against the frozen values.
 //!
-//! If one of these tests fails, the reactive cluster path changed
-//! behaviour — which this PR (and any future control-plane work) must
-//! not do. Enabling prediction and expecting different bytes is fine;
-//! changing the disabled path is not.
+//! The dispatch pins extend the same contract to the paths those three
+//! scenarios miss: load-aware routers (JSQ, power-of-two, round-robin),
+//! the predictive plane on a bursty trace, faulted fleets (a lone crash,
+//! every injector at once, seeded chaos schedules), and batched dispatch
+//! under both staleness classes. Some also freeze the traced decision
+//! stream (`TraceLog::to_jsonl`). They were captured before per-arrival
+//! dispatch became the budget-1 batch, and that refactor had to leave
+//! every one of them unchanged.
+//!
+//! If one of these tests fails, a behaviour-preserving path changed
+//! behaviour. Enabling an opt-in plane and expecting different bytes is
+//! fine; changing a pinned run is not.
+
+mod common;
 
 use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, ClusterExecution, SystemConfig, TraceSpec,
+    preset, sim::Simulation, workloads, ClusterExecution, RouterPolicy, SystemConfig, TraceSpec,
 };
 use chameleon_repro::simcore::SimDuration;
+use common::{chaos_fleet, chaos_schedule, kitchen_sink_faults};
 
 /// FNV-1a 64-bit over the canonical text — cheap, dependency-free, and
-/// collision-safe enough at three pinned scenarios × two seeds.
+/// collision-safe enough at a few dozen pinned scenarios × two seeds.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -31,17 +43,31 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn canonical(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> String {
+    run_splitwise(cfg, seed, rps, secs).0
+}
+
+/// `canonical_text` plus the traced decision stream as JSONL (empty for
+/// an untraced config).
+fn run_splitwise(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (String, String) {
     let mut sim = Simulation::new(cfg, seed);
     let trace = workloads::splitwise(rps, secs, seed, sim.pool());
     let report = sim.run(&trace);
     report.assert_request_conservation(trace.len());
-    report.canonical_text()
+    let jsonl = report
+        .trace
+        .as_ref()
+        .map_or_else(String::new, |l| l.to_jsonl());
+    (report.canonical_text(), jsonl)
 }
 
 /// The elastic preset tightened exactly as the determinism suite does, so
 /// the pinned run exercises real mid-trace scale-up and drain-back.
 fn elastic_cfg() -> SystemConfig {
-    let mut cfg = preset::chameleon_cluster_elastic();
+    tightened(preset::chameleon_cluster_elastic())
+}
+
+/// `cfg`'s autoscaler tightened to the elastic pin's controller.
+fn tightened(mut cfg: SystemConfig) -> SystemConfig {
     let auto = cfg.autoscale.as_mut().expect("elastic preset");
     auto.controller.interval = SimDuration::from_secs(1);
     auto.controller.cooldown = SimDuration::from_secs(3);
@@ -51,11 +77,20 @@ fn elastic_cfg() -> SystemConfig {
 }
 
 fn elastic_canonical_of(cfg: SystemConfig, seed: u64) -> String {
+    run_bursty(cfg, seed).0
+}
+
+/// [`run_splitwise`] on the bursty trace of the elastic pin.
+fn run_bursty(cfg: SystemConfig, seed: u64) -> (String, String) {
     let mut sim = Simulation::new(cfg.with_cluster_exec(ClusterExecution::Serial), seed);
     let trace = workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, seed, sim.pool());
     let report = sim.run(&trace);
     report.assert_request_conservation(trace.len());
-    report.canonical_text()
+    let jsonl = report
+        .trace
+        .as_ref()
+        .map_or_else(String::new, |l| l.to_jsonl());
+    (report.canonical_text(), jsonl)
 }
 
 fn elastic_canonical(seed: u64) -> String {
@@ -66,9 +101,14 @@ fn assert_frozen(scenario: &str, seed: u64, text: &str, len: usize, fnv: u64) {
     assert_eq!(
         (text.len(), fnv1a(text.as_bytes())),
         (len, fnv),
-        "{scenario} (seed {seed}): disabled-predictive run diverged from the pre-PR oracle \
-         — the control plane must be a strict opt-in overlay"
+        "{scenario} (seed {seed}): the run diverged from its frozen oracle"
     );
+}
+
+/// [`assert_frozen`] for a run with the predictive plane disabled, which
+/// must also stay free of the plane's stats line.
+fn assert_reactive_frozen(scenario: &str, seed: u64, text: &str, len: usize, fnv: u64) {
+    assert_frozen(scenario, seed, text, len, fnv);
     assert!(
         !text.contains("\npredictive "),
         "{scenario} (seed {seed}): a disabled run must not emit the predictive stats line"
@@ -86,7 +126,7 @@ fn fixed_affinity_fleet_matches_pre_pr_bytes() {
         let cfg = preset::chameleon_cluster_partitioned(4);
         assert!(cfg.predictive.is_none(), "preset must stay reactive");
         let text = canonical(cfg, seed, 24.0, 10.0);
-        assert_frozen("fixed affinity-4", seed, &text, len, fnv);
+        assert_reactive_frozen("fixed affinity-4", seed, &text, len, fnv);
     }
 }
 
@@ -100,7 +140,7 @@ fn hetero_fleet_matches_pre_pr_bytes() {
         let cfg = preset::chameleon_cluster_hetero();
         assert!(cfg.predictive.is_none(), "preset must stay reactive");
         let text = canonical(cfg, seed, 16.0, 10.0);
-        assert_frozen("hetero", seed, &text, len, fnv);
+        assert_reactive_frozen("hetero", seed, &text, len, fnv);
     }
 }
 
@@ -117,7 +157,7 @@ fn elastic_fleet_matches_pre_pr_bytes() {
         (11, 162_883, 0xc9db_d416_071c_a930),
     ] {
         let text = elastic_canonical(seed);
-        assert_frozen("elastic", seed, &text, len, fnv);
+        assert_reactive_frozen("elastic", seed, &text, len, fnv);
     }
 }
 
@@ -133,7 +173,7 @@ fn traced_runs_match_the_same_frozen_bytes() {
         24.0,
         10.0,
     );
-    assert_frozen(
+    assert_reactive_frozen(
         "fixed affinity-4 (traced)",
         3,
         &text,
@@ -147,8 +187,204 @@ fn traced_runs_match_the_same_frozen_bytes() {
         16.0,
         10.0,
     );
-    assert_frozen("hetero (traced)", 3, &text, 27415, 0xb620_549a_7e90_96ab);
+    assert_reactive_frozen("hetero (traced)", 3, &text, 27415, 0xb620_549a_7e90_96ab);
 
     let text = elastic_canonical_of(elastic_cfg().with_trace(TraceSpec::new()), 3);
-    assert_frozen("elastic (traced)", 3, &text, 155_160, 0x92a6_0071_7924_cefe);
+    assert_reactive_frozen("elastic (traced)", 3, &text, 155_160, 0x92a6_0071_7924_cefe);
+}
+
+/// Load-aware and round-robin routing on the paper's replicated fleet:
+/// every arrival is a fresh-snapshot routing decision.
+#[test]
+fn load_aware_routers_match_frozen_bytes() {
+    let cases = [
+        (
+            RouterPolicy::JoinShortestQueue,
+            [
+                (39207usize, 0x0c7a_90a3_a8a6_7d92_u64),
+                (37612, 0x0162_8371_2c09_8a48),
+            ],
+        ),
+        (
+            RouterPolicy::PowerOfTwoChoices,
+            [
+                (39143, 0x91a1_fd27_5d8a_c59f),
+                (37573, 0xb9d5_0f17_bca4_6aa8),
+            ],
+        ),
+        (
+            RouterPolicy::RoundRobin,
+            [
+                (39098, 0x4bae_9565_a3ee_2786),
+                (37528, 0xf6ba_2600_6fa9_f204),
+            ],
+        ),
+    ];
+    for (router, pins) in cases {
+        for (seed, (len, fnv)) in [3u64, 11].into_iter().zip(pins) {
+            let text = canonical(
+                preset::chameleon_cluster(4).with_router(router),
+                seed,
+                24.0,
+                10.0,
+            );
+            assert_reactive_frozen(router.name(), seed, &text, len, fnv);
+        }
+    }
+}
+
+/// The predictive plane armed: pre-replication runs at every arrival
+/// barrier, after the arrival is handled; the elastic variant adds
+/// SLO/forecast scale-ups and drain-time handoff.
+#[test]
+fn predictive_fleets_match_frozen_bytes() {
+    for (seed, len, fnv) in [
+        (3u64, 154_913usize, 0x20a1_be82_0a9e_075a_u64),
+        (11, 162_854, 0x4fd8_92e3_1440_5ba4),
+    ] {
+        let text = run_bursty(preset::chameleon_cluster_predictive(4), seed).0;
+        assert_frozen("predictive-4", seed, &text, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 154_997usize, 0xf2e8_e0dc_c8d9_7e62_u64),
+        (11, 162_790, 0x1f10_d257_8530_ca62),
+    ] {
+        let cfg = tightened(preset::chameleon_cluster_elastic_predictive());
+        let text = run_bursty(cfg, seed).0;
+        assert_frozen("elastic-predictive", seed, &text, len, fnv);
+    }
+}
+
+/// Crash-recovery re-dispatch: a lone crash with shedding, every
+/// injector at once on a JSQ fleet, and two seeded chaos schedules
+/// (domain crashes, partitions, brownouts) on the 3-rack fleet.
+#[test]
+fn faulted_fleets_match_frozen_bytes() {
+    for (seed, len, fnv) in [
+        (3u64, 46861usize, 0xdaca_d8de_f46d_58be_u64),
+        (11, 51184, 0x3c31_b263_eb35_911c),
+    ] {
+        let text = canonical(preset::chameleon_cluster_faulted(4), seed, 24.0, 20.0);
+        assert_reactive_frozen("faulted-4", seed, &text, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 22072usize, 0xd999_9b96_64f8_4b5c_u64),
+        (11, 20980, 0x7d14_f0f8_aa1f_b19e),
+    ] {
+        let cfg = preset::chameleon_cluster(4).with_fault(kitchen_sink_faults());
+        let text = canonical(cfg, seed, 24.0, 12.0);
+        assert_reactive_frozen("JSQ kitchen-sink", seed, &text, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 26111usize, 0xf27d_23af_a60b_b383_u64),
+        (11, 21892, 0x3f21_3fab_216f_d46e),
+    ] {
+        let cfg = chaos_fleet().with_fault(chaos_schedule(seed));
+        let text = canonical(cfg, seed, 16.0, 10.0);
+        assert_frozen("chaos schedule", seed, &text, len, fnv);
+    }
+}
+
+/// Batched dispatch under both staleness classes: load-aware affinity
+/// with spill (bounded staleness) and pure rendezvous (state-independent).
+#[test]
+fn batched_dispatch_matches_frozen_bytes() {
+    let cases = [
+        (
+            preset::chameleon_cluster_bounded_staleness(4),
+            [
+                (38990usize, 0x196c_26a2_9886_8308_u64),
+                (37380, 0xe025_eae7_ec71_e406),
+            ],
+        ),
+        (
+            preset::chameleon_cluster_batched(4),
+            [
+                (38937, 0x96c4_4502_f2d3_941d),
+                (37330, 0x8f15_a2a6_3fdf_3583),
+            ],
+        ),
+    ];
+    for (cfg, pins) in cases {
+        for (seed, (len, fnv)) in [3u64, 11].into_iter().zip(pins) {
+            let text = canonical(cfg.clone(), seed, 24.0, 10.0);
+            assert_reactive_frozen(&cfg.label, seed, &text, len, fnv);
+        }
+    }
+}
+
+/// The traced decision streams of the partitioned, predictive and faulted
+/// fleets, byte for byte (`TraceLog::to_jsonl`).
+#[test]
+fn traced_decision_streams_match_frozen_bytes() {
+    let traced = |cfg: SystemConfig| cfg.with_trace(TraceSpec::new());
+    for (seed, len, fnv) in [
+        (3u64, 142_596usize, 0x92ae_b58c_2ee9_f82e_u64),
+        (11, 135_517, 0x0e48_20fd_42e5_9705),
+    ] {
+        let cfg = traced(preset::chameleon_cluster_partitioned(4));
+        let jsonl = run_splitwise(cfg, seed, 24.0, 10.0).1;
+        assert_frozen("affinity-4 stream", seed, &jsonl, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 458_838usize, 0x35f3_abeb_9c52_2237_u64),
+        (11, 466_854, 0x1b10_6f4d_b347_1760),
+    ] {
+        let jsonl = run_bursty(traced(preset::chameleon_cluster_predictive(4)), seed).1;
+        assert_frozen("predictive-4 stream", seed, &jsonl, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 221_488usize, 0xa883_3ab1_a70f_acb4_u64),
+        (11, 228_196, 0xc843_c986_38b1_f3d3),
+    ] {
+        let cfg = traced(preset::chameleon_cluster_faulted(4));
+        let jsonl = run_splitwise(cfg, seed, 24.0, 20.0).1;
+        assert_frozen("faulted-4 stream", seed, &jsonl, len, fnv);
+    }
+}
+
+/// Fault-armed bounded-staleness batching, traced. Its decision stream
+/// is pinned without the `barrier_open`/`barrier_close` lines: a batch
+/// member arriving at the barrier instant is handled at the barrier, so
+/// it is not counted in those lines' `pending`/`stepped` fields.
+#[test]
+fn fault_armed_batching_matches_frozen_bytes() {
+    for (seed, canon, stream) in [
+        (
+            3u64,
+            (32048usize, 0x9aff_d16a_89ab_e883_u64),
+            (107_516usize, 0x2aa8_6c78_c077_a9e6_u64),
+        ),
+        (
+            11,
+            (29131, 0x4a18_05c3_51b1_577f),
+            (104_915, 0xabfb_5190_fec4_6053),
+        ),
+    ] {
+        let cfg = preset::chameleon_cluster_bounded_staleness(4)
+            .with_fault(kitchen_sink_faults())
+            .with_trace(TraceSpec::new());
+        let (text, jsonl) = run_splitwise(cfg, seed, 24.0, 12.0);
+        assert_reactive_frozen(
+            "bounded-staleness kitchen-sink",
+            seed,
+            &text,
+            canon.0,
+            canon.1,
+        );
+        let stream_text: String = jsonl
+            .lines()
+            .filter(|l| {
+                !l.contains("\"ev\":\"barrier_open\"") && !l.contains("\"ev\":\"barrier_close\"")
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_frozen(
+            "bounded-staleness kitchen-sink stream",
+            seed,
+            &stream_text,
+            stream.0,
+            stream.1,
+        );
+    }
 }
