@@ -278,9 +278,9 @@ pub struct SystemConfig {
     /// Amortised dispatch barriers: consecutive arrivals coalesce into a
     /// single cluster barrier, routed from one cached snapshot generation
     /// under the router's declared staleness budget (optionally tightened
-    /// by the spec). `None` — the default — keeps the legacy
-    /// one-barrier-per-arrival dispatch loop byte-identical to the
-    /// pre-batching stack; ignored for single-engine runs.
+    /// by the spec). `None` — the default — dispatches per arrival (the
+    /// one-request budget), byte-identical to the pre-batching stack;
+    /// ignored for single-engine runs.
     pub dispatch: Option<DispatchSpec>,
     /// Unified GPU-memory economy: KV-aware admission control (refuse
     /// admissions whose block-rounded KV footprint cannot complete,

@@ -31,16 +31,21 @@
 //! # Epochs, barriers, and parallel execution
 //!
 //! The cluster loop is organised around a single observation: between
-//! two *cross-engine* events — a dispatch decision for an arrival or an
-//! autoscaler evaluation tick — every pending event is engine-local
+//! two *cross-engine* events — an arrival barrier, an autoscaler
+//! evaluation tick or a fault barrier — every pending event is engine-local
 //! (step completions, adapter loads, periodic ticks, pokes), and an
 //! engine's local events can only ever schedule more events *for the
 //! same engine*. The run is therefore a sequence of **epochs**: each
 //! engine owns a local [`EventQueue`] and steps it up to (strictly
 //! before) the next cross-engine instant, after which the coordinator
-//! applies the routing or autoscaling decision at the **barrier** with
-//! exclusive access to every engine, exactly as the old single-heap loop
-//! would have.
+//! applies the routing, autoscaling or fault decision at the **barrier**
+//! with exclusive access to every engine, exactly as the old single-heap
+//! loop would have.
+//!
+//! Dispatch has one path. An arrival barrier routes a *batch* of
+//! consecutive arrivals from one snapshot generation, within a `(batch
+//! size, age)` budget; per-arrival dispatch — the default — is the batch
+//! whose budget is `(1, 0)`, and [`Cluster::set_dispatch`] widens it.
 //!
 //! Because engine state is thread-confined between barriers (the
 //! zero-alloc scratch from the hot-path overhaul lives inside each
@@ -69,6 +74,7 @@ use chameleon_simcore::shard::{self, ShardPool};
 use chameleon_simcore::{EventQueue, SimDuration, SimTime};
 use chameleon_trace::{AutoscaleAction, BarrierProfile, Lane, TraceBuffer, TraceEvent, TraceLog};
 use chameleon_workload::{Request, Trace};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
 
@@ -122,11 +128,12 @@ struct EpochCmd {
     /// constant within an epoch, and the condition keeping periodic
     /// ticks alive on idle engines.
     arrivals_remaining: bool,
-    /// Batched dispatch only: the last arrival instant of the in-flight
-    /// batch being delivered this epoch. Periodic ticks at `t <
-    /// batch_until` stay alive even when `arrivals_remaining` is false —
-    /// exactly the ticks per-arrival dispatch would have kept because it
-    /// had not consumed those arrivals yet.
+    /// The last arrival instant of the batch routed at the previous
+    /// barrier, whose later members are delivered this epoch. Periodic
+    /// ticks at `t < batch_until` stay alive even when
+    /// `arrivals_remaining` is false — exactly the ticks one barrier per
+    /// arrival would have kept, because it had not dispatched those
+    /// members yet.
     batch_until: Option<SimTime>,
     mem_int: SimDuration,
     refresh_int: SimDuration,
@@ -227,21 +234,21 @@ struct EngineSlot {
     processed: u64,
     /// Instant of this slot's last processed event this run.
     last: SimTime,
-    /// Batched dispatch only: arrivals the coordinator routed here at
-    /// the last batch barrier, in arrival order, delivered by `step_to`
-    /// interleaved with local events (arrival wins an equal-time tie —
-    /// the same order per-arrival dispatch produces, where the arrival
-    /// is handled at its barrier and same-instant local events wait for
-    /// the next epoch). Kept separate from the event queue because the
-    /// queue breaks same-instant ties by insertion order, which would
-    /// put pre-existing same-time events *before* the arrival.
+    /// Batch members routed here at the last arrival barrier that arrive
+    /// after it, in arrival order, delivered by `step_to` interleaved
+    /// with local events (arrival wins an equal-time tie — the order a
+    /// member handled at its own barrier gets, since same-instant local
+    /// events wait for the next epoch). Kept separate from the event
+    /// queue because the queue breaks same-instant ties by insertion
+    /// order, which would put pre-existing same-time events *before* the
+    /// arrival.
     arrivals: VecDeque<(SimTime, Request)>,
-    /// Adapter-resident-at-delivery count for batched arrivals. The
-    /// residency state at delivery (all local events strictly before the
-    /// arrival instant applied) is exactly what the per-arrival path
-    /// measures at its dispatch barrier, so harvesting this into
-    /// `RoutingStats::affinity_hits` keeps batched dispatch
-    /// byte-identical to per-arrival for state-independent routers.
+    /// Adapter-resident-at-delivery count for routed arrivals, harvested
+    /// into `RoutingStats::affinity_hits`. Every arrival is measured on
+    /// delivery — at its barrier or inside the next epoch — with all
+    /// local events before its instant applied, which keeps batches of
+    /// state-independent routers byte-identical to one barrier per
+    /// arrival.
     arrival_hits: u64,
 }
 
@@ -278,8 +285,8 @@ impl EngineSlot {
     }
 
     /// True when this slot has a local event due before `boundary` or an
-    /// undelivered batched arrival (the coordinator guarantees every
-    /// routed arrival lands at or before the boundary).
+    /// undelivered batch member (the coordinator guarantees every routed
+    /// arrival lands at or before the boundary).
     fn has_pending(&self, boundary: Option<SimTime>) -> bool {
         !self.arrivals.is_empty()
             || match self.queue.peek_time() {
@@ -294,12 +301,12 @@ impl EngineSlot {
     /// bit-identical to serial.
     fn step_to(&mut self, cmd: &EpochCmd) {
         loop {
-            // Batched dispatch: deliver routed arrivals interleaved with
-            // local events, arrival first on an equal-time tie — the
-            // exact order the per-arrival path produces (arrival handled
-            // at its barrier, same-instant local events in the next
-            // epoch). Every pending arrival is at or before the epoch
-            // boundary by construction, so none survives the epoch.
+            // Deliver routed batch members interleaved with local events,
+            // arrival first on an equal-time tie — the order a member
+            // handled at its own barrier gets (same-instant local events
+            // in the next epoch). Every pending arrival is at or before
+            // the epoch boundary by construction, so none survives the
+            // epoch.
             let next_arrival = self.arrivals.front().map(|&(ta, _)| ta);
             let next_local = self.queue.peek_time();
             let deliver = match (next_arrival, next_local) {
@@ -309,16 +316,7 @@ impl EngineSlot {
             };
             if deliver {
                 let (ta, req) = self.arrivals.pop_front().expect("peeked arrival");
-                if self.engine.is_adapter_resident(req.adapter()) {
-                    self.arrival_hits += 1;
-                }
-                self.engine
-                    .handle(ta, EngineEvent::Arrival(req), &mut self.out);
-                for (at, e) in self.out.drain(..) {
-                    self.queue.push(at, e);
-                }
-                self.processed += 1;
-                self.last = ta;
+                self.deliver(ta, req);
                 continue;
             }
             let Some(t) = next_local else { break };
@@ -365,6 +363,21 @@ impl EngineSlot {
             "batched arrivals must drain within their epoch"
         );
     }
+
+    /// Hands a routed arrival to the engine at its own instant `ta`,
+    /// counting an affinity hit when its adapter is resident on delivery.
+    fn deliver(&mut self, ta: SimTime, req: Request) {
+        if self.engine.is_adapter_resident(req.adapter()) {
+            self.arrival_hits += 1;
+        }
+        self.engine
+            .handle(ta, EngineEvent::Arrival(req), &mut self.out);
+        for (at, e) in self.out.drain(..) {
+            self.queue.push(at, e);
+        }
+        self.processed += 1;
+        self.last = ta;
+    }
 }
 
 /// A data-parallel group of engines behind a global dispatcher.
@@ -373,7 +386,9 @@ pub struct Cluster {
     next_id: u32,
     router: Box<dyn Router>,
     stats: RoutingStats,
-    /// Reused per-arrival snapshot buffer (dispatch is the hot path).
+    /// The open snapshot generation: one snapshot per engine the
+    /// coordinator can dispatch to, reused across refills (dispatch is
+    /// the hot path).
     snap_buf: Vec<EngineSnapshot>,
     /// Slot position of each snapshot in `snap_buf` (parallel).
     snap_slots: Vec<usize>,
@@ -386,6 +401,11 @@ pub struct Cluster {
     refresh_int: SimDuration,
     /// Events processed across all [`Cluster::run`] calls.
     events_processed: u64,
+    /// The current run's horizon: the instant of its last arrival or
+    /// live-engine event. A trailing controller tick cannot inflate it,
+    /// and stale events of retired engines count toward neither it nor
+    /// `events_processed`.
+    horizon: SimTime,
     /// Predictive control plane (pre-replication, forecast autoscaling,
     /// drain handoff); `None` keeps the cluster purely reactive — and
     /// byte-identical to the pre-control-plane stack.
@@ -417,24 +437,33 @@ pub struct Cluster {
     /// Fault-injection and recovery plane ([`Cluster::set_fault`]);
     /// `None` keeps every run byte-identical to the pre-fault stack.
     fault: Option<FaultState>,
-    /// Amortised dispatch barriers ([`Cluster::set_dispatch`]): `None`
-    /// keeps the legacy one-barrier-per-arrival loop untouched; `Some`
-    /// coalesces arrival runs into batches routed from one cached
-    /// snapshot generation.
+    /// The batched-dispatch spec ([`Cluster::set_dispatch`]). Only
+    /// reporting reads it: `Some` arms the `DispatchStats` counters and
+    /// the `dispatch_batch`/`retry_batch` trace events. Routing and
+    /// delivery read `budget`.
     dispatch: Option<DispatchSpec>,
-    /// Monotone snapshot-generation counter (batched dispatch): bumped
-    /// by every [`Cluster::refresh_snapshots`], stamped into the
+    /// The `(batch size, age)` budget of one snapshot generation: `(1,
+    /// 0)` — per-arrival dispatch — by default, and the router's declared
+    /// [`StalenessClass`] tightened by the spec once
+    /// [`Cluster::set_dispatch`] is called.
+    budget: (u32, SimDuration),
+    /// Monotone snapshot-generation counter: bumped by every
+    /// [`Cluster::refresh_snapshots`], stamped into the
     /// `DispatchBatch`/`RetryBatch` trace events so tests can assert
     /// which placements shared a generation.
     snap_gen: u64,
-    /// The barrier instant `snap_buf` was last filled *for batched
-    /// routing* at, or `None` when the cached generation is unusable —
-    /// any plain refill (autoscaler path) or fleet mutation
-    /// (add/drain/retire) invalidates it, because `snap_slots` positions
-    /// go stale the moment the slot vector changes. A fault barrier at
-    /// the same instant as a dispatch batch reuses the generation (and
-    /// its echoes) instead of re-snapshotting.
+    /// The barrier instant the open generation in `snap_buf` was filled
+    /// at, or `None` when it is unusable — any plain refill (autoscaler
+    /// path) or fleet mutation (add/drain/retire/partition) invalidates
+    /// it, because `snap_slots` positions go stale the moment the slot
+    /// vector changes.
     snap_filled_at: Option<SimTime>,
+    /// Requests the open generation has decided (routed or shed). A
+    /// generation serves at most the budget's batch size at its own
+    /// instant: a fault barrier at an arrival batch's instant routes its
+    /// retries from the batch's generation (and its echoes) while it has
+    /// room, and from a fresh one otherwise.
+    snap_served: u32,
     /// Fault-domain topology ([`Cluster::set_topology`]); `None` keeps
     /// every placement and fault byte-identical to the topology-free
     /// stack.
@@ -483,6 +512,7 @@ impl Cluster {
             router,
             stats,
             events_processed: 0,
+            horizon: SimTime::ZERO,
             predictive: None,
             forecaster: HistogramLoadPredictor::new(),
             forecast_buf: Vec::new(),
@@ -494,8 +524,10 @@ impl Cluster {
             profile: None,
             fault: None,
             dispatch: None,
+            budget: (1, SimDuration::ZERO),
             snap_gen: 0,
             snap_filled_at: None,
+            snap_served: 0,
             topology: None,
         }
     }
@@ -543,16 +575,23 @@ impl Cluster {
         self.predictive.as_ref()
     }
 
-    /// Enables amortised dispatch barriers: consecutive arrivals
-    /// coalesce into a single barrier, routed from one cached snapshot
-    /// generation whose size/age budget is the router's declared
-    /// [`StalenessClass`] tightened by `spec`. State-independent routers
+    /// Enables amortised dispatch barriers: widens the dispatch budget
+    /// from per-arrival `(1, 0)` to the router's declared
+    /// [`StalenessClass`] tightened by `spec`, so consecutive arrivals
+    /// coalesce into a single barrier routed from one cached snapshot
+    /// generation, and arms the batching plane's stats and trace
+    /// events. State-independent routers
     /// (pure rendezvous with spill off, round-robin) batch without
     /// bounds and place byte-identically to per-arrival dispatch;
     /// load-aware routers see coordinator-echoed snapshots whose queue
     /// depths drift from the frozen generation by at most the batch
     /// size per engine.
     pub fn set_dispatch(&mut self, spec: DispatchSpec) {
+        let (declared_batch, declared_age) = match self.router.staleness() {
+            StalenessClass::StateIndependent => (u32::MAX, SimDuration::MAX),
+            StalenessClass::BoundedStaleness { max_batch, max_age } => (max_batch, max_age),
+        };
+        self.budget = spec.effective(declared_batch, declared_age);
         self.dispatch = Some(spec);
         self.stats.dispatch.enabled = true;
     }
@@ -852,10 +891,10 @@ impl Cluster {
         active[policies::rendezvous_home(adapter, active.iter().copied())].0
     }
 
-    /// Refills the reusable snapshot buffer (live engines only) for a
-    /// routing decision. Residency sets are copied only when the router
-    /// declares it reads them, so queue-depth-only policies stay cheap
-    /// per arrival.
+    /// Refills the reusable snapshot buffer with the engines the
+    /// coordinator can dispatch to, closing the open generation.
+    /// Residency sets are copied only when the router declares it reads
+    /// them, so queue-depth-only policies stay cheap per arrival.
     fn fill_snapshots(&mut self) {
         let with_residency = self.router.needs_residency();
         self.snap_buf.clear();
@@ -875,28 +914,49 @@ impl Cluster {
         }
     }
 
-    /// [`Cluster::fill_snapshots`] for a batched-dispatch barrier: opens
-    /// a new snapshot *generation* at `at`, which every routing decision
-    /// of the batch (and any fault-barrier retry landing at the same
-    /// instant) reads from — with the coordinator's own placements
-    /// echoed in — instead of re-snapshotting per request.
+    /// [`Cluster::fill_snapshots`] for routing: opens a new snapshot
+    /// *generation* at `at`, which every member of an arrival batch —
+    /// and, while it has room, each fault-barrier retry at the same
+    /// instant — routes from, with the coordinator's own placements
+    /// echoed in, instead of re-snapshotting per request.
     fn refresh_snapshots(&mut self, at: SimTime) {
         self.fill_snapshots();
         self.snap_gen += 1;
         self.snap_filled_at = Some(at);
-        self.stats.dispatch.snapshot_refreshes += 1;
+        self.snap_served = 0;
+        if self.dispatch.is_some() {
+            self.stats.dispatch.snapshot_refreshes += 1;
+        }
+    }
+
+    /// Routes `req` from the open snapshot generation and echoes the
+    /// placement into it (queue depth +1, outstanding tokens += the
+    /// request's charge), so later routings from the generation observe
+    /// it — what keeps the bounded-staleness queue-depth error within
+    /// the batch budget. Returns the chosen slot position and whether
+    /// the router spilled.
+    fn route_one(&mut self, req: &Request) -> (usize, bool) {
+        let decision = self.router.route(req, &self.snap_buf);
+        assert!(
+            decision.engine < self.snap_buf.len(),
+            "router out of bounds"
+        );
+        let snap = &mut self.snap_buf[decision.engine];
+        snap.queue_depth += 1;
+        snap.outstanding_tokens += u64::from(req.input_tokens()) + u64::from(req.output_tokens());
+        (self.snap_slots[decision.engine], decision.spilled)
     }
 
     /// Retires slot `pos`: its report (tagged with its stable id) is
     /// stashed for the final merge, its run counters fold into the
     /// cluster's, and its pending events are discarded — exactly the
     /// stale ticks the pre-epoch single-heap loop popped and dropped.
-    fn retire_slot(&mut self, pos: usize, last: &mut SimTime, processed: &mut u64) {
+    fn retire_slot(&mut self, pos: usize) {
         let mut slot = self.slots.remove(pos);
         self.snap_filled_at = None;
         slot.queue.clear();
-        *processed += slot.processed;
-        *last = (*last).max(slot.last);
+        self.events_processed += slot.processed;
+        self.horizon = self.horizon.max(slot.last);
         self.stats.affinity_hits += slot.arrival_hits;
         self.stats.fault.pcie_retries += slot.engine.pcie_fault_retries();
         if let Some(tracer) = self.tracer.as_mut() {
@@ -908,11 +968,11 @@ impl Cluster {
     /// Retires every slot the last epoch marked retire-ready, in slot
     /// order (the merged report is id-ordered anyway, so this order is
     /// not observable).
-    fn harvest_retired(&mut self, last: &mut SimTime, processed: &mut u64) {
+    fn harvest_retired(&mut self) {
         let mut pos = 0;
         while pos < self.slots.len() {
             if self.slots[pos].retire_ready {
-                self.retire_slot(pos, last, processed);
+                self.retire_slot(pos);
             } else {
                 pos += 1;
             }
@@ -1123,23 +1183,23 @@ impl Cluster {
         ForecastSignal { predicted_arrivals }
     }
 
-    /// Drain-time shard handoff: the departing engine's resident adapters
-    /// that *homed* on it are pushed into the survivors that inherit them
-    /// (each adapter to its post-drain rendezvous home), as
-    /// PCIe-cost-modelled warm transfers on the survivors' links — so the
-    /// migrated shard is warm before its first post-drain request instead
-    /// of cold-missing on demand. Spilled or pre-replicated copies the
-    /// victim happened to hold are not part of the shard and stay behind.
-    fn handoff_shard(&mut self, victim: EngineId, now: SimTime) {
+    /// Warm-loads the shard of departing engine `victim` — its resident
+    /// adapters that *homed* on it — onto the survivors that inherit
+    /// them (each adapter to its post-departure rendezvous home), as
+    /// PCIe-cost-modelled warm transfers on the survivors' links.
+    /// Spilled or pre-replicated copies the victim happened to hold are
+    /// not part of the shard and stay behind. Returns the adapters moved
+    /// and their total bytes.
+    fn warm_shard(&mut self, victim: EngineId, now: SimTime) -> (u64, u64) {
         let survivors = self.active_weights();
         if survivors.is_empty() {
-            return;
+            return (0, 0);
         }
         let vpos = self
             .slots
             .iter()
             .position(|s| s.id == victim)
-            .expect("drained engine is present");
+            .expect("departing engine is present");
         let mut before = survivors.clone();
         before.push((victim, self.slots[vpos].engine.capacity_weight()));
         let mut shard: Vec<AdapterId> = self.slots[vpos]
@@ -1172,6 +1232,14 @@ impl Cluster {
                 bytes_total += bytes;
             }
         }
+        (moved, bytes_total)
+    }
+
+    /// Drain-time shard handoff ([`Cluster::warm_shard`]): the migrated
+    /// shard is warm before its first post-drain request instead of
+    /// cold-missing on demand.
+    fn handoff_shard(&mut self, victim: EngineId, now: SimTime) {
+        let (moved, bytes_total) = self.warm_shard(victim, now);
         if moved > 0 {
             self.stats.predictive.on_handoff(moved, bytes_total);
             if let Some(tracer) = self.tracer.as_mut() {
@@ -1211,10 +1279,9 @@ impl Cluster {
     fn fault_barrier(
         &mut self,
         t: SimTime,
-        last: &mut SimTime,
-        processed: &mut u64,
         scale: &mut Option<(&mut Autoscaler, &mut dyn FnMut(EngineId) -> Engine)>,
     ) {
+        self.events_processed += 1;
         loop {
             let action = match self.fault.as_mut() {
                 Some(fs) => fs.timeline.pop_due(t),
@@ -1222,12 +1289,12 @@ impl Cluster {
             };
             let Some(action) = action else { break };
             match action {
-                FaultAction::Crash(engine) => self.fault_crash(engine, t, last, processed),
+                FaultAction::Crash(engine) => self.fault_crash(engine, t),
                 FaultAction::StragglerStart(engine, factor) => {
                     self.set_slot_slowdown(engine, factor)
                 }
                 FaultAction::StragglerEnd(engine) => self.set_slot_slowdown(engine, 1.0),
-                FaultAction::DomainCrash(rack) => self.fault_domain_crash(rack, t, last, processed),
+                FaultAction::DomainCrash(rack) => self.fault_domain_crash(rack, t),
                 FaultAction::BrownoutStart(rack, factor) => self.set_domain_slowdown(rack, factor),
                 FaultAction::BrownoutEnd(rack) => self.set_domain_slowdown(rack, 1.0),
                 FaultAction::PartitionStart(rack, heal) => self.partition_start(rack, heal, t),
@@ -1246,17 +1313,16 @@ impl Cluster {
             let (_, grow) = scale
                 .as_mut()
                 .expect("delayed provision without autoscaler");
-            let id = self.next_engine_id();
-            let engine = grow(id);
-            let assigned = self.add_engine(engine);
-            assert_eq!(assigned, id, "engine id minted twice");
-            let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
-            let slot = self.slots.last_mut().expect("engine just added");
-            slot.queue.push(t + mem_int, EngineEvent::MemSample);
-            slot.queue.push(t + refresh_int, EngineEvent::Refresh);
+            self.provision(t, grow);
         }
-        let mut retry_count: u32 = 0;
-        let mut retry_reused = false;
+        // Due re-dispatches route from the open snapshot generation while
+        // it has room — the arrival batch's, when one routed at this
+        // instant and the fleet has not changed since (crashes and
+        // provisions above invalidate it) — and from a fresh one
+        // otherwise. Under the per-arrival budget every retry therefore
+        // reads a fresh snapshot. Retries sharing a generation form one
+        // retry batch: `(size, reused)`.
+        let mut batch: Option<(u32, bool)> = None;
         loop {
             let entry = {
                 let fs = self.fault.as_mut().expect("fault barrier without plane");
@@ -1266,35 +1332,52 @@ impl Cluster {
                     break;
                 }
             };
-            if self.dispatch.is_some() && retry_count == 0 {
-                // Batched dispatch: all retries due at this barrier share
-                // one snapshot generation — the arrival batch's when it
-                // routed at this same instant and the fleet has not
-                // changed since (crashes and provisions above invalidate
-                // it), a fresh one otherwise.
-                retry_reused = self.snap_filled_at == Some(t);
-                if retry_reused {
-                    self.stats.dispatch.retry_generation_reuses += 1;
-                } else {
-                    self.refresh_snapshots(t);
-                }
+            let room = self.snap_filled_at == Some(t) && self.snap_served < self.budget.0;
+            if !room {
+                self.report_retry_batch(t, batch.take());
+                self.refresh_snapshots(t);
             }
-            retry_count += 1;
-            self.dispatch_retry(t, entry, last);
+            batch.get_or_insert((0, room)).0 += 1;
+            self.snap_served += 1;
+            self.dispatch_retry(t, entry);
         }
-        if retry_count > 0 && self.dispatch.is_some() {
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.push(
-                    t,
-                    Lane::Coordinator,
-                    TraceEvent::RetryBatch {
-                        generation: self.snap_gen,
-                        size: retry_count,
-                        reused: retry_reused,
-                    },
-                );
-            }
+        self.report_retry_batch(t, batch);
+    }
+
+    /// Reports one retry batch — `(size, reused)`, routed from the open
+    /// generation — to the batching plane's stats and trace.
+    fn report_retry_batch(&mut self, t: SimTime, batch: Option<(u32, bool)>) {
+        let Some((size, reused)) = batch.filter(|_| self.dispatch.is_some()) else {
+            return;
+        };
+        if reused {
+            self.stats.dispatch.retry_generation_reuses += 1;
         }
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.push(
+                t,
+                Lane::Coordinator,
+                TraceEvent::RetryBatch {
+                    generation: self.snap_gen,
+                    size,
+                    reused,
+                },
+            );
+        }
+    }
+
+    /// Provisions one engine from `grow` at `t`. The factory sees the id
+    /// the newcomer will be registered under (per-engine RNG streams and
+    /// growth specs key off it), and the newcomer joins the shared tick
+    /// schedule.
+    fn provision(&mut self, t: SimTime, grow: &mut dyn FnMut(EngineId) -> Engine) {
+        let id = self.next_engine_id();
+        let assigned = self.add_engine(grow(id));
+        assert_eq!(assigned, id, "engine id minted twice");
+        let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
+        let slot = self.slots.last_mut().expect("engine just added");
+        slot.queue.push(t + mem_int, EngineEvent::MemSample);
+        slot.queue.push(t + refresh_int, EngineEvent::Refresh);
     }
 
     /// Kills engine `engine` at `t`: its shard re-homes (warm, when the
@@ -1305,7 +1388,7 @@ impl Cluster {
     /// (the records of requests it *completed* survive into the report).
     /// The last active engine refuses to die — a fleet never crashes to
     /// zero — and a crash aimed at an engine that already left is moot.
-    fn fault_crash(&mut self, engine: u32, t: SimTime, last: &mut SimTime, processed: &mut u64) {
+    fn fault_crash(&mut self, engine: u32, t: SimTime) {
         let victim = EngineId(engine);
         let Some(pos) = self.slots.iter().position(|s| s.id == victim) else {
             return;
@@ -1345,7 +1428,7 @@ impl Cluster {
         }
         let lost = self.slots[pos].engine.crash_unfinished();
         self.enqueue_victims(lost, t, None);
-        self.retire_slot(pos, last, processed);
+        self.retire_slot(pos);
     }
 
     /// Pushes extracted victims into the retry ledger — detection
@@ -1398,13 +1481,7 @@ impl Cluster {
     /// moot; the last-engine refusal in [`Cluster::fault_crash`] still
     /// applies per member, so a rack holding the whole fleet loses all
     /// but one engine.
-    fn fault_domain_crash(
-        &mut self,
-        rack: u32,
-        t: SimTime,
-        last: &mut SimTime,
-        processed: &mut u64,
-    ) {
+    fn fault_domain_crash(&mut self, rack: u32, t: SimTime) {
         let members: Vec<u32> = self
             .slots
             .iter()
@@ -1426,7 +1503,7 @@ impl Cluster {
             );
         }
         for engine in members {
-            self.fault_crash(engine, t, last, processed);
+            self.fault_crash(engine, t);
         }
     }
 
@@ -1515,51 +1592,12 @@ impl Cluster {
         }
     }
 
-    /// Crash-time shard recovery: the dead engine's homed adapters are
-    /// warm-loaded onto their post-crash rendezvous homes among the
-    /// survivors — [`Cluster::handoff_shard`]'s placement, re-counted
-    /// into the fault ledger because here the copies race the backlog's
+    /// Crash-time shard recovery: the dead engine's shard is warm-loaded
+    /// onto the survivors ([`Cluster::warm_shard`]), counted into the
+    /// fault ledger because here the copies race the backlog's
     /// re-dispatch instead of a graceful drain.
     fn recover_shard(&mut self, victim: EngineId, now: SimTime) {
-        let survivors = self.active_weights();
-        if survivors.is_empty() {
-            return;
-        }
-        let vpos = self
-            .slots
-            .iter()
-            .position(|s| s.id == victim)
-            .expect("crashed engine is present");
-        let mut before = survivors.clone();
-        before.push((victim, self.slots[vpos].engine.capacity_weight()));
-        let mut shard: Vec<AdapterId> = self.slots[vpos]
-            .engine
-            .resident_adapters()
-            .into_iter()
-            .collect();
-        shard.sort_unstable();
-        let mut moved = 0u64;
-        let mut bytes_total = 0u64;
-        for a in shard {
-            let home_before = before[policies::rendezvous_home(a, before.iter().copied())].0;
-            if home_before != victim {
-                continue;
-            }
-            let new_home = survivors[policies::rendezvous_home(a, survivors.iter().copied())].0;
-            let pos = self
-                .slots
-                .iter()
-                .position(|s| s.id == new_home)
-                .expect("survivor is present");
-            let slot = &mut self.slots[pos];
-            if let Some(bytes) = slot.engine.warm_load(a, now, &mut slot.out) {
-                for (at, e) in slot.out.drain(..) {
-                    slot.queue.push(at, e);
-                }
-                moved += 1;
-                bytes_total += bytes;
-            }
-        }
+        let (moved, bytes_total) = self.warm_shard(victim, now);
         if moved > 0 {
             self.stats.fault.shard_adapters_recovered += moved;
             self.stats.fault.shard_bytes_recovered += bytes_total;
@@ -1578,30 +1616,19 @@ impl Cluster {
     }
 
     /// Re-dispatches one recovered request through the router, exactly
-    /// like a fresh arrival (snapshots, routing stats, engine handoff) —
-    /// except it bypasses the shedding gate (the system already owes this
-    /// request) and does not feed the forecaster (its adapter's arrival
-    /// was observed once, at the original dispatch).
-    ///
-    /// Under batched dispatch the caller ([`Cluster::fault_barrier`])
-    /// prepares the snapshot generation — reusing the arrival batch's
-    /// when the barrier lands at the same instant — and this routes from
-    /// the cache, echoing its placement like any other batch member.
-    fn dispatch_retry(&mut self, t: SimTime, entry: RetryEntry, last: &mut SimTime) {
-        if self.dispatch.is_none() {
-            self.fill_snapshots();
-        }
-        let decision = self.router.route(&entry.req, &self.snap_buf);
-        assert!(
-            decision.engine < self.snap_buf.len(),
-            "router out of bounds"
-        );
-        let pos = self.snap_slots[decision.engine];
+    /// like a fresh arrival handled at its barrier (routing from the open
+    /// generation, routing stats, engine handoff) — except it bypasses
+    /// the shedding gate (the system already owes this request) and does
+    /// not feed the forecaster (its adapter's arrival was observed once,
+    /// at the original dispatch). The caller ([`Cluster::fault_barrier`])
+    /// prepares the generation.
+    fn dispatch_retry(&mut self, t: SimTime, entry: RetryEntry) {
+        let (pos, spilled) = self.route_one(&entry.req);
         let chosen = self.slots[pos].id;
         let affinity_hit = self.slots[pos]
             .engine
             .is_adapter_resident(entry.req.adapter());
-        self.stats.record(chosen, affinity_hit, decision.spilled);
+        self.stats.record(chosen, affinity_hit, spilled);
         self.stats.fault.retries += 1;
         if let Some(fs) = self.fault.as_mut() {
             // Close the victim's MTTR episode leg: re-dispatched.
@@ -1610,12 +1637,6 @@ impl Cluster {
                 e.outstanding = e.outstanding.saturating_sub(1);
                 e.redispatch_last = Some(e.redispatch_last.map_or(t, |p| p.max(t)));
             }
-        }
-        if self.dispatch.is_some() {
-            let snap = &mut self.snap_buf[decision.engine];
-            snap.queue_depth += 1;
-            snap.outstanding_tokens +=
-                u64::from(entry.req.input_tokens()) + u64::from(entry.req.output_tokens());
         }
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.push(
@@ -1634,7 +1655,7 @@ impl Cluster {
         for (at, e) in slot.out.drain(..) {
             slot.queue.push(at, e);
         }
-        *last = (*last).max(t);
+        self.horizon = self.horizon.max(t);
     }
 
     /// Runs `trace` through the (fixed) cluster until drained, serially.
@@ -1716,18 +1737,18 @@ impl Cluster {
     }
 
     /// The epoch loop shared by serial and parallel execution: partition
-    /// the event horizon at the next cross-engine event (arrival or
-    /// autoscaler tick), step every engine's local queue to that
-    /// boundary ([`Cluster::run_epoch`]), then apply the routing or
-    /// scaling decision at the barrier with exclusive access to the
-    /// whole fleet.
+    /// the event horizon at the next cross-engine event (arrival barrier,
+    /// autoscaler tick or fault barrier), step every engine's local queue
+    /// to that boundary ([`Cluster::run_epoch`]), then hand the barrier
+    /// to the event's handler, which has exclusive access to the whole
+    /// fleet.
     ///
     /// Simultaneous events follow a fixed precedence both modes share:
-    /// arrivals (in trace order), then the autoscaler tick, then
-    /// engine-local events (in per-engine schedule order) — the same
-    /// order the pre-epoch single-heap loop produced for arrivals, and a
-    /// pinned choice for the (previously push-order-dependent)
-    /// tick-vs-scale tie.
+    /// arrivals (in trace order), then the autoscaler tick, then fault
+    /// barriers, then engine-local events (in per-engine schedule order)
+    /// — the same order the pre-epoch single-heap loop produced for
+    /// arrivals, and a pinned choice for the (previously
+    /// push-order-dependent) tick-vs-scale tie.
     fn run_loop(
         &mut self,
         trace: &Trace,
@@ -1738,40 +1759,22 @@ impl Cluster {
         // (the old heap's FIFO tie-break for the up-front pushes).
         // Traces are normally already sorted, making this a cheap
         // verification pass.
-        let reqs = trace.requests();
-        let mut order: Vec<u32> = (0..reqs.len() as u32).collect();
-        order.sort_by_key(|&i| reqs[i as usize].arrival());
-        let mem_int = self.mem_int;
-        let refresh_int = self.refresh_int;
+        let mut arrivals = Cow::Borrowed(trace.requests());
+        if !arrivals.is_sorted_by_key(Request::arrival) {
+            arrivals.to_mut().sort_by_key(Request::arrival);
+        }
+        let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
         for slot in &mut self.slots {
             slot.begin_run(mem_int, refresh_int);
         }
+        self.horizon = SimTime::ZERO;
         let mut next_scale = scale
             .as_ref()
             .map(|(autoscaler, _)| SimTime::ZERO + autoscaler.config().interval);
         let mut next_arr = 0usize;
-        // `last` (the reported horizon) advances on arrivals and
-        // live-engine events only, so a trailing controller tick cannot
-        // inflate it; stale events of retired engines count toward
-        // neither `last` nor the processed total.
-        let mut last = SimTime::ZERO;
-        let mut processed: u64 = 0;
-        // Amortised dispatch: the effective `(batch size, age)` budget —
-        // the router's declared staleness class tightened by the spec.
-        // `None` runs the legacy one-barrier-per-arrival path untouched.
-        let budget: Option<(u32, SimDuration)> = self.dispatch.map(|spec| {
-            let (declared_batch, declared_age) = match self.router.staleness() {
-                StalenessClass::StateIndependent => (u32::MAX, SimDuration::MAX),
-                StalenessClass::BoundedStaleness { max_batch, max_age } => (max_batch, max_age),
-            };
-            spec.effective(declared_batch, declared_age)
-        });
-        // Last arrival instant of the batch routed at the previous
-        // barrier, handed to the next epoch so its deliveries keep
-        // periodic ticks alive exactly as undispatched arrivals would.
         let mut batch_until: Option<SimTime> = None;
         loop {
-            let arr_t = order.get(next_arr).map(|&i| reqs[i as usize].arrival());
+            let arr_t = arrivals.get(next_arr).map(Request::arrival);
             let fault_t = self.next_fault_time();
             // The next cross-engine event. Equal-time ties resolve by the
             // fixed [`CrossEvent`] class precedence (arrivals, then the
@@ -1800,391 +1803,307 @@ impl Cluster {
                 batch_until.take(),
                 pool,
             );
-            self.harvest_retired(&mut last, &mut processed);
+            self.harvest_retired();
             let Some((t, kind)) = cross else {
                 break; // final epoch drained every local queue
             };
-            if kind == CrossEvent::Fault {
-                processed += 1;
-                self.fault_barrier(t, &mut last, &mut processed, &mut scale);
-            } else if kind == CrossEvent::Arrival && budget.is_some() {
-                // Amortised dispatch: open one snapshot generation at
-                // this barrier and route every coalescible arrival from
-                // it — the run of consecutive arrivals up to the next
-                // non-coalescible cross event (autoscaler tick or fault
-                // barrier; inclusive, since the arrival class wins an
-                // equal-time tie) and within the staleness budget's size
-                // and age caps. Routed placements land in per-engine
-                // queues and are handled *inside* the next epoch at
-                // their own arrival instants; sheds stay coordinator
-                // events. Delivered members count into `processed` at
-                // delivery (`EngineSlot::step_to`), sheds here — the
-                // same totals per-arrival dispatch produces.
-                let (max_batch, max_age) = budget.expect("budget checked");
-                let limit = match (next_scale, fault_t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                self.refresh_snapshots(t);
-                let generation = self.snap_gen;
-                let mut size: u32 = 0;
-                let mut batch_end = t;
-                while let Some(&idx) = order.get(next_arr) {
-                    let req = reqs[idx as usize];
-                    let ta = req.arrival();
-                    if size > 0
-                        && (limit.is_some_and(|l| ta > l)
-                            || size >= max_batch
-                            || ta.saturating_since(t) > max_age)
-                    {
-                        break;
-                    }
-                    next_arr += 1;
-                    size += 1;
-                    batch_end = ta;
-                    last = last.max(ta);
-                    if self.predictive.is_some() {
-                        self.forecaster.observe(req.adapter(), ta);
-                    }
-                    // The shedding gate prices against the generation's
-                    // frozen TTFT estimates (echoes bump queue depth and
-                    // outstanding tokens, not the estimate), so a
-                    // brownout verdict holds for the whole batch.
-                    if let Some(fs) = self.fault.as_ref() {
-                        if fs.spec.sheds() {
-                            if let Some(slo) = fs.slo {
-                                let min_est = self
-                                    .snap_buf
-                                    .iter()
-                                    .map(|s| s.est_ttft_secs)
-                                    .fold(f64::INFINITY, f64::min);
-                                if min_est > fs.spec.shed_multiple * slo.as_secs_f64() {
-                                    let idle =
-                                        self.snap_buf
-                                            .iter()
-                                            .filter(|s| s.queue_depth == 0 && s.running == 0)
-                                            .count() as u32;
-                                    self.stats.fault.requests_shed += 1;
-                                    self.stats.fault.shed_times.push(ta);
-                                    processed += 1;
-                                    if let Some(tracer) = self.tracer.as_mut() {
-                                        tracer.push(
-                                            ta,
-                                            Lane::Coordinator,
-                                            TraceEvent::RequestShed {
-                                                req: req.id().0,
-                                                est_ttft: SimDuration::from_secs_f64(min_est),
-                                                idle_engines: idle,
-                                            },
-                                        );
-                                    }
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let decision = self.router.route(&req, &self.snap_buf);
-                    assert!(
-                        decision.engine < self.snap_buf.len(),
-                        "router out of bounds"
-                    );
-                    let pos = self.snap_slots[decision.engine];
-                    let chosen = self.slots[pos].id;
-                    // Residency as of the generation barrier. The stats
-                    // affinity-hit counter is measured at delivery time
-                    // inside the slot (`EngineSlot::arrival_hits`) —
-                    // the same measurement point per-arrival dispatch
-                    // uses — so the generation view here drives only
-                    // prewarm accounting and the trace.
-                    let resident = self.slots[pos].engine.is_adapter_resident(req.adapter());
-                    self.stats.record(chosen, false, decision.spilled);
-                    let mut prewarm_hit = false;
-                    if resident && self.outstanding_warms.get(&req.adapter()) == Some(&chosen) {
-                        self.outstanding_warms.remove(&req.adapter());
-                        self.stats.predictive.on_prewarm_hit();
-                        prewarm_hit = true;
-                    }
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        let candidates: Vec<(u32, u64)> = self
-                            .snap_buf
-                            .iter()
-                            .map(|s| (s.id.0, s.outstanding_tokens))
-                            .collect();
-                        tracer.push(
-                            ta,
-                            Lane::Coordinator,
-                            TraceEvent::RouteDecision {
-                                req: req.id().0,
-                                adapter: req.adapter().0,
-                                chosen: chosen.0,
-                                spilled: decision.spilled,
-                                affinity_hit: resident,
-                                candidates,
-                            },
-                        );
-                        if prewarm_hit {
-                            tracer.push(
-                                ta,
-                                Lane::Coordinator,
-                                TraceEvent::PrewarmHit {
-                                    adapter: req.adapter().0,
-                                    engine: chosen.0,
-                                },
-                            );
-                        }
-                    }
-                    // Echo the placement into the cached generation so
-                    // later batch members observe it — what keeps the
-                    // bounded-staleness queue-depth error within the
-                    // batch budget.
-                    let snap = &mut self.snap_buf[decision.engine];
-                    snap.queue_depth += 1;
-                    snap.outstanding_tokens +=
-                        u64::from(req.input_tokens()) + u64::from(req.output_tokens());
-                    self.slots[pos].arrivals.push_back((ta, req));
+            match kind {
+                CrossEvent::Arrival => {
+                    // A batch coalesces arrivals up to the next
+                    // non-coalescible cross event, inclusive: the arrival
+                    // class wins an equal-time tie.
+                    let limit = next_scale.into_iter().chain(fault_t).min();
+                    next_arr += self.dispatch_arrivals(t, limit, &arrivals[next_arr..]);
+                    batch_until = Some(arrivals[next_arr - 1].arrival());
                 }
-                self.stats.dispatch.on_batch(u64::from(size));
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer.push(
-                        t,
-                        Lane::Coordinator,
-                        TraceEvent::DispatchBatch {
-                            generation,
-                            size,
-                            span: batch_end.saturating_since(t),
-                        },
-                    );
+                CrossEvent::Scale => {
+                    let (autoscaler, grow) = scale.as_mut().expect("scale event without scaler");
+                    next_scale = self.scale_tick(t, autoscaler, grow, next_arr < arrivals.len());
                 }
-                self.pre_replicate(t);
-                batch_until = Some(batch_end);
-            } else if kind == CrossEvent::Arrival {
-                processed += 1;
-                let req = reqs[order[next_arr] as usize];
-                next_arr += 1;
-                last = last.max(t);
-                // Control plane: arrival history is observed here, at the
-                // dispatch barrier, on the coordinator — never on worker
-                // threads — so predictions are identical in both modes.
-                if self.predictive.is_some() {
-                    self.forecaster.observe(req.adapter(), t);
-                }
-                // Global scheduler: delegate placement to the router.
-                self.fill_snapshots();
-                // SLO-aware load shedding: when even the least-loaded
-                // engine's estimated TTFT is past `shed_multiple` × SLO,
-                // admitting this request would both miss its own SLO and
-                // deepen everyone else's backlog — refuse it at the door
-                // and count it, rather than time it out silently.
-                if let Some(fs) = self.fault.as_ref() {
-                    if fs.spec.sheds() {
-                        if let Some(slo) = fs.slo {
-                            let min_est = self
-                                .snap_buf
-                                .iter()
-                                .map(|s| s.est_ttft_secs)
-                                .fold(f64::INFINITY, f64::min);
-                            if min_est > fs.spec.shed_multiple * slo.as_secs_f64() {
-                                let idle = self
-                                    .snap_buf
-                                    .iter()
-                                    .filter(|s| s.queue_depth == 0 && s.running == 0)
-                                    .count() as u32;
-                                self.stats.fault.requests_shed += 1;
-                                self.stats.fault.shed_times.push(t);
-                                if let Some(tracer) = self.tracer.as_mut() {
-                                    tracer.push(
-                                        t,
-                                        Lane::Coordinator,
-                                        TraceEvent::RequestShed {
-                                            req: req.id().0,
-                                            est_ttft: SimDuration::from_secs_f64(min_est),
-                                            idle_engines: idle,
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-                let decision = self.router.route(&req, &self.snap_buf);
-                assert!(
-                    decision.engine < self.snap_buf.len(),
-                    "router out of bounds"
-                );
-                let pos = self.snap_slots[decision.engine];
-                let chosen = self.slots[pos].id;
-                let affinity_hit = self.slots[pos].engine.is_adapter_resident(req.adapter());
-                self.stats.record(chosen, affinity_hit, decision.spilled);
-                let mut prewarm_hit = false;
-                if affinity_hit && self.outstanding_warms.get(&req.adapter()) == Some(&chosen) {
-                    // The dispatch landed on an engine holding a
-                    // pre-replicated copy: the warm paid for itself.
-                    self.outstanding_warms.remove(&req.adapter());
-                    self.stats.predictive.on_prewarm_hit();
-                    prewarm_hit = true;
-                }
-                if let Some(tracer) = self.tracer.as_mut() {
-                    let candidates: Vec<(u32, u64)> = self
-                        .snap_buf
-                        .iter()
-                        .map(|s| (s.id.0, s.outstanding_tokens))
-                        .collect();
-                    tracer.push(
-                        t,
-                        Lane::Coordinator,
-                        TraceEvent::RouteDecision {
-                            req: req.id().0,
-                            adapter: req.adapter().0,
-                            chosen: chosen.0,
-                            spilled: decision.spilled,
-                            affinity_hit,
-                            candidates,
-                        },
-                    );
-                    if prewarm_hit {
-                        tracer.push(
-                            t,
-                            Lane::Coordinator,
-                            TraceEvent::PrewarmHit {
-                                adapter: req.adapter().0,
-                                engine: chosen.0,
-                            },
-                        );
-                    }
-                }
-                let slot = &mut self.slots[pos];
-                slot.engine
-                    .handle(t, EngineEvent::Arrival(req), &mut slot.out);
-                for (at, e) in slot.out.drain(..) {
-                    slot.queue.push(at, e);
-                }
-                self.pre_replicate(t);
-            } else {
-                processed += 1;
-                let (autoscaler, grow) = scale.as_mut().expect("scale event without scaler");
-                self.fill_snapshots();
-                let signal = self.forecast_signal(t, autoscaler.config().interval);
-                let draining = self.slots.len() - self.snap_buf.len();
-                let action = autoscaler.decide_with(t, &self.snap_buf, draining, &signal);
-                let trigger = match autoscaler.last_trigger() {
-                    Some(ScaleTrigger::SloEstimate) => "slo-estimate",
-                    Some(ScaleTrigger::Forecast) => "forecast",
-                    _ => "queue-depth",
-                };
-                match action {
-                    ScaleAction::Hold => {}
-                    ScaleAction::ScaleUp => {
-                        // Provisioning faults: a scale-up can fail outright
-                        // (the controller simply retries on a later tick)
-                        // or be slowed by an injected delay, in which case
-                        // the engine joins at the fault barrier where its
-                        // provision completes.
-                        let mut skip_add = false;
-                        if let Some(fs) = self.fault.as_mut() {
-                            if fs.spec.provision_fail_prob > 0.0 {
-                                let roll = fault_roll(
-                                    fs.spec.seed,
-                                    PROVISION_STREAM,
-                                    fs.provision_counter,
-                                );
-                                fs.provision_counter += 1;
-                                if roll < fs.spec.provision_fail_prob {
-                                    self.stats.fault.provision_failures += 1;
-                                    skip_add = true;
-                                }
-                            }
-                            if !skip_add && !fs.spec.provision_delay.is_zero() {
-                                fs.pending_provisions.push(t + fs.spec.provision_delay);
-                                self.stats.fault.provision_delays += 1;
-                                skip_add = true;
-                            }
-                        }
-                        if skip_add {
-                            let work_left = next_arr < order.len()
-                                || self.slots.iter().any(|s| s.engine.has_work());
-                            next_scale = work_left.then(|| t + autoscaler.config().interval);
-                            continue;
-                        }
-                        // The factory sees the id the newcomer will be
-                        // registered under (per-engine RNG streams and
-                        // growth specs key off it).
-                        let id = self.next_engine_id();
-                        let engine = grow(id);
-                        let assigned = self.add_engine(engine);
-                        assert_eq!(assigned, id, "engine id minted twice");
-                        // The newcomer joins the shared tick schedule.
-                        let slot = self.slots.last_mut().expect("engine just added");
-                        slot.queue.push(t + mem_int, EngineEvent::MemSample);
-                        slot.queue.push(t + refresh_int, EngineEvent::Refresh);
-                        if self.predictive.is_some() {
-                            match autoscaler.last_trigger() {
-                                Some(ScaleTrigger::SloEstimate) => {
-                                    self.stats.predictive.slo_scaleups += 1;
-                                }
-                                Some(ScaleTrigger::Forecast) => {
-                                    self.stats.predictive.forecast_scaleups += 1;
-                                }
-                                _ => {}
-                            }
-                        }
-                        if let Some(tracer) = self.tracer.as_mut() {
-                            tracer.push(
-                                t,
-                                Lane::Coordinator,
-                                TraceEvent::AutoscaleTrigger {
-                                    action: AutoscaleAction::ScaleUp,
-                                    trigger,
-                                },
-                            );
-                        }
-                    }
-                    ScaleAction::Drain(victim) => {
-                        if self.drain_engine(victim) {
-                            if let Some(tracer) = self.tracer.as_mut() {
-                                tracer.push(
-                                    t,
-                                    Lane::Coordinator,
-                                    TraceEvent::AutoscaleTrigger {
-                                        action: AutoscaleAction::Drain(victim.0),
-                                        trigger,
-                                    },
-                                );
-                                tracer.push(
-                                    t,
-                                    Lane::Coordinator,
-                                    TraceEvent::DrainStarted { engine: victim.0 },
-                                );
-                            }
-                            if self.predictive.is_some_and(|s| s.handoff) {
-                                self.handoff_shard(victim, t);
-                            }
-                            let pos = self
-                                .slots
-                                .iter()
-                                .position(|s| s.id == victim)
-                                .expect("drained engine is present");
-                            if !self.slots[pos].engine.has_work() {
-                                self.retire_slot(pos, &mut last, &mut processed);
-                            }
-                        }
-                    }
-                }
-                let work_left =
-                    next_arr < order.len() || self.slots.iter().any(|s| s.engine.has_work());
-                next_scale = work_left.then(|| t + autoscaler.config().interval);
+                CrossEvent::Fault => self.fault_barrier(t, &mut scale),
             }
         }
         // Fold the run counters of the engines still in the fleet
         // (retired engines folded at retirement).
         for slot in &mut self.slots {
-            processed += slot.processed;
-            last = last.max(slot.last);
+            self.events_processed += slot.processed;
+            self.horizon = self.horizon.max(slot.last);
             self.stats.affinity_hits += slot.arrival_hits;
             slot.arrival_hits = 0;
         }
-        self.events_processed += processed;
-        last
+        self.horizon
+    }
+
+    /// One arrival barrier at `t`, the instant of `pending[0]`: opens a
+    /// snapshot generation and routes from it each arrival of `pending`
+    /// (the undispatched arrivals, in dispatch order) that the budget
+    /// admits — at most its batch size, spanning at most its age, none
+    /// after `limit`. Per-arrival dispatch is the budget `(1, 0)`.
+    ///
+    /// A member arriving at `t` is handled here, at the barrier, as a
+    /// retry is; a later member waits in its engine's `arrivals` deque
+    /// and is handled inside the next epoch at its own instant. Sheds
+    /// stay coordinator events. Pre-replication runs once the barrier's
+    /// routed members are handled, unless the batch routed nothing.
+    /// Returns the number of arrivals the batch took.
+    fn dispatch_arrivals(
+        &mut self,
+        t: SimTime,
+        limit: Option<SimTime>,
+        pending: &[Request],
+    ) -> usize {
+        let (max_batch, max_age) = self.budget;
+        self.refresh_snapshots(t);
+        let mut size: u32 = 0;
+        let mut routed = false;
+        for &req in pending {
+            let ta = req.arrival();
+            if size > 0
+                && (limit.is_some_and(|l| ta > l)
+                    || size >= max_batch
+                    || ta.saturating_since(t) > max_age)
+            {
+                break;
+            }
+            size += 1;
+            self.horizon = self.horizon.max(ta);
+            // Control plane: arrival history is observed here, at the
+            // dispatch barrier, on the coordinator — never on worker
+            // threads — so predictions are identical in both modes.
+            if self.predictive.is_some() {
+                self.forecaster.observe(req.adapter(), ta);
+            }
+            if !self.shed(&req) {
+                self.route_arrival(t, req);
+                routed = true;
+            }
+        }
+        self.snap_served = size;
+        if self.dispatch.is_some() {
+            self.stats.dispatch.on_batch(u64::from(size));
+            if let Some(tracer) = self.tracer.as_mut() {
+                tracer.push(
+                    t,
+                    Lane::Coordinator,
+                    TraceEvent::DispatchBatch {
+                        generation: self.snap_gen,
+                        size,
+                        span: pending[size as usize - 1].arrival().saturating_since(t),
+                    },
+                );
+            }
+        }
+        if routed {
+            self.pre_replicate(t);
+        }
+        size as usize
+    }
+
+    /// SLO-aware load shedding: when even the least-loaded engine's
+    /// estimated TTFT is past `shed_multiple` × SLO, admitting `req`
+    /// would both miss its own SLO and deepen everyone else's backlog —
+    /// refuse it at the door and count it, rather than time it out
+    /// silently. The gate prices against the open generation's frozen
+    /// TTFT estimates (echoes bump queue depth and outstanding tokens,
+    /// not the estimate), so a brownout verdict holds for a whole batch.
+    /// Returns whether `req` was shed.
+    fn shed(&mut self, req: &Request) -> bool {
+        let Some(fs) = self.fault.as_ref() else {
+            return false;
+        };
+        let Some(slo) = fs.slo.filter(|_| fs.spec.sheds()) else {
+            return false;
+        };
+        let min_est = self
+            .snap_buf
+            .iter()
+            .map(|s| s.est_ttft_secs)
+            .fold(f64::INFINITY, f64::min);
+        if min_est > fs.spec.shed_multiple * slo.as_secs_f64() {
+            let idle = self
+                .snap_buf
+                .iter()
+                .filter(|s| s.queue_depth == 0 && s.running == 0)
+                .count() as u32;
+            self.stats.fault.requests_shed += 1;
+            self.stats.fault.shed_times.push(req.arrival());
+            self.events_processed += 1;
+            if let Some(tracer) = self.tracer.as_mut() {
+                tracer.push(
+                    req.arrival(),
+                    Lane::Coordinator,
+                    TraceEvent::RequestShed {
+                        req: req.id().0,
+                        est_ttft: SimDuration::from_secs_f64(min_est),
+                        idle_engines: idle,
+                    },
+                );
+            }
+            return true;
+        }
+        false
+    }
+
+    /// Routes one member of the arrival batch opened at `t` and hands it
+    /// to its engine: now, when it arrives at the barrier, or inside the
+    /// next epoch at its own instant otherwise. Its affinity hit is
+    /// counted on delivery either way (`EngineSlot::arrival_hits`); the
+    /// generation's residency view drives only prewarm accounting and
+    /// the trace.
+    fn route_arrival(&mut self, t: SimTime, req: Request) {
+        let ta = req.arrival();
+        let candidates: Option<Vec<(u32, u64)>> = self.tracer.is_some().then(|| {
+            self.snap_buf
+                .iter()
+                .map(|s| (s.id.0, s.outstanding_tokens))
+                .collect()
+        });
+        let (pos, spilled) = self.route_one(&req);
+        let chosen = self.slots[pos].id;
+        let resident = self.slots[pos].engine.is_adapter_resident(req.adapter());
+        self.stats.record(chosen, false, spilled);
+        let prewarm_hit = resident && self.outstanding_warms.get(&req.adapter()) == Some(&chosen);
+        if prewarm_hit {
+            // The dispatch landed on an engine holding a pre-replicated
+            // copy: the warm paid for itself.
+            self.outstanding_warms.remove(&req.adapter());
+            self.stats.predictive.on_prewarm_hit();
+        }
+        if let (Some(tracer), Some(candidates)) = (self.tracer.as_mut(), candidates) {
+            tracer.push(
+                ta,
+                Lane::Coordinator,
+                TraceEvent::RouteDecision {
+                    req: req.id().0,
+                    adapter: req.adapter().0,
+                    chosen: chosen.0,
+                    spilled,
+                    affinity_hit: resident,
+                    candidates,
+                },
+            );
+            if prewarm_hit {
+                tracer.push(
+                    ta,
+                    Lane::Coordinator,
+                    TraceEvent::PrewarmHit {
+                        adapter: req.adapter().0,
+                        engine: chosen.0,
+                    },
+                );
+            }
+        }
+        let slot = &mut self.slots[pos];
+        if ta == t {
+            slot.deliver(ta, req);
+        } else {
+            slot.arrivals.push_back((ta, req));
+        }
+    }
+
+    /// One autoscaler tick at `t`: the controller reads a fresh fleet
+    /// snapshot and holds, scales up through `grow` (subject to
+    /// provisioning faults), or drains an engine. Returns the next
+    /// tick's instant — `None` once no arrival is left and every engine
+    /// is idle.
+    fn scale_tick(
+        &mut self,
+        t: SimTime,
+        autoscaler: &mut Autoscaler,
+        grow: &mut dyn FnMut(EngineId) -> Engine,
+        arrivals_left: bool,
+    ) -> Option<SimTime> {
+        self.events_processed += 1;
+        self.fill_snapshots();
+        let signal = self.forecast_signal(t, autoscaler.config().interval);
+        let draining = self.slots.len() - self.snap_buf.len();
+        let action = autoscaler.decide_with(t, &self.snap_buf, draining, &signal);
+        let trigger = match autoscaler.last_trigger() {
+            Some(ScaleTrigger::SloEstimate) => "slo-estimate",
+            Some(ScaleTrigger::Forecast) => "forecast",
+            _ => "queue-depth",
+        };
+        match action {
+            ScaleAction::Hold => {}
+            ScaleAction::ScaleUp => {
+                // Provisioning faults: a scale-up can fail outright (the
+                // controller simply retries on a later tick) or be slowed
+                // by an injected delay, in which case the engine joins at
+                // the fault barrier where its provision completes.
+                let mut skip_add = false;
+                if let Some(fs) = self.fault.as_mut() {
+                    if fs.spec.provision_fail_prob > 0.0 {
+                        let roll = fault_roll(fs.spec.seed, PROVISION_STREAM, fs.provision_counter);
+                        fs.provision_counter += 1;
+                        if roll < fs.spec.provision_fail_prob {
+                            self.stats.fault.provision_failures += 1;
+                            skip_add = true;
+                        }
+                    }
+                    if !skip_add && !fs.spec.provision_delay.is_zero() {
+                        fs.pending_provisions.push(t + fs.spec.provision_delay);
+                        self.stats.fault.provision_delays += 1;
+                        skip_add = true;
+                    }
+                }
+                if !skip_add {
+                    self.provision(t, grow);
+                    if self.predictive.is_some() {
+                        match autoscaler.last_trigger() {
+                            Some(ScaleTrigger::SloEstimate) => {
+                                self.stats.predictive.slo_scaleups += 1;
+                            }
+                            Some(ScaleTrigger::Forecast) => {
+                                self.stats.predictive.forecast_scaleups += 1;
+                            }
+                            _ => {}
+                        }
+                    }
+                    if let Some(tracer) = self.tracer.as_mut() {
+                        tracer.push(
+                            t,
+                            Lane::Coordinator,
+                            TraceEvent::AutoscaleTrigger {
+                                action: AutoscaleAction::ScaleUp,
+                                trigger,
+                            },
+                        );
+                    }
+                }
+            }
+            ScaleAction::Drain(victim) => {
+                if self.drain_engine(victim) {
+                    if let Some(tracer) = self.tracer.as_mut() {
+                        tracer.push(
+                            t,
+                            Lane::Coordinator,
+                            TraceEvent::AutoscaleTrigger {
+                                action: AutoscaleAction::Drain(victim.0),
+                                trigger,
+                            },
+                        );
+                        tracer.push(
+                            t,
+                            Lane::Coordinator,
+                            TraceEvent::DrainStarted { engine: victim.0 },
+                        );
+                    }
+                    if self.predictive.is_some_and(|s| s.handoff) {
+                        self.handoff_shard(victim, t);
+                    }
+                    let pos = self
+                        .slots
+                        .iter()
+                        .position(|s| s.id == victim)
+                        .expect("drained engine is present");
+                    if !self.slots[pos].engine.has_work() {
+                        self.retire_slot(pos);
+                    }
+                }
+            }
+        }
+        let work_left = arrivals_left || self.slots.iter().any(|s| s.engine.has_work());
+        work_left.then(|| t + autoscaler.config().interval)
     }
 
     /// Total completed requests across live and retired engines.

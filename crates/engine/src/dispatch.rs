@@ -1,12 +1,14 @@
 //! Amortised dispatch barriers: configuration for arrival batching and
 //! bounded-staleness routing.
 //!
-//! The legacy cluster loop pays one coordinator barrier per arriving
-//! request because every `Router::route` call reads freshly filled
-//! per-engine snapshots — arrival rate, not engine work, sets the epoch
-//! count and caps parallel speedup. Batched dispatch coalesces
-//! consecutive arrivals into a single barrier and routes the whole run
-//! from one cached snapshot generation:
+//! The cluster has one dispatch path. Each arrival barrier opens a
+//! snapshot *generation* and routes a batch of consecutive arrivals from
+//! it, within a `(max_batch, max_age)` budget. Without a spec the budget
+//! is `(1, 0)`: one barrier per arriving request, each routed from a
+//! freshly filled snapshot — per-arrival dispatch. That makes arrival
+//! rate, not engine work, set the epoch count and cap parallel speedup.
+//! A [`DispatchSpec`] widens the budget to the router's declared
+//! staleness class, tightened by the spec:
 //!
 //! * **State-independent** routers (pure weighted rendezvous with spill
 //!   disabled, round-robin) never read load fields, so batches are
@@ -25,8 +27,14 @@
 //!   batch size per engine — the documented, property-tested imbalance
 //!   bound (`chameleon_router::policies` property suite).
 //!
-//! Batched dispatch is a strict opt-in overlay: with [`DispatchSpec`]
-//! unset the cluster runs the legacy per-arrival path untouched.
+//! A generation serves at most `max_batch` requests at its own instant:
+//! crash-recovery retries due at an arrival batch's instant share the
+//! batch's generation only while it has room, and open a fresh one
+//! otherwise — so under the per-arrival budget every retry, too, routes
+//! from a fresh snapshot. The spec changes only the budget; setting it
+//! also arms the batching plane's reporting (`DispatchStats` and the
+//! `dispatch_batch`/`retry_batch` trace events), which stays silent
+//! without one.
 
 use chameleon_simcore::SimDuration;
 

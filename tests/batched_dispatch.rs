@@ -16,22 +16,30 @@
 //!   stragglers, flaky PCIe, shedding, recovery re-dispatch).
 //! * **Retry generation sharing**: recovery re-dispatches due at the
 //!   same instant as an arrival batch route from that batch's snapshot
-//!   generation instead of re-snapshotting (asserted via the dispatch
-//!   counters and the traced `dispatch_batch`/`retry_batch` events).
+//!   generation instead of re-snapshotting, while the generation has
+//!   room under the batch budget, and from fresh generations once it is
+//!   spent (asserted via the dispatch counters and the traced
+//!   `dispatch_batch`/`retry_batch` events).
+//! * **Budget one is per-arrival dispatch**: per-arrival dispatch is the
+//!   batch whose budget is `(1, 0)`, so an explicit `DispatchSpec` of
+//!   that budget reproduces the default run — its canonical text, and its
+//!   decision stream once the batching plane's own events are dropped.
 
 mod common;
 
 use chameleon_repro::cache::{AdapterCache, EvictionPolicy};
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, DispatchSpec, FaultSpec, RouterPolicy, SystemConfig,
+    TraceSpec,
 };
 use chameleon_repro::engine::{Cluster, Engine, EngineConfig};
+use chameleon_repro::metrics::RoutingStats;
 use chameleon_repro::models::{AdapterPool, GpuSpec, LlmSpec, PoolConfig};
 use chameleon_repro::predictor::OraclePredictor;
 use chameleon_repro::sched::{FifoScheduler, WrsConfig};
 use chameleon_repro::simcore::{SimDuration, SimTime};
 use chameleon_repro::workload::{Request, Trace};
-use common::kitchen_sink_faults;
+use common::{chaos_fleet, kitchen_sink_faults};
 
 const SEEDS: [u64; 2] = [3, 11];
 /// One worker (trivially serial), two, and an oversubscribed pool (more
@@ -154,14 +162,13 @@ fn engine(pool: &AdapterPool) -> Engine {
     )
 }
 
-/// Satellite 3 (regression): a recovery re-dispatch due at the same
-/// instant as a fresh arrival shares that arrival batch's snapshot
-/// generation — the fault barrier must not re-snapshot between them.
-/// The trace is built by hand so one arrival lands exactly at the
-/// retry's computed due instant (crash + detect timeout + first
-/// backoff).
-#[test]
-fn retries_share_the_arrival_batch_generation() {
+/// Runs a hand-built crash scenario under `spec`, traced: two JSQ
+/// engines, engine 1 crashing during a dense opening burst, and one
+/// fresh arrival landing exactly at its victims' first-attempt retry
+/// instant (crash + detect timeout + first backoff), so an arrival batch
+/// and the fault barrier's retries share that instant. Returns the
+/// routing stats and the decision stream.
+fn crash_with_arrival_at_retry_instant(spec: DispatchSpec) -> (RoutingStats, String) {
     let llm = LlmSpec::llama_7b();
     let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
     let adapters: Vec<_> = pool.iter().map(|s| (s.id(), s.rank())).collect();
@@ -206,12 +213,30 @@ fn retries_share_the_arrival_batch_generation() {
             .with_retry_policy(backoff, SimDuration::from_secs(1), 3),
         None,
     );
-    cluster.set_dispatch(DispatchSpec::new());
+    cluster.set_dispatch(spec);
     cluster.enable_tracing();
     cluster.run(&trace);
-
     let stats = cluster.routing_stats().clone();
     assert!(stats.fault.retries > 0, "the crash recovered no requests");
+    let (_, log, _) = cluster.into_report_with_trace();
+    (stats, log.expect("tracing on").to_jsonl())
+}
+
+/// The generation of the last arrival batch in a decision stream.
+fn last_batch_generation(jsonl: &str) -> u64 {
+    jsonl
+        .lines()
+        .rfind(|l| l.contains("\"ev\":\"dispatch_batch\""))
+        .and_then(|l| field(l, "generation"))
+        .expect("no dispatch_batch event")
+}
+
+/// Regression: a recovery re-dispatch due at the same instant as a
+/// fresh arrival shares that arrival batch's snapshot generation — the
+/// fault barrier must not re-snapshot between them.
+#[test]
+fn retries_share_the_arrival_batch_generation() {
+    let (stats, jsonl) = crash_with_arrival_at_retry_instant(DispatchSpec::new());
     assert!(
         stats.dispatch.retry_generation_reuses > 0,
         "retries at an arrival instant re-snapshotted instead of sharing \
@@ -223,13 +248,7 @@ fn retries_share_the_arrival_batch_generation() {
     // The traced events agree: the retry batch at `retry_due` is marked
     // reused and carries the same generation as the dispatch batch at
     // that instant.
-    let (_, log, _) = cluster.into_report_with_trace();
-    let jsonl = log.expect("tracing on").to_jsonl();
-    let batch_gen = jsonl
-        .lines()
-        .rfind(|l| l.contains("\"ev\":\"dispatch_batch\""))
-        .and_then(generation_of)
-        .expect("no dispatch_batch event");
+    let batch_gen = last_batch_generation(&jsonl);
     let retry_line = jsonl
         .lines()
         .find(|l| l.contains("\"ev\":\"retry_batch\""))
@@ -239,16 +258,58 @@ fn retries_share_the_arrival_batch_generation() {
         "retry batch did not reuse: {retry_line}"
     );
     assert_eq!(
-        generation_of(retry_line),
+        field(retry_line, "generation"),
         Some(batch_gen),
         "retry batch routed from a different generation: {retry_line}"
     );
 }
 
-/// Extracts the `"generation":N` field from a trace JSONL line.
-fn generation_of(line: &str) -> Option<u64> {
-    let idx = line.find("\"generation\":")?;
-    let rest = &line[idx + "\"generation\":".len()..];
+/// A generation serves at most the budget's batch size at its own
+/// instant: under a budget of two, the one-member arrival batch at the
+/// retry instant lends its spare routing to the first retry, and the
+/// remaining retries route two per fresh generation.
+#[test]
+fn retries_refresh_the_generation_once_its_budget_is_spent() {
+    let budget_two = DispatchSpec::with_budget(2, SimDuration::from_secs(1));
+    let (stats, jsonl) = crash_with_arrival_at_retry_instant(budget_two);
+    let retries = stats.fault.retries;
+    assert!(
+        retries >= 3,
+        "{retries} retries cannot overflow one generation"
+    );
+    assert_eq!(stats.dispatch.retry_generation_reuses, 1);
+
+    let batch_gen = last_batch_generation(&jsonl);
+    let batches: Vec<(u64, u64, bool)> = jsonl
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"retry_batch\""))
+        .map(|l| {
+            let generation = field(l, "generation").expect("generation field");
+            let size = field(l, "size").expect("size field");
+            (generation, size, l.contains("\"reused\":true"))
+        })
+        .collect();
+    assert_eq!(
+        batches.first(),
+        Some(&(batch_gen, 1, true)),
+        "the first retry must take the arrival batch's spare routing"
+    );
+    assert_eq!(batches.len() as u64, 1 + (retries - 1).div_ceil(2));
+    for (i, &(generation, size, reused)) in batches.iter().enumerate().skip(1) {
+        assert_eq!(
+            (generation, reused),
+            (batch_gen + i as u64, false),
+            "retry batch {i} must open a fresh generation"
+        );
+        assert!(size <= 2, "retry batch {i} exceeded the budget: {size}");
+    }
+}
+
+/// Extracts the numeric `"name":N` field from a trace JSONL line.
+fn field(line: &str, name: &str) -> Option<u64> {
+    let key = format!("\"{name}\":");
+    let idx = line.find(&key)?;
+    let rest = &line[idx + key.len()..];
     let end = rest.find([',', '}'])?;
     rest[..end].parse().ok()
 }
@@ -283,4 +344,77 @@ fn spec_tightened_budget_holds_end_to_end() {
         d.batches >= trace.len() as u64 / 4,
         "impossible batch count"
     );
+}
+
+/// Builds a run's trace from its seed and adapter pool.
+type TraceOf = fn(u64, &AdapterPool) -> Trace;
+
+/// Runs `cfg` traced and returns its `canonical_text` and its decision
+/// stream without the batching plane's own `dispatch_batch`/`retry_batch`
+/// events — and without the per-lane `seq`, which those events shift.
+fn canonical_and_stream(cfg: SystemConfig, seed: u64, trace_of: TraceOf) -> (String, String) {
+    let mut sim = Simulation::new(cfg.with_trace(TraceSpec::new()), seed);
+    let trace = trace_of(seed, sim.pool());
+    let report = sim.run(&trace);
+    report.assert_request_conservation(trace.len());
+    let jsonl = report.trace.as_ref().expect("traced run").to_jsonl();
+    let stream = jsonl
+        .lines()
+        .filter(|l| {
+            !l.contains("\"ev\":\"dispatch_batch\"") && !l.contains("\"ev\":\"retry_batch\"")
+        })
+        .map(|l| {
+            let (head, rest) = l.split_once("\"seq\":").expect("seq field");
+            let (_, tail) = rest.split_once(',').expect("field after seq");
+            format!("{head}{tail}\n")
+        })
+        .collect();
+    (report.canonical_text(), stream)
+}
+
+/// An explicit `(1, 0)` budget is per-arrival dispatch, on the three
+/// orderings a one-member batch can get wrong: pre-replication runs after
+/// the arrival is handled, every crash-recovery retry routes from a fresh
+/// snapshot, and retries around a domain crash and a partition on the
+/// predictive 3-rack fleet do too.
+#[test]
+fn budget_one_is_per_arrival_dispatch() {
+    let racks = FaultSpec::new()
+        .with_domain_crash(0, SimTime::from_secs_f64(5.0))
+        .with_partition(1, SimTime::from_secs_f64(3.0), SimTime::from_secs_f64(6.0));
+    let cases: [(&str, SystemConfig, TraceOf); 3] = [
+        (
+            "predictive-4, bursty trace",
+            preset::chameleon_cluster_predictive(4),
+            |seed, pool| workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, seed, pool),
+        ),
+        (
+            "JSQ-4, crash at 6 s",
+            preset::chameleon_cluster(4)
+                .with_fault(FaultSpec::new().with_crash(1, SimTime::from_secs_f64(6.0))),
+            |seed, pool| workloads::splitwise(24.0, 12.0, seed, pool),
+        ),
+        (
+            "predictive 3-rack, domain crash + partition",
+            chaos_fleet().with_fault(racks),
+            |seed, pool| workloads::splitwise(16.0, 10.0, seed, pool),
+        ),
+    ];
+    let budget_one = DispatchSpec::with_budget(1, SimDuration::ZERO);
+    for (name, cfg, trace_of) in cases {
+        for seed in SEEDS {
+            let (text, stream) = canonical_and_stream(cfg.clone(), seed, trace_of);
+            let (text_one, stream_one) =
+                canonical_and_stream(cfg.clone().with_dispatch(budget_one), seed, trace_of);
+            assert_eq!(
+                text, text_one,
+                "{name}, seed {seed}: budget one diverged from per-arrival dispatch"
+            );
+            // Streams run to hundreds of KiB: report the divergence, not the diff.
+            assert!(
+                stream == stream_one,
+                "{name}, seed {seed}: budget one's decision stream diverged from per-arrival"
+            );
+        }
+    }
 }

@@ -1,5 +1,5 @@
-//! Scenario builders shared by the integration suites. Each suite uses a
-//! subset, hence the crate-level `dead_code` allowance.
+//! Fault schedules and fleets shared by the integration suites. Each
+//! suite uses a subset, hence the crate-level `dead_code` allowance.
 #![allow(dead_code)]
 
 use chameleon_repro::core::{preset, FaultSpec, FleetSpec, SystemConfig, TopologySpec};

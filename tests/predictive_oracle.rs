@@ -28,7 +28,9 @@ mod common;
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, ClusterExecution, RouterPolicy, SystemConfig, TraceSpec,
 };
+use chameleon_repro::models::AdapterPool;
 use chameleon_repro::simcore::SimDuration;
+use chameleon_repro::workload::Trace;
 use common::{chaos_fleet, chaos_schedule, kitchen_sink_faults};
 
 /// FNV-1a 64-bit over the canonical text — cheap, dependency-free, and
@@ -47,10 +49,15 @@ fn canonical(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> String {
 }
 
 /// `canonical_text` plus the traced decision stream as JSONL (empty for
-/// an untraced config).
-fn run_splitwise(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (String, String) {
+/// an untraced config) of `cfg` on the trace `trace_of` draws from its
+/// adapter pool.
+fn run(
+    cfg: SystemConfig,
+    seed: u64,
+    trace_of: impl FnOnce(&AdapterPool) -> Trace,
+) -> (String, String) {
     let mut sim = Simulation::new(cfg, seed);
-    let trace = workloads::splitwise(rps, secs, seed, sim.pool());
+    let trace = trace_of(sim.pool());
     let report = sim.run(&trace);
     report.assert_request_conservation(trace.len());
     let jsonl = report
@@ -58,6 +65,13 @@ fn run_splitwise(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (String, 
         .as_ref()
         .map_or_else(String::new, |l| l.to_jsonl());
     (report.canonical_text(), jsonl)
+}
+
+/// [`run`] on a steady Splitwise trace.
+fn run_splitwise(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (String, String) {
+    run(cfg, seed, |pool| {
+        workloads::splitwise(rps, secs, seed, pool)
+    })
 }
 
 /// The elastic preset tightened exactly as the determinism suite does, so
@@ -80,17 +94,13 @@ fn elastic_canonical_of(cfg: SystemConfig, seed: u64) -> String {
     run_bursty(cfg, seed).0
 }
 
-/// [`run_splitwise`] on the bursty trace of the elastic pin.
+/// [`run`], serially, on the bursty trace of the elastic pin.
 fn run_bursty(cfg: SystemConfig, seed: u64) -> (String, String) {
-    let mut sim = Simulation::new(cfg.with_cluster_exec(ClusterExecution::Serial), seed);
-    let trace = workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, seed, sim.pool());
-    let report = sim.run(&trace);
-    report.assert_request_conservation(trace.len());
-    let jsonl = report
-        .trace
-        .as_ref()
-        .map_or_else(String::new, |l| l.to_jsonl());
-    (report.canonical_text(), jsonl)
+    run(
+        cfg.with_cluster_exec(ClusterExecution::Serial),
+        seed,
+        |pool| workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, seed, pool),
+    )
 }
 
 fn elastic_canonical(seed: u64) -> String {
