@@ -19,6 +19,12 @@
 //! dispatch became the budget-1 batch, and that refactor had to leave
 //! every one of them unchanged.
 //!
+//! The "without pre-replication" pins freeze every predictive
+//! configuration above with burst pre-replication switched off: the
+//! canonical text with the four pre-replication counters cut from its
+//! `predictive` line, and the traced stream as is. Deleting that
+//! mechanism must leave them unchanged.
+//!
 //! If one of these tests fails, a behaviour-preserving path changed
 //! behaviour. Enabling an opt-in plane and expecting different bytes is
 //! fine; changing a pinned run is not.
@@ -105,6 +111,24 @@ fn run_bursty(cfg: SystemConfig, seed: u64) -> (String, String) {
 
 fn elastic_canonical(seed: u64) -> String {
     elastic_canonical_of(elastic_cfg(), seed)
+}
+
+/// `cfg` with burst pre-replication switched off and every other
+/// predictive mechanism left as configured.
+fn without_prereplication(mut cfg: SystemConfig) -> SystemConfig {
+    cfg.predictive
+        .as_mut()
+        .expect("a predictive configuration")
+        .prereplicate = false;
+    cfg
+}
+
+/// `text` with the pre-replication counters cut from its `predictive`
+/// line. A run without pre-replication reports all four as zero.
+fn without_prewarm_fields(text: &str) -> String {
+    const ZEROS: &str = "prewarms=0 prewarm_bytes=0 prewarm_hits=0 prewarm_wasted=0 ";
+    assert!(text.contains(ZEROS), "a run without pre-replication warmed");
+    text.replace(ZEROS, "")
 }
 
 fn assert_frozen(scenario: &str, seed: u64, text: &str, len: usize, fnv: u64) {
@@ -263,6 +287,34 @@ fn predictive_fleets_match_frozen_bytes() {
         let text = run_bursty(cfg, seed).0;
         assert_frozen("elastic-predictive", seed, &text, len, fnv);
     }
+    for (seed, len, fnv) in [
+        (3u64, 154_861usize, 0x67c9_234a_062e_2b0c_u64),
+        (11, 162_790, 0xd2ea_6852_ddca_1f19),
+    ] {
+        let cfg = without_prereplication(preset::chameleon_cluster_predictive(4));
+        let text = without_prewarm_fields(&run_bursty(cfg, seed).0);
+        assert_frozen(
+            "predictive-4 without pre-replication",
+            seed,
+            &text,
+            len,
+            fnv,
+        );
+    }
+    for (seed, len, fnv) in [
+        (3u64, 154_991usize, 0x9959_32e2_0a3d_2d33_u64),
+        (11, 162_790, 0xe743_753a_cc56_634d),
+    ] {
+        let cfg = without_prereplication(tightened(preset::chameleon_cluster_elastic_predictive()));
+        let text = without_prewarm_fields(&run_bursty(cfg, seed).0);
+        assert_frozen(
+            "elastic-predictive without pre-replication",
+            seed,
+            &text,
+            len,
+            fnv,
+        );
+    }
 }
 
 /// Crash-recovery re-dispatch: a lone crash with shedding, every
@@ -292,6 +344,20 @@ fn faulted_fleets_match_frozen_bytes() {
         let cfg = chaos_fleet().with_fault(chaos_schedule(seed));
         let text = canonical(cfg, seed, 16.0, 10.0);
         assert_frozen("chaos schedule", seed, &text, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 26038usize, 0xb503_f2cc_ccc5_23dd_u64),
+        (11, 22184, 0x771c_49c0_510d_8ab9),
+    ] {
+        let cfg = without_prereplication(chaos_fleet()).with_fault(chaos_schedule(seed));
+        let text = without_prewarm_fields(&canonical(cfg, seed, 16.0, 10.0));
+        assert_frozen(
+            "chaos schedule without pre-replication",
+            seed,
+            &text,
+            len,
+            fnv,
+        );
     }
 }
 
@@ -342,6 +408,20 @@ fn traced_decision_streams_match_frozen_bytes() {
     ] {
         let jsonl = run_bursty(traced(preset::chameleon_cluster_predictive(4)), seed).1;
         assert_frozen("predictive-4 stream", seed, &jsonl, len, fnv);
+    }
+    for (seed, len, fnv) in [
+        (3u64, 433_715usize, 0xc43d_0f46_c952_64ec_u64),
+        (11, 442_876, 0x4cc1_f272_08b4_3182),
+    ] {
+        let cfg = without_prereplication(preset::chameleon_cluster_predictive(4));
+        let jsonl = run_bursty(traced(cfg), seed).1;
+        assert_frozen(
+            "predictive-4 stream without pre-replication",
+            seed,
+            &jsonl,
+            len,
+            fnv,
+        );
     }
     for (seed, len, fnv) in [
         (3u64, 221_488usize, 0xa883_3ab1_a70f_acb4_u64),
