@@ -2,11 +2,11 @@
 //!
 //! Runs a pinned 600-adapter Zipf macro-scenario (single-engine and a
 //! 4-engine cluster routed JSQ vs AdapterAffinity) plus hot-path
-//! micro-benches (event-queue churn, eviction storm, refresh storm,
-//! parallel-vs-serial sweep), a profiled barrier/epoch breakdown, and a
-//! traced telemetry-series export (CSV/JSONL written next to the bench
-//! JSON), and writes the numbers as JSON, extending the PR-over-PR
-//! performance trajectory:
+//! micro-benches (event-queue churn, refresh storm, parallel-vs-serial
+//! sweep), a profiled barrier/epoch breakdown, and a traced
+//! telemetry-series export (CSV/JSONL written next to the bench JSON),
+//! and writes the numbers as JSON, extending the PR-over-PR performance
+//! trajectory:
 //!
 //! ```text
 //! cargo run -p chameleon-bench --release --bin chameleon-bench
@@ -15,29 +15,23 @@
 //!
 //! `--smoke` shrinks every scenario to a few seconds of work for CI; the
 //! checked-in `BENCH_PR<n>.json` files are produced by full release-mode
-//! runs and gated by the `bench-compare` binary. The eviction-storm bench
-//! runs the same storm twice — once through the incrementally maintained
-//! candidate index and once through the pre-PR2 full-scan path
-//! (`AdapterCache::set_full_scan_eviction`) — so the speedup column is
-//! measured, not estimated.
+//! runs and gated by the `bench-compare` binary.
 
 use chameleon_bench::perf::{timed, BenchReport, BenchResult};
 use chameleon_bench::SEED;
-use chameleon_cache::{AdapterCache, EvictionPolicy};
 use chameleon_core::par;
 use chameleon_core::sweep::LoadSweep;
 use chameleon_core::{
-    preset, DispatchSpec, FaultSpec, FleetSpec, RouterPolicy, RunReport, Simulation, TopologySpec,
+    preset, DispatchSpec, FaultSpec, FleetSpec, PredictiveSpec, RouterPolicy, RunReport,
+    Simulation, TopologySpec,
 };
 use chameleon_fault::fault_roll;
-use chameleon_gpu::memory::MemoryPool;
-use chameleon_models::{AdapterId, AdapterRank, AdapterSpec, LlmSpec};
+use chameleon_models::{AdapterId, AdapterRank};
 use chameleon_sched::{
     ChameleonConfig, ChameleonScheduler, QueuedRequest, Scheduler, StaticProbe, WrsConfig,
 };
 use chameleon_simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use chameleon_workload::{Request, RequestId};
-use std::collections::HashSet;
 
 fn main() {
     let mut smoke = false;
@@ -72,14 +66,12 @@ fn main() {
     cluster_macro(&mut report, smoke);
     batched_dispatch_macro(&mut report, smoke);
     cluster16_macro(&mut report, smoke);
-    predictive_burst_macro(&mut report, smoke);
     failover_macro(&mut report, smoke);
     domain_failover_macro(&mut report, smoke);
     chaos_sweep_macro(&mut report, smoke);
     kv_pressure_macro(&mut report, smoke);
     barrier_profile_table(&mut report, smoke);
     event_queue_churn(&mut report, smoke);
-    eviction_storm(&mut report, smoke);
     refresh_storm(&mut report, smoke);
     sweep_scaling(&mut report, smoke);
     telemetry_series(&out_path, smoke);
@@ -368,112 +360,6 @@ fn cluster16_macro(report: &mut BenchReport, smoke: bool) {
     );
 }
 
-/// The predictive control plane's slot in the trajectory: a 4-engine
-/// affinity fleet through a bursty **Zipf shift** — steady traffic over
-/// one popular adapter set, then the popular set rotates by half the
-/// pool and, after the predictor has seen the new regime, bursts to 8× —
-/// run once reactive and once with the control plane (pre-replication
-/// onto spill targets) on the *identical* trace. The `events_per_sec`
-/// column tracks the control plane's overhead on the dispatch path; the
-/// miss/prewarm columns track what prediction buys — spills landing on
-/// warm replicas instead of cold engines.
-fn predictive_burst_macro(report: &mut BenchReport, smoke: bool) {
-    use chameleon_models::AdapterId;
-    use chameleon_workload::Trace;
-
-    let engines = 4;
-    let rps = 20.0;
-    let secs = if smoke { 4.0 } else { 120.0 };
-    let cfg = preset::chameleon_cluster_partitioned(engines)
-        .with_adapters(100)
-        .with_label("Chameleon-DP4-Shift");
-    let pool = chameleon_models::AdapterPool::generate(&cfg.llm, &cfg.pool_config());
-    // Phase 1: the pool's natural Zipf-popular set. Phase 2: the same
-    // workload with adapter ids rotated by half the pool (a popularity
-    // shift), steady long enough to learn, then an 8x burst on it.
-    let phase1_secs = secs / 3.0;
-    let phase2_secs = secs - phase1_secs;
-    let phase1 = chameleon_core::workloads::splitwise(rps, phase1_secs, SEED, &pool);
-    let phase2 = chameleon_core::workloads::splitwise_bursty(
-        rps,
-        phase2_secs,
-        phase2_secs / 2.0,
-        phase2_secs / 4.0,
-        8.0,
-        SEED ^ 0x5eed,
-        &pool,
-    );
-    let n = pool.len() as u32;
-    let offset = SimDuration::from_secs_f64(phase1_secs);
-    let mut reqs = phase1.requests().to_vec();
-    for r in phase2.iter() {
-        let shifted = AdapterId((r.adapter().0 + n / 2) % n);
-        let rank = pool.get(shifted).expect("rotated id stays in pool").rank();
-        reqs.push(Request::new(
-            RequestId(r.id().0 + 1_000_000),
-            r.arrival() + offset,
-            r.input_tokens(),
-            r.output_tokens(),
-            shifted,
-            rank,
-        ));
-    }
-    let trace = Trace::new(reqs);
-
-    let mut reactive_sim = Simulation::new(cfg.clone(), SEED);
-    let (t_reactive, reactive) = timed(|| reactive_sim.run(&trace));
-    let mut predictive_sim = Simulation::new(
-        cfg.with_predictive(chameleon_core::PredictiveSpec::new())
-            .with_label("Chameleon-DP4-600-Burst-Predictive"),
-        SEED,
-    );
-    let (t_predictive, predictive) = timed(|| predictive_sim.run(&trace));
-
-    let p = &predictive.routing.predictive;
-    let reactive_eps = reactive.events_processed as f64 / t_reactive;
-    let predictive_eps = predictive.events_processed as f64 / t_predictive;
-    println!(
-        "  macro_pred_burst    {:>10.0} events/s reactive, {:>10.0} events/s predictive \
-         (misses {} -> {}, {} warms / {} hits, {t_reactive:.3}s vs {t_predictive:.3}s wall)",
-        reactive_eps,
-        predictive_eps,
-        reactive.cache_stats.misses,
-        predictive.cache_stats.misses,
-        p.prewarms_issued,
-        p.prewarm_hits,
-    );
-    report.push(
-        "macro_predictive_burst",
-        BenchResult::new()
-            .metric("engines", engines as f64)
-            .metric("adapters", pool.len() as f64)
-            .metric("offered_rps", rps)
-            .metric("trace_secs", secs)
-            .metric("completed", reactive.completed() as f64)
-            .metric("events", reactive.events_processed as f64)
-            .metric("cores", par::default_workers() as f64)
-            .metric("reactive_wall_secs", t_reactive)
-            .metric("predictive_wall_secs", t_predictive)
-            .metric("events_per_sec", reactive_eps)
-            .metric("predictive_events_per_sec", predictive_eps)
-            .metric("reactive_cold_misses", reactive.cache_stats.misses as f64)
-            .metric(
-                "predictive_cold_misses",
-                predictive.cache_stats.misses as f64,
-            )
-            .metric("prewarms_issued", p.prewarms_issued as f64)
-            .metric("prewarm_hits", p.prewarm_hits as f64)
-            .metric("prewarm_hit_rate", p.prewarm_hit_rate())
-            .metric("reactive_p99_ttft_s", reactive.p99_ttft())
-            .metric("predictive_p99_ttft_s", predictive.p99_ttft())
-            .metric("reactive_hit_rate", reactive.hit_rate())
-            .metric("predictive_hit_rate", predictive.hit_rate()),
-    );
-}
-
-/// P99 TTFT over **all offered** requests: anything unserved (failed or
-/// shed) counts as an infinite sample, so abandonment shows up in the
-/// tail instead of silently improving it.
 /// The GPU-memory economy's slot in the trajectory: a memory-starved A40
 /// (Llama-7B's weights leave roughly 1 GiB of KV headroom) under the
 /// KV-bound Splitwise workload, run twice on the *identical* trace —
@@ -551,6 +437,9 @@ fn kv_pressure_macro(report: &mut BenchReport, smoke: bool) {
     );
 }
 
+/// P99 TTFT over **all offered** requests: anything unserved (failed or
+/// shed) counts as an infinite sample, so abandonment shows up in the
+/// tail instead of silently improving it.
 fn p99_all_offered(report: &RunReport, offered: usize) -> f64 {
     let mut xs: Vec<f64> = report
         .records
@@ -667,9 +556,9 @@ fn failover_macro(report: &mut BenchReport, smoke: bool) {
 /// The correlated-failure slot: the 4-engine two-rack domain fleet
 /// through a whole-rack crash landing mid-burst, run twice on the
 /// *identical* trace — domain-aware anti-affinity placement vs the
-/// topology-blind ablation (same racks, but spill/replica second choices
-/// ignore them, so ~a third of the warm copies share the primary's rack
-/// and die with it). The MTTR columns come from the recovery ledger:
+/// topology-blind ablation (same racks, but spill second choices ignore
+/// them, so some spilled work shares the primary's rack and dies with
+/// it). The MTTR columns come from the recovery ledger:
 /// mean time from each crash to the last victim re-dispatch and to the
 /// last victim completion. The efficacy ordering (anti-affinity strictly
 /// beats blind on offered P99 and requests lost) is pinned at this exact
@@ -757,14 +646,6 @@ fn domain_failover_macro(report: &mut BenchReport, smoke: bool) {
                 "blind_requests_lost",
                 blind.requests_lost_to_faults() as f64,
             )
-            .metric(
-                "prewarm_hits",
-                affine.routing.predictive.prewarm_hits as f64,
-            )
-            .metric(
-                "blind_prewarm_hits",
-                blind.routing.predictive.prewarm_hits as f64,
-            )
             .metric("mttr_redispatch_secs", f.mttr_redispatch)
             .metric("mttr_complete_secs", f.mttr_complete)
             .metric("availability", affine.availability(offered))
@@ -787,7 +668,8 @@ fn chaos_sweep_macro(report: &mut BenchReport, smoke: bool) {
     let rps = 16.0;
     let secs = if smoke { 4.0 } else { 30.0 };
     let fleet_cfg = || {
-        preset::chameleon_cluster_predictive(6)
+        preset::chameleon_cluster_partitioned(6)
+            .with_predictive(PredictiveSpec::new())
             .with_fleet(
                 FleetSpec::homogeneous(6, 1)
                     .with_topology(TopologySpec::racks(&[0, 0, 1, 1, 2, 2])),
@@ -987,96 +869,6 @@ fn event_queue_churn(report: &mut BenchReport, smoke: bool) {
             .metric("wall_secs", wall)
             .metric("ops_per_sec", processed as f64 / wall),
     );
-}
-
-/// One storm round: demand half the pool, evicting ~half the idle
-/// adapters by policy, then reload the evicted ones.
-fn run_storm(
-    policy: EvictionPolicy,
-    full_scan: bool,
-    specs: &[AdapterSpec],
-    total_bytes: u64,
-    rounds: usize,
-) -> (f64, u64) {
-    let mut pool = MemoryPool::new(total_bytes);
-    let mut cache = AdapterCache::new(policy);
-    cache.set_full_scan_eviction(full_scan);
-    let mut clock = 0.0;
-    for spec in specs {
-        clock += 0.01;
-        cache
-            .insert_loaded(&mut pool, spec, SimTime::from_secs_f64(clock), 0)
-            .expect("pool sized to fit all");
-    }
-    // Touch a deterministic subset so frequency/recency terms vary.
-    for (i, spec) in specs.iter().enumerate() {
-        for _ in 0..(i % 5) {
-            clock += 0.01;
-            cache.acquire(&mut pool, spec.id(), SimTime::from_secs_f64(clock));
-            cache.release(&mut pool, spec.id(), SimTime::from_secs_f64(clock));
-        }
-    }
-    let none = HashSet::new();
-    let (wall, evictions) = timed(|| {
-        for _ in 0..rounds {
-            clock += 1.0;
-            cache.make_room(
-                &mut pool,
-                total_bytes / 2,
-                SimTime::from_secs_f64(clock),
-                &none,
-            );
-            for spec in specs {
-                if !cache.is_resident(spec.id()) {
-                    clock += 0.001;
-                    cache
-                        .insert_loaded(&mut pool, spec, SimTime::from_secs_f64(clock), 0)
-                        .expect("room was just made");
-                }
-            }
-        }
-        cache.stats().evictions
-    });
-    (wall, evictions)
-}
-
-/// Eviction storm: repeated memory-pressure episodes over a 600-adapter
-/// idle set, indexed path vs the pre-PR full scan, for a keyed policy
-/// (LRU) and the paper's compound score.
-fn eviction_storm(report: &mut BenchReport, smoke: bool) {
-    let adapters = 600;
-    let rounds = if smoke { 4 } else { 40 };
-    let llm = LlmSpec::llama_7b();
-    let specs: Vec<AdapterSpec> = (0..adapters)
-        .map(|i| {
-            let rank = AdapterRank::new(8 << (i % 4)); // 8..64
-            AdapterSpec::new(AdapterId(i as u32), rank, &llm)
-        })
-        .collect();
-    let total_bytes: u64 = specs.iter().map(|s| s.bytes()).sum();
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::chameleon()] {
-        let (t_indexed, ev_indexed) = run_storm(policy, false, &specs, total_bytes, rounds);
-        let (t_scan, ev_scan) = run_storm(policy, true, &specs, total_bytes, rounds);
-        assert_eq!(
-            ev_indexed, ev_scan,
-            "indexed and full-scan storms must evict identically"
-        );
-        let name = format!("eviction_storm_{}", policy.name());
-        println!(
-            "  {name:<19} {:>9.2}x speedup  (indexed {t_indexed:.3}s vs full-scan {t_scan:.3}s, {ev_indexed} evictions)",
-            t_scan / t_indexed
-        );
-        report.push(
-            name,
-            BenchResult::new()
-                .metric("adapters", adapters as f64)
-                .metric("rounds", rounds as f64)
-                .metric("evictions", ev_indexed as f64)
-                .metric("indexed_wall_secs", t_indexed)
-                .metric("full_scan_wall_secs", t_scan)
-                .metric("speedup", t_scan / t_indexed),
-        );
-    }
 }
 
 /// Refresh storm: K-means reconfiguration + re-bucketing of a deep

@@ -88,9 +88,11 @@ fn main() -> ExitCode {
         let trace = chameleon_core::workloads::splitwise(12.0, secs, SEED, &pool);
         (cfg, trace)
     };
+    // The shed-idle predicate inspects every event and never fires on a
+    // fault-free run, so the gate prices a live recorder scan.
     let traced_cfg = base
         .clone()
-        .with_trace(TraceSpec::new().with_wasted_warm_trigger());
+        .with_trace(TraceSpec::new().with_shed_idle_trigger());
 
     let mut best_plain = f64::INFINITY;
     let mut best_traced = f64::INFINITY;

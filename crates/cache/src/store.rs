@@ -175,8 +175,9 @@ pub struct AdapterCache {
     /// Incrementally maintained eviction-candidate index over the idle
     /// (`ref_count == 0`) entries, updated on acquire/release/insert/decay.
     idle: BTreeSet<IdleKey>,
-    /// Pre-index full-scan eviction (kept as the oracle/benchmark
-    /// reference path; see [`set_full_scan_eviction`](Self::set_full_scan_eviction)).
+    /// Pre-index full-scan eviction: the reference path the indexed
+    /// passes are property-tested against.
+    #[cfg(test)]
     full_scan_eviction: bool,
     /// Reusable per-pass scratch (compound policies + victim batching).
     scan_ids: Vec<AdapterId>,
@@ -198,6 +199,7 @@ impl AdapterCache {
             stats: CacheStats::default(),
             gdsf_floor: 0.0,
             idle: BTreeSet::new(),
+            #[cfg(test)]
             full_scan_eviction: false,
             scan_ids: Vec::new(),
             scan_cands: Vec::new(),
@@ -220,10 +222,9 @@ impl AdapterCache {
 
     /// Switches eviction to the pre-index full-scan reference
     /// implementation (rebuilds the candidate list from the entry table on
-    /// every victim). Kept for the indexed-vs-scan oracle property test
-    /// and the `chameleon-bench` eviction-storm baseline; production
-    /// callers never enable it.
-    pub fn set_full_scan_eviction(&mut self, on: bool) {
+    /// every victim), the oracle of `prop_indexed_eviction_matches_full_scan`.
+    #[cfg(test)]
+    fn set_full_scan_eviction(&mut self, on: bool) {
         self.full_scan_eviction = on;
     }
 
@@ -454,9 +455,12 @@ impl AdapterCache {
         now: SimTime,
         protected: Option<&HashSet<AdapterId>>,
     ) {
+        #[cfg(test)]
         if self.full_scan_eviction {
             self.evict_pass_full_scan(pool, needed, now, protected);
-        } else if key_is_total(self.policy) {
+            return;
+        }
+        if key_is_total(self.policy) {
             self.evict_pass_indexed(pool, needed, protected);
         } else {
             self.evict_pass_compound(pool, needed, now, protected);
@@ -587,6 +591,7 @@ impl AdapterCache {
     /// `HashMap`-iteration order made tie-breaks vary across processes —
     /// and [`pick_victim`](EvictionPolicy::pick_victim) receives one
     /// candidate slice directly (the old second copy is gone).
+    #[cfg(test)]
     fn evict_pass_full_scan(
         &mut self,
         pool: &mut MemoryPool,

@@ -159,19 +159,6 @@ pub fn chameleon_cluster_partitioned(engines: usize) -> SystemConfig {
         .with_label(format!("Chameleon-DP{engines}-Affinity"))
 }
 
-/// [`chameleon_cluster_partitioned`] with the predictive control plane on
-/// top: the coordinator's arrival-history predictor pre-replicates
-/// imminently hot adapters onto their stable second rendezvous choice
-/// *before* bursts, so affinity spill lands on a warm replica instead of
-/// a cold engine. Identical to the partitioned preset in every reactive
-/// knob — the pair is the reactive-vs-predictive comparison the
-/// `macro_predictive_burst` bench scenario and the efficacy tests run.
-pub fn chameleon_cluster_predictive(engines: usize) -> SystemConfig {
-    chameleon_cluster_partitioned(engines)
-        .with_predictive(PredictiveSpec::new())
-        .with_label(format!("Chameleon-DP{engines}-Predictive"))
-}
-
 /// [`chameleon_cluster_partitioned`] with the deterministic fault plane
 /// armed: engine 1 crashes ten seconds in, the coordinator's timeout
 /// detector re-dispatches its queued and in-flight requests through the
@@ -190,13 +177,13 @@ pub fn chameleon_cluster_faulted(engines: usize) -> SystemConfig {
         .with_label(format!("Chameleon-DP{engines}-Faulted"))
 }
 
-/// [`chameleon_cluster_predictive`] on a two-rack topology with
-/// domain-aware anti-affinity placement: the fleet's first half lives on
-/// rack 0, the second on rack 1, and every second-choice placement —
-/// affinity spill, burst pre-replication — prefers the best-ranked
-/// engine *outside* the primary's rack, so a whole-domain failure can
-/// never take the primary and its warm replica together. Identical to
-/// the predictive preset in every other knob; pair it with
+/// [`chameleon_cluster_partitioned`] on a two-rack topology with
+/// domain-aware anti-affinity placement and the predictive control plane
+/// on: the fleet's first half lives on rack 0, the second on rack 1,
+/// affinity spill prefers the best-ranked engine *outside* the primary's
+/// rack, and a crashed engine's shard is warmed onto the survivors
+/// (shard handoff), so a whole-domain failure never takes a primary and
+/// all of its spilled work together. Pair it with
 /// `FaultSpec::with_domain_crash` (or `.without_anti_affinity()` on the
 /// topology) for the correlated-failure efficacy comparison.
 ///
@@ -206,7 +193,8 @@ pub fn chameleon_cluster_faulted(engines: usize) -> SystemConfig {
 pub fn chameleon_cluster_domains(engines: usize) -> SystemConfig {
     assert!(engines >= 2, "a two-rack topology needs at least 2 engines");
     let racks: Vec<u32> = (0..engines).map(|i| u32::from(i >= engines / 2)).collect();
-    chameleon_cluster_predictive(engines)
+    chameleon_cluster_partitioned(engines)
+        .with_predictive(PredictiveSpec::new())
         .with_fleet(FleetSpec::homogeneous(engines, 1).with_topology(TopologySpec::racks(&racks)))
         .with_label(format!("Chameleon-DP{engines}-Domains"))
 }
@@ -424,23 +412,19 @@ mod tests {
 
     #[test]
     fn predictive_presets_differ_only_in_the_control_plane() {
-        let reactive = chameleon_cluster_partitioned(4);
-        let predictive = chameleon_cluster_predictive(4);
+        let reactive = chameleon_cluster_elastic();
+        let predictive = chameleon_cluster_elastic_predictive();
         assert!(reactive.predictive.is_none());
-        let spec = predictive.predictive.expect("control plane enabled");
-        assert!(spec.prereplicate && spec.handoff && spec.slo_autoscale);
+        assert_eq!(predictive.predictive, Some(PredictiveSpec::new()));
         assert_eq!(predictive.router, reactive.router);
         assert_eq!(predictive.sched, reactive.sched);
         assert_eq!(predictive.cache, reactive.cache);
-        assert_eq!(predictive.data_parallel, reactive.data_parallel);
-        let elastic = chameleon_cluster_elastic_predictive();
-        assert!(elastic.predictive.is_some());
-        assert!(elastic.autoscale.is_some());
+        assert!(predictive.autoscale.is_some());
         // The base presets remain reactive.
         for cfg in [
             chameleon(),
+            chameleon_cluster_partitioned(4),
             chameleon_cluster_hetero(),
-            chameleon_cluster_elastic(),
         ] {
             assert!(cfg.predictive.is_none(), "{} gained prediction", cfg.label);
         }
@@ -549,8 +533,8 @@ mod tests {
             vec![0, 0, 1, 1]
         );
         assert!(
-            c.predictive.is_some(),
-            "pre-replication exercises anti-affinity"
+            c.predictive.is_some_and(|p| p.handoff),
+            "crashed shards are warmed onto the survivors"
         );
         assert_eq!(c.router, RouterPolicy::AdapterAffinity);
     }
@@ -570,7 +554,6 @@ mod tests {
             chameleon_gdsf(),
             chameleon_cluster(4),
             chameleon_cluster_partitioned(4),
-            chameleon_cluster_predictive(4),
             chameleon_cluster_faulted(4),
             chameleon_cluster_domains(4),
             chameleon_cluster_rendezvous(4),

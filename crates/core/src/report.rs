@@ -411,16 +411,8 @@ impl RunReport {
             let p = &r.predictive;
             let _ = writeln!(
                 s,
-                "predictive prewarms={} prewarm_bytes={} prewarm_hits={} prewarm_wasted={} \
-                 handoff_n={} handoff_bytes={} slo_scaleups={} forecast_scaleups={}",
-                p.prewarms_issued,
-                p.prewarm_bytes,
-                p.prewarm_hits,
-                p.prewarm_wasted,
-                p.handoff_adapters,
-                p.handoff_bytes,
-                p.slo_scaleups,
-                p.forecast_scaleups,
+                "predictive handoff_n={} handoff_bytes={} slo_scaleups={} forecast_scaleups={}",
+                p.handoff_adapters, p.handoff_bytes, p.slo_scaleups, p.forecast_scaleups,
             );
         }
         // Like the predictive line, the fault line exists only for runs

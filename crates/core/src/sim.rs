@@ -14,8 +14,8 @@ use chameleon_sched::{
 };
 use chameleon_simcore::{SimDuration, SimRng};
 use chameleon_trace::{
-    AnomalyPredicate, FlightRecorder, Lane, ReplicaColocatedPredicate, RetryStormPredicate,
-    ShedIdlePredicate, TraceBuffer, TtftSloPredicate, WastedWarmPredicate,
+    AnomalyPredicate, FlightRecorder, Lane, RetryStormPredicate, ShedIdlePredicate, TraceBuffer,
+    TtftSloPredicate,
 };
 use chameleon_workload::Trace;
 
@@ -285,31 +285,11 @@ impl Simulation {
             if let Some(trigger) = spec.ttft_slo_trigger {
                 predicates.push(Box::new(TtftSloPredicate::new(trigger)));
             }
-            if spec.wasted_warm_trigger {
-                predicates.push(Box::new(WastedWarmPredicate::new()));
-            }
             if let Some((count, window)) = spec.retry_storm_trigger {
                 predicates.push(Box::new(RetryStormPredicate::new(count, window)));
             }
             if spec.shed_idle_trigger {
                 predicates.push(Box::new(ShedIdlePredicate));
-            }
-            if spec.colocated_replica_trigger {
-                // Resolves racks from the fleet topology; without one
-                // every engine is a singleton domain and the predicate
-                // never fires.
-                let racks = self
-                    .cfg
-                    .topology()
-                    .map(|t| {
-                        t.domains
-                            .iter()
-                            .enumerate()
-                            .map(|(i, d)| (i as u32, d.rack))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                predicates.push(Box::new(ReplicaColocatedPredicate::new(racks)));
             }
             if !predicates.is_empty() {
                 let recorder = FlightRecorder::new(spec.flight_capacity, spec.max_dumps);

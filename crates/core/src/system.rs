@@ -30,8 +30,8 @@ impl EngineSpec {
 /// The correlated failure unit an engine lives in: a host within a rack.
 /// Correlated fault injections ([`FaultSpec::with_domain_crash`] and
 /// friends) take out every engine sharing a rack, and domain-aware
-/// placement keeps spill / pre-replication copies *outside* the primary's
-/// rack so exactly those copies survive.
+/// placement keeps spilled work *outside* the primary's rack so exactly
+/// that work survives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultDomain {
     /// Host index within the rack.
@@ -48,11 +48,10 @@ pub struct TopologySpec {
     /// One domain per engine, in `EngineId` order.
     pub domains: Vec<FaultDomain>,
     /// When true (the default) the weighted-rendezvous *second* choice —
-    /// the spill / pre-replication / failover target — prefers the
-    /// best-ranked engine outside the primary's rack whenever one exists.
-    /// `false` attaches domains (so correlated injections and the
-    /// flight-recorder colocation predicate still resolve rack members)
-    /// but keeps placement topology-blind — the efficacy ablation.
+    /// the spill target — prefers the best-ranked engine outside the
+    /// primary's rack whenever one exists. `false` attaches domains (so
+    /// correlated injections still resolve rack members) but keeps
+    /// placement topology-blind — the efficacy ablation.
     pub anti_affinity: bool,
 }
 
@@ -261,11 +260,10 @@ pub struct SystemConfig {
     pub fleet: Option<FleetSpec>,
     /// Runtime fleet scaling; `None` keeps the fleet fixed for the run.
     pub autoscale: Option<AutoscaleSpec>,
-    /// Cluster-level predictive control plane (burst pre-replication onto
-    /// spill targets, SLO/forecast autoscaling signals, drain-time shard
-    /// handoff). `None` — the default — keeps the cluster purely reactive
-    /// and byte-identical to the pre-control-plane stack; ignored for
-    /// single-engine runs.
+    /// Cluster-level predictive control plane (SLO/forecast autoscaling
+    /// signals, shard handoff on drains and crashes). `None` — the
+    /// default — keeps the cluster purely reactive and byte-identical to
+    /// the pre-control-plane stack; ignored for single-engine runs.
     pub predictive: Option<PredictiveSpec>,
     /// Deterministic fault-injection and recovery plane: scheduled engine
     /// crashes, straggler windows, flaky PCIe transfers and delayed
@@ -621,9 +619,9 @@ mod tests {
         let c = SystemConfig::base("x");
         assert!(c.trace.is_none() && !c.profile_barriers);
         let t = SystemConfig::base("x")
-            .with_trace(TraceSpec::new().with_wasted_warm_trigger())
+            .with_trace(TraceSpec::new().with_shed_idle_trigger())
             .with_barrier_profiling();
-        assert!(t.trace.is_some_and(|s| s.wasted_warm_trigger));
+        assert!(t.trace.is_some_and(|s| s.shed_idle_trigger));
         assert!(t.profile_barriers);
     }
 

@@ -179,10 +179,10 @@ struct RecoveryEpisode {
 /// "always a different rack".
 struct ClusterTopology {
     racks: HashMap<u32, u32>,
-    /// Whether placement (spill / pre-replication second choices) should
-    /// see the racks. Fault scoping (domain crash, brownout, partition
-    /// membership) reads the map regardless — a topology-blind ablation
-    /// still lives on real racks.
+    /// Whether placement (spill second choices) should see the racks.
+    /// Fault scoping (domain crash, brownout, partition membership)
+    /// reads the map regardless — a topology-blind ablation still lives
+    /// on real racks.
     anti_affinity: bool,
 }
 
@@ -406,24 +406,17 @@ pub struct Cluster {
     /// and stale events of retired engines count toward neither it nor
     /// `events_processed`.
     horizon: SimTime,
-    /// Predictive control plane (pre-replication, forecast autoscaling,
-    /// drain handoff); `None` keeps the cluster purely reactive — and
+    /// Predictive control plane (SLO/forecast autoscaling, shard
+    /// handoff); `None` keeps the cluster purely reactive — and
     /// byte-identical to the pre-control-plane stack.
     predictive: Option<PredictiveSpec>,
-    /// Coordinator-owned arrival-history predictor. Observed and queried
-    /// only at barriers, which is what keeps every predictive decision
-    /// bit-identical between serial and parallel execution.
+    /// Coordinator-owned arrival-history predictor behind the forecast
+    /// signal. Observed and queried only at barriers, which is what keeps
+    /// every predictive decision bit-identical between serial and
+    /// parallel execution.
     forecaster: HistogramLoadPredictor,
-    /// Reused forecast scratch (the control plane's per-scan buffer).
+    /// Reused forecast scratch, refilled at each autoscaler evaluation.
     forecast_buf: Vec<Forecast>,
-    /// Last pre-replication attempt per adapter (re-warm cooldown).
-    last_warm: HashMap<AdapterId, SimTime>,
-    /// Outstanding warms: adapter → engine the copy was pushed to. A
-    /// dispatch landing there with the adapter resident consumes the
-    /// entry (a pre-replication *hit*); leftovers count as wasted.
-    outstanding_warms: HashMap<AdapterId, EngineId>,
-    /// Earliest instant of the next candidate scan (scan throttling).
-    next_scan: SimTime,
     /// Decision-trace merge buffer: the coordinator pushes its own lane
     /// directly; engine lanes are drained at retirement and finalisation.
     /// `None` (the default) keeps every emission site one branch and all
@@ -516,9 +509,6 @@ impl Cluster {
             predictive: None,
             forecaster: HistogramLoadPredictor::new(),
             forecast_buf: Vec::new(),
-            last_warm: HashMap::new(),
-            outstanding_warms: HashMap::new(),
-            next_scan: SimTime::ZERO,
             tracer: None,
             trace_epoch: 0,
             profile: None,
@@ -560,11 +550,10 @@ impl Cluster {
         self.profile.get_or_insert_with(BarrierProfile::default);
     }
 
-    /// Enables the predictive control plane: burst pre-replication onto
-    /// spill targets, the forecast signal into elastic runs' autoscaler,
-    /// and drain-time shard handoff, per `spec`'s switches. Strictly
-    /// additive — a cluster without this call behaves byte-for-byte as if
-    /// the control plane did not exist.
+    /// Enables the predictive control plane: the forecast signal into
+    /// elastic runs' autoscaler and shard handoff on drains and crashes,
+    /// per `spec`'s switches. Strictly additive — a cluster without this
+    /// call behaves byte-for-byte as if the control plane did not exist.
     pub fn set_predictive(&mut self, spec: PredictiveSpec) {
         self.predictive = Some(spec);
         self.stats.predictive.enabled = true;
@@ -636,10 +625,10 @@ impl Cluster {
 
     /// Pins each engine to a fault domain (rack), in slot order — one
     /// rack id per engine currently in the fleet. With `anti_affinity`
-    /// on, second-choice placement (affinity spill, pre-replication)
-    /// prefers the best-ranked engine *outside* the primary's rack;
-    /// with it off the racks scope only correlated faults (domain
-    /// crash, brownout, partition) — the topology-blind ablation.
+    /// on, second-choice placement (affinity spill) prefers the
+    /// best-ranked engine *outside* the primary's rack; with it off the
+    /// racks scope only correlated faults (domain crash, brownout,
+    /// partition) — the topology-blind ablation.
     ///
     /// # Panics
     ///
@@ -1073,99 +1062,6 @@ impl Cluster {
         }
     }
 
-    /// Burst pre-replication, run at dispatch barriers: adapters the
-    /// forecaster flags as imminently hot (predicted next use inside the
-    /// configured window, observed rate above the floor) are warmed onto
-    /// their *second* rendezvous choice — the exact engine affinity spill
-    /// diverts to — before the burst lands. Scans are throttled by
-    /// `scan_interval`, warms capped per barrier, and a per-adapter
-    /// cooldown prevents re-issuing a copy that keeps getting evicted.
-    ///
-    /// Everything here runs on the coordinator with exclusive fleet
-    /// access; warm-transfer completions are ordinary engine-local
-    /// `LoadDone` events pushed into the target's queue, so serial and
-    /// parallel execution see identical schedules.
-    fn pre_replicate(&mut self, now: SimTime) {
-        let Some(spec) = self.predictive else {
-            return;
-        };
-        if !spec.prereplicate || now < self.next_scan {
-            return;
-        }
-        self.next_scan = now + spec.scan_interval;
-        let mut buf = std::mem::take(&mut self.forecast_buf);
-        self.forecaster.forecast_into(now, spec.window, &mut buf);
-        let weights = self.active_weights();
-        if weights.len() >= 2 {
-            let mut warms = 0usize;
-            for f in &buf {
-                if warms >= spec.max_warms_per_barrier {
-                    break;
-                }
-                if f.rate < spec.min_rate {
-                    continue;
-                }
-                if self
-                    .last_warm
-                    .get(&f.adapter)
-                    .is_some_and(|&at| now.saturating_since(at) < spec.rewarm_interval)
-                {
-                    continue;
-                }
-                // Only ever the second rendezvous choice: pre-replication
-                // adds a warm spill replica, never re-homes a primary
-                // (property-tested in chameleon-router). Under an
-                // anti-affinity topology the replica prefers the best
-                // engine outside the primary's rack, so a whole-domain
-                // failure cannot take both copies.
-                let (home, target) = policies::rendezvous_top2_domains(
-                    f.adapter,
-                    weights
-                        .iter()
-                        .map(|&(id, w)| (id, w, self.placement_rack(id))),
-                );
-                let Some(target) = target else {
-                    continue;
-                };
-                let home_id = weights[home].0;
-                let target_id = weights[target].0;
-                let pos = self
-                    .slots
-                    .iter()
-                    .position(|s| s.id == target_id)
-                    .expect("active engine is present");
-                let slot = &mut self.slots[pos];
-                if let Some(bytes) = slot.engine.warm_load(f.adapter, now, &mut slot.out) {
-                    for (at, e) in slot.out.drain(..) {
-                        slot.queue.push(at, e);
-                    }
-                    // Cooldown starts only on a warm that was actually
-                    // issued: a skip for tight memory (exactly when a
-                    // burst is ramping) must stay retryable on the next
-                    // scan, and an already-resident skip costs one O(1)
-                    // check — not worth locking the adapter out for.
-                    self.last_warm.insert(f.adapter, now);
-                    self.stats.predictive.on_prewarm(bytes);
-                    self.outstanding_warms.insert(f.adapter, target_id);
-                    if let Some(tracer) = self.tracer.as_mut() {
-                        tracer.push(
-                            now,
-                            Lane::Coordinator,
-                            TraceEvent::PrewarmIssued {
-                                adapter: f.adapter.0,
-                                target: target_id.0,
-                                home: home_id.0,
-                                bytes,
-                            },
-                        );
-                    }
-                    warms += 1;
-                }
-            }
-        }
-        self.forecast_buf = buf;
-    }
-
     /// The predicted-arrivals signal for one autoscaler evaluation:
     /// expected requests within the controller's next interval, summed
     /// over every adapter the forecaster places there (each contributes
@@ -1187,9 +1083,9 @@ impl Cluster {
     /// adapters that *homed* on it — onto the survivors that inherit
     /// them (each adapter to its post-departure rendezvous home), as
     /// PCIe-cost-modelled warm transfers on the survivors' links.
-    /// Spilled or pre-replicated copies the victim happened to hold are
-    /// not part of the shard and stay behind. Returns the adapters moved
-    /// and their total bytes.
+    /// Spilled copies the victim happened to hold are not part of the
+    /// shard and stay behind. Returns the adapters moved and their total
+    /// bytes.
     fn warm_shard(&mut self, victim: EngineId, now: SimTime) -> (u64, u64) {
         let survivors = self.active_weights();
         if survivors.is_empty() {
@@ -1843,9 +1739,8 @@ impl Cluster {
     /// A member arriving at `t` is handled here, at the barrier, as a
     /// retry is; a later member waits in its engine's `arrivals` deque
     /// and is handled inside the next epoch at its own instant. Sheds
-    /// stay coordinator events. Pre-replication runs once the barrier's
-    /// routed members are handled, unless the batch routed nothing.
-    /// Returns the number of arrivals the batch took.
+    /// stay coordinator events. Returns the number of arrivals the batch
+    /// took.
     fn dispatch_arrivals(
         &mut self,
         t: SimTime,
@@ -1855,7 +1750,6 @@ impl Cluster {
         let (max_batch, max_age) = self.budget;
         self.refresh_snapshots(t);
         let mut size: u32 = 0;
-        let mut routed = false;
         for &req in pending {
             let ta = req.arrival();
             if size > 0
@@ -1867,15 +1761,14 @@ impl Cluster {
             }
             size += 1;
             self.horizon = self.horizon.max(ta);
-            // Control plane: arrival history is observed here, at the
+            // Forecast signal: arrival history is observed here, at the
             // dispatch barrier, on the coordinator — never on worker
             // threads — so predictions are identical in both modes.
-            if self.predictive.is_some() {
+            if self.predictive.is_some_and(|s| s.forecast_autoscale) {
                 self.forecaster.observe(req.adapter(), ta);
             }
             if !self.shed(&req) {
                 self.route_arrival(t, req);
-                routed = true;
             }
         }
         self.snap_served = size;
@@ -1892,9 +1785,6 @@ impl Cluster {
                     },
                 );
             }
-        }
-        if routed {
-            self.pre_replicate(t);
         }
         size as usize
     }
@@ -1947,9 +1837,8 @@ impl Cluster {
     /// Routes one member of the arrival batch opened at `t` and hands it
     /// to its engine: now, when it arrives at the barrier, or inside the
     /// next epoch at its own instant otherwise. Its affinity hit is
-    /// counted on delivery either way (`EngineSlot::arrival_hits`); the
-    /// generation's residency view drives only prewarm accounting and
-    /// the trace.
+    /// counted on delivery either way (`EngineSlot::arrival_hits`);
+    /// residency at routing time feeds only the trace.
     fn route_arrival(&mut self, t: SimTime, req: Request) {
         let ta = req.arrival();
         let candidates: Option<Vec<(u32, u64)>> = self.tracer.is_some().then(|| {
@@ -1960,15 +1849,7 @@ impl Cluster {
         });
         let (pos, spilled) = self.route_one(&req);
         let chosen = self.slots[pos].id;
-        let resident = self.slots[pos].engine.is_adapter_resident(req.adapter());
         self.stats.record(chosen, false, spilled);
-        let prewarm_hit = resident && self.outstanding_warms.get(&req.adapter()) == Some(&chosen);
-        if prewarm_hit {
-            // The dispatch landed on an engine holding a pre-replicated
-            // copy: the warm paid for itself.
-            self.outstanding_warms.remove(&req.adapter());
-            self.stats.predictive.on_prewarm_hit();
-        }
         if let (Some(tracer), Some(candidates)) = (self.tracer.as_mut(), candidates) {
             tracer.push(
                 ta,
@@ -1978,20 +1859,10 @@ impl Cluster {
                     adapter: req.adapter().0,
                     chosen: chosen.0,
                     spilled,
-                    affinity_hit: resident,
+                    affinity_hit: self.slots[pos].engine.is_adapter_resident(req.adapter()),
                     candidates,
                 },
             );
-            if prewarm_hit {
-                tracer.push(
-                    ta,
-                    Lane::Coordinator,
-                    TraceEvent::PrewarmHit {
-                        adapter: req.adapter().0,
-                        engine: chosen.0,
-                    },
-                );
-            }
         }
         let slot = &mut self.slots[pos];
         if ta == t {
@@ -2144,7 +2015,6 @@ impl Cluster {
             .iter()
             .map(|s| s.engine.pcie_fault_retries())
             .sum::<u64>();
-        stats.predictive.finalize();
         let mut tagged = self.retired;
         tagged.extend(
             self.slots

@@ -1756,8 +1756,8 @@ impl Engine {
     /// already resident or in flight, unknown, or memory is too tight.
     ///
     /// This is the warm-insert primitive shared by the engine's own
-    /// prefetcher and the cluster's predictive control plane
-    /// (pre-replication onto spill targets, drain-time shard handoff).
+    /// prefetcher and the cluster's shard moves (drain-time handoff and
+    /// crash-time shard recovery onto the survivors).
     /// Warm loads never evict: they use only genuinely free memory and
     /// keep headroom for KV growth, so speculation can cost queued work
     /// nothing. The transfer is PCIe-cost-modelled — it queues on this

@@ -1,64 +1,37 @@
 //! Configuration of the cluster-level predictive control plane.
 //!
 //! Chameleon's §4.2 thesis — act *before* load lands — applied to the
-//! cluster layer. Three mechanisms, each individually switchable and all
-//! off by default (the control plane is a strict opt-in overlay; with it
+//! cluster layer. Two mechanisms, switchable individually and both off
+//! by default (the control plane is a strict opt-in overlay; with it
 //! disabled every cluster run is byte-identical to the reactive stack):
 //!
-//! * **Burst pre-replication** — the coordinator runs a
-//!   [`HistogramLoadPredictor`] over dispatch-time arrivals; when an
-//!   adapter is predicted to be used within [`window`] and its observed
-//!   arrival rate exceeds [`min_rate`], its weights are warmed onto the
-//!   adapter's *second* rendezvous choice (the stable spill fallback)
-//!   ahead of the burst, so affinity spill lands on a warm replica
-//!   instead of a cold engine.
-//! * **Forecast-driven autoscaling** — the predicted-arrivals count over
-//!   the controller's evaluation interval is folded into the scale-up
-//!   signal (see [`ForecastSignal`]), so the fleet grows on forecast
-//!   pressure rather than realised queue depth. The companion SLO signal
-//!   (per-engine TTFT-violation estimates) is configured on
-//!   [`AutoscalerConfig::ttft_slo`] directly.
-//! * **Drain-time shard handoff** — when the autoscaler drains an engine,
-//!   the departing shard's resident adapters are pushed into the
-//!   survivors' caches through their PCIe links (cost-modelled warm
+//! * **SLO- and forecast-driven autoscaling** — per-engine
+//!   TTFT-violation estimates (the SLO signal, configured on
+//!   [`AutoscalerConfig::ttft_slo`]) and the predicted-arrivals count
+//!   over the controller's evaluation interval (see [`ForecastSignal`];
+//!   the coordinator feeds a [`HistogramLoadPredictor`] from
+//!   dispatch-time arrivals) both fold into the scale-up decision, so the
+//!   fleet grows on estimated or forecast pressure rather than on
+//!   realised queue depth.
+//! * **Shard handoff** — when the autoscaler drains an engine, or a crash
+//!   retires one, the departing shard's resident adapters are pushed into
+//!   the survivors' caches through their PCIe links (cost-modelled warm
 //!   transfers) instead of being reloaded on demand after the first
-//!   post-drain miss.
+//!   post-departure miss.
 //!
-//! All predictor updates and warm decisions happen at coordinator
-//! barriers, so every predictive configuration stays bit-identical
-//! between serial and parallel cluster execution.
+//! Every predictor update and handoff happens at a coordinator barrier,
+//! so every predictive configuration stays bit-identical between serial
+//! and parallel cluster execution.
 //!
 //! [`HistogramLoadPredictor`]: chameleon_predictor::HistogramLoadPredictor
-//! [`window`]: PredictiveSpec::window
-//! [`min_rate`]: PredictiveSpec::min_rate
 //! [`ForecastSignal`]: crate::autoscaler::ForecastSignal
 //! [`AutoscalerConfig::ttft_slo`]: crate::autoscaler::AutoscalerConfig::ttft_slo
 
-use chameleon_simcore::SimDuration;
-
-/// Tunables of the predictive control plane. Construct with
+/// Switches of the predictive control plane. Construct with
 /// [`PredictiveSpec::new`] (everything enabled) and switch individual
-/// mechanisms off, or start from a single-mechanism constructor.
+/// mechanisms off, or start from [`PredictiveSpec::handoff_only`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictiveSpec {
-    /// Warm predicted-hot adapters onto their second rendezvous choice
-    /// ahead of bursts.
-    pub prereplicate: bool,
-    /// Pre-replicate an adapter when its predicted next use falls within
-    /// this window from now.
-    pub window: SimDuration,
-    /// ... and its estimated arrival rate (requests/second) is at least
-    /// this — cold long-tail adapters are never worth a speculative copy.
-    pub min_rate: f64,
-    /// Upper bound on warm transfers issued per coordinator barrier, so a
-    /// popularity shift cannot flood the PCIe links in one instant.
-    pub max_warms_per_barrier: usize,
-    /// Per-adapter cooldown between pre-replication attempts (a warm that
-    /// was evicted again is not worth re-issuing every arrival).
-    pub rewarm_interval: SimDuration,
-    /// Minimum gap between candidate scans: the forecast is recomputed at
-    /// most this often, bounding control-plane work per simulated second.
-    pub scan_interval: SimDuration,
     /// Wire the run's TTFT SLO into the autoscaler as a per-engine
     /// violation-estimate trigger (the simulation layer translates this
     /// into [`AutoscalerConfig::ttft_slo`](crate::autoscaler::AutoscalerConfig::ttft_slo)).
@@ -66,65 +39,28 @@ pub struct PredictiveSpec {
     /// Feed the predicted-arrivals signal into the autoscaler's scale-up
     /// decision.
     pub forecast_autoscale: bool,
-    /// Push a draining engine's shard into the survivors' caches.
+    /// Push a draining or crashed engine's shard into the survivors'
+    /// caches.
     pub handoff: bool,
 }
 
 impl PredictiveSpec {
-    /// Every mechanism enabled with the default tunables: 10 s
-    /// pre-replication window, 0.2 req/s rate floor, 2 warms per barrier,
-    /// 30 s re-warm cooldown, 250 ms scan throttle.
+    /// Every mechanism enabled.
     pub fn new() -> Self {
         PredictiveSpec {
-            prereplicate: true,
-            window: SimDuration::from_secs(10),
-            min_rate: 0.2,
-            max_warms_per_barrier: 2,
-            rewarm_interval: SimDuration::from_secs(30),
-            scan_interval: SimDuration::from_millis(250),
             slo_autoscale: true,
             forecast_autoscale: true,
             handoff: true,
         }
     }
 
-    /// Only burst pre-replication (controller and drain path reactive).
-    pub fn prereplicate_only() -> Self {
-        PredictiveSpec {
-            slo_autoscale: false,
-            forecast_autoscale: false,
-            handoff: false,
-            ..PredictiveSpec::new()
-        }
-    }
-
-    /// Only drain-time shard handoff (no speculative warms, reactive
-    /// controller).
+    /// Only shard handoff (reactive controller).
     pub fn handoff_only() -> Self {
         PredictiveSpec {
-            prereplicate: false,
             slo_autoscale: false,
             forecast_autoscale: false,
-            ..PredictiveSpec::new()
+            handoff: true,
         }
-    }
-
-    /// Overrides the pre-replication imminence window.
-    pub fn with_window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Overrides the arrival-rate floor.
-    pub fn with_min_rate(mut self, min_rate: f64) -> Self {
-        self.min_rate = min_rate;
-        self
-    }
-
-    /// Overrides the per-adapter re-warm cooldown.
-    pub fn with_rewarm_interval(mut self, interval: SimDuration) -> Self {
-        self.rewarm_interval = interval;
-        self
     }
 }
 
@@ -141,28 +77,13 @@ mod tests {
     #[test]
     fn default_enables_everything() {
         let s = PredictiveSpec::new();
-        assert!(s.prereplicate && s.slo_autoscale && s.forecast_autoscale && s.handoff);
-        assert!(s.min_rate > 0.0);
-        assert!(!s.window.is_zero());
-        assert!(s.max_warms_per_barrier > 0);
+        assert!(s.slo_autoscale && s.forecast_autoscale && s.handoff);
+        assert_eq!(s, PredictiveSpec::default());
     }
 
     #[test]
     fn single_mechanism_constructors() {
-        let p = PredictiveSpec::prereplicate_only();
-        assert!(p.prereplicate && !p.handoff && !p.slo_autoscale && !p.forecast_autoscale);
         let h = PredictiveSpec::handoff_only();
-        assert!(h.handoff && !h.prereplicate && !h.slo_autoscale && !h.forecast_autoscale);
-    }
-
-    #[test]
-    fn builders_override_tunables() {
-        let s = PredictiveSpec::new()
-            .with_window(SimDuration::from_secs(3))
-            .with_min_rate(1.5)
-            .with_rewarm_interval(SimDuration::from_secs(7));
-        assert_eq!(s.window, SimDuration::from_secs(3));
-        assert_eq!(s.min_rate, 1.5);
-        assert_eq!(s.rewarm_interval, SimDuration::from_secs(7));
+        assert!(h.handoff && !h.slo_autoscale && !h.forecast_autoscale);
     }
 }

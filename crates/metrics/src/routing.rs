@@ -25,26 +25,15 @@ use chameleon_router::EngineId;
 use chameleon_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Outcome counters of the predictive control plane (burst
-/// pre-replication, SLO/forecast autoscaling triggers, drain-time shard
-/// handoff). All-zero — and absent from `canonical_text` — unless the
-/// control plane was enabled for the run: prediction is a strict opt-in
-/// overlay, and the byte-level oracles for non-predictive runs must not
-/// see these fields.
+/// Outcome counters of the predictive control plane (SLO/forecast
+/// autoscaling triggers, drain-time shard handoff). All-zero — and absent
+/// from `canonical_text` — unless the control plane was enabled for the
+/// run: prediction is a strict opt-in overlay, and the byte-level oracles
+/// for non-predictive runs must not see these fields.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PredictiveStats {
     /// The control plane was active this run (gates report emission).
     pub enabled: bool,
-    /// Warm transfers issued to spill targets ahead of predicted bursts.
-    pub prewarms_issued: u64,
-    /// Total bytes moved by pre-replication warms.
-    pub prewarm_bytes: u64,
-    /// Spill dispatches that landed on an engine holding an un-consumed
-    /// pre-replicated copy of the request's adapter — the warms that paid.
-    pub prewarm_hits: u64,
-    /// Warms never consumed by a dispatch (finalised when the run report
-    /// is assembled): `prewarms_issued - prewarm_hits`.
-    pub prewarm_wasted: u64,
     /// Adapters pushed from a draining engine into survivors' caches.
     pub handoff_adapters: u64,
     /// Total bytes moved by drain-time shard handoff.
@@ -58,32 +47,10 @@ pub struct PredictiveStats {
 }
 
 impl PredictiveStats {
-    /// Records one pre-replication warm of `bytes`.
-    pub fn on_prewarm(&mut self, bytes: u64) {
-        self.prewarms_issued += 1;
-        self.prewarm_bytes += bytes;
-    }
-
-    /// Records a spill dispatch consuming a pre-replicated copy.
-    pub fn on_prewarm_hit(&mut self) {
-        self.prewarm_hits += 1;
-    }
-
     /// Records `adapters` adapters (`bytes` total) handed off at drain.
     pub fn on_handoff(&mut self, adapters: u64, bytes: u64) {
         self.handoff_adapters += adapters;
         self.handoff_bytes += bytes;
-    }
-
-    /// Finalises the wasted-warm count (issued warms never consumed).
-    pub fn finalize(&mut self) {
-        self.prewarm_wasted = self.prewarms_issued.saturating_sub(self.prewarm_hits);
-    }
-
-    /// Fraction of issued warms that a spill later consumed, in `[0, 1]`
-    /// (0 when none were issued).
-    pub fn prewarm_hit_rate(&self) -> f64 {
-        rate(self.prewarm_hits, self.prewarms_issued)
     }
 }
 
@@ -397,28 +364,18 @@ mod tests {
         let s = RoutingStats::new("affinity", &ids(3));
         assert_eq!(s.predictive, PredictiveStats::default());
         assert!(!s.predictive.enabled);
-        assert_eq!(s.predictive.prewarm_hit_rate(), 0.0);
     }
 
     #[test]
-    fn predictive_stats_count_and_finalize() {
+    fn predictive_stats_count_handoffs() {
         let mut p = PredictiveStats {
             enabled: true,
             ..PredictiveStats::default()
         };
-        p.on_prewarm(100);
-        p.on_prewarm(250);
-        p.on_prewarm(50);
-        p.on_prewarm_hit();
         p.on_handoff(4, 1000);
-        p.finalize();
-        assert_eq!(p.prewarms_issued, 3);
-        assert_eq!(p.prewarm_bytes, 400);
-        assert_eq!(p.prewarm_hits, 1);
-        assert_eq!(p.prewarm_wasted, 2);
-        assert_eq!(p.handoff_adapters, 4);
-        assert_eq!(p.handoff_bytes, 1000);
-        assert!((p.prewarm_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        p.on_handoff(1, 250);
+        assert_eq!(p.handoff_adapters, 5);
+        assert_eq!(p.handoff_bytes, 1250);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * the cluster-level predictive control plane, which also needs *how
 //!   hot* each candidate is — [`HistogramLoadPredictor::forecast`]
 //!   returns `(adapter, predicted time, estimated rate)` triples so
-//!   pre-replication and forecast-driven autoscaling can threshold on the
-//!   observed arrival rate, not just imminence.
+//!   forecast-driven autoscaling can sum expected arrivals, not just
+//!   count imminent adapters.
 //!
 //! Both orderings are pinned: candidates sort by predicted time with ties
 //! broken by ascending [`AdapterId`], so every consumer (and every
@@ -86,9 +86,8 @@ impl AdapterHistory {
 /// One adapter the predictor expects to be used soon.
 ///
 /// Produced by [`HistogramLoadPredictor::forecast`]; the cluster control
-/// plane thresholds on `rate` (pre-replicate only adapters that are
-/// actually hot) and sums rates into a predicted-arrivals signal for the
-/// autoscaler.
+/// plane sums `rate` over an interval into a predicted-arrivals signal
+/// for the autoscaler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Forecast {
     /// The adapter predicted to arrive.
@@ -178,7 +177,7 @@ impl HistogramLoadPredictor {
     }
 
     /// [`forecast`](Self::forecast) into a caller-owned buffer (cleared
-    /// first), so per-barrier control-plane scans allocate nothing in the
+    /// first), so repeated control-plane queries allocate nothing in the
     /// steady state.
     ///
     /// An overdue prediction is clamped to `now` rather than the past —
@@ -187,8 +186,9 @@ impl HistogramLoadPredictor {
     /// predicted arrivals (its regime changed: a popularity shift, a
     /// tenant going quiet) and it drops out of the forecast until seen
     /// again. Without this cutoff a formerly hot adapter would sort at
-    /// the head of every forecast forever — monopolising pre-replication
-    /// budgets and permanently inflating predicted-arrival signals.
+    /// the head of every forecast forever — crowding the prefetcher's
+    /// candidate list and permanently inflating predicted-arrival
+    /// signals.
     pub fn forecast_into(&self, now: SimTime, window: SimDuration, out: &mut Vec<Forecast>) {
         let deadline = now + window;
         out.clear();

@@ -392,43 +392,6 @@ where
     (best.expect("non-empty").0 .0, other.or(second).map(|s| s.0))
 }
 
-/// Where predictive pre-replication may warm an adapter: its **second**
-/// weighted-rendezvous choice — the exact engine
-/// [`AdapterAffinity`] spills to when the home saturates, so a warmed
-/// replica is guaranteed to be where the spill lands. Returns `None` for
-/// a single-engine set (there is nowhere to replicate to).
-///
-/// By construction this never returns the adapter's home: the control
-/// plane can only ever add a warm *second* replica, never re-home a
-/// primary — the property the cluster's pre-replication tests pin.
-///
-/// # Panics
-///
-/// Panics if `engines` is empty or any weight is not positive.
-pub fn prereplication_target<I>(adapter: AdapterId, engines: I) -> Option<usize>
-where
-    I: IntoIterator<Item = (EngineId, f64)>,
-{
-    rendezvous_top2(adapter, engines).1
-}
-
-/// Domain-aware pre-replication target: like [`prereplication_target`],
-/// but over `(id, weight, rack)` triples — the warm replica prefers the
-/// best-ranked engine *outside the home's fault domain*, so a whole-rack
-/// failure never takes the primary and its warm copy together. Falls back
-/// to the plain second choice when the fleet is single-domain, and is
-/// byte-identical to [`prereplication_target`] when every rack is `None`.
-///
-/// # Panics
-///
-/// Panics if `engines` is empty or any weight is not positive.
-pub fn prereplication_target_domains<I>(adapter: AdapterId, engines: I) -> Option<usize>
-where
-    I: IntoIterator<Item = (EngineId, f64, Option<u32>)>,
-{
-    rendezvous_top2_domains(adapter, engines).1
-}
-
 /// The HRW score of `(adapter, engine)` — a stateless 64-bit mix keyed on
 /// the engine's stable identity.
 fn rendezvous_score(adapter: AdapterId, engine: EngineId) -> u64 {
@@ -765,7 +728,7 @@ mod tests {
             assert_eq!(home, rendezvous_home(AdapterId(a), uniform(4)));
             assert_ne!(
                 racks[home], racks[second],
-                "adapter {a}: warm/spill target colocated with its primary"
+                "adapter {a}: spill target colocated with its primary"
             );
         }
     }
@@ -928,40 +891,11 @@ mod tests {
                 }
             }
 
-            /// Pre-replication only ever targets the adapter's *second*
-            /// rendezvous choice: it never equals the home (no primary is
-            /// ever re-homed by a warm), it exists exactly when the fleet
-            /// has more than one engine, and it is the engine the spill
-            /// path would pick — warming it is what makes spills land hot.
+            /// The second choice is deterministic and, when the home
+            /// drains, is exactly the engine the adapter re-homes to — the
+            /// spill target becomes the new primary.
             #[test]
-            fn prop_prereplication_targets_only_the_second_choice(
-                raw_ids in proptest::collection::vec(0u32..500, 1..8),
-                raw_weights in proptest::collection::vec(0u8..3, 8..9),
-                adapter in 0u32..100_000,
-            ) {
-                let set = fleet(&raw_ids, &raw_weights);
-                let a = AdapterId(adapter);
-                let target = prereplication_target(a, set.iter().copied());
-                let (home, second) = rendezvous_top2(a, set.iter().copied());
-                prop_assert_eq!(target, second, "target must be the spill fallback");
-                match target {
-                    None => prop_assert_eq!(set.len(), 1),
-                    Some(t) => {
-                        prop_assert!(t < set.len());
-                        prop_assert!(
-                            t != home,
-                            "pre-replication re-homed a primary (adapter {})",
-                            adapter
-                        );
-                    }
-                }
-            }
-
-            /// The pre-replication target is deterministic and, when the
-            /// home drains, is exactly the engine the adapter re-homes to
-            /// — the warmed replica becomes the new primary.
-            #[test]
-            fn prop_prereplication_target_is_stable_and_takes_over(
+            fn prop_draining_the_home_promotes_the_second_choice(
                 raw_ids in proptest::collection::vec(0u32..500, 2..8),
                 raw_weights in proptest::collection::vec(0u8..3, 8..9),
                 adapter in 0u32..100_000,
@@ -971,10 +905,10 @@ mod tests {
                     continue;
                 }
                 let a = AdapterId(adapter);
-                let first = prereplication_target(a, set.iter().copied());
-                prop_assert_eq!(first, prereplication_target(a, set.iter().copied()));
-                let target = first.expect("≥2 engines always have a second choice");
-                let home = rendezvous_home(a, set.iter().copied());
+                let first = rendezvous_top2(a, set.iter().copied());
+                prop_assert_eq!(first, rendezvous_top2(a, set.iter().copied()));
+                let (home, second) = first;
+                let second = second.expect("≥2 engines always have a second choice");
                 let survivors: Vec<(EngineId, f64)> = set
                     .iter()
                     .copied()
@@ -984,8 +918,8 @@ mod tests {
                     .collect();
                 let new_home = survivors[rendezvous_home(a, survivors.iter().copied())].0;
                 prop_assert_eq!(
-                    new_home, set[target].0,
-                    "draining the home must promote exactly the pre-replication target"
+                    new_home, set[second].0,
+                    "draining the home must promote exactly the second choice"
                 );
             }
 
@@ -1061,8 +995,8 @@ mod tests {
                 );
             }
 
-            /// Anti-affinity never selects a same-domain spill or
-            /// pre-replication target while another domain has capacity:
+            /// Anti-affinity never selects a same-domain spill target
+            /// while another domain has capacity:
             /// whenever the fleet spans ≥2 racks, the second choice lives
             /// outside the home's rack — and the home itself is exactly
             /// the topology-blind rendezvous home (homes never move when a
@@ -1089,10 +1023,6 @@ mod tests {
                     "topology moved a home"
                 );
                 let second = second.expect("≥2 engines have a second choice");
-                prop_assert_eq!(
-                    prereplication_target_domains(a, racked.iter().copied()),
-                    Some(second)
-                );
                 let racks: std::collections::HashSet<_> =
                     racked.iter().map(|e| e.2).collect();
                 if racks.len() >= 2 {

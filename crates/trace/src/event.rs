@@ -121,26 +121,6 @@ pub enum TraceEvent {
         /// `"forecast"`.
         trigger: &'static str,
     },
-    /// The predictive control plane issued a speculative warm transfer.
-    PrewarmIssued {
-        /// Adapter id.
-        adapter: u32,
-        /// Target engine (the adapter's spill fallback).
-        target: u32,
-        /// The adapter's home (primary) engine at issue time — lets the
-        /// flight recorder check the warm landed outside the primary's
-        /// fault domain.
-        home: u32,
-        /// Bytes in flight.
-        bytes: u64,
-    },
-    /// A routed request landed on an engine its adapter was pre-warmed to.
-    PrewarmHit {
-        /// Adapter id.
-        adapter: u32,
-        /// Engine that served the warm replica.
-        engine: u32,
-    },
     /// The autoscaler started draining an engine.
     DrainStarted {
         /// The draining engine.
@@ -293,8 +273,6 @@ impl TraceEvent {
             TraceEvent::FirstToken { .. } => "first_token",
             TraceEvent::QueueSample { .. } => "queue",
             TraceEvent::AutoscaleTrigger { .. } => "autoscale",
-            TraceEvent::PrewarmIssued { .. } => "prewarm_issued",
-            TraceEvent::PrewarmHit { .. } => "prewarm_hit",
             TraceEvent::DrainStarted { .. } => "drain",
             TraceEvent::Handoff { .. } => "handoff",
             TraceEvent::EngineFailed { .. } => "engine_failed",
@@ -422,20 +400,6 @@ impl TaggedEvent {
                     }
                 }
                 let _ = write!(out, ",\"trigger\":\"{trigger}\"");
-            }
-            TraceEvent::PrewarmIssued {
-                adapter,
-                target,
-                home,
-                bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"adapter\":{adapter},\"target\":{target},\"home\":{home},\"bytes\":{bytes}"
-                );
-            }
-            TraceEvent::PrewarmHit { adapter, engine } => {
-                let _ = write!(out, ",\"adapter\":{adapter},\"engine\":{engine}");
             }
             TraceEvent::DrainStarted { engine } => {
                 let _ = write!(out, ",\"engine\":{engine}");

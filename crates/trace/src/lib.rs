@@ -4,8 +4,8 @@
 //! Every layer of the stack (router, cache, scheduler, autoscaler,
 //! cluster coordinator) makes decisions that end-of-run aggregates erase:
 //! *which* engine a request was routed to and who the candidates were,
-//! *which* eviction pushed a pre-warmed adapter out before its burst
-//! landed, *when* the autoscaler fired and on what signal. This crate
+//! *which* eviction pushed an adapter out just before its burst landed,
+//! *when* the autoscaler fired and on what signal. This crate
 //! captures those decisions as a typed, deterministic event stream:
 //!
 //! * [`TraceEvent`] — the typed decision vocabulary. Every variant
@@ -22,7 +22,7 @@
 //!   the workspace's `serde` is an offline no-op stub).
 //! * [`FlightRecorder`] — a bounded ring over the stream that dumps the
 //!   last N decisions when an [`AnomalyPredicate`] fires (TTFT over SLO,
-//!   a pre-warmed adapter evicted before use, or anything custom).
+//!   a retry storm, a shed beside idle capacity, or anything custom).
 //! * [`BarrierProfile`] — wall-clock breakdown of a cluster run into
 //!   coordinator dispatch, worker stepping, and barrier wait. Wall-clock
 //!   numbers are host-dependent by nature, so they live **outside** the
@@ -40,7 +40,7 @@ pub mod spec;
 pub use event::{AutoscaleAction, Lane, TaggedEvent, TraceBuffer, TraceEvent, TraceLog};
 pub use profile::BarrierProfile;
 pub use recorder::{
-    AnomalyPredicate, FlightDump, FlightRecorder, ReplicaColocatedPredicate, RetryStormPredicate,
-    ShedIdlePredicate, TtftSloPredicate, WastedWarmPredicate,
+    AnomalyPredicate, FlightDump, FlightRecorder, RetryStormPredicate, ShedIdlePredicate,
+    TtftSloPredicate,
 };
 pub use spec::TraceSpec;

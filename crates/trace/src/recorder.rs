@@ -6,9 +6,9 @@
 //! complete, so scanning after the run keeps every anomaly predicate off
 //! the simulation hot path and lets new predicates run over old traces.
 
-use crate::event::{Lane, TaggedEvent, TraceEvent, TraceLog};
+use crate::event::{TaggedEvent, TraceEvent, TraceLog};
 use chameleon_simcore::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// A stateful anomaly detector fed the stream one event at a time.
@@ -49,54 +49,6 @@ impl AnomalyPredicate for TtftSloPredicate {
                     self.slo.as_millis_f64()
                 ));
             }
-        }
-        None
-    }
-}
-
-/// Fires when an adapter that was speculatively pre-warmed onto an engine
-/// is evicted from that engine's cache *before* any routed request hit
-/// the warm replica — the wasted-warm sequence the predictive
-/// control-plane follow-on needs to see.
-#[derive(Debug, Clone, Default)]
-pub struct WastedWarmPredicate {
-    outstanding: HashMap<u32, u32>,
-}
-
-impl WastedWarmPredicate {
-    /// Creates the predicate with no outstanding warms.
-    pub fn new() -> Self {
-        WastedWarmPredicate::default()
-    }
-}
-
-impl AnomalyPredicate for WastedWarmPredicate {
-    fn name(&self) -> &'static str {
-        "prewarm-evicted-unused"
-    }
-
-    fn observe(&mut self, ev: &TaggedEvent) -> Option<String> {
-        match &ev.event {
-            TraceEvent::PrewarmIssued {
-                adapter, target, ..
-            } => {
-                self.outstanding.insert(*adapter, *target);
-            }
-            TraceEvent::PrewarmHit { adapter, .. } => {
-                self.outstanding.remove(adapter);
-            }
-            TraceEvent::CacheEvict { adapter, .. } => {
-                if let Lane::Engine(engine) = ev.lane {
-                    if self.outstanding.get(adapter) == Some(&engine) {
-                        self.outstanding.remove(adapter);
-                        return Some(format!(
-                            "adapter {adapter}: pre-warmed replica on engine {engine} \
-                             evicted before first use"
-                        ));
-                    }
-                }
-            }
-            _ => {}
         }
         None
     }
@@ -191,63 +143,6 @@ impl AnomalyPredicate for ShedIdlePredicate {
                 return Some(format!(
                     "req {req} shed (est ttft {:.1}ms) with {idle_engines} idle engine(s)",
                     est_ttft.as_millis_f64()
-                ));
-            }
-        }
-        None
-    }
-}
-
-/// Fires when the predictive control plane places a pre-replicated warm
-/// *inside the primary's fault domain* while another domain has capacity
-/// — the replica and the primary can then be taken out by one correlated
-/// failure, which defeats the availability purpose of replicating at all.
-/// Built from the fleet topology (`engine id → rack`); engines absent
-/// from the map are singleton domains and never co-located.
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaColocatedPredicate {
-    racks: HashMap<u32, u32>,
-}
-
-impl ReplicaColocatedPredicate {
-    /// Arms the predicate with the fleet's `engine id → rack` map.
-    pub fn new(racks: HashMap<u32, u32>) -> Self {
-        ReplicaColocatedPredicate { racks }
-    }
-
-    /// True when the topology spans more than one rack — i.e. another
-    /// domain existed that the replica could have landed in.
-    fn another_domain_exists(&self) -> bool {
-        let mut racks = self.racks.values();
-        match racks.next() {
-            None => false,
-            Some(first) => racks.any(|r| r != first),
-        }
-    }
-}
-
-impl AnomalyPredicate for ReplicaColocatedPredicate {
-    fn name(&self) -> &'static str {
-        "replica-colocated-with-primary"
-    }
-
-    fn observe(&mut self, ev: &TaggedEvent) -> Option<String> {
-        if let TraceEvent::PrewarmIssued {
-            adapter,
-            target,
-            home,
-            ..
-        } = ev.event
-        {
-            let (Some(&target_rack), Some(&home_rack)) =
-                (self.racks.get(&target), self.racks.get(&home))
-            else {
-                return None;
-            };
-            if target_rack == home_rack && self.another_domain_exists() {
-                return Some(format!(
-                    "adapter {adapter}: warm replica on engine {target} shares rack \
-                     {home_rack} with primary engine {home} while another domain had capacity"
                 ));
             }
         }
@@ -360,104 +255,10 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceBuffer;
+    use crate::event::{Lane, TraceBuffer};
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
-    }
-
-    fn burst_log() -> TraceLog {
-        let mut buf = TraceBuffer::new();
-        buf.push(
-            t(10),
-            Lane::Coordinator,
-            TraceEvent::PrewarmIssued {
-                adapter: 5,
-                target: 2,
-                home: 0,
-                bytes: 4096,
-            },
-        );
-        // A decoy eviction on a *different* engine must not fire.
-        buf.push(
-            t(20),
-            Lane::Engine(1),
-            TraceEvent::CacheEvict {
-                adapter: 5,
-                bytes: 4096,
-                frequency: 1,
-                last_used: t(15),
-            },
-        );
-        buf.push(
-            t(30),
-            Lane::Engine(2),
-            TraceEvent::CacheEvict {
-                adapter: 5,
-                bytes: 4096,
-                frequency: 0,
-                last_used: t(10),
-            },
-        );
-        buf.finish()
-    }
-
-    #[test]
-    fn wasted_warm_fires_only_on_the_warmed_engine() {
-        let rec = FlightRecorder::new(8, 4);
-        let mut preds: Vec<Box<dyn AnomalyPredicate>> = vec![Box::new(WastedWarmPredicate::new())];
-        let (dumps, firings) = rec.scan(&burst_log(), &mut preds);
-        assert_eq!(firings, 1);
-        assert_eq!(dumps.len(), 1);
-        let d = &dumps[0];
-        assert_eq!(d.predicate, "prewarm-evicted-unused");
-        assert_eq!(d.at, t(30));
-        // The ring covers the whole causal sequence: issue, decoy, evict.
-        assert_eq!(d.events.len(), 3);
-        assert!(matches!(
-            d.events[0].event,
-            TraceEvent::PrewarmIssued { adapter: 5, .. }
-        ));
-        assert!(d
-            .to_jsonl()
-            .starts_with("{\"flight_dump\":\"prewarm-evicted-unused\""));
-    }
-
-    #[test]
-    fn prewarm_hit_disarms_the_predicate() {
-        let mut buf = TraceBuffer::new();
-        buf.push(
-            t(10),
-            Lane::Coordinator,
-            TraceEvent::PrewarmIssued {
-                adapter: 5,
-                target: 2,
-                home: 0,
-                bytes: 4096,
-            },
-        );
-        buf.push(
-            t(20),
-            Lane::Coordinator,
-            TraceEvent::PrewarmHit {
-                adapter: 5,
-                engine: 2,
-            },
-        );
-        buf.push(
-            t(30),
-            Lane::Engine(2),
-            TraceEvent::CacheEvict {
-                adapter: 5,
-                bytes: 4096,
-                frequency: 3,
-                last_used: t(25),
-            },
-        );
-        let rec = FlightRecorder::new(8, 4);
-        let mut preds: Vec<Box<dyn AnomalyPredicate>> = vec![Box::new(WastedWarmPredicate::new())];
-        let (dumps, firings) = rec.scan(&buf.finish(), &mut preds);
-        assert_eq!((dumps.len(), firings), (0, 0), "a used warm is not wasted");
     }
 
     #[test]
@@ -562,38 +363,6 @@ mod tests {
         assert_eq!(firings, 1, "shedding under real pressure is by design");
         assert_eq!(dumps[0].predicate, "shed-while-idle-capacity");
         assert!(dumps[0].reason.contains("2 idle engine(s)"));
-    }
-
-    #[test]
-    fn colocated_replica_fires_only_in_the_primary_rack_with_alternatives() {
-        let racks: HashMap<u32, u32> = [(0, 0), (1, 0), (2, 1), (3, 1)].into_iter().collect();
-        let issue = |target: u32, home: u32| TraceEvent::PrewarmIssued {
-            adapter: 7,
-            target,
-            home,
-            bytes: 4096,
-        };
-        let mut buf = TraceBuffer::new();
-        buf.push(t(10), Lane::Coordinator, issue(2, 0)); // cross-rack: fine
-        buf.push(t(20), Lane::Coordinator, issue(1, 0)); // same rack: anomaly
-        buf.push(t(30), Lane::Coordinator, issue(9, 0)); // unknown engine: singleton
-        let rec = FlightRecorder::new(8, 4);
-        let mut preds: Vec<Box<dyn AnomalyPredicate>> =
-            vec![Box::new(ReplicaColocatedPredicate::new(racks))];
-        let (dumps, firings) = rec.scan(&buf.finish(), &mut preds);
-        assert_eq!(firings, 1);
-        assert_eq!(dumps[0].predicate, "replica-colocated-with-primary");
-        assert_eq!(dumps[0].at, t(20));
-        assert!(dumps[0].reason.contains("shares rack 0"));
-
-        // Single-domain fleet: nowhere else to go, never an anomaly.
-        let one_rack: HashMap<u32, u32> = [(0, 3), (1, 3)].into_iter().collect();
-        let mut buf = TraceBuffer::new();
-        buf.push(t(10), Lane::Coordinator, issue(1, 0));
-        let mut preds: Vec<Box<dyn AnomalyPredicate>> =
-            vec![Box::new(ReplicaColocatedPredicate::new(one_rack))];
-        let (_, firings) = rec.scan(&buf.finish(), &mut preds);
-        assert_eq!(firings, 0, "single-domain colocations are unavoidable");
     }
 
     #[test]

@@ -15,19 +15,12 @@ pub struct TraceSpec {
     pub max_dumps: usize,
     /// Arm the TTFT-over-SLO predicate with this SLO.
     pub ttft_slo_trigger: Option<SimDuration>,
-    /// Arm the pre-warmed-adapter-evicted-before-use predicate.
-    pub wasted_warm_trigger: bool,
     /// Arm the retry-storm predicate: fires when at least `count` retries
     /// land within any `window` of simulated time.
     pub retry_storm_trigger: Option<(u32, SimDuration)>,
     /// Arm the shed-while-idle-capacity predicate (a request was shed
     /// while at least one active engine sat idle).
     pub shed_idle_trigger: bool,
-    /// Arm the replica-colocated-with-primary predicate: a pre-replicated
-    /// warm landed in the primary's fault domain while another domain had
-    /// capacity. Needs a fleet topology to resolve racks; a no-op without
-    /// one.
-    pub colocated_replica_trigger: bool,
 }
 
 impl TraceSpec {
@@ -38,10 +31,8 @@ impl TraceSpec {
             flight_capacity: 64,
             max_dumps: 8,
             ttft_slo_trigger: None,
-            wasted_warm_trigger: false,
             retry_storm_trigger: None,
             shed_idle_trigger: false,
-            colocated_replica_trigger: false,
         }
     }
 
@@ -57,12 +48,6 @@ impl TraceSpec {
         self
     }
 
-    /// Arms the wasted-warm trigger.
-    pub fn with_wasted_warm_trigger(mut self) -> Self {
-        self.wasted_warm_trigger = true;
-        self
-    }
-
     /// Arms the retry-storm trigger: `count` retries inside `window`.
     pub fn with_retry_storm_trigger(mut self, count: u32, window: SimDuration) -> Self {
         self.retry_storm_trigger = Some((count, window));
@@ -72,12 +57,6 @@ impl TraceSpec {
     /// Arms the shed-while-idle-capacity trigger.
     pub fn with_shed_idle_trigger(mut self) -> Self {
         self.shed_idle_trigger = true;
-        self
-    }
-
-    /// Arms the replica-colocated-with-primary trigger.
-    pub fn with_colocated_replica_trigger(mut self) -> Self {
-        self.colocated_replica_trigger = true;
         self
     }
 }
@@ -95,20 +74,15 @@ mod tests {
     #[test]
     fn builders_arm_triggers() {
         let s = TraceSpec::new();
-        assert!(s.ttft_slo_trigger.is_none() && !s.wasted_warm_trigger);
+        assert!(s.ttft_slo_trigger.is_none());
         assert!(s.retry_storm_trigger.is_none() && !s.shed_idle_trigger);
-        assert!(!s.colocated_replica_trigger);
         let s = s
             .with_flight_capacity(16)
             .with_ttft_slo_trigger(SimDuration::from_secs(1))
-            .with_wasted_warm_trigger()
             .with_retry_storm_trigger(5, SimDuration::from_secs(2))
-            .with_shed_idle_trigger()
-            .with_colocated_replica_trigger();
-        assert!(s.colocated_replica_trigger);
+            .with_shed_idle_trigger();
         assert_eq!(s.flight_capacity, 16);
         assert_eq!(s.ttft_slo_trigger, Some(SimDuration::from_secs(1)));
-        assert!(s.wasted_warm_trigger);
         assert_eq!(s.retry_storm_trigger, Some((5, SimDuration::from_secs(2))));
         assert!(s.shed_idle_trigger);
     }

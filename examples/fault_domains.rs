@@ -2,15 +2,14 @@
 //! mid-burst on a 4-engine, two-rack fleet, on identical traces, two
 //! ways — with domain-aware anti-affinity placement and without it.
 //!
-//! 1. **anti-affinity** — the fleet knows its topology: spill targets,
-//!    speculative pre-replications and crash re-homing all prefer the
-//!    best engine *outside* the primary's rack, so when rack 1 takes
-//!    both its engines down at one barrier, the warm copies and the
-//!    spilled work are already on the surviving rack.
+//! 1. **anti-affinity** — the fleet knows its topology: spill targets
+//!    prefer the best engine *outside* the primary's rack, so when rack
+//!    1 takes both its engines down at one barrier, the spilled work is
+//!    already on the surviving rack.
 //! 2. **topology-blind** — the identical fleet and racks, but second
-//!    choices rank engines by weight alone. Roughly a third of them
-//!    land on the primary's own rack and die with it, so the survivors
-//!    inherit a deeper, colder backlog and the shed gate trips more.
+//!    choices rank engines by weight alone. Some of them land on the
+//!    primary's own rack and die with it, so the survivors inherit a
+//!    deeper backlog and the shed gate trips more.
 //!
 //! A third scenario shows the partition injector: the coordinator loses
 //! sight of rack 1 for four seconds, routes around the dark rack, and
@@ -45,9 +44,9 @@ fn p99_all_offered(report: &RunReport, offered: usize) -> f64 {
     xs[((offered as f64 * 0.99).ceil() as usize).max(1) - 1]
 }
 
-/// The same fleet with the anti-affinity preference switched off: spill,
-/// replica and re-homing second choices ignore the racks (the racks
-/// themselves stay, so the crash scopes identically).
+/// The same fleet with the anti-affinity preference switched off: spill
+/// second choices ignore the racks (the racks themselves stay, so the
+/// crash scopes identically).
 fn topology_blind(mut cfg: SystemConfig) -> SystemConfig {
     let fleet = cfg.fleet.as_mut().expect("domains preset carries a fleet");
     let topo = fleet
@@ -62,12 +61,11 @@ fn show(name: &str, r: &RunReport, offered: usize) {
     let f = &r.routing.fault;
     let p99 = p99_all_offered(r, offered);
     println!(
-        "  {name:<20} served={:<4} lost={:<3} recovered={:<3} prewarm-hits={:<3} \
-         availability={:>6.2}% p99-offered={}",
+        "  {name:<20} served={:<4} lost={:<3} recovered={:<3} availability={:>6.2}% \
+         p99-offered={}",
         r.completed(),
         r.requests_lost_to_faults(),
         f.requests_recovered,
-        r.routing.predictive.prewarm_hits,
         r.availability(offered) * 100.0,
         if p99.is_finite() {
             format!("{p99:.3}s")

@@ -1,110 +1,40 @@
-//! Predictive control plane, end to end: reactive vs predictive clusters
-//! on identical traces.
+//! Predictive control plane, end to end: reactive vs predictive elastic
+//! clusters on an identical trace.
 //!
-//! Two scenarios:
-//!
-//! 1. **Zipf-shift burst** (fixed 4-engine affinity fleet): steady
-//!    traffic over one Zipf-popular adapter set, then the popular set
-//!    *shifts* (adapter ids rotate by half the pool) and — after the
-//!    predictor has seen the new regime — bursts to 8×. Reactively, the
-//!    burst saturates the new set's home engines and spill lands on cold
-//!    second choices; with pre-replication the coordinator has already
-//!    warmed those second choices, so the same spills land hot.
-//! 2. **Elastic burst with drain-back** (2→4 fleet): the autoscaler
-//!    grows through a 20× burst and drains back afterwards. Reactively,
-//!    each drain leaves the survivors to cold-miss the migrated shard;
-//!    with handoff the departing shard is pushed into the survivors'
-//!    caches over their PCIe links. The full control plane additionally
-//!    scales up on TTFT-violation estimates before queues back up.
+//! **Elastic burst with drain-back** (2→4 fleet): the autoscaler grows
+//! through a 20× burst and drains back afterwards. Reactively, each drain
+//! leaves the survivors to cold-miss the migrated shard; with handoff the
+//! departing shard is pushed into the survivors' caches over their PCIe
+//! links. The full control plane additionally scales up on
+//! TTFT-violation estimates and forecast arrivals before queues back up.
 //!
 //! Run with `cargo run --release --example predictive_cluster`. The
 //! directional claims are asserted, so CI fails if prediction stops
 //! paying for itself.
 
 use chameleon_repro::core::{preset, sim::Simulation, workloads, PredictiveSpec, RunReport};
-use chameleon_repro::models::{AdapterId, AdapterPool};
 use chameleon_repro::simcore::{SimDuration, SimTime};
-use chameleon_repro::workload::{Request, RequestId, Trace};
 
 const SEED: u64 = 7;
-
-/// Steady phase over the pool's natural Zipf-popular set, then the same
-/// workload with every adapter id rotated by half the pool — a popularity
-/// shift — holding steady long enough for the predictor to learn the new
-/// regime before an 8× burst lands on it.
-fn zipf_shift_burst_trace(pool: &AdapterPool, seed: u64) -> Trace {
-    let n = pool.len() as u32;
-    let phase1_secs = 20.0;
-    let phase1 = workloads::splitwise(10.0, phase1_secs, seed, pool);
-    let phase2 = workloads::splitwise_bursty(10.0, 40.0, 20.0, 10.0, 8.0, seed ^ 0x5eed, pool);
-    let offset = SimDuration::from_secs_f64(phase1_secs);
-    let mut reqs = phase1.requests().to_vec();
-    for r in phase2.iter() {
-        let shifted = AdapterId((r.adapter().0 + n / 2) % n);
-        let rank = pool.get(shifted).expect("rotated id stays in pool").rank();
-        reqs.push(Request::new(
-            RequestId(r.id().0 + 1_000_000),
-            r.arrival() + offset,
-            r.input_tokens(),
-            r.output_tokens(),
-            shifted,
-            rank,
-        ));
-    }
-    Trace::new(reqs)
-}
 
 fn show(name: &str, r: &RunReport) {
     let p = &r.routing.predictive;
     println!(
         "  {name:<22} cold-misses={:<4} hit-rate={:>5.1}% spills={:<4} p99-ttft={:.3}s \
-         prewarms={} (hits {}, wasted {}) handoff={} ({:.0} MB) slo-scaleups={}",
+         handoff={} ({:.0} MB) slo-scaleups={} forecast-scaleups={}",
         r.cache_stats.misses,
         r.hit_rate() * 100.0,
         r.routing.spills,
         r.p99_ttft(),
-        p.prewarms_issued,
-        p.prewarm_hits,
-        p.prewarm_wasted,
         p.handoff_adapters,
         p.handoff_bytes as f64 / 1e6,
         p.slo_scaleups,
+        p.forecast_scaleups,
     );
 }
 
 fn main() {
-    println!("== Zipf-shift burst: fixed 4-engine affinity fleet ==");
-    let reactive_cfg = preset::chameleon_cluster_partitioned(4);
-    let predictive_cfg = preset::chameleon_cluster_predictive(4);
-    let pool = Simulation::new(reactive_cfg.clone(), SEED).pool().clone();
-    let trace = zipf_shift_burst_trace(&pool, SEED);
-    println!(
-        "  {} requests over {:.0}s, popularity shift at 20s, 8x burst at 40s",
-        trace.len(),
-        trace
-            .requests()
-            .last()
-            .map(|r| r.arrival().as_secs_f64())
-            .unwrap_or(0.0)
-    );
-
-    let reactive = Simulation::new(reactive_cfg, SEED).run(&trace);
-    let predictive = Simulation::new(predictive_cfg, SEED).run(&trace);
-    show("reactive", &reactive);
-    show("predictive", &predictive);
-    assert_eq!(reactive.completed(), predictive.completed());
-    assert!(
-        predictive.routing.predictive.prewarm_hits > 0,
-        "spills never landed on a pre-replicated copy"
-    );
-    assert!(
-        predictive.cache_stats.misses < reactive.cache_stats.misses,
-        "pre-replication failed to cut cold misses ({} vs {})",
-        predictive.cache_stats.misses,
-        reactive.cache_stats.misses
-    );
-
-    println!("\n== Elastic 20x burst: 2..4 fleet with drain-back ==");
+    println!("== Elastic 20x burst: 2..4 fleet with drain-back ==");
     let elastic = |predictive: Option<PredictiveSpec>| {
         let mut cfg = preset::chameleon_cluster_elastic();
         let auto = cfg.autoscale.as_mut().expect("elastic preset");

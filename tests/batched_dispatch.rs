@@ -29,8 +29,8 @@ mod common;
 
 use chameleon_repro::cache::{AdapterCache, EvictionPolicy};
 use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, DispatchSpec, FaultSpec, RouterPolicy, SystemConfig,
-    TraceSpec,
+    preset, sim::Simulation, workloads, DispatchSpec, FaultSpec, PredictiveSpec, RouterPolicy,
+    SystemConfig, TraceSpec,
 };
 use chameleon_repro::engine::{Cluster, Engine, EngineConfig};
 use chameleon_repro::metrics::RoutingStats;
@@ -372,11 +372,10 @@ fn canonical_and_stream(cfg: SystemConfig, seed: u64, trace_of: TraceOf) -> (Str
     (report.canonical_text(), stream)
 }
 
-/// An explicit `(1, 0)` budget is per-arrival dispatch, on the three
-/// orderings a one-member batch can get wrong: pre-replication runs after
-/// the arrival is handled, every crash-recovery retry routes from a fresh
-/// snapshot, and retries around a domain crash and a partition on the
-/// predictive 3-rack fleet do too.
+/// An explicit `(1, 0)` budget is per-arrival dispatch on three fleets:
+/// the predictive affinity-4 fleet over a bursty trace, a JSQ fleet whose
+/// crash-recovery retries must each route from a fresh snapshot, and the
+/// predictive 3-rack fleet through a domain crash and a partition.
 #[test]
 fn budget_one_is_per_arrival_dispatch() {
     let racks = FaultSpec::new()
@@ -385,7 +384,7 @@ fn budget_one_is_per_arrival_dispatch() {
     let cases: [(&str, SystemConfig, TraceOf); 3] = [
         (
             "predictive-4, bursty trace",
-            preset::chameleon_cluster_predictive(4),
+            preset::chameleon_cluster_partitioned(4).with_predictive(PredictiveSpec::new()),
             |seed, pool| workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, seed, pool),
         ),
         (

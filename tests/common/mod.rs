@@ -2,7 +2,9 @@
 //! suite uses a subset, hence the crate-level `dead_code` allowance.
 #![allow(dead_code)]
 
-use chameleon_repro::core::{preset, FaultSpec, FleetSpec, SystemConfig, TopologySpec};
+use chameleon_repro::core::{
+    preset, FaultSpec, FleetSpec, PredictiveSpec, SystemConfig, TopologySpec,
+};
 use chameleon_repro::fault::fault_roll;
 use chameleon_repro::simcore::SimTime;
 
@@ -23,9 +25,11 @@ pub fn kitchen_sink_faults() -> FaultSpec {
 
 /// Three racks of two: one crashed rack plus one partitioned rack still
 /// leaves a reachable rack, so most schedules pass the injection guards
-/// and actually land.
+/// and actually land. The predictive plane warms crashed shards onto the
+/// survivors.
 pub fn chaos_fleet() -> SystemConfig {
-    preset::chameleon_cluster_predictive(6)
+    preset::chameleon_cluster_partitioned(6)
+        .with_predictive(PredictiveSpec::new())
         .with_fleet(
             FleetSpec::homogeneous(6, 1).with_topology(TopologySpec::racks(&[0, 0, 1, 1, 2, 2])),
         )

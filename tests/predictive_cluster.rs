@@ -2,95 +2,22 @@
 //!
 //! The opt-in oracle suite (`predictive_oracle.rs`) proves the control
 //! plane changes *nothing* when disabled; this suite proves it changes
-//! the *right things* when enabled: on a bursty Zipf-shift scenario,
-//! pre-replication makes affinity spill land on warm replicas, drain-time
-//! handoff spares survivors the migrated shard's cold misses, and the
-//! SLO/forecast autoscaler signals grow the fleet before queues (and
-//! P99 TTFT) blow out. Assertions are directional (counts, not floats):
-//! the scenarios are deterministic, but the claims should survive
-//! retuning.
+//! the *right things* when enabled: drain-time handoff spares survivors
+//! the migrated shard's cold misses, and the SLO/forecast autoscaler
+//! signals grow the fleet before queues (and P99 TTFT) blow out.
+//! Assertions are directional (counts, not floats): the scenarios are
+//! deterministic, but the claims should survive retuning.
 
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, PredictiveSpec, RunReport, SystemConfig,
 };
-use chameleon_repro::models::{AdapterId, AdapterPool};
 use chameleon_repro::simcore::SimDuration;
-use chameleon_repro::workload::{Request, RequestId, Trace};
+use chameleon_repro::workload::Trace;
 
 const SEED: u64 = 7;
 
-/// A bursty Zipf-shift: 20 s of steady traffic over the pool's natural
-/// Zipf-popular adapter set, then the *same* workload with every adapter
-/// id rotated by half the pool — a popularity shift the predictor must
-/// re-learn — running steady for 20 s before an 8× burst lands on the
-/// shifted set.
-fn zipf_shift_burst_trace(pool: &AdapterPool, seed: u64) -> Trace {
-    let n = pool.len() as u32;
-    let phase1_secs = 20.0;
-    let phase1 = workloads::splitwise(10.0, phase1_secs, seed, pool);
-    let phase2 = workloads::splitwise_bursty(10.0, 40.0, 20.0, 10.0, 8.0, seed ^ 0x5eed, pool);
-    let offset = SimDuration::from_secs_f64(phase1_secs);
-    let mut reqs = phase1.requests().to_vec();
-    for r in phase2.iter() {
-        let shifted = AdapterId((r.adapter().0 + n / 2) % n);
-        let rank = pool.get(shifted).expect("rotated id stays in pool").rank();
-        reqs.push(Request::new(
-            RequestId(r.id().0 + 1_000_000),
-            r.arrival() + offset,
-            r.input_tokens(),
-            r.output_tokens(),
-            shifted,
-            rank,
-        ));
-    }
-    Trace::new(reqs)
-}
-
 fn run(cfg: SystemConfig, trace: &Trace) -> RunReport {
     Simulation::new(cfg, SEED).run(trace)
-}
-
-/// Pre-replication on a fixed affinity fleet: the predictor warms the
-/// shifted popular set's second rendezvous choices ahead of the burst, so
-/// the same spills cold-miss reactively but hit predictively.
-#[test]
-fn pre_replication_cuts_cold_misses_on_zipf_shift_burst() {
-    let reactive_cfg = preset::chameleon_cluster_partitioned(4);
-    let predictive_cfg = preset::chameleon_cluster_predictive(4);
-    let pool = Simulation::new(reactive_cfg.clone(), SEED).pool().clone();
-    let trace = zipf_shift_burst_trace(&pool, SEED);
-
-    let reactive = run(reactive_cfg, &trace);
-    let predictive = run(predictive_cfg, &trace);
-
-    assert_eq!(reactive.completed(), trace.len());
-    assert_eq!(predictive.completed(), trace.len());
-    assert!(
-        reactive.routing.spills > 0,
-        "scenario must push the fleet into spilling to mean anything"
-    );
-    let p = &predictive.routing.predictive;
-    assert!(p.enabled);
-    assert!(p.prewarms_issued > 0, "no warms were ever issued");
-    assert!(
-        p.prewarm_hits > 0,
-        "no spill ever landed on a pre-replicated copy"
-    );
-    assert_eq!(
-        p.prewarms_issued,
-        p.prewarm_hits + p.prewarm_wasted,
-        "warm accounting must balance"
-    );
-    assert!(
-        predictive.cache_stats.misses < reactive.cache_stats.misses,
-        "pre-replication must cut cold misses: predictive {} vs reactive {}",
-        predictive.cache_stats.misses,
-        reactive.cache_stats.misses
-    );
-    // The reactive run carries no predictive counters and no report line.
-    assert_eq!(reactive.routing.predictive.prewarms_issued, 0);
-    assert!(!reactive.canonical_text().contains("\npredictive "));
-    assert!(predictive.canonical_text().contains("\npredictive "));
 }
 
 /// The tightened elastic scenario of the determinism suite: a 20× burst
@@ -127,10 +54,9 @@ fn drain_handoff_cuts_post_drain_cold_misses() {
     let p = &handoff.routing.predictive;
     assert!(p.handoff_adapters > 0, "drains handed nothing off");
     assert!(p.handoff_bytes > 0);
-    assert_eq!(p.prewarms_issued, 0, "handoff-only must not pre-replicate");
-    // Handoff-only leaves dispatch decisions alone (scaling is reactive,
-    // no speculative warms ahead of bursts), so the win is attributable:
-    // the survivors stop cold-missing the migrated shard.
+    // Handoff-only leaves dispatch decisions alone (scaling is reactive),
+    // so the win is attributable: the survivors stop cold-missing the
+    // migrated shard.
     assert_eq!(
         handoff.routing.engines_drained,
         reactive.routing.engines_drained

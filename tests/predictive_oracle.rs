@@ -1,10 +1,10 @@
 //! Frozen-digest oracle suite for the cluster's opt-in planes and its
 //! dispatch paths.
 //!
-//! The control plane (burst pre-replication, SLO/forecast autoscaling,
-//! drain-time shard handoff) must be a **strict opt-in overlay**: with
-//! `PredictiveSpec` disabled (the default), every cluster run is
-//! byte-for-byte what it was before the control plane existed. The
+//! The control plane (SLO/forecast autoscaling, shard handoff) must be
+//! a **strict opt-in overlay**: with `PredictiveSpec` disabled (the
+//! default), every cluster run is byte-for-byte what it was before the
+//! control plane existed. The
 //! digests of the first pins were captured from the tree before that
 //! plane landed (commit `1aeabfa`) on exactly these scenarios; the tests
 //! re-run the scenarios through the current tree and compare the
@@ -19,11 +19,12 @@
 //! dispatch became the budget-1 batch, and that refactor had to leave
 //! every one of them unchanged.
 //!
-//! The "without pre-replication" pins freeze every predictive
-//! configuration above with burst pre-replication switched off: the
-//! canonical text with the four pre-replication counters cut from its
-//! `predictive` line, and the traced stream as is. Deleting that
-//! mechanism must leave them unchanged.
+//! The predictive pins (predictive-4 and elastic-predictive on the
+//! bursty trace, the chaos schedules, the predictive-4 stream) were
+//! captured with the plane's former third mechanism, burst
+//! pre-replication, switched off: the canonical text with its four
+//! pre-replication counters cut from the `predictive` line, the traced
+//! stream as is. Deleting the mechanism left them unchanged.
 //!
 //! If one of these tests fails, a behaviour-preserving path changed
 //! behaviour. Enabling an opt-in plane and expecting different bytes is
@@ -32,7 +33,8 @@
 mod common;
 
 use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, ClusterExecution, RouterPolicy, SystemConfig, TraceSpec,
+    preset, sim::Simulation, workloads, ClusterExecution, PredictiveSpec, RouterPolicy,
+    SystemConfig, TraceSpec,
 };
 use chameleon_repro::models::AdapterPool;
 use chameleon_repro::simcore::SimDuration;
@@ -113,22 +115,12 @@ fn elastic_canonical(seed: u64) -> String {
     elastic_canonical_of(elastic_cfg(), seed)
 }
 
-/// `cfg` with burst pre-replication switched off and every other
-/// predictive mechanism left as configured.
-fn without_prereplication(mut cfg: SystemConfig) -> SystemConfig {
-    cfg.predictive
-        .as_mut()
-        .expect("a predictive configuration")
-        .prereplicate = false;
-    cfg
-}
-
-/// `text` with the pre-replication counters cut from its `predictive`
-/// line. A run without pre-replication reports all four as zero.
-fn without_prewarm_fields(text: &str) -> String {
-    const ZEROS: &str = "prewarms=0 prewarm_bytes=0 prewarm_hits=0 prewarm_wasted=0 ";
-    assert!(text.contains(ZEROS), "a run without pre-replication warmed");
-    text.replace(ZEROS, "")
+/// The affinity-4 fleet with the predictive plane armed, under the label
+/// its pins were captured with.
+fn predictive_4() -> SystemConfig {
+    preset::chameleon_cluster_partitioned(4)
+        .with_predictive(PredictiveSpec::new())
+        .with_label("Chameleon-DP4-Predictive")
 }
 
 fn assert_frozen(scenario: &str, seed: u64, text: &str, len: usize, fnv: u64) {
@@ -267,52 +259,51 @@ fn load_aware_routers_match_frozen_bytes() {
     }
 }
 
-/// The predictive plane armed: pre-replication runs at every arrival
-/// barrier, after the arrival is handled; the elastic variant adds
-/// SLO/forecast scale-ups and drain-time handoff.
+/// The predictive plane armed: on the fixed fleet it only feeds the
+/// forecaster; the elastic variant adds SLO/forecast scale-ups and
+/// drain-time handoff.
 #[test]
 fn predictive_fleets_match_frozen_bytes() {
-    for (seed, len, fnv) in [
-        (3u64, 154_913usize, 0x20a1_be82_0a9e_075a_u64),
-        (11, 162_854, 0x4fd8_92e3_1440_5ba4),
-    ] {
-        let text = run_bursty(preset::chameleon_cluster_predictive(4), seed).0;
-        assert_frozen("predictive-4", seed, &text, len, fnv);
-    }
-    for (seed, len, fnv) in [
-        (3u64, 154_997usize, 0xf2e8_e0dc_c8d9_7e62_u64),
-        (11, 162_790, 0x1f10_d257_8530_ca62),
-    ] {
-        let cfg = tightened(preset::chameleon_cluster_elastic_predictive());
-        let text = run_bursty(cfg, seed).0;
-        assert_frozen("elastic-predictive", seed, &text, len, fnv);
-    }
     for (seed, len, fnv) in [
         (3u64, 154_861usize, 0x67c9_234a_062e_2b0c_u64),
         (11, 162_790, 0xd2ea_6852_ddca_1f19),
     ] {
-        let cfg = without_prereplication(preset::chameleon_cluster_predictive(4));
-        let text = without_prewarm_fields(&run_bursty(cfg, seed).0);
-        assert_frozen(
-            "predictive-4 without pre-replication",
-            seed,
-            &text,
-            len,
-            fnv,
-        );
+        let text = run_bursty(predictive_4(), seed).0;
+        assert_frozen("predictive-4", seed, &text, len, fnv);
     }
     for (seed, len, fnv) in [
         (3u64, 154_991usize, 0x9959_32e2_0a3d_2d33_u64),
         (11, 162_790, 0xe743_753a_cc56_634d),
     ] {
-        let cfg = without_prereplication(tightened(preset::chameleon_cluster_elastic_predictive()));
-        let text = without_prewarm_fields(&run_bursty(cfg, seed).0);
-        assert_frozen(
-            "elastic-predictive without pre-replication",
+        let cfg = tightened(preset::chameleon_cluster_elastic_predictive());
+        let text = run_bursty(cfg, seed).0;
+        assert_frozen("elastic-predictive", seed, &text, len, fnv);
+    }
+}
+
+/// On a fixed, fault-free fleet nothing drains, scales or crashes, so the
+/// predictive plane changes no decision: the run is the plain
+/// partitioned run's canonical text plus one all-zero `predictive` line.
+#[test]
+fn fixed_fleet_predictive_plane_is_inert() {
+    for seed in [3u64, 11] {
+        let plain = run_bursty(preset::chameleon_cluster_partitioned(4), seed).0;
+        let armed = run_bursty(
+            preset::chameleon_cluster_partitioned(4).with_predictive(PredictiveSpec::new()),
             seed,
-            &text,
-            len,
-            fnv,
+        )
+        .0;
+        let (predictive, rest): (Vec<&str>, Vec<&str>) =
+            armed.lines().partition(|l| l.starts_with("predictive "));
+        assert_eq!(
+            predictive,
+            ["predictive handoff_n=0 handoff_bytes=0 slo_scaleups=0 forecast_scaleups=0"],
+            "seed {seed}: the plane acted on a fixed, fault-free fleet"
+        );
+        assert_eq!(
+            rest,
+            plain.lines().collect::<Vec<_>>(),
+            "seed {seed}: the predictive plane changed a fixed, fault-free run"
         );
     }
 }
@@ -338,26 +329,12 @@ fn faulted_fleets_match_frozen_bytes() {
         assert_reactive_frozen("JSQ kitchen-sink", seed, &text, len, fnv);
     }
     for (seed, len, fnv) in [
-        (3u64, 26111usize, 0xf27d_23af_a60b_b383_u64),
-        (11, 21892, 0x3f21_3fab_216f_d46e),
+        (3u64, 26038usize, 0xb503_f2cc_ccc5_23dd_u64),
+        (11, 22184, 0x771c_49c0_510d_8ab9),
     ] {
         let cfg = chaos_fleet().with_fault(chaos_schedule(seed));
         let text = canonical(cfg, seed, 16.0, 10.0);
         assert_frozen("chaos schedule", seed, &text, len, fnv);
-    }
-    for (seed, len, fnv) in [
-        (3u64, 26038usize, 0xb503_f2cc_ccc5_23dd_u64),
-        (11, 22184, 0x771c_49c0_510d_8ab9),
-    ] {
-        let cfg = without_prereplication(chaos_fleet()).with_fault(chaos_schedule(seed));
-        let text = without_prewarm_fields(&canonical(cfg, seed, 16.0, 10.0));
-        assert_frozen(
-            "chaos schedule without pre-replication",
-            seed,
-            &text,
-            len,
-            fnv,
-        );
     }
 }
 
@@ -403,25 +380,11 @@ fn traced_decision_streams_match_frozen_bytes() {
         assert_frozen("affinity-4 stream", seed, &jsonl, len, fnv);
     }
     for (seed, len, fnv) in [
-        (3u64, 458_838usize, 0x35f3_abeb_9c52_2237_u64),
-        (11, 466_854, 0x1b10_6f4d_b347_1760),
-    ] {
-        let jsonl = run_bursty(traced(preset::chameleon_cluster_predictive(4)), seed).1;
-        assert_frozen("predictive-4 stream", seed, &jsonl, len, fnv);
-    }
-    for (seed, len, fnv) in [
         (3u64, 433_715usize, 0xc43d_0f46_c952_64ec_u64),
         (11, 442_876, 0x4cc1_f272_08b4_3182),
     ] {
-        let cfg = without_prereplication(preset::chameleon_cluster_predictive(4));
-        let jsonl = run_bursty(traced(cfg), seed).1;
-        assert_frozen(
-            "predictive-4 stream without pre-replication",
-            seed,
-            &jsonl,
-            len,
-            fnv,
-        );
+        let jsonl = run_bursty(traced(predictive_4()), seed).1;
+        assert_frozen("predictive-4 stream", seed, &jsonl, len, fnv);
     }
     for (seed, len, fnv) in [
         (3u64, 221_488usize, 0xa883_3ab1_a70f_acb4_u64),

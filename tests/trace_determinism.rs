@@ -1,5 +1,4 @@
-//! Determinism oracle for the trace plane, plus the flight-recorder
-//! end-to-end capture.
+//! Determinism oracle for the trace plane.
 //!
 //! The decision stream is part of the simulation contract: the merged
 //! `TraceLog` (and hence its JSONL rendering) must be **byte-identical**
@@ -8,21 +7,11 @@
 //! worker counts on the fixed affinity fleet and — because autoscale,
 //! drain and handoff events ride the coordinator lane — on the elastic
 //! preset through a 20x burst.
-//!
-//! The last test closes the loop the flight recorder was built for: on
-//! the Zipf-shift burst scenario the predictive control plane issues
-//! speculative warms, some of which the cache evicts before any routed
-//! request lands on them, and the armed recorder must come back with a
-//! `prewarm-evicted-unused` dump whose ring actually contains the
-//! causal sequence.
 
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, SystemConfig, TraceSpec,
 };
-use chameleon_repro::models::{AdapterId, AdapterPool};
 use chameleon_repro::simcore::{SimDuration, SimTime};
-use chameleon_repro::trace::TraceEvent;
-use chameleon_repro::workload::{Request, RequestId, Trace};
 
 const SEEDS: [u64; 2] = [3, 11];
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
@@ -158,81 +147,4 @@ fn correlated_fault_events_are_mode_invariant() {
             "{workers} workers: correlated-fault trace stream diverged from serial"
         );
     }
-}
-
-/// The Zipf-shift burst of the predictive suite: 20 s of steady traffic,
-/// then the same workload with adapter ids rotated by half the pool and
-/// an 8x burst on the shifted set.
-fn zipf_shift_burst_trace(pool: &AdapterPool, seed: u64) -> Trace {
-    let n = pool.len() as u32;
-    let phase1_secs = 20.0;
-    let phase1 = workloads::splitwise(10.0, phase1_secs, seed, pool);
-    let phase2 = workloads::splitwise_bursty(10.0, 40.0, 20.0, 10.0, 8.0, seed ^ 0x5eed, pool);
-    let offset = SimDuration::from_secs_f64(phase1_secs);
-    let mut reqs = phase1.requests().to_vec();
-    for r in phase2.iter() {
-        let shifted = AdapterId((r.adapter().0 + n / 2) % n);
-        let rank = pool.get(shifted).expect("rotated id stays in pool").rank();
-        reqs.push(Request::new(
-            RequestId(r.id().0 + 1_000_000),
-            r.arrival() + offset,
-            r.input_tokens(),
-            r.output_tokens(),
-            shifted,
-            rank,
-        ));
-    }
-    Trace::new(reqs)
-}
-
-/// End-to-end flight-recorder capture: on the predictive burst scenario
-/// the armed recorder must catch an eviction-of-a-prewarmed-adapter and
-/// hand back a dump whose ring contains the causal sequence.
-#[test]
-fn flight_recorder_captures_prewarm_eviction_on_burst() {
-    let seed = 7;
-    let cfg = preset::chameleon_cluster_predictive(4)
-        .with_trace(TraceSpec::new().with_wasted_warm_trigger());
-    let pool = Simulation::new(cfg.clone(), seed).pool().clone();
-    let trace = zipf_shift_burst_trace(&pool, seed);
-    let report = Simulation::new(cfg, seed).run(&trace);
-
-    let p = &report.routing.predictive;
-    assert!(p.prewarms_issued > 0, "scenario issued no warms");
-    assert!(
-        p.prewarm_wasted > 0,
-        "scenario wasted no warms — nothing for the recorder to catch"
-    );
-    assert!(
-        report.flight_firings > 0,
-        "recorder armed on a wasted-warm run but never fired"
-    );
-    assert!(!report.flight_dumps.is_empty());
-    let dump = &report.flight_dumps[0];
-    assert_eq!(dump.predicate, "prewarm-evicted-unused");
-    assert!(dump.reason.contains("evicted before first use"));
-    // The trigger is the eviction itself; the ring holds the decisions
-    // leading up to it.
-    assert!(matches!(
-        dump.events.last().expect("non-empty ring").event,
-        TraceEvent::CacheEvict { .. }
-    ));
-    assert!(
-        dump.events.len() > 1,
-        "ring carries context, not just the trigger"
-    );
-    assert!(dump
-        .to_jsonl()
-        .starts_with("{\"flight_dump\":\"prewarm-evicted-unused\""));
-
-    // A reactive (no predictive plane) run of the identical trace gives
-    // the recorder nothing: no warms means no wasted-warm anomaly.
-    let reactive = Simulation::new(
-        preset::chameleon_cluster_partitioned(4)
-            .with_trace(TraceSpec::new().with_wasted_warm_trigger()),
-        seed,
-    )
-    .run(&trace);
-    assert_eq!(reactive.flight_firings, 0);
-    assert!(reactive.flight_dumps.is_empty());
 }
