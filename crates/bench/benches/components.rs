@@ -107,6 +107,7 @@ fn bench_cache(c: &mut Criterion) {
             // 2 GB pool: ~128 rank-8 slots; constant acquire/evict churn.
             let mut pool = MemoryPool::new(2 << 30);
             let mut cache = AdapterCache::new(EvictionPolicy::chameleon());
+            cache.size_for_pool(specs.len());
             let mut t = 0.0;
             for round in 0..200u32 {
                 let spec = &specs[(round % 100) as usize];

@@ -13,7 +13,7 @@ use chameleon_gpu::memory::{MemoryPool, OutOfMemory, Region};
 use chameleon_models::{AdapterId, AdapterSpec};
 use chameleon_simcore::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 /// Aggregate cache statistics (Figure 14 and §5.3 report these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,7 +89,7 @@ struct Entry {
 /// first non-protected element *is* the victim; the normalised compound
 /// policies (whose scores depend on the candidate set and on `now`) use
 /// `(0, 0, id)`, degrading the index to a deterministic id-ordered idle
-/// set that the per-pass scan walks without touching the `HashMap`.
+/// set that the per-pass scan walks without touching the entry table.
 type IdleKey = (u64, u64, AdapterId);
 
 fn idle_key(policy: EvictionPolicy, id: AdapterId, e: &Entry) -> IdleKey {
@@ -115,6 +115,14 @@ fn idle_key(policy: EvictionPolicy, id: AdapterId, e: &Entry) -> IdleKey {
         }
         EvictionPolicy::FairShare | EvictionPolicy::ChameleonScore { .. } => (0, 0, id),
     }
+}
+
+/// Every resident entry of an id-indexed table with its id, in id order.
+fn resident_in(entries: &[Option<Entry>]) -> impl Iterator<Item = (AdapterId, &Entry)> + '_ {
+    entries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| Some((AdapterId(i as u32), e.as_ref()?)))
 }
 
 /// True when the policy's victim order is fully captured by [`idle_key`].
@@ -163,13 +171,19 @@ fn compound_score_bits(
 /// The Chameleon Adapter Cache (§4.2) plus the in-use residency table.
 ///
 /// One instance exists per engine ("each LLM replica has its own local
-/// adapter cache").
+/// adapter cache"). Entries live in a table indexed by adapter id, sized
+/// once from the adapter pool with [`size_for_pool`](Self::size_for_pool)
+/// (the engine does this at construction): residency is one `Vec` index,
+/// and an id outside the table is simply not resident.
 #[derive(Debug, Clone)]
 pub struct AdapterCache {
     policy: EvictionPolicy,
     /// Keep idle adapters on release (Chameleon) vs discard them (S-LoRA).
     retain_on_release: bool,
-    entries: HashMap<AdapterId, Entry>,
+    /// Entries by adapter id; `None` when not resident.
+    entries: Vec<Option<Entry>>,
+    /// Resident entries (idle + in use).
+    resident: usize,
     stats: CacheStats,
     gdsf_floor: f64,
     /// Incrementally maintained eviction-candidate index over the idle
@@ -195,7 +209,8 @@ impl AdapterCache {
         AdapterCache {
             policy,
             retain_on_release: true,
-            entries: HashMap::new(),
+            entries: Vec::new(),
+            resident: 0,
             stats: CacheStats::default(),
             gdsf_floor: 0.0,
             idle: BTreeSet::new(),
@@ -218,6 +233,23 @@ impl AdapterCache {
             retain_on_release: false,
             ..AdapterCache::new(EvictionPolicy::Lru)
         }
+    }
+
+    /// Sizes the entry table for a pool of `adapters` adapters (ids
+    /// `0..adapters`). Never shrinks the table.
+    pub fn size_for_pool(&mut self, adapters: usize) {
+        if adapters > self.entries.len() {
+            self.entries.resize_with(adapters, || None);
+        }
+    }
+
+    fn entry(&self, id: AdapterId) -> Option<&Entry> {
+        self.entries.get(id.0 as usize)?.as_ref()
+    }
+
+    /// Every resident entry with its id, in id order.
+    fn resident_entries(&self) -> impl Iterator<Item = (AdapterId, &Entry)> + '_ {
+        resident_in(&self.entries)
     }
 
     /// Switches eviction to the pre-index full-scan reference
@@ -261,39 +293,43 @@ impl AdapterCache {
 
     /// True when the adapter's weights are on the GPU (idle or in use).
     pub fn is_resident(&self, id: AdapterId) -> bool {
-        self.entries.contains_key(&id)
+        self.entry(id).is_some()
+    }
+
+    /// True when the adapter is resident with no references (idle in the
+    /// cache, evictable).
+    pub fn is_idle(&self, id: AdapterId) -> bool {
+        self.entry(id).is_some_and(|e| e.ref_count == 0)
     }
 
     /// Reference count of a resident adapter (0 = idle in cache).
     pub fn ref_count(&self, id: AdapterId) -> Option<u32> {
-        self.entries.get(&id).map(|e| e.ref_count)
+        self.entry(id).map(|e| e.ref_count)
     }
 
     /// Number of resident adapters (idle + in use).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.resident
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.resident == 0
     }
 
     /// Bytes of idle (evictable) cached adapters.
     pub fn idle_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| e.ref_count == 0)
-            .map(|e| e.bytes)
+        self.resident_entries()
+            .filter(|(_, e)| e.ref_count == 0)
+            .map(|(_, e)| e.bytes)
             .sum()
     }
 
     /// Bytes of in-use (pinned) adapters.
     pub fn in_use_bytes(&self) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| e.ref_count > 0)
-            .map(|e| e.bytes)
+        self.resident_entries()
+            .filter(|(_, e)| e.ref_count > 0)
+            .map(|(_, e)| e.bytes)
             .sum()
     }
 
@@ -305,7 +341,7 @@ impl AdapterCache {
     /// returned — the caller is expected to load the weights and then call
     /// [`insert_loaded`](Self::insert_loaded).
     pub fn acquire(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) -> bool {
-        match self.entries.get_mut(&id) {
+        match self.entries.get_mut(id.0 as usize).and_then(Option::as_mut) {
             Some(e) => {
                 if e.ref_count == 0 {
                     // Leaving the idle set: unindex under the *old* key.
@@ -336,7 +372,8 @@ impl AdapterCache {
     ///
     /// # Panics
     ///
-    /// Panics if the adapter is already resident.
+    /// Panics if the adapter is already resident, or its id lies outside
+    /// the table [`size_for_pool`](Self::size_for_pool) sized.
     pub fn insert_loaded(
         &mut self,
         pool: &mut MemoryPool,
@@ -344,11 +381,12 @@ impl AdapterCache {
         now: SimTime,
         initial_refs: u32,
     ) -> Result<(), OutOfMemory> {
-        assert!(
-            !self.entries.contains_key(&spec.id()),
-            "{} already resident",
-            spec.id()
-        );
+        let table = self.entries.len();
+        let slot = self
+            .entries
+            .get_mut(spec.id().0 as usize)
+            .unwrap_or_else(|| panic!("{} is outside the {table}-adapter table", spec.id()));
+        assert!(slot.is_none(), "{} already resident", spec.id());
         let region = if initial_refs > 0 {
             Region::AdaptersInUse
         } else {
@@ -364,7 +402,8 @@ impl AdapterCache {
         if initial_refs == 0 {
             self.idle.insert(idle_key(self.policy, spec.id(), &entry));
         }
-        self.entries.insert(spec.id(), entry);
+        self.entries[spec.id().0 as usize] = Some(entry);
+        self.resident += 1;
         self.stats.bytes_loaded += spec.bytes();
         if let Some(j) = self.journal.as_mut() {
             j.push(CacheJournalEvent::Admit {
@@ -383,12 +422,14 @@ impl AdapterCache {
     ///
     /// Panics if the adapter is not resident.
     pub fn add_ref(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) {
+        let policy = self.policy;
         let e = self
             .entries
-            .get_mut(&id)
+            .get_mut(id.0 as usize)
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("{id} not resident"));
         if e.ref_count == 0 {
-            self.idle.remove(&idle_key(self.policy, id, e));
+            self.idle.remove(&idle_key(policy, id, e));
             pool.transfer(Region::AdapterCache, Region::AdaptersInUse, e.bytes);
         }
         e.ref_count += 1;
@@ -403,21 +444,25 @@ impl AdapterCache {
     ///
     /// Panics if the adapter is not resident or has no references.
     pub fn release(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) {
-        let e = self
+        let policy = self.policy;
+        let slot = self
             .entries
-            .get_mut(&id)
+            .get_mut(id.0 as usize)
+            .filter(|s| s.is_some())
             .unwrap_or_else(|| panic!("{id} not resident"));
+        let e = slot.as_mut().expect("checked resident");
         assert!(e.ref_count > 0, "{id} released with zero refs");
         e.ref_count -= 1;
         e.last_used = now;
         if e.ref_count == 0 {
             let bytes = e.bytes;
             if self.retain_on_release {
-                self.idle.insert(idle_key(self.policy, id, e));
+                self.idle.insert(idle_key(policy, id, e));
                 pool.transfer(Region::AdaptersInUse, Region::AdapterCache, bytes);
             } else {
                 pool.release(Region::AdaptersInUse, bytes);
-                self.entries.remove(&id);
+                *slot = None;
+                self.resident -= 1;
             }
         }
     }
@@ -484,7 +529,7 @@ impl AdapterCache {
                 break;
             }
             if protected.is_none_or(|p| !p.contains(&id)) {
-                projected_free += self.entries[&id].bytes;
+                projected_free += self.entry(id).expect("indexed entry is resident").bytes;
                 victims.push(id);
             }
         }
@@ -528,7 +573,7 @@ impl AdapterCache {
         heap.clear();
         for &(.., id) in &self.idle {
             if protected.is_none_or(|p| !p.contains(&id)) {
-                let e = &self.entries[&id];
+                let e = self.entry(id).expect("indexed entry is resident");
                 cands.push(Candidate {
                     index: ids.len(),
                     bytes: e.bytes,
@@ -601,17 +646,16 @@ impl AdapterCache {
     ) {
         while pool.free() < needed {
             let mut ids: Vec<AdapterId> = self
-                .entries
-                .iter()
+                .resident_entries()
                 .filter(|(id, e)| e.ref_count == 0 && protected.is_none_or(|p| !p.contains(id)))
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect();
             ids.sort_unstable();
             let cands: Vec<Candidate> = ids
                 .iter()
                 .enumerate()
-                .map(|(i, id)| {
-                    let e = &self.entries[id];
+                .map(|(i, &id)| {
+                    let e = self.entry(id).expect("candidate is resident");
                     Candidate {
                         index: i,
                         bytes: e.bytes,
@@ -630,7 +674,10 @@ impl AdapterCache {
     /// Evicts one idle adapter: entry, index, pool accounting, statistics,
     /// and the GDSF aging floor.
     fn evict_one(&mut self, pool: &mut MemoryPool, id: AdapterId) {
-        let e = self.entries.remove(&id).expect("victim is resident");
+        let e = self.entries[id.0 as usize]
+            .take()
+            .expect("victim is resident");
+        self.resident -= 1;
         debug_assert_eq!(e.ref_count, 0, "victim must be idle");
         self.idle.remove(&idle_key(self.policy, id, &e));
         if matches!(self.policy, EvictionPolicy::Gdsf) {
@@ -661,7 +708,7 @@ impl AdapterCache {
     /// Halves all frequency counters — called every `T_refresh` so that
     /// popularity tracks the current workload rather than all of history.
     pub fn decay_frequencies(&mut self) {
-        for e in self.entries.values_mut() {
+        for e in self.entries.iter_mut().flatten() {
             e.frequency /= 2;
         }
         // Frequency participates in the LFU/GDSF index keys: rebuild.
@@ -669,10 +716,9 @@ impl AdapterCache {
             self.idle.clear();
             let policy = self.policy;
             self.idle.extend(
-                self.entries
-                    .iter()
+                resident_in(&self.entries)
                     .filter(|(_, e)| e.ref_count == 0)
-                    .map(|(&id, e)| idle_key(policy, id, e)),
+                    .map(|(id, e)| idle_key(policy, id, e)),
             );
         }
     }
@@ -683,20 +729,28 @@ impl AdapterCache {
         self.idle.iter().map(|&(.., id)| id)
     }
 
-    /// Iterates over every resident adapter (idle or in use) — the
-    /// residency view cluster routers place requests on.
+    /// Iterates over every resident adapter (idle or in use), in id
+    /// order — the residency view cluster routers place requests on.
     pub fn resident_adapters(&self) -> impl Iterator<Item = AdapterId> + '_ {
-        self.entries.keys().copied()
+        self.resident_entries().map(|(id, _)| id)
     }
 
     /// Asserts the idle index mirrors the entry table exactly (test/debug
     /// hook for the index-maintenance invariant).
     #[doc(hidden)]
     pub fn assert_index_consistent(&self) {
-        let idle_entries = self.entries.values().filter(|e| e.ref_count == 0).count();
+        let idle_entries = self
+            .resident_entries()
+            .filter(|(_, e)| e.ref_count == 0)
+            .count();
         assert_eq!(self.idle.len(), idle_entries, "idle index out of sync");
+        assert_eq!(
+            self.resident,
+            self.resident_entries().count(),
+            "resident count out of sync"
+        );
         for &(.., id) in &self.idle {
-            let e = self.entries.get(&id).expect("indexed entry exists");
+            let e = self.entry(id).expect("indexed entry exists");
             assert_eq!(e.ref_count, 0, "{id} indexed while referenced");
             assert!(
                 self.idle.contains(&idle_key(self.policy, id, e)),
@@ -711,6 +765,7 @@ mod tests {
     use super::*;
     use chameleon_models::{AdapterRank, LlmSpec};
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn spec(id: u32, rank: u32) -> AdapterSpec {
         AdapterSpec::new(AdapterId(id), AdapterRank::new(rank), &LlmSpec::llama_7b())
@@ -724,10 +779,17 @@ mod tests {
         MemoryPool::new(gb << 30)
     }
 
+    /// A cache whose table covers the ids these tests use.
+    fn cache(policy: EvictionPolicy) -> AdapterCache {
+        let mut c = AdapterCache::new(policy);
+        c.size_for_pool(16);
+        c
+    }
+
     #[test]
     fn miss_then_load_then_hit() {
         let mut pool = pool_gb(1);
-        let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+        let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 32); // 64 MB
         assert!(!c.acquire(&mut pool, a.id(), t(0.0)));
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap();
@@ -747,6 +809,7 @@ mod tests {
     fn discard_mode_frees_immediately() {
         let mut pool = pool_gb(1);
         let mut c = AdapterCache::discard_mode();
+        c.size_for_pool(16);
         let a = spec(1, 32);
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap();
         c.release(&mut pool, a.id(), t(1.0));
@@ -760,7 +823,7 @@ mod tests {
     #[test]
     fn shared_adapter_refcounting() {
         let mut pool = pool_gb(1);
-        let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+        let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 16);
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap();
         c.add_ref(&mut pool, a.id(), t(0.5));
@@ -778,7 +841,7 @@ mod tests {
     fn make_room_evicts_idle_only() {
         // Pool sized to hold exactly three rank-32 adapters (64 MB each).
         let mut pool = MemoryPool::new(3 * (64 << 20));
-        let mut c = AdapterCache::new(EvictionPolicy::Lru);
+        let mut c = cache(EvictionPolicy::Lru);
         let (a, b, d) = (spec(1, 32), spec(2, 32), spec(3, 32));
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap(); // pinned
         c.insert_loaded(&mut pool, &b, t(1.0), 0).unwrap(); // idle, older
@@ -796,7 +859,7 @@ mod tests {
     #[test]
     fn make_room_respects_protection_then_overrides() {
         let mut pool = MemoryPool::new(2 * (64 << 20));
-        let mut c = AdapterCache::new(EvictionPolicy::Lru);
+        let mut c = cache(EvictionPolicy::Lru);
         let (a, b) = (spec(1, 32), spec(2, 32));
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
         c.insert_loaded(&mut pool, &b, t(1.0), 0).unwrap();
@@ -813,7 +876,7 @@ mod tests {
     #[test]
     fn make_room_fails_when_everything_pinned() {
         let mut pool = MemoryPool::new(64 << 20);
-        let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+        let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 32);
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap();
         assert!(!c.make_room(&mut pool, 64 << 20, t(1.0), &HashSet::new()));
@@ -823,7 +886,7 @@ mod tests {
     #[test]
     fn insert_requires_room() {
         let mut pool = MemoryPool::new(32 << 20);
-        let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+        let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 32); // 64 MB > 32 MB pool
         assert!(c.insert_loaded(&mut pool, &a, t(0.0), 1).is_err());
         assert!(!c.is_resident(a.id()));
@@ -832,7 +895,7 @@ mod tests {
     #[test]
     fn frequency_decay() {
         let mut pool = pool_gb(1);
-        let mut c = AdapterCache::new(EvictionPolicy::Lfu);
+        let mut c = cache(EvictionPolicy::Lfu);
         let a = spec(1, 8);
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
         for i in 0..7 {
@@ -849,7 +912,7 @@ mod tests {
     #[should_panic(expected = "already resident")]
     fn double_insert_panics() {
         let mut pool = pool_gb(1);
-        let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+        let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 8);
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
         let _ = c.insert_loaded(&mut pool, &a, t(1.0), 0);
@@ -859,7 +922,7 @@ mod tests {
     #[should_panic(expected = "zero refs")]
     fn over_release_panics() {
         let mut pool = pool_gb(1);
-        let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+        let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 8);
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
         c.release(&mut pool, a.id(), t(1.0));
@@ -868,7 +931,7 @@ mod tests {
     #[test]
     fn journal_records_admits_and_evicts_with_score_inputs() {
         let mut pool = MemoryPool::new(2 * (64 << 20));
-        let mut c = AdapterCache::new(EvictionPolicy::Lru);
+        let mut c = cache(EvictionPolicy::Lru);
         // Off by default: a disabled cache journals nothing and drains empty.
         let (a, b) = (spec(1, 32), spec(2, 32));
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
@@ -907,7 +970,7 @@ mod tests {
         #[test]
         fn prop_cache_invariants(ops in proptest::collection::vec((0u32..6, 0u8..4), 1..300)) {
             let mut pool = MemoryPool::new(5 * (16 << 20)); // five rank-8 slots
-            let mut c = AdapterCache::new(EvictionPolicy::chameleon());
+            let mut c = cache(EvictionPolicy::chameleon());
             let mut live_refs: HashMap<AdapterId, u32> = HashMap::new();
             let mut clock = 0.0;
             for (aid, op) in ops {
@@ -970,8 +1033,8 @@ mod tests {
             ][policy_sel];
             let mut pool_a = MemoryPool::new(7 * (16 << 20));
             let mut pool_b = MemoryPool::new(7 * (16 << 20));
-            let mut indexed = AdapterCache::new(policy);
-            let mut scanned = AdapterCache::new(policy);
+            let mut indexed = cache(policy);
+            let mut scanned = cache(policy);
             scanned.set_full_scan_eviction(true);
             let mut clock = 0.0;
             for (aid, op, rank_sel) in ops {

@@ -8,7 +8,7 @@
 
 use crate::config::EngineConfig;
 use crate::kv_spec::KvSpec;
-use crate::probe::EngineProbe;
+use crate::probe::{EngineProbe, ProbeScalars, ReleaseSchedule, Releases};
 use crate::report::EngineReport;
 use chameleon_cache::{AdapterCache, CacheJournalEvent};
 use chameleon_fault::PcieFaultInjector;
@@ -18,11 +18,11 @@ use chameleon_gpu::{CostModel, KvAllocator, PcieLink};
 use chameleon_metrics::{Collector, KvStats, MemorySample, SizeClass};
 use chameleon_models::{AdapterId, AdapterPool};
 use chameleon_predictor::{HistogramLoadPredictor, OutputLenPredictor};
-use chameleon_sched::{AdmissionOutcome, QueuedRequest, ResourceProbe, Scheduler, WrsConfig};
+use chameleon_sched::{AdmissionOutcome, QueuedRequest, Scheduler, WrsConfig};
 use chameleon_simcore::{SimDuration, SimTime};
 use chameleon_trace::TraceEvent;
-use chameleon_workload::{Request, RequestId};
-use std::collections::{HashMap, HashSet};
+use chameleon_workload::{Request, Slot};
+use std::collections::HashSet;
 
 /// Events driving the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,6 +47,9 @@ pub enum EngineEvent {
 #[derive(Debug, Clone)]
 struct Running {
     req: Request,
+    /// The request's dense bookkeeping slot: its collector record and its
+    /// entry in the slot → batch-position table.
+    slot: Slot,
     queue_index: usize,
     charged_tokens: u64,
     predicted_output: u32,
@@ -74,6 +77,122 @@ struct Loading {
     waiters: u32,
 }
 
+/// In-flight adapter transfers, indexed by adapter id and sized from the
+/// engine's pool. Iteration runs in id order.
+#[derive(Debug, Clone)]
+struct LoadingTable {
+    slots: Vec<Option<Loading>>,
+    in_flight: usize,
+}
+
+impl LoadingTable {
+    fn new(adapters: usize) -> Self {
+        LoadingTable {
+            slots: vec![None; adapters],
+            in_flight: 0,
+        }
+    }
+
+    fn get_mut(&mut self, id: AdapterId) -> Option<&mut Loading> {
+        self.slots.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    fn contains(&self, id: AdapterId) -> bool {
+        self.slots.get(id.0 as usize).is_some_and(Option::is_some)
+    }
+
+    /// Starts tracking `id`'s transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` lies outside the pool the table was sized for.
+    fn insert(&mut self, id: AdapterId, loading: Loading) {
+        let slot = &mut self.slots[id.0 as usize];
+        if slot.replace(loading).is_none() {
+            self.in_flight += 1;
+        }
+    }
+
+    fn remove(&mut self, id: AdapterId) -> Option<Loading> {
+        let loading = self.slots.get_mut(id.0 as usize)?.take()?;
+        self.in_flight -= 1;
+        Some(loading)
+    }
+
+    fn len(&self) -> usize {
+        self.in_flight
+    }
+
+    fn is_empty(&self) -> bool {
+        self.in_flight == 0
+    }
+
+    fn clear(&mut self) {
+        self.slots.iter_mut().for_each(|s| *s = None);
+        self.in_flight = 0;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (AdapterId, &Loading)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| Some((AdapterId(i as u32), l.as_ref()?)))
+    }
+}
+
+/// `batch_pos` entry of a slot that is not in the running batch.
+const NOT_RUNNING: u32 = u32::MAX;
+
+/// Exact counts of the engine's bookkeeping work. Deterministic, so a
+/// profile can compare two versions of the engine by count instead of by
+/// timer; kept out of every report and canonical text.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineWork {
+    /// Output tokens applied to running requests.
+    pub tokens_applied: u64,
+    /// Scheduler probes taken (dispatches and refreshes).
+    pub probes: u64,
+    /// Release schedules built, each on a probe's first memory-wait
+    /// estimate.
+    pub release_schedules: u64,
+    /// Protected-adapter sets built for eviction or bypass bookkeeping.
+    pub protected_sets: u64,
+}
+
+/// What a probe's release schedule prices: the running batch's first
+/// `batch` requests (those running when the probe was taken) at `step`
+/// per decode token from `now`.
+#[derive(Debug, Clone, Copy)]
+struct ReleaseBasis {
+    now: SimTime,
+    step: SimDuration,
+    batch: usize,
+}
+
+/// Appends each running request's predicted `(finish time, bytes freed)`:
+/// its remaining decode tokens (plus pending prompt at 64 tokens a step)
+/// at `basis.step` each, and its block-rounded KV plus adapter bytes —
+/// what `KvAllocator::free` and the cache release at retirement.
+fn release_pairs(
+    out: &mut Releases,
+    running: &[Running],
+    basis: ReleaseBasis,
+    kv: &KvAllocator,
+    pool: &AdapterPool,
+) {
+    out.extend(running.iter().map(|r| {
+        let remaining = u64::from(
+            r.predicted_output
+                .max(r.produced)
+                .saturating_sub(r.produced),
+        ) + u64::from(r.prefill_remaining) / 64;
+        let finish = basis.now + basis.step.mul_f64(remaining as f64);
+        let freed =
+            kv.bytes_for(r.kv_reserved) + pool.get(r.req.adapter()).map(|a| a.bytes()).unwrap_or(0);
+        (finish, freed)
+    }));
+}
+
 /// A running request demoted to a compact hidden-state proxy entry
 /// (hybrid cache mode, Apt-Serve-style). Progress is frozen, the full KV
 /// blocks are released, and the scheduler quota stays charged — the
@@ -82,6 +201,7 @@ struct Loading {
 #[derive(Debug, Clone)]
 struct Demoted {
     req: Request,
+    slot: Slot,
     queue_index: usize,
     charged_tokens: u64,
     predicted_output: u32,
@@ -107,26 +227,71 @@ struct Restoring {
 #[derive(Debug, Clone)]
 enum StepPlan {
     /// Full (or chunked) prefill for these requests; `chunks[i]` prompt
-    /// tokens are processed for request `ids[i]`.
-    Prefill {
-        ids: Vec<RequestId>,
-        chunks: Vec<u32>,
-    },
+    /// tokens are processed for the request in `slots[i]`.
+    Prefill { slots: Vec<Slot>, chunks: Vec<u32> },
     /// One decode iteration for these requests, plus (in chunked-prefill
     /// mode) prompt chunks folded in.
     Decode {
-        ids: Vec<RequestId>,
-        folded_prefill: Vec<(RequestId, u32)>,
+        slots: Vec<Slot>,
+        folded_prefill: Vec<(Slot, u32)>,
     },
 }
 
-/// A record of an opportunistic bypass: `r2` jumped over blocked `r1`
+/// A record of an opportunistic bypass: `r2` jumped over a blocked head
 /// needing `r1_tokens`; if that much frees while `r2` runs, `r2` squashes.
 #[derive(Debug, Clone, Copy)]
 struct BypassPair {
-    r2: RequestId,
-    r1: RequestId,
+    r2: Slot,
     r1_tokens: u64,
+}
+
+/// Test-only audit of the probe's residency answer against the set the
+/// engine used to build per dispatch (see [`Engine::audit_residency`]).
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct ResidencyAudit {
+    /// Probes checked.
+    probes: u64,
+    /// Probes that saw an adapter referenced only by a restoring request.
+    restoring_only: u64,
+}
+
+#[cfg(test)]
+impl ResidencyAudit {
+    /// Asserts `probe` reports exactly the reference set — idle cached
+    /// adapters, adapters of running requests, and adapters in flight —
+    /// for every adapter in the pool.
+    fn check(
+        &mut self,
+        probe: &EngineProbe<'_>,
+        cache: &AdapterCache,
+        running: &[Running],
+        loading: &LoadingTable,
+        restoring: &[Restoring],
+        adapters: usize,
+    ) {
+        use chameleon_sched::ResourceProbe;
+        let reference: HashSet<AdapterId> = cache
+            .idle_adapters()
+            .chain(running.iter().map(|r| r.req.adapter()))
+            .chain(loading.iter().map(|(id, _)| id))
+            .collect();
+        for id in (0..adapters).map(|i| AdapterId(i as u32)) {
+            assert_eq!(
+                probe.adapter_resident(id),
+                reference.contains(&id),
+                "{id} at {}",
+                probe.now()
+            );
+        }
+        self.probes += 1;
+        if restoring.iter().any(|r| {
+            let a = r.d.req.adapter();
+            cache.is_resident(a) && !reference.contains(&a)
+        }) {
+            self.restoring_only += 1;
+        }
+    }
 }
 
 /// One LLM serving engine (a GPU or TP group).
@@ -144,7 +309,14 @@ pub struct Engine {
     load_predictor: HistogramLoadPredictor,
     collector: Collector,
     running: Vec<Running>,
-    loading: HashMap<AdapterId, Loading>,
+    /// Position in `running` of each registered slot, `NOT_RUNNING` when
+    /// the request is queued, demoted, restoring or gone. Kept current by
+    /// `push_running` and `take_running`, the only ways in and out of
+    /// the batch.
+    batch_pos: Vec<u32>,
+    /// Running requests per adapter, indexed by adapter id.
+    adapter_users: Vec<u32>,
+    loading: LoadingTable,
     /// KV plane (unified GPU-memory economy): `None` keeps every path
     /// byte-identical to the optimistic allocate-then-unwind baseline.
     kv_spec: Option<KvSpec>,
@@ -166,23 +338,35 @@ pub struct Engine {
     /// cached at construction — the oracle behind the O(1) per-snapshot
     /// TTFT-violation estimate.
     isolated_secs_per_token: f64,
+    /// Seconds per prefill token from the cost model, cached at
+    /// construction for the probe.
+    prefill_secs_per_token: f64,
+    /// The release schedule of the latest probe, built on demand.
+    release: ReleaseSchedule,
+    release_basis: ReleaseBasis,
+    work: EngineWork,
     // --- reusable per-step scratch (zero-alloc stepping) ------------------
     // Every buffer below is cleared and refilled in place each iteration,
     // so the steady-state event loop performs no heap allocation.
-    probe_scratch: EngineProbe,
     admit_buf: Vec<AdmissionOutcome>,
     requeue_buf: Vec<AdmissionOutcome>,
+    /// The §4.2 protected adapters (those of queued requests), as the
+    /// scheduler's ordered list and as a set, valid while
+    /// `protected_ready` is set.
     adapters_buf: Vec<AdapterId>,
     protected_buf: HashSet<AdapterId>,
+    protected_ready: bool,
     prefetch_buf: Vec<AdapterId>,
     prefill_idx: Vec<usize>,
     decode_idx: Vec<usize>,
     prefill_items: Vec<PrefillItem>,
     decode_items: Vec<DecodeItem>,
-    ids_pool: Vec<RequestId>,
+    slots_pool: Vec<Slot>,
     chunks_pool: Vec<u32>,
-    folded_pool: Vec<(RequestId, u32)>,
+    folded_pool: Vec<(Slot, u32)>,
     pairs_scratch: Vec<BypassPair>,
+    #[cfg(test)]
+    residency_audit: Option<ResidencyAudit>,
     /// Decision-trace buffer in this engine's own execution order; `None`
     /// (the default) keeps every emission site a single branch. The driver
     /// drains it via [`take_trace_events`](Self::take_trace_events) and
@@ -209,9 +393,10 @@ impl Engine {
         pool: AdapterPool,
         sched: Box<dyn Scheduler>,
         predictor: Box<dyn OutputLenPredictor>,
-        cache: AdapterCache,
+        mut cache: AdapterCache,
         wrs_cfg: WrsConfig,
     ) -> Self {
+        cache.size_for_pool(pool.len());
         let cost = CostModel::new(cfg.llm.clone(), cfg.gpu.clone(), cfg.tp_degree);
         let total_mem = cfg.total_memory_bytes();
         let mut mem = MemoryPool::new(total_mem);
@@ -229,6 +414,11 @@ impl Engine {
                 rank: None,
             }])
             .as_secs_f64();
+        let prefill_secs_per_token = {
+            let t1k = cost.base_prefill_time(1024).as_secs_f64();
+            let t0 = cost.base_prefill_time(1).as_secs_f64();
+            (t1k - t0) / 1023.0
+        };
         let kv_spec = cfg.kv;
         let kv_stats = KvStats {
             enabled: kv_spec.is_some(),
@@ -238,7 +428,6 @@ impl Engine {
         };
         Engine {
             cost,
-            pool,
             mem,
             kv,
             link,
@@ -249,7 +438,10 @@ impl Engine {
             load_predictor: HistogramLoadPredictor::new(),
             collector: Collector::new(),
             running: Vec::new(),
-            loading: HashMap::new(),
+            batch_pos: Vec::new(),
+            adapter_users: vec![0; pool.len()],
+            loading: LoadingTable::new(pool.len()),
+            pool,
             kv_spec,
             kv_stats,
             demoted: Vec::new(),
@@ -264,21 +456,31 @@ impl Engine {
             completed: 0,
             kv_bytes_per_token,
             isolated_secs_per_token,
+            prefill_secs_per_token,
+            release: ReleaseSchedule::default(),
+            release_basis: ReleaseBasis {
+                now: SimTime::ZERO,
+                step: SimDuration::ZERO,
+                batch: 0,
+            },
+            work: EngineWork::default(),
             cfg,
-            probe_scratch: EngineProbe::default(),
             admit_buf: Vec::new(),
             requeue_buf: Vec::new(),
             adapters_buf: Vec::new(),
             protected_buf: HashSet::new(),
+            protected_ready: false,
             prefetch_buf: Vec::new(),
             prefill_idx: Vec::new(),
             decode_idx: Vec::new(),
             prefill_items: Vec::new(),
             decode_items: Vec::new(),
-            ids_pool: Vec::new(),
+            slots_pool: Vec::new(),
             chunks_pool: Vec::new(),
             folded_pool: Vec::new(),
             pairs_scratch: Vec::new(),
+            #[cfg(test)]
+            residency_audit: None,
             trace: None,
             pcie_faults: None,
             slowdown: 1.0,
@@ -338,7 +540,9 @@ impl Engine {
         let mut queued = Vec::new();
         self.sched.drain_queued_into(&mut queued);
         let mut lost: Vec<Request> = queued.iter().map(|q| *q.request()).collect();
-        lost.extend(self.running.drain(..).map(|r| r.req));
+        while let Some(last) = self.running.len().checked_sub(1) {
+            lost.push(self.take_running(last).req);
+        }
         lost.extend(self.demoted.drain(..).map(|d| d.req));
         lost.extend(self.restoring.drain(..).map(|r| r.d.req));
         self.current_step = None;
@@ -401,14 +605,14 @@ impl Engine {
             .iter()
             .map(|r| r.req.adapter())
             .chain(self.restoring.iter().map(|r| r.d.req.adapter()))
-            .filter(|a| !self.loading.contains_key(a))
+            .filter(|&a| !self.loading.contains(a))
             .collect();
         held.sort_unstable();
         for a in held {
             self.cache.release(&mut self.mem, a, now);
         }
         // In-flight load reservations die with their waiters.
-        let mut loads: Vec<u64> = self.loading.values().map(|l| l.bytes).collect();
+        let mut loads: Vec<u64> = self.loading.iter().map(|(_, l)| l.bytes).collect();
         loads.sort_unstable();
         for bytes in loads {
             self.mem.release(Region::AdaptersInUse, bytes);
@@ -505,7 +709,7 @@ impl Engine {
     pub fn resident_adapters(&self) -> HashSet<AdapterId> {
         self.cache
             .resident_adapters()
-            .chain(self.loading.keys().copied())
+            .chain(self.loading.iter().map(|(id, _)| id))
             .collect()
     }
 
@@ -513,7 +717,7 @@ impl Engine {
     /// engine — the O(1) residency query behind the router's affinity-hit
     /// accounting.
     pub fn is_adapter_resident(&self, id: AdapterId) -> bool {
-        self.cache.is_resident(id) || self.loading.contains_key(&id)
+        self.cache.is_resident(id) || self.loading.contains(id)
     }
 
     /// Introspection snapshot for the cluster router (§4.4's global
@@ -553,6 +757,14 @@ impl Engine {
     /// Total completed requests.
     pub fn completed(&self) -> u64 {
         self.completed
+    }
+
+    /// Exact counts of the bookkeeping work done so far.
+    pub fn work(&self) -> EngineWork {
+        EngineWork {
+            release_schedules: self.release.builds(),
+            ..self.work
+        }
     }
 
     /// Scheduler-internal state dump for diagnostics.
@@ -662,18 +874,7 @@ impl Engine {
             .get(req.adapter())
             .unwrap_or_else(|| panic!("unknown adapter {}", req.adapter()))
             .clone();
-        // The ledger clocks TTFT/E2E from the request's *original* arrival
-        // (identical to `now` on every normal dispatch; later than `now`
-        // only for crash-recovery re-dispatches, whose dead-engine and
-        // backoff time must stay on the record).
-        self.collector.on_arrival(
-            req.id(),
-            req.arrival(),
-            req.input_tokens(),
-            req.output_tokens(),
-            req.adapter(),
-            req.rank(),
-        );
+        let slot = self.register(&req);
         self.load_predictor.observe(req.adapter(), now);
         let predicted = self.predictor.predict(&req);
         let wrs = self
@@ -681,19 +882,68 @@ impl Engine {
             .compute(req.input_tokens(), predicted, spec.bytes());
         let adapter_token_equiv = spec.bytes() / self.kv_bytes_per_token;
         let queued =
-            QueuedRequest::new(req, predicted, spec.bytes(), adapter_token_equiv, wrs, now);
+            QueuedRequest::new(req, predicted, spec.bytes(), adapter_token_equiv, wrs, now)
+                .with_slot(slot);
         let class = SizeClass::from_queue_index(
             self.sched.queue_index_for(wrs),
             self.sched.num_queues().max(1),
         );
-        self.collector.on_classified(queued.id(), class);
+        self.collector.on_classified(slot, class);
         self.sched.enqueue(queued);
         self.try_dispatch(now, out);
         self.prefetch(now, out);
     }
 
+    /// Registers an arriving request with the collector and gives its slot
+    /// an entry in the batch-position table.
+    fn register(&mut self, req: &Request) -> Slot {
+        // The ledger clocks TTFT/E2E from the request's *original* arrival
+        // (identical to `now` on every normal dispatch; later than `now`
+        // only for crash-recovery re-dispatches, whose dead-engine and
+        // backoff time must stay on the record).
+        let slot = self.collector.on_arrival(
+            req.id(),
+            req.arrival(),
+            req.input_tokens(),
+            req.output_tokens(),
+            req.adapter(),
+            req.rank(),
+        );
+        debug_assert_eq!(slot.index(), self.batch_pos.len(), "slots are dense");
+        self.batch_pos.push(NOT_RUNNING);
+        slot
+    }
+
+    /// Position of `slot` in the running batch, if it is running.
+    fn batch_index(&self, slot: Slot) -> Option<usize> {
+        match self.batch_pos[slot.index()] {
+            NOT_RUNNING => None,
+            pos => Some(pos as usize),
+        }
+    }
+
+    /// Appends `r` to the running batch.
+    fn push_running(&mut self, r: Running) {
+        self.batch_pos[r.slot.index()] = self.running.len() as u32;
+        self.adapter_users[r.req.adapter().0 as usize] += 1;
+        self.running.push(r);
+    }
+
+    /// Removes the request at batch position `idx` by `swap_remove`, the
+    /// removal order the timeline depends on, keeping the slot table and
+    /// the per-adapter counts current.
+    fn take_running(&mut self, idx: usize) -> Running {
+        let r = self.running.swap_remove(idx);
+        self.batch_pos[r.slot.index()] = NOT_RUNNING;
+        if let Some(moved) = self.running.get(idx) {
+            self.batch_pos[moved.slot.index()] = idx as u32;
+        }
+        self.adapter_users[r.req.adapter().0 as usize] -= 1;
+        r
+    }
+
     fn on_load_done(&mut self, now: SimTime, id: AdapterId, out: &mut Vec<(SimTime, EngineEvent)>) {
-        let Some(loading) = self.loading.remove(&id) else {
+        let Some(loading) = self.loading.remove(id) else {
             return; // duplicate completion (cannot normally happen)
         };
         // The load reservation becomes a cache entry with the waiting
@@ -707,9 +957,7 @@ impl Engine {
     }
 
     fn on_refresh(&mut self, now: SimTime) {
-        let probe = self.take_probe(now);
-        self.sched.on_refresh(&probe);
-        self.probe_scratch = probe;
+        self.with_probe(now, |sched, probe| sched.on_refresh(probe));
         self.cache.decay_frequencies();
     }
 
@@ -747,25 +995,25 @@ impl Engine {
             return;
         };
         match plan {
-            StepPlan::Prefill { ids, chunks } => {
-                for (&id, &chunk) in ids.iter().zip(chunks.iter()) {
-                    self.apply_prefill_progress(id, chunk, now);
+            StepPlan::Prefill { slots, chunks } => {
+                for (&slot, &chunk) in slots.iter().zip(chunks.iter()) {
+                    self.apply_prefill_progress(slot, chunk, now);
                 }
                 // Return the plan's buffers to the pool for the next step.
-                self.ids_pool = ids;
+                self.slots_pool = slots;
                 self.chunks_pool = chunks;
             }
             StepPlan::Decode {
-                ids,
+                slots,
                 folded_prefill,
             } => {
-                for &(id, chunk) in &folded_prefill {
-                    self.apply_prefill_progress(id, chunk, now);
+                for &(slot, chunk) in &folded_prefill {
+                    self.apply_prefill_progress(slot, chunk, now);
                 }
-                for &id in &ids {
-                    self.apply_decode_progress(id, now);
+                for &slot in &slots {
+                    self.apply_decode_progress(slot, now);
                 }
-                self.ids_pool = ids;
+                self.slots_pool = slots;
                 self.folded_pool = folded_prefill;
             }
         }
@@ -774,21 +1022,18 @@ impl Engine {
         self.prefetch(now, out);
     }
 
-    fn apply_prefill_progress(&mut self, id: RequestId, chunk: u32, now: SimTime) {
-        let mut first_token_arrival = None;
-        {
-            let Some(r) = self.running.iter_mut().find(|r| r.req.id() == id) else {
-                return; // squashed mid-step
-            };
-            r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
-            if r.prefill_remaining == 0 && r.produced == 0 {
-                // Prefill completion produces the first token.
-                r.produced = 1;
-                first_token_arrival = Some(r.req.arrival());
-            }
-        }
-        if let Some(arrival) = first_token_arrival {
-            self.collector.on_token(id, now);
+    fn apply_prefill_progress(&mut self, slot: Slot, chunk: u32, now: SimTime) {
+        let Some(idx) = self.batch_index(slot) else {
+            return; // squashed mid-step
+        };
+        let r = &mut self.running[idx];
+        r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
+        if r.prefill_remaining == 0 && r.produced == 0 {
+            // Prefill completion produces the first token.
+            r.produced = 1;
+            let (id, arrival) = (r.req.id(), r.req.arrival());
+            self.collector.on_token(slot, now);
+            self.work.tokens_applied += 1;
             if let Some(buf) = self.trace.as_mut() {
                 buf.push((
                     now,
@@ -801,32 +1046,28 @@ impl Engine {
         }
     }
 
-    fn apply_decode_progress(&mut self, id: RequestId, now: SimTime) {
-        let Some(idx) = self.running.iter().position(|r| r.req.id() == id) else {
+    fn apply_decode_progress(&mut self, slot: Slot, now: SimTime) {
+        let Some(idx) = self.batch_index(slot) else {
             return; // squashed mid-step
         };
-        {
-            let r = &mut self.running[idx];
-            r.produced += 1;
-            self.collector.on_token(id, now);
-        }
+        let r = &mut self.running[idx];
+        r.produced += 1;
         // Grow KV beyond the admission reservation when the request
         // outlives its prediction.
-        let (needed, reserved) = {
-            let r = &self.running[idx];
-            (r.req.input_tokens() + r.produced, r.kv_reserved)
-        };
-        if needed > reserved && !self.ensure_kv_growth(id, now) {
+        let (needed, reserved) = (r.req.input_tokens() + r.produced, r.kv_reserved);
+        self.collector.on_token(slot, now);
+        self.work.tokens_applied += 1;
+        if needed > reserved && !self.ensure_kv_growth(slot, now) {
             // OOM during decode: with the hybrid cache armed and pressure
             // past the threshold, demote the youngest running request to a
             // compact hidden-state proxy; otherwise squash it outright
             // (recompute-style preemption).
-            if !self.try_demote_youngest_except(id, now) {
-                self.squash_youngest_except(id, now);
+            if !self.try_demote_youngest_except(slot, now) {
+                self.squash_youngest_except(slot, now);
             }
             // Retry; if it still fails the request stalls one token —
             // growth will be retried next iteration.
-            let _ = self.ensure_kv_growth(id, now);
+            let _ = self.ensure_kv_growth(slot, now);
         }
     }
 
@@ -850,7 +1091,7 @@ impl Engine {
     /// `proxy_ratio` fraction stays resident, and the scheduler quota
     /// stays charged — retirement after restore credits it exactly once.
     /// Returns whether a demotion happened.
-    fn try_demote_youngest_except(&mut self, keep: RequestId, now: SimTime) -> bool {
+    fn try_demote_youngest_except(&mut self, keep: Slot, now: SimTime) -> bool {
         let Some(spec) = self.kv_spec else {
             return false;
         };
@@ -864,24 +1105,24 @@ impl Engine {
             .running
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.req.id() != keep)
+            .filter(|(_, r)| r.slot != keep)
             .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
             .map(|(i, _)| i)
         else {
             return false;
         };
-        let r = self.running.swap_remove(idx);
+        let r = self.take_running(idx);
         let id = r.req.id();
         let (full, proxy) = self.kv.demote(&mut self.mem, id, spec.proxy_ratio);
         // Adapter reference: same discipline as squash — the adapter may
         // still be in flight, in which case the waiter is dropped instead
         // of a cache reference that does not exist yet.
-        if let Some(l) = self.loading.get_mut(&r.req.adapter()) {
+        if let Some(l) = self.loading.get_mut(r.req.adapter()) {
             l.waiters = l.waiters.saturating_sub(1);
         } else {
             self.cache.release(&mut self.mem, r.req.adapter(), now);
         }
-        self.bypass_pairs.retain(|p| p.r2 != id);
+        self.bypass_pairs.retain(|p| p.r2 != r.slot);
         self.kv_stats.on_demoted(self.kv.proxy_bytes());
         if let Some(buf) = self.trace.as_mut() {
             buf.push((
@@ -895,6 +1136,7 @@ impl Engine {
         }
         self.demoted.push(Demoted {
             req: r.req,
+            slot: r.slot,
             queue_index: r.queue_index,
             charged_tokens: r.charged_tokens,
             predicted_output: r.predicted_output,
@@ -936,8 +1178,9 @@ impl Engine {
                     },
                 ));
             }
-            self.running.push(Running {
+            self.push_running(Running {
                 req: rst.d.req,
+                slot: rst.d.slot,
                 queue_index: rst.d.queue_index,
                 charged_tokens: rst.d.charged_tokens,
                 predicted_output: rst.d.predicted_output,
@@ -960,7 +1203,7 @@ impl Engine {
                 let kv_tokens = d.req.input_tokens() + predicted;
                 let adapter = d.req.adapter();
                 let adapter_need =
-                    if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
+                    if self.cache.is_resident(adapter) || self.loading.contains(adapter) {
                         0
                     } else {
                         self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0)
@@ -982,7 +1225,7 @@ impl Engine {
             // Adapter residency, exactly as admission acquires it.
             if self.cache.acquire(&mut self.mem, adapter, now) {
                 // Hit: nothing to do.
-            } else if let Some(l) = self.loading.get_mut(&adapter) {
+            } else if let Some(l) = self.loading.get_mut(adapter) {
                 l.waiters += 1;
                 ready_at = ready_at.max(l.ready_at);
             } else {
@@ -1013,10 +1256,17 @@ impl Engine {
         }
     }
 
-    /// Refills the reusable protected-adapter set (adapters of queued
-    /// requests, §4.2) from the scheduler; `adapters_buf` keeps the
-    /// ordered list, `protected_buf` the set view.
-    fn refresh_protected(&mut self) {
+    /// Builds the protected-adapter set (adapters of queued requests,
+    /// §4.2) from the scheduler unless it is already built for this
+    /// admission or growth; `adapters_buf` keeps the ordered list,
+    /// `protected_buf` the set view. Callers that change the queues in
+    /// between clear `protected_ready` first.
+    fn ensure_protected(&mut self) {
+        if self.protected_ready {
+            return;
+        }
+        self.protected_ready = true;
+        self.work.protected_sets += 1;
         self.adapters_buf.clear();
         self.sched.queued_adapters_into(&mut self.adapters_buf);
         self.protected_buf.clear();
@@ -1032,28 +1282,30 @@ impl Engine {
     /// preemption may be demanded on that path. Only a failed grow — the
     /// token crosses a block boundary and the pool is out — evicts idle
     /// cache and retries.
-    fn ensure_kv_growth(&mut self, id: RequestId, now: SimTime) -> bool {
+    fn ensure_kv_growth(&mut self, slot: Slot, now: SimTime) -> bool {
+        let idx = self
+            .batch_index(slot)
+            .expect("only running requests grow their KV");
+        let id = self.running[idx].req.id();
         if self.kv.grow(&mut self.mem, id, 1).is_ok() {
-            if let Some(r) = self.running.iter_mut().find(|r| r.req.id() == id) {
-                r.kv_reserved += 1;
-            }
+            self.running[idx].kv_reserved += 1;
             return true;
         }
         // A new block is genuinely needed: make room and retry once.
-        self.refresh_protected();
         let need_block = self.kv.block_bytes();
-        if self.mem.free() < need_block
-            && !self
+        if self.mem.free() < need_block {
+            self.protected_ready = false;
+            self.ensure_protected();
+            if !self
                 .cache
                 .make_room(&mut self.mem, need_block, now, &self.protected_buf)
-        {
-            return false;
+            {
+                return false;
+            }
         }
         match self.kv.grow(&mut self.mem, id, 1) {
             Ok(()) => {
-                if let Some(r) = self.running.iter_mut().find(|r| r.req.id() == id) {
-                    r.kv_reserved += 1;
-                }
+                self.running[idx].kv_reserved += 1;
                 true
             }
             Err(_) => false,
@@ -1068,14 +1320,13 @@ impl Engine {
             if !self.running[idx].finished() {
                 continue;
             }
-            let r = self.running.swap_remove(idx);
-            let id = r.req.id();
-            self.collector.on_finish(id, now);
-            self.kv.free(&mut self.mem, id);
+            let r = self.take_running(idx);
+            self.collector.on_finish(r.slot, now);
+            self.kv.free(&mut self.mem, r.req.id());
             self.cache.release(&mut self.mem, r.req.adapter(), now);
             self.sched.on_finish(r.queue_index, r.charged_tokens);
             self.completed += 1;
-            self.bypass_pairs.retain(|p| p.r2 != id && p.r1 != id);
+            self.bypass_pairs.retain(|p| p.r2 != r.slot);
         }
     }
 
@@ -1087,26 +1338,57 @@ impl Engine {
         self.current_step.is_none() && now >= self.busy_until
     }
 
-    /// Takes the reusable probe scratch, refilled for `now`. Callers put
-    /// it back via `self.probe_scratch = probe` when done, so steady-state
-    /// probing allocates nothing.
-    fn take_probe(&mut self, now: SimTime) -> EngineProbe {
-        let mut probe = std::mem::take(&mut self.probe_scratch);
-        self.fill_probe(now, &mut probe);
-        probe
+    /// Hands the scheduler a probe of live engine state at `now`. The
+    /// probe reads residency from the cache, running and loading tables
+    /// directly, and invalidates the release schedule so the first wait
+    /// estimate after it prices the batch as it stands now.
+    fn with_probe<R>(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut dyn Scheduler, &EngineProbe<'_>) -> R,
+    ) -> R {
+        let scalars = self.probe_scalars(now);
+        self.work.probes += 1;
+        self.release.invalidate();
+        let Engine {
+            sched,
+            cache,
+            adapter_users,
+            loading,
+            running,
+            kv,
+            pool,
+            release,
+            release_basis,
+            ..
+        } = self;
+        let (cache, users, loading) = (&*cache, &*adapter_users, &*loading);
+        let resident = |a: AdapterId| {
+            cache.is_idle(a)
+                || users.get(a.0 as usize).is_some_and(|&n| n > 0)
+                || loading.contains(a)
+        };
+        let basis = *release_basis;
+        let (batch, kv, pool) = (&running[..basis.batch], &*kv, &*pool);
+        let fill = |out: &mut Releases| release_pairs(out, batch, basis, kv, pool);
+        let probe = EngineProbe {
+            scalars,
+            resident: &resident,
+            release,
+            fill_release: &fill,
+        };
+        #[cfg(test)]
+        if let Some(audit) = self.residency_audit.as_mut() {
+            audit.check(&probe, cache, batch, loading, &self.restoring, pool.len());
+        }
+        f(sched.as_mut(), &probe)
     }
 
-    fn fill_probe(&mut self, now: SimTime, probe: &mut EngineProbe) {
+    /// The probe's scalars at `now`; also records what its release
+    /// schedule will price.
+    fn probe_scalars(&mut self, now: SimTime) -> ProbeScalars {
         // Evictable idle cache bytes count as available.
         let available_bytes = self.free_memory_bytes();
-        let available_tokens = available_bytes / self.kv_bytes_per_token;
-        probe.resident.clear();
-        probe.resident.extend(
-            self.cache
-                .idle_adapters()
-                .chain(self.running.iter().map(|r| r.req.adapter()))
-                .chain(self.loading.keys().copied()),
-        );
         // Per-token execution estimates at the current batch size: a decode
         // token costs one full (shared) iteration of wall time; a prefill
         // token costs its compute share.
@@ -1120,60 +1402,31 @@ impl Engine {
             },
         );
         let step = self.cost.decode_step_time(&self.decode_items);
-        let decode_secs_per_token = step.as_secs_f64();
-        let prefill_secs_per_token = {
-            let t1k = self.cost.base_prefill_time(1024).as_secs_f64();
-            let t0 = self.cost.base_prefill_time(1).as_secs_f64();
-            (t1k - t0) / 1023.0
+        self.release_basis = ReleaseBasis {
+            now,
+            step,
+            batch: self.running.len(),
         };
-        let secs_per_token = step.as_secs_f64() / batch as f64;
-        // Predicted release schedule: when each running request is expected
-        // to finish and how many bytes it would free.
-        let rel = &mut probe.mem_release_schedule;
-        rel.clear();
-        rel.extend(self.running.iter().map(|r| {
-            let remaining = u64::from(
-                r.predicted_output
-                    .max(r.produced)
-                    .saturating_sub(r.produced),
-            ) + u64::from(r.prefill_remaining) / 64;
-            let finish = now + step.mul_f64(remaining as f64);
-            // Block-rounded, matching what `KvAllocator::free` actually
-            // releases at retirement.
-            let freed = self.kv.bytes_for(r.kv_reserved)
-                + self
-                    .pool
-                    .get(r.req.adapter())
-                    .map(|a| a.bytes())
-                    .unwrap_or(0);
-            (finish, freed)
-        }));
-        // In-place unstable sort (no temp buffer); tied finish times all
-        // resolve to the same wait, so the tie order is immaterial.
-        rel.sort_unstable_by_key(|&(t, _)| t);
-        let mut acc = 0u64;
-        for item in rel.iter_mut() {
-            acc += item.1;
-            item.1 = acc;
-        }
         let usable = self
             .mem
             .capacity()
             .saturating_sub(self.mem.used(Region::Weights))
             .saturating_sub(self.mem.used(Region::Activations));
-        probe.now = now;
-        probe.available_tokens = available_tokens;
-        probe.batch_slots = self
-            .cfg
-            .max_batch_requests
-            .saturating_sub(self.running.len());
-        probe.secs_per_token = secs_per_token;
-        probe.decode_secs_per_token = decode_secs_per_token;
-        probe.prefill_secs_per_token = prefill_secs_per_token;
-        probe.total_token_capacity = usable / self.kv_bytes_per_token;
-        probe.free_kv_bytes = available_bytes;
-        probe.kv_bytes_per_token = self.kv_bytes_per_token;
-        probe.kv_block_bytes = self.kv.block_bytes();
+        ProbeScalars {
+            now,
+            available_tokens: available_bytes / self.kv_bytes_per_token,
+            batch_slots: self
+                .cfg
+                .max_batch_requests
+                .saturating_sub(self.running.len()),
+            secs_per_token: step.as_secs_f64() / batch as f64,
+            decode_secs_per_token: step.as_secs_f64(),
+            prefill_secs_per_token: self.prefill_secs_per_token,
+            total_token_capacity: usable / self.kv_bytes_per_token,
+            free_kv_bytes: available_bytes,
+            kv_bytes_per_token: self.kv_bytes_per_token,
+            kv_block_bytes: self.kv.block_bytes(),
+        }
     }
 
     fn try_dispatch(&mut self, now: SimTime, out: &mut Vec<(SimTime, EngineEvent)>) {
@@ -1194,11 +1447,11 @@ impl Engine {
         }
         self.service_kv_restores(now, out);
         self.check_squash(now);
-        let probe = self.take_probe(now);
         let mut admissions = std::mem::take(&mut self.admit_buf);
         admissions.clear();
-        self.sched.form_batch_into(&probe, &mut admissions);
-        self.probe_scratch = probe;
+        self.with_probe(now, |sched, probe| {
+            sched.form_batch_into(probe, &mut admissions);
+        });
         let mut admitted = 0u32;
         {
             let mut iter = admissions.drain(..);
@@ -1259,10 +1512,15 @@ impl Engine {
     ) -> bool {
         let queued = adm.request;
         let id = queued.id();
+        let slot = queued
+            .slot()
+            .expect("the engine stamps a slot on every request it queues");
         let req = *queued.request();
         let adapter = req.adapter();
         let spec = self.pool.get(adapter).expect("known adapter").clone();
-        self.refresh_protected();
+        // The queues do not change within one admission, so the protected
+        // set is built at most once, and only if something reads it.
+        self.protected_ready = false;
 
         // 1. KV reservation for input + predicted output.
         let kv_tokens = req.input_tokens() + queued.predicted_output();
@@ -1275,12 +1533,12 @@ impl Engine {
             // output up front is the completability criterion; the
             // optimistic baseline instead allocates, fails halfway, and
             // unwinds via requeue-front.
-            let adapter_need =
-                if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
-                    0
-                } else {
-                    spec.bytes()
-                };
+            let adapter_need = if self.cache.is_resident(adapter) || self.loading.contains(adapter)
+            {
+                0
+            } else {
+                spec.bytes()
+            };
             let need = kv_bytes + adapter_need;
             // Reclaimable mirrors what `make_room` can actually deliver:
             // every idle adapter counts (its §4.2 second pass overrides
@@ -1300,9 +1558,13 @@ impl Engine {
             if need > reclaimable {
                 self.kv_stats.on_refused();
                 if let Some(buf) = &mut self.trace {
-                    // How long the release schedule says the deficit
-                    // takes to free up.
-                    let est_wait = self.probe_scratch.estimate_mem_wait(need - reclaimable);
+                    // How long the release schedule of this dispatch's
+                    // probe says the deficit takes to free up.
+                    let basis = self.release_basis;
+                    let (batch, kv, pool) = (&self.running[..basis.batch], &self.kv, &self.pool);
+                    let est_wait = self.release.wait(basis.now, need - reclaimable, |out| {
+                        release_pairs(out, batch, basis, kv, pool)
+                    });
                     buf.push((
                         now,
                         TraceEvent::AdmissionRefused {
@@ -1329,6 +1591,7 @@ impl Engine {
             None
         };
         if self.mem.free() < kv_bytes {
+            self.ensure_protected();
             self.cache
                 .make_room(&mut self.mem, kv_bytes, now, &self.protected_buf);
         }
@@ -1355,13 +1618,14 @@ impl Engine {
         };
         if hit {
             // Hit: nothing to do.
-        } else if let Some(l) = self.loading.get_mut(&adapter) {
+        } else if let Some(l) = self.loading.get_mut(adapter) {
             // Already in flight (prefetch or earlier admission).
             l.waiters += 1;
             load_on_path = l.ready_at.saturating_since(now);
         } else {
             // Cold: reserve memory and start the transfer.
             if self.mem.free() < spec.bytes() {
+                self.ensure_protected();
                 self.cache
                     .make_room(&mut self.mem, spec.bytes(), now, &self.protected_buf);
             }
@@ -1394,11 +1658,11 @@ impl Engine {
 
         // 3. Bookkeeping.
         if adm.bypassed {
-            self.collector.on_bypass(id);
+            self.collector.on_bypass(slot);
             // Identify the blocked head (r1) as the current head of the
-            // same queue, if any, for the squash rule. `adapters_buf` is
-            // the ordered queued-adapter list refreshed above; the queues
-            // have not changed since.
+            // same queue, if any, for the squash rule, from the ordered
+            // queued-adapter list.
+            self.ensure_protected();
             if let Some(r1) = self.adapters_buf.first().copied() {
                 // Approximation: protect against squashing storms by
                 // recording the blocked adapter's byte need as tokens.
@@ -1413,14 +1677,14 @@ impl Engine {
                     + u64::from(req.input_tokens())
                     + u64::from(queued.predicted_output());
                 self.bypass_pairs.push(BypassPair {
-                    r2: id,
-                    r1: RequestId(u64::MAX), // matched by adapter need only
+                    r2: slot,
                     r1_tokens,
                 });
             }
         }
-        self.collector.on_admitted(id, now, load_on_path);
-        self.running.push(Running {
+        self.collector.on_admitted(slot, now, load_on_path);
+        self.push_running(Running {
+            slot,
             prefill_remaining: req.input_tokens(),
             produced: 0,
             kv_reserved: kv_tokens,
@@ -1448,21 +1712,16 @@ impl Engine {
         let pairs = std::mem::take(&mut self.bypass_pairs);
         debug_assert!(self.pairs_scratch.is_empty());
         for &pair in &pairs {
-            let r2_running = self.running.iter().any(|r| r.req.id() == pair.r2);
-            if !r2_running {
+            let Some(idx) = self.batch_index(pair.r2) else {
                 continue; // bypasser finished: pair dissolves
-            }
+            };
             // Memory for the blocked request is now available even without
             // squashing: the pair dissolves (r1 will admit normally).
             if free_tokens >= pair.r1_tokens {
                 continue;
             }
             // Would squashing r2 free enough?
-            let r2 = self
-                .running
-                .iter()
-                .find(|r| r.req.id() == pair.r2)
-                .expect("checked running");
+            let r2 = &self.running[idx];
             let r2_frees = u64::from(r2.kv_reserved)
                 + self
                     .pool
@@ -1482,22 +1741,22 @@ impl Engine {
 
     /// Squashes a running request: its generated state is discarded and it
     /// returns to the front of its queue for re-execution.
-    fn squash(&mut self, id: RequestId, now: SimTime) {
-        let Some(idx) = self.running.iter().position(|r| r.req.id() == id) else {
+    fn squash(&mut self, slot: Slot, now: SimTime) {
+        let Some(idx) = self.batch_index(slot) else {
             return;
         };
-        let r = self.running.swap_remove(idx);
-        self.kv.free(&mut self.mem, id);
+        let r = self.take_running(idx);
+        self.kv.free(&mut self.mem, r.req.id());
         // The adapter may still be in flight (a request can be squashed
         // before its prefill ever started): drop the waiter instead of
         // releasing a cache reference that does not exist yet.
-        if let Some(l) = self.loading.get_mut(&r.req.adapter()) {
+        if let Some(l) = self.loading.get_mut(r.req.adapter()) {
             l.waiters = l.waiters.saturating_sub(1);
         } else {
             self.cache.release(&mut self.mem, r.req.adapter(), now);
         }
         self.sched.on_finish(r.queue_index, r.charged_tokens);
-        self.collector.on_squash(id);
+        self.collector.on_squash(slot);
         self.squashes += 1;
         // Re-annotate and requeue at the front. The system has observed the
         // request produce `produced` tokens already, so the re-execution
@@ -1518,20 +1777,21 @@ impl Engine {
             spec.bytes() / self.kv_bytes_per_token,
             wrs,
             now,
-        );
+        )
+        .with_slot(slot);
         self.sched.requeue_front(queued);
-        self.bypass_pairs.retain(|p| p.r2 != id);
+        self.bypass_pairs.retain(|p| p.r2 != slot);
     }
 
-    fn squash_youngest_except(&mut self, keep: RequestId, now: SimTime) {
+    fn squash_youngest_except(&mut self, keep: Slot, now: SimTime) {
         let youngest = self
             .running
             .iter()
-            .filter(|r| r.req.id() != keep)
+            .filter(|r| r.slot != keep)
             .max_by_key(|r| (r.admitted_at, r.req.id()))
-            .map(|r| r.req.id());
-        if let Some(id) = youngest {
-            self.squash(id, now);
+            .map(|r| r.slot);
+        if let Some(slot) = youngest {
+            self.squash(slot, now);
         }
     }
 
@@ -1600,9 +1860,9 @@ impl Engine {
             // Cap the prompt tokens processed this iteration so a wave of
             // admissions cannot stall running decodes indefinitely.
             let mut budget = self.cfg.max_prefill_batch_tokens;
-            let mut ids = std::mem::take(&mut self.ids_pool);
+            let mut slots = std::mem::take(&mut self.slots_pool);
             let mut chunks = std::mem::take(&mut self.chunks_pool);
-            ids.clear();
+            slots.clear();
             chunks.clear();
             self.prefill_items.clear();
             for &i in &self.prefill_idx {
@@ -1612,7 +1872,7 @@ impl Engine {
                 let r = &self.running[i];
                 let take = r.prefill_remaining.min(budget);
                 budget -= take;
-                ids.push(r.req.id());
+                slots.push(r.slot);
                 chunks.push(take);
                 self.prefill_items.push(PrefillItem {
                     tokens: take,
@@ -1620,21 +1880,21 @@ impl Engine {
                 });
             }
             let dur = self.cost.prefill_time(&self.prefill_items);
-            return Some((StepPlan::Prefill { ids, chunks }, dur));
+            return Some((StepPlan::Prefill { slots, chunks }, dur));
         }
         if self.decode_idx.is_empty() {
             return None;
         }
-        let mut ids = std::mem::take(&mut self.ids_pool);
-        ids.clear();
-        ids.extend(self.decode_idx.iter().map(|&i| self.running[i].req.id()));
+        let mut slots = std::mem::take(&mut self.slots_pool);
+        slots.clear();
+        slots.extend(self.decode_idx.iter().map(|&i| self.running[i].slot));
         self.fill_decode_items();
         let dur = self.cost.decode_step_time(&self.decode_items);
         let mut folded = std::mem::take(&mut self.folded_pool);
         folded.clear();
         Some((
             StepPlan::Decode {
-                ids,
+                slots,
                 folded_prefill: folded,
             },
             dur,
@@ -1671,15 +1931,15 @@ impl Engine {
             let r = &self.running[i];
             let chunk = r.prefill_remaining.min(budget);
             budget -= chunk;
-            folded.push((r.req.id(), chunk));
+            folded.push((r.slot, chunk));
             self.prefill_items.push(PrefillItem {
                 tokens: chunk,
                 rank: Some(r.req.rank()),
             });
         }
-        let mut ids = std::mem::take(&mut self.ids_pool);
-        ids.clear();
-        ids.extend(self.decode_idx.iter().map(|&i| self.running[i].req.id()));
+        let mut slots = std::mem::take(&mut self.slots_pool);
+        slots.clear();
+        slots.extend(self.decode_idx.iter().map(|&i| self.running[i].slot));
         self.fill_decode_items();
         // Folding shares one iteration: the chunk's compute rides along,
         // minus one duplicated fixed overhead.
@@ -1695,7 +1955,7 @@ impl Engine {
         }
         Some((
             StepPlan::Decode {
-                ids,
+                slots,
                 folded_prefill: folded,
             },
             dur,
@@ -1769,7 +2029,7 @@ impl Engine {
         now: SimTime,
         out: &mut Vec<(SimTime, EngineEvent)>,
     ) -> Option<u64> {
-        if self.cache.is_resident(adapter) || self.loading.contains_key(&adapter) {
+        if self.cache.is_resident(adapter) || self.loading.contains(adapter) {
             return None;
         }
         let spec = self.pool.get(adapter)?.clone();
@@ -1817,7 +2077,8 @@ mod tests {
     use chameleon_cache::EvictionPolicy;
     use chameleon_models::{AdapterRank, GpuSpec, LlmSpec, PoolConfig};
     use chameleon_predictor::OraclePredictor;
-    use chameleon_sched::FifoScheduler;
+    use chameleon_sched::{FifoScheduler, ResourceProbe};
+    use chameleon_workload::RequestId;
 
     fn mk_engine() -> Engine {
         let llm = LlmSpec::llama_7b();
@@ -2015,29 +2276,33 @@ mod tests {
 
     /// Installs a running request with `kv_reserved` tokens of allocated
     /// KV, registered with the collector so squash/retire paths stay
-    /// valid. The adapter is marked in-flight so a squash drops a waiter
-    /// instead of releasing a never-acquired cache reference.
-    fn install_running(e: &mut Engine, req: Request, kv_reserved: u32, admitted_at: SimTime) {
-        let id = req.id();
-        e.collector.on_arrival(
-            id,
-            req.arrival(),
-            req.input_tokens(),
-            req.output_tokens(),
-            req.adapter(),
-            req.rank(),
-        );
-        e.kv.allocate(&mut e.mem, id, kv_reserved)
+    /// valid, and returns its slot. The adapter is marked in-flight so a
+    /// squash drops a waiter instead of releasing a never-acquired cache
+    /// reference.
+    fn install_running(
+        e: &mut Engine,
+        req: Request,
+        kv_reserved: u32,
+        admitted_at: SimTime,
+    ) -> Slot {
+        let slot = e.register(&req);
+        e.kv.allocate(&mut e.mem, req.id(), kv_reserved)
             .expect("test fixture KV fits");
-        e.loading.entry(req.adapter()).or_insert(Loading {
-            ready_at: SimTime::from_secs_f64(100.0),
-            bytes: 0,
-            waiters: 0,
-        });
-        if let Some(l) = e.loading.get_mut(&req.adapter()) {
+        if !e.loading.contains(req.adapter()) {
+            e.loading.insert(
+                req.adapter(),
+                Loading {
+                    ready_at: SimTime::from_secs_f64(100.0),
+                    bytes: 0,
+                    waiters: 0,
+                },
+            );
+        }
+        if let Some(l) = e.loading.get_mut(req.adapter()) {
             l.waiters += 1;
         }
-        e.running.push(Running {
+        e.push_running(Running {
+            slot,
             prefill_remaining: 0,
             produced: 1,
             kv_reserved,
@@ -2047,6 +2312,7 @@ mod tests {
             admitted_at,
             req,
         });
+        slot
     }
 
     /// Regression for the spurious-squash bug: a decode token that fits in
@@ -2058,7 +2324,7 @@ mod tests {
         let mut e = mk_engine();
         let now = SimTime::from_secs_f64(2.0);
         // 17 reserved tokens occupy 2 × 16-token blocks: room for 32.
-        install_running(&mut e, request(1, 0.0, 16, 8, 0), 17, SimTime::ZERO);
+        let r1 = install_running(&mut e, request(1, 0.0, 16, 8, 0), 17, SimTime::ZERO);
         // A younger neighbour — the victim the buggy path would squash.
         install_running(
             &mut e,
@@ -2074,7 +2340,7 @@ mod tests {
         assert!(e.mem.free() < e.kv.block_bytes());
         let squashes_before = e.squashes;
         // Token 18 of request 1 (16 input + produced 2) fits in block 2.
-        e.apply_decode_progress(RequestId(1), now);
+        e.apply_decode_progress(r1, now);
         assert_eq!(e.squashes, squashes_before, "within-block growth preempted");
         assert_eq!(e.running.len(), 2, "victim stayed in the batch");
         assert_eq!(e.kv.tokens_of(RequestId(1)), Some(18));
@@ -2089,7 +2355,7 @@ mod tests {
         let now = SimTime::from_secs_f64(2.0);
         // 18 reserved = 2 blocks exactly at 32 tokens? No: 18 tokens → 2
         // blocks, full at 32. Use 32 so the next token needs block 3.
-        install_running(&mut e, request(1, 0.0, 30, 8, 0), 32, SimTime::ZERO);
+        let r1 = install_running(&mut e, request(1, 0.0, 30, 8, 0), 32, SimTime::ZERO);
         install_running(
             &mut e,
             request(2, 0.0, 8, 8, 1),
@@ -2105,7 +2371,7 @@ mod tests {
         if let Some(r) = e.running.iter_mut().find(|r| r.req.id() == RequestId(1)) {
             r.produced = 2; // needed = 33 > reserved 32 after the +1 below
         }
-        e.apply_decode_progress(RequestId(1), now);
+        e.apply_decode_progress(r1, now);
         assert_eq!(e.squashes, 1, "boundary growth under OOM must preempt");
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }
@@ -2118,8 +2384,11 @@ mod tests {
         // 17 tokens round up to 2 blocks.
         install_running(&mut e, request(1, 0.0, 16, 8, 0), 17, SimTime::ZERO);
         let adapter_bytes = e.pool.get(AdapterId(0)).unwrap().bytes();
-        let probe = e.take_probe(SimTime::from_secs_f64(1.0));
-        let sched = &probe.mem_release_schedule;
+        // The schedule is built on the probe's first wait estimate.
+        e.with_probe(SimTime::from_secs_f64(1.0), |_, probe| {
+            probe.estimate_mem_wait(1);
+        });
+        let sched = e.release.entries();
         assert_eq!(sched.len(), 1);
         assert_eq!(
             sched[0].1,
@@ -2129,18 +2398,124 @@ mod tests {
         assert!(sched[0].1 > 17 * e.kv.bytes_per_token() + adapter_bytes);
     }
 
+    /// Predicts half the true output, so admission reservations undershoot
+    /// and decode growth reaches the KV plane's demotion path.
+    struct HalfPredictor;
+
+    impl chameleon_predictor::OutputLenPredictor for HalfPredictor {
+        fn predict(&mut self, request: &Request) -> u32 {
+            (request.output_tokens() / 2).max(1)
+        }
+        fn name(&self) -> &'static str {
+            "half"
+        }
+    }
+
+    /// `n` requests at `rps` over `pool`, with decode-heavy outputs.
+    fn decode_heavy_trace(pool: &AdapterPool, n: usize, rps: f64) -> chameleon_workload::Trace {
+        use chameleon_workload::generator::TokenLengthModel;
+        use chameleon_workload::{ArrivalModel, LengthModel, TraceGenerator};
+        let gen = TraceGenerator::new(
+            LengthModel::Custom {
+                input: TokenLengthModel {
+                    median: 48.0,
+                    sigma: 0.6,
+                    min: 8,
+                    max: 192,
+                },
+                output: TokenLengthModel {
+                    median: 96.0,
+                    sigma: 0.6,
+                    min: 16,
+                    max: 256,
+                },
+            },
+            ArrivalModel::poisson(rps),
+        );
+        gen.generate_n(pool, n, &mut chameleon_simcore::SimRng::seed(3))
+    }
+
+    /// At every probe of a hybrid-KV run, the live residency answer equals
+    /// the set the engine used to build per dispatch: idle cached adapters,
+    /// adapters of running requests, and adapters in flight. The run must
+    /// reach the case where the two would part ways under a plain
+    /// "resident in the cache or loading" rule: an adapter whose only
+    /// reference is a restoring request.
+    #[test]
+    fn probe_residency_matches_the_reference_set() {
+        let llm = LlmSpec::llama_7b();
+        let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(100));
+        let trace = decode_heavy_trace(&pool, 200, 20.0);
+        let mut cfg = EngineConfig::new(llm, GpuSpec::a40().with_memory_bytes(15 << 30));
+        cfg.kv = Some(KvSpec::new().with_pressure_threshold(0.5));
+        let mut e = Engine::new(
+            cfg,
+            pool,
+            Box::new(FifoScheduler::new()),
+            Box::new(HalfPredictor),
+            AdapterCache::new(EvictionPolicy::chameleon()),
+            WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64),
+        );
+        e.residency_audit = Some(ResidencyAudit::default());
+        crate::driver::run_engine(&mut e, &trace);
+        assert_eq!(e.completed() as usize, trace.len());
+        assert!(
+            e.kv_stats.restores > 0,
+            "no request was demoted and restored"
+        );
+        let audit = e.residency_audit.take().expect("audit armed above");
+        assert!(audit.probes > 0);
+        assert!(
+            audit.restoring_only > 0,
+            "no probe saw an adapter held only by a restoring request \
+             ({} probes): the comparison was vacuous",
+            audit.probes
+        );
+    }
+
+    /// The work counters are exact: on a light-load Chameleon run every
+    /// applied token lands in a record (no squash discards any), and no
+    /// head ever blocks, so no release schedule is built.
+    #[test]
+    fn work_counters_count_tokens_and_lazy_schedules() {
+        use chameleon_sched::{ChameleonConfig, ChameleonScheduler};
+        let llm = LlmSpec::llama_7b();
+        let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(20));
+        let trace = decode_heavy_trace(&pool, 60, 2.0);
+        let wrs = WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64);
+        let sched =
+            ChameleonScheduler::new(ChameleonConfig::paper(SimDuration::from_secs(10)), wrs);
+        let mut e = Engine::new(
+            EngineConfig::new(llm, GpuSpec::a40()),
+            pool,
+            Box::new(sched),
+            Box::new(OraclePredictor::new()),
+            AdapterCache::new(EvictionPolicy::chameleon()),
+            wrs,
+        );
+        crate::driver::run_engine(&mut e, &trace);
+        let work = e.work();
+        let report = e.into_report();
+        assert_eq!(report.records.len(), trace.len());
+        let recorded: u64 = report
+            .records
+            .iter()
+            .filter(|r| r.is_complete() && r.squashes == 0)
+            .map(|r| r.tbt_gaps.len() as u64 + 1)
+            .sum();
+        assert_eq!(work.tokens_applied, recorded);
+        assert!(work.probes > 0);
+        assert_eq!(work.release_schedules, 0, "a schedule was built unasked");
+    }
+
     /// §4.3.3 squash rule, dissolve branch: when enough memory has freed
     /// for the blocked head even without squashing, the pair dissolves.
     #[test]
     fn bypass_pair_dissolves_when_memory_freed() {
         let mut e = mk_engine();
-        install_running(&mut e, request(2, 0.0, 8, 8, 0), 16, SimTime::ZERO);
+        let r2 = install_running(&mut e, request(2, 0.0, 8, 8, 0), 16, SimTime::ZERO);
         // Plenty of free memory: tiny r1 need dissolves without a squash.
-        e.bypass_pairs.push(BypassPair {
-            r2: RequestId(2),
-            r1: RequestId(u64::MAX),
-            r1_tokens: 8,
-        });
+        e.bypass_pairs.push(BypassPair { r2, r1_tokens: 8 });
         e.check_squash(SimTime::from_secs_f64(1.0));
         assert_eq!(e.squashes, 0);
         assert!(e.bypass_pairs.is_empty(), "satisfied pair dissolves");
@@ -2154,7 +2529,7 @@ mod tests {
     #[test]
     fn bypass_pair_squashes_when_freeing_bypasser_suffices() {
         let mut e = mk_engine();
-        install_running(&mut e, request(2, 0.0, 8, 8, 0), 32, SimTime::ZERO);
+        let r2 = install_running(&mut e, request(2, 0.0, 8, 8, 0), 32, SimTime::ZERO);
         let free = e.mem.free();
         e.mem
             .reserve(Region::Activations, free)
@@ -2163,11 +2538,7 @@ mod tests {
         let r2_frees = 32 + e.pool.get(AdapterId(0)).unwrap().bytes() / e.kv_bytes_per_token;
         // Need sits strictly between "free now" and "free after squash".
         let r1_tokens = free_tokens + r2_frees;
-        e.bypass_pairs.push(BypassPair {
-            r2: RequestId(2),
-            r1: RequestId(u64::MAX),
-            r1_tokens,
-        });
+        e.bypass_pairs.push(BypassPair { r2, r1_tokens });
         e.check_squash(SimTime::from_secs_f64(1.0));
         assert_eq!(e.squashes, 1, "freeing the bypasser satisfies the head");
         assert!(e.running.is_empty());

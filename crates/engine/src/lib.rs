@@ -71,7 +71,7 @@ pub use chameleon_fault::{FaultSpec, StragglerWindow};
 pub use cluster::{Cluster, ClusterExecution};
 pub use config::EngineConfig;
 pub use dispatch::DispatchSpec;
-pub use engine::{Engine, EngineEvent};
+pub use engine::{Engine, EngineEvent, EngineWork};
 pub use kv_spec::KvSpec;
 pub use predictive::PredictiveSpec;
 pub use report::EngineReport;

@@ -1,17 +1,24 @@
-//! The engine's [`ResourceProbe`] snapshot handed to schedulers.
+//! The engine's [`ResourceProbe`]: a view of live engine state that the
+//! scheduler reads during batch formation and refresh.
+//!
+//! Taking a probe copies nothing per adapter or per running request.
+//! Residency is answered from the engine's live tables, which cannot
+//! change while the scheduler holds the probe. The release schedule is
+//! built only when a scheduler first asks how long memory takes to free
+//! up, and it prices the running batch as it stood when the probe was
+//! taken.
 
 use chameleon_models::AdapterId;
 use chameleon_sched::ResourceProbe;
 use chameleon_simcore::{SimDuration, SimTime};
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
 
-/// Immutable snapshot of engine resource state at one iteration boundary.
-#[derive(Debug, Clone)]
-pub struct EngineProbe {
+/// The scalar half of a probe, computed once when it is taken.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProbeScalars {
     pub(crate) now: SimTime,
     pub(crate) available_tokens: u64,
     pub(crate) batch_slots: usize,
-    pub(crate) resident: HashSet<AdapterId>,
     /// Seconds of engine time per resource token (blended prefill/decode,
     /// used for generic token costs).
     pub(crate) secs_per_token: f64,
@@ -19,9 +26,6 @@ pub struct EngineProbe {
     pub(crate) decode_secs_per_token: f64,
     /// Seconds per prefill token.
     pub(crate) prefill_secs_per_token: f64,
-    /// Predicted (finish_time, cumulative_freed_bytes) of running requests,
-    /// sorted by finish time — answers "when do `bytes` free up?".
-    pub(crate) mem_release_schedule: Vec<(SimTime, u64)>,
     pub(crate) total_token_capacity: u64,
     /// Free pool memory plus reclaimable idle adapter cache — the ceiling
     /// of what a new admission's KV footprint can claim.
@@ -31,80 +35,131 @@ pub struct EngineProbe {
     pub(crate) kv_block_bytes: u64,
 }
 
-impl Default for EngineProbe {
-    /// An empty probe shell — the engine keeps one as reusable scratch
-    /// (take, refill in place, put back) so probing allocates nothing
-    /// after warm-up.
-    fn default() -> Self {
-        EngineProbe {
-            now: SimTime::ZERO,
-            available_tokens: 0,
-            batch_slots: 0,
-            resident: HashSet::new(),
-            secs_per_token: 0.0,
-            decode_secs_per_token: 0.0,
-            prefill_secs_per_token: 0.0,
-            mem_release_schedule: Vec::new(),
-            total_token_capacity: 0,
-            free_kv_bytes: 0,
-            kv_bytes_per_token: 0,
-            kv_block_bytes: 0,
+/// `(finish time, bytes)` pairs of running requests.
+pub(crate) type Releases = Vec<(SimTime, u64)>;
+
+/// The predicted release schedule of the running batch: when each
+/// running request is expected to finish and how many bytes have freed by
+/// then. The engine keeps one and invalidates it whenever it takes a
+/// probe; the first wait estimate after that rebuilds it.
+#[derive(Debug, Default)]
+pub(crate) struct ReleaseSchedule {
+    /// `(finish time, cumulative freed bytes)`, sorted by finish time.
+    entries: RefCell<Releases>,
+    built: Cell<bool>,
+    builds: Cell<u64>,
+}
+
+impl ReleaseSchedule {
+    /// Forgets the schedule; the next [`wait`](Self::wait) rebuilds it.
+    pub(crate) fn invalidate(&self) {
+        self.built.set(false);
+    }
+
+    /// Schedules built so far.
+    pub(crate) fn builds(&self) -> u64 {
+        self.builds.get()
+    }
+
+    /// How long after `now` the running batch will have freed `bytes`;
+    /// [`SimDuration::MAX`] when it never frees that much. On the first
+    /// call since [`invalidate`](Self::invalidate), `fill` appends each
+    /// running request's `(finish time, bytes freed)`.
+    pub(crate) fn wait(
+        &self,
+        now: SimTime,
+        bytes: u64,
+        fill: impl FnOnce(&mut Releases),
+    ) -> SimDuration {
+        let mut entries = self.entries.borrow_mut();
+        if !self.built.get() {
+            entries.clear();
+            fill(&mut entries);
+            // In-place unstable sort; tied finish times all resolve to
+            // the same wait, so the tie order is immaterial.
+            entries.sort_unstable_by_key(|&(t, _)| t);
+            let mut acc = 0u64;
+            for item in entries.iter_mut() {
+                acc += item.1;
+                item.1 = acc;
+            }
+            self.built.set(true);
+            self.builds.set(self.builds.get() + 1);
         }
+        entries
+            .iter()
+            .find(|&&(_, freed)| freed >= bytes)
+            .map_or(SimDuration::MAX, |&(finish, _)| {
+                finish.saturating_since(now)
+            })
+    }
+
+    /// The schedule as last built.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Releases {
+        self.entries.borrow().clone()
     }
 }
 
-impl ResourceProbe for EngineProbe {
+/// A probe of live engine state at one iteration boundary.
+pub(crate) struct EngineProbe<'a> {
+    pub(crate) scalars: ProbeScalars,
+    /// Whether an adapter's weights are on the GPU for scheduling
+    /// purposes: idle in the cache, used by a running request, or in
+    /// flight.
+    pub(crate) resident: &'a dyn Fn(AdapterId) -> bool,
+    pub(crate) release: &'a ReleaseSchedule,
+    /// Appends each running request's `(finish time, bytes freed)`.
+    pub(crate) fill_release: &'a dyn Fn(&mut Releases),
+}
+
+impl ResourceProbe for EngineProbe<'_> {
     fn now(&self) -> SimTime {
-        self.now
+        self.scalars.now
     }
 
     fn available_tokens(&self) -> u64 {
-        self.available_tokens
+        self.scalars.available_tokens
     }
 
     fn batch_slots(&self) -> usize {
-        self.batch_slots
+        self.scalars.batch_slots
     }
 
     fn adapter_resident(&self, id: AdapterId) -> bool {
-        self.resident.contains(&id)
+        (self.resident)(id)
     }
 
     fn estimate_exec(&self, tokens: u64) -> SimDuration {
-        SimDuration::from_secs_f64(tokens as f64 * self.secs_per_token)
+        SimDuration::from_secs_f64(tokens as f64 * self.scalars.secs_per_token)
     }
 
     fn estimate_service(&self, input_tokens: u64, output_tokens: u64) -> SimDuration {
         SimDuration::from_secs_f64(
-            input_tokens as f64 * self.prefill_secs_per_token
-                + output_tokens as f64 * self.decode_secs_per_token,
+            input_tokens as f64 * self.scalars.prefill_secs_per_token
+                + output_tokens as f64 * self.scalars.decode_secs_per_token,
         )
     }
 
     fn estimate_mem_wait(&self, bytes: u64) -> SimDuration {
-        for &(finish, freed) in &self.mem_release_schedule {
-            if freed >= bytes {
-                return finish.saturating_since(self.now);
-            }
-        }
-        // Nothing running frees enough: effectively unbounded.
-        SimDuration::MAX
+        self.release
+            .wait(self.scalars.now, bytes, self.fill_release)
     }
 
     fn total_token_capacity(&self) -> u64 {
-        self.total_token_capacity
+        self.scalars.total_token_capacity
     }
 
     fn free_kv_bytes(&self) -> u64 {
-        self.free_kv_bytes
+        self.scalars.free_kv_bytes
     }
 
     fn kv_bytes_for(&self, tokens: u64) -> u64 {
-        let raw = tokens * self.kv_bytes_per_token;
-        if self.kv_block_bytes == 0 {
+        let raw = tokens * self.scalars.kv_bytes_per_token;
+        if self.scalars.kv_block_bytes == 0 {
             return raw;
         }
-        raw.div_ceil(self.kv_block_bytes) * self.kv_block_bytes
+        raw.div_ceil(self.scalars.kv_block_bytes) * self.scalars.kv_block_bytes
     }
 }
 
@@ -112,29 +167,41 @@ impl ResourceProbe for EngineProbe {
 mod tests {
     use super::*;
 
-    fn probe() -> EngineProbe {
+    fn resident(id: AdapterId) -> bool {
+        id == AdapterId(1)
+    }
+
+    /// Two running requests: one finishing at 12 s freeing 100 bytes, one
+    /// at 15 s freeing 200.
+    fn releases(out: &mut Releases) {
+        out.push((SimTime::from_secs_f64(15.0), 200));
+        out.push((SimTime::from_secs_f64(12.0), 100));
+    }
+
+    fn probe(release: &ReleaseSchedule) -> EngineProbe<'_> {
         EngineProbe {
-            now: SimTime::from_secs_f64(10.0),
-            available_tokens: 500,
-            batch_slots: 8,
-            resident: [AdapterId(1)].into(),
-            secs_per_token: 0.001,
-            decode_secs_per_token: 0.002,
-            prefill_secs_per_token: 0.0001,
-            mem_release_schedule: vec![
-                (SimTime::from_secs_f64(12.0), 100),
-                (SimTime::from_secs_f64(15.0), 300),
-            ],
-            total_token_capacity: 10_000,
-            free_kv_bytes: 4096,
-            kv_bytes_per_token: 64,
-            kv_block_bytes: 1024,
+            scalars: ProbeScalars {
+                now: SimTime::from_secs_f64(10.0),
+                available_tokens: 500,
+                batch_slots: 8,
+                secs_per_token: 0.001,
+                decode_secs_per_token: 0.002,
+                prefill_secs_per_token: 0.0001,
+                total_token_capacity: 10_000,
+                free_kv_bytes: 4096,
+                kv_bytes_per_token: 64,
+                kv_block_bytes: 1024,
+            },
+            resident: &resident,
+            release,
+            fill_release: &releases,
         }
     }
 
     #[test]
     fn basic_accessors() {
-        let p = probe();
+        let rel = ReleaseSchedule::default();
+        let p = probe(&rel);
         assert_eq!(p.available_tokens(), 500);
         assert_eq!(p.batch_slots(), 8);
         assert!(p.adapter_resident(AdapterId(1)));
@@ -144,14 +211,15 @@ mod tests {
 
     #[test]
     fn exec_estimate_linear() {
-        let p = probe();
+        let rel = ReleaseSchedule::default();
+        let p = probe(&rel);
         assert_eq!(p.estimate_exec(2000), SimDuration::from_secs(2));
     }
 
     #[test]
     fn service_estimate_weighs_decode_more() {
-        let p = probe();
-        use chameleon_sched::ResourceProbe as _;
+        let rel = ReleaseSchedule::default();
+        let p = probe(&rel);
         let in_heavy = p.estimate_service(1000, 10);
         let out_heavy = p.estimate_service(10, 1000);
         assert!(out_heavy > in_heavy * 5);
@@ -159,7 +227,8 @@ mod tests {
 
     #[test]
     fn kv_footprints_are_block_rounded() {
-        let p = probe();
+        let rel = ReleaseSchedule::default();
+        let p = probe(&rel);
         assert_eq!(p.free_kv_bytes(), 4096);
         // 17 tokens × 64 B = 1088 B → 2 × 1024 B blocks.
         assert_eq!(p.kv_bytes_for(17), 2048);
@@ -169,10 +238,15 @@ mod tests {
 
     #[test]
     fn mem_wait_walks_release_schedule() {
-        let p = probe();
+        let rel = ReleaseSchedule::default();
+        let p = probe(&rel);
         assert_eq!(p.estimate_mem_wait(50), SimDuration::from_secs(2));
         assert_eq!(p.estimate_mem_wait(100), SimDuration::from_secs(2));
         assert_eq!(p.estimate_mem_wait(250), SimDuration::from_secs(5));
         assert_eq!(p.estimate_mem_wait(1000), SimDuration::MAX);
+        assert_eq!(rel.builds(), 1, "one build serves every estimate");
+        rel.invalidate();
+        assert_eq!(p.estimate_mem_wait(250), SimDuration::from_secs(5));
+        assert_eq!(rel.builds(), 2, "an invalidated schedule rebuilds");
     }
 }

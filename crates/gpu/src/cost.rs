@@ -234,25 +234,58 @@ impl CostModel {
         if batch.is_empty() {
             return SimDuration::ZERO;
         }
-        let hbm = self.gpu.hbm_bytes_per_sec() * self.calib.decode_hbm_efficiency;
+        let tp_hbm = self.decode_tp_hbm();
         // Per-GPU weight shard streams in parallel across the group.
-        let weight_secs = self.llm.weight_bytes() as f64 / (self.tp as f64 * hbm);
+        let weight_secs = self.llm.weight_bytes() as f64 / tp_hbm;
         let kv_bytes: u64 = batch
             .iter()
             .map(|i| u64::from(i.kv_tokens) * self.llm.kv_bytes_per_token())
             .sum();
-        let kv_secs = kv_bytes as f64 / (self.tp as f64 * hbm);
+        let kv_secs = kv_bytes as f64 / tp_hbm;
         // Each *distinct* adapter's weights are re-read by the gather
         // kernels once per iteration, with a scatter penalty.
-        let mut ranks: Vec<AdapterRank> = batch.iter().filter_map(|i| i.rank).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        let lora_bytes: u64 = ranks.iter().map(|&r| adapter_bytes(&self.llm, r)).sum();
-        let lora_secs =
-            lora_bytes as f64 * self.calib.lora_decode_read_penalty / (self.tp as f64 * hbm);
+        let lora_secs = self.lora_decode_secs(self.distinct_rank_bytes(batch), tp_hbm);
         self.calib.iter_overhead
             + SimDuration::from_secs_f64(weight_secs + kv_secs + lora_secs)
             + self.tp_sync(batch.len() as u64)
+    }
+
+    /// HBM bytes per second decode streams at across the TP group.
+    fn decode_tp_hbm(&self) -> f64 {
+        let hbm = self.gpu.hbm_bytes_per_sec() * self.calib.decode_hbm_efficiency;
+        self.tp as f64 * hbm
+    }
+
+    /// Seconds the gather kernels spend re-reading `lora_bytes` of
+    /// adapter weights in one decode iteration.
+    fn lora_decode_secs(&self, lora_bytes: u64, tp_hbm: f64) -> f64 {
+        lora_bytes as f64 * self.calib.lora_decode_read_penalty / tp_hbm
+    }
+
+    /// Adapter bytes summed over the batch's distinct ranks, without
+    /// allocating: a power-of-two rank (every rank the paper uses) is its
+    /// own bit in a mask; any other rank is checked against the items
+    /// before it.
+    fn distinct_rank_bytes(&self, batch: &[DecodeItem]) -> u64 {
+        let mut seen_pow2 = 0u32;
+        let mut bytes = 0;
+        for (i, item) in batch.iter().enumerate() {
+            let Some(rank) = item.rank else {
+                continue;
+            };
+            let r = rank.get();
+            let first = if r.is_power_of_two() {
+                let fresh = seen_pow2 & r == 0;
+                seen_pow2 |= r;
+                fresh
+            } else {
+                !batch[..i].iter().any(|p| p.rank == Some(rank))
+            };
+            if first {
+                bytes += adapter_bytes(&self.llm, rank);
+            }
+        }
+        bytes
     }
 
     /// Time to load an adapter of `bytes` from host memory, including the
@@ -317,12 +350,21 @@ impl CostModel {
         }]);
         let ttft = load + prefill;
         let mut e2e = ttft;
-        // First output token comes from prefill; remaining ones decode.
+        // First output token comes from prefill; remaining ones decode,
+        // each a one-item `decode_step_time`: the same float expression
+        // and nanosecond rounding per step, with the step-invariant terms
+        // computed once.
+        let tp_hbm = self.decode_tp_hbm();
+        let weight_secs = self.llm.weight_bytes() as f64 / tp_hbm;
+        let lora_bytes = rank.map_or(0, |r| adapter_bytes(&self.llm, r));
+        let lora_secs = self.lora_decode_secs(lora_bytes, tp_hbm);
+        let sync = self.tp_sync(1);
         for step in 1..output_tokens {
-            e2e += self.decode_step_time(&[DecodeItem {
-                kv_tokens: input_tokens + step,
-                rank,
-            }]);
+            let kv_bytes = u64::from(input_tokens + step) * self.llm.kv_bytes_per_token();
+            let kv_secs = kv_bytes as f64 / tp_hbm;
+            e2e += self.calib.iter_overhead
+                + SimDuration::from_secs_f64(weight_secs + kv_secs + lora_secs)
+                + sync;
         }
         (ttft, e2e)
     }

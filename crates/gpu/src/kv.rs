@@ -122,15 +122,19 @@ impl KvAllocator {
         id: RequestId,
         new_tokens: u32,
     ) -> Result<(), OutOfMemory> {
-        let (tokens, blocks) = *self.seqs.get(&id).unwrap_or_else(|| panic!("{id} unknown"));
-        let target_tokens = tokens + new_tokens;
-        let target_blocks = self.blocks_for(target_tokens);
-        if target_blocks > blocks {
-            let extra = target_blocks - blocks;
-            mem.reserve(Region::KvCache, u64::from(extra) * self.block_bytes())?;
+        let (block_tokens, block_bytes) = (self.block_tokens, self.block_bytes());
+        let seq = self
+            .seqs
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("{id} unknown"));
+        let target_tokens = seq.0 + new_tokens;
+        let target_blocks = target_tokens.div_ceil(block_tokens);
+        if target_blocks > seq.1 {
+            let extra = target_blocks - seq.1;
+            mem.reserve(Region::KvCache, u64::from(extra) * block_bytes)?;
             self.total_blocks += u64::from(extra);
         }
-        self.seqs.insert(id, (target_tokens, target_blocks));
+        *seq = (target_tokens, target_blocks);
         Ok(())
     }
 

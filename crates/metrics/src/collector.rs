@@ -1,20 +1,36 @@
 //! The engine-facing metrics sink.
+//!
+//! The engine registers each arriving request once, by id, and gets back
+//! the request's dense [`Slot`]; every later lifecycle event is keyed by
+//! that slot, so recording a token is a `Vec` index rather than a hash
+//! lookup. Only registration and crash removal consult the id index.
 
 use crate::record::{RequestRecord, SizeClass};
 use chameleon_models::{AdapterId, AdapterRank};
 use chameleon_simcore::{SimDuration, SimTime};
-use chameleon_workload::RequestId;
+use chameleon_workload::{RequestId, Slot};
 use std::collections::HashMap;
+
+/// One registered request: its record plus the instant of its latest
+/// output token, the base of the next TBT gap.
+#[derive(Debug)]
+struct Entry {
+    record: RequestRecord,
+    last_token: SimTime,
+}
 
 /// Collects per-request records as the engine reports lifecycle events.
 ///
 /// The collector is deliberately forgiving about event order within one
 /// request (e.g. class assignment before or after admission) but panics on
-/// events for unknown requests — those are engine bugs worth catching early.
+/// events for unknown slots — those are engine bugs worth catching early.
 #[derive(Debug, Default)]
 pub struct Collector {
-    records: HashMap<RequestId, RequestRecord>,
-    last_token_at: HashMap<RequestId, SimTime>,
+    /// Records by slot; `None` once crash recovery removed the request.
+    slots: Vec<Option<Entry>>,
+    /// The live slot of each registered id. Only looked up (registration's
+    /// duplicate check, crash removal), never iterated.
+    index: HashMap<RequestId, Slot>,
 }
 
 impl Collector {
@@ -23,7 +39,7 @@ impl Collector {
         Collector::default()
     }
 
-    /// Registers an arriving request.
+    /// Registers an arriving request and returns its slot.
     ///
     /// # Panics
     ///
@@ -37,81 +53,79 @@ impl Collector {
         output_tokens: u32,
         adapter: AdapterId,
         rank: AdapterRank,
-    ) {
-        let prev = self.records.insert(
-            id,
-            RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank),
-        );
+    ) -> Slot {
+        let slot = Slot::new(self.slots.len());
+        let prev = self.index.insert(id, slot);
         assert!(prev.is_none(), "{id} arrived twice");
+        self.slots.push(Some(Entry {
+            record: RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank),
+            last_token: at,
+        }));
+        slot
     }
 
     /// Records the scheduler's size-class decision.
-    pub fn on_classified(&mut self, id: RequestId, class: SizeClass) {
-        self.rec(id).class = Some(class);
+    pub fn on_classified(&mut self, slot: Slot, class: SizeClass) {
+        self.rec(slot).class = Some(class);
     }
 
     /// Records first admission into a batch, with the adapter-load time
     /// left on the critical path at that moment (zero on a cache hit).
-    pub fn on_admitted(&mut self, id: RequestId, at: SimTime, load_on_path: SimDuration) {
-        let r = self.rec(id);
+    pub fn on_admitted(&mut self, slot: Slot, at: SimTime, load_on_path: SimDuration) {
+        let r = self.rec(slot);
         if r.admitted.is_none() {
             r.admitted = Some(at);
             r.load_on_critical_path = load_on_path;
         }
     }
 
-    /// Records a produced output token; the first one sets TTFT.
-    pub fn on_token(&mut self, id: RequestId, at: SimTime) {
-        let r = self.rec(id);
-        if r.first_token.is_none() {
-            r.first_token = Some(at);
-        } else if let Some(&prev) = self.last_token_at.get(&id) {
-            let gap = at.saturating_since(prev);
-            self.records
-                .get_mut(&id)
-                .expect("checked above")
-                .tbt_gaps
-                .push(gap);
+    /// Records a produced output token; the first one sets TTFT, each
+    /// later one a TBT gap.
+    pub fn on_token(&mut self, slot: Slot, at: SimTime) {
+        let e = self.entry(slot);
+        if e.record.first_token.is_none() {
+            e.record.first_token = Some(at);
+        } else {
+            e.record.tbt_gaps.push(at.saturating_since(e.last_token));
         }
-        self.last_token_at.insert(id, at);
+        e.last_token = at;
     }
 
     /// Records completion.
-    pub fn on_finish(&mut self, id: RequestId, at: SimTime) {
-        let r = self.rec(id);
-        assert!(r.finished.is_none(), "{id} finished twice");
+    pub fn on_finish(&mut self, slot: Slot, at: SimTime) {
+        let r = self.rec(slot);
+        assert!(r.finished.is_none(), "{} finished twice", r.id);
         r.finished = Some(at);
     }
 
     /// Records a squash (§4.3.3): generated state is discarded and the
     /// request re-queued; its admission/token state resets.
-    pub fn on_squash(&mut self, id: RequestId) {
-        let r = self.rec(id);
+    pub fn on_squash(&mut self, slot: Slot) {
+        let r = self.rec(slot);
         r.squashes += 1;
         r.admitted = None;
         r.first_token = None;
         r.tbt_gaps.clear();
-        self.last_token_at.remove(&id);
     }
 
     /// Records an opportunistic bypass by this request (§4.3.3).
-    pub fn on_bypass(&mut self, id: RequestId) {
-        self.rec(id).bypasses += 1;
+    pub fn on_bypass(&mut self, slot: Slot) {
+        self.rec(slot).bypasses += 1;
     }
 
     /// Number of registered requests.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.len()
     }
 
     /// True when nothing has arrived yet.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.index.is_empty()
     }
 
     /// Read access to one record.
-    pub fn get(&self, id: RequestId) -> Option<&RequestRecord> {
-        self.records.get(&id)
+    pub fn get(&self, slot: Slot) -> Option<&RequestRecord> {
+        self.slots.get(slot.index())?.as_ref().map(|e| &e.record)
     }
 
     /// Removes a request from the collector entirely, returning its
@@ -120,21 +134,27 @@ impl Collector {
     /// re-dispatch would trip the arrived-twice guard or leave a duplicate
     /// record behind on the dead engine).
     pub fn remove(&mut self, id: RequestId) -> Option<RequestRecord> {
-        self.last_token_at.remove(&id);
-        self.records.remove(&id)
+        let slot = self.index.remove(&id)?;
+        self.slots[slot.index()].take().map(|e| e.record)
     }
 
-    /// Finalises the collector into records sorted by arrival time.
+    /// Finalises the collector into records sorted by `(arrival, id)`.
     pub fn into_records(self) -> Vec<RequestRecord> {
-        let mut v: Vec<RequestRecord> = self.records.into_values().collect();
+        let mut v: Vec<RequestRecord> =
+            self.slots.into_iter().flatten().map(|e| e.record).collect();
         v.sort_by_key(|r| (r.arrival, r.id));
         v
     }
 
-    fn rec(&mut self, id: RequestId) -> &mut RequestRecord {
-        self.records
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("event for unknown {id}"))
+    fn entry(&mut self, slot: Slot) -> &mut Entry {
+        self.slots
+            .get_mut(slot.index())
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("event for unknown {slot}"))
+    }
+
+    fn rec(&mut self, slot: Slot) -> &mut RequestRecord {
+        &mut self.entry(slot).record
     }
 }
 
@@ -146,7 +166,7 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
-    fn arrive(c: &mut Collector, id: u64, at: f64) {
+    fn arrive(c: &mut Collector, id: u64, at: f64) -> Slot {
         c.on_arrival(
             RequestId(id),
             t(at),
@@ -154,19 +174,19 @@ mod tests {
             4,
             AdapterId(0),
             AdapterRank::new(8),
-        );
+        )
     }
 
     #[test]
     fn full_lifecycle() {
         let mut c = Collector::new();
-        arrive(&mut c, 1, 0.0);
-        c.on_classified(RequestId(1), SizeClass::Small);
-        c.on_admitted(RequestId(1), t(0.5), SimDuration::from_millis(6));
-        c.on_token(RequestId(1), t(1.0));
-        c.on_token(RequestId(1), t(1.1));
-        c.on_token(RequestId(1), t(1.25));
-        c.on_finish(RequestId(1), t(1.25));
+        let s = arrive(&mut c, 1, 0.0);
+        c.on_classified(s, SizeClass::Small);
+        c.on_admitted(s, t(0.5), SimDuration::from_millis(6));
+        c.on_token(s, t(1.0));
+        c.on_token(s, t(1.1));
+        c.on_token(s, t(1.25));
+        c.on_finish(s, t(1.25));
         let recs = c.into_records();
         assert_eq!(recs.len(), 1);
         let r = &recs[0];
@@ -183,15 +203,15 @@ mod tests {
     #[test]
     fn squash_resets_progress() {
         let mut c = Collector::new();
-        arrive(&mut c, 1, 0.0);
-        c.on_admitted(RequestId(1), t(0.1), SimDuration::ZERO);
-        c.on_token(RequestId(1), t(0.2));
-        c.on_token(RequestId(1), t(0.3));
-        c.on_squash(RequestId(1));
+        let s = arrive(&mut c, 1, 0.0);
+        c.on_admitted(s, t(0.1), SimDuration::ZERO);
+        c.on_token(s, t(0.2));
+        c.on_token(s, t(0.3));
+        c.on_squash(s);
         // Re-execution.
-        c.on_admitted(RequestId(1), t(1.0), SimDuration::ZERO);
-        c.on_token(RequestId(1), t(1.2));
-        c.on_finish(RequestId(1), t(1.2));
+        c.on_admitted(s, t(1.0), SimDuration::ZERO);
+        c.on_token(s, t(1.2));
+        c.on_finish(s, t(1.2));
         let r = &c.into_records()[0];
         assert_eq!(r.squashes, 1);
         assert_eq!(r.queue_delay(), Some(SimDuration::from_secs(1)));
@@ -202,15 +222,15 @@ mod tests {
     #[test]
     fn only_first_admission_counts() {
         let mut c = Collector::new();
-        arrive(&mut c, 1, 0.0);
-        c.on_admitted(RequestId(1), t(0.5), SimDuration::from_millis(3));
-        c.on_admitted(RequestId(1), t(0.9), SimDuration::ZERO);
+        let s = arrive(&mut c, 1, 0.0);
+        c.on_admitted(s, t(0.5), SimDuration::from_millis(3));
+        c.on_admitted(s, t(0.9), SimDuration::ZERO);
         assert_eq!(
-            c.get(RequestId(1)).unwrap().queue_delay(),
+            c.get(s).unwrap().queue_delay(),
             Some(SimDuration::from_millis(500))
         );
         assert_eq!(
-            c.get(RequestId(1)).unwrap().load_on_critical_path,
+            c.get(s).unwrap().load_on_critical_path,
             SimDuration::from_millis(3)
         );
     }
@@ -227,17 +247,19 @@ mod tests {
 
     #[test]
     fn export_is_insertion_order_independent() {
-        // The records live in a HashMap; the export path must sort so
-        // derived outputs are reproducible regardless of the order the
-        // engine (or a future parallel producer) fed events in.
+        // Slots follow registration order, not arrival order; the export
+        // path must sort so derived outputs are reproducible regardless of
+        // the order the engine (or a future parallel producer) fed events
+        // in.
         let build = |order: &[u64]| {
             let mut c = Collector::new();
-            for &id in order {
-                arrive(&mut c, id, id as f64 * 0.5);
-            }
-            for &id in order.iter().rev() {
-                c.on_token(RequestId(id), t(100.0 + id as f64));
-                c.on_finish(RequestId(id), t(200.0 + id as f64));
+            let slots: Vec<(u64, Slot)> = order
+                .iter()
+                .map(|&id| (id, arrive(&mut c, id, id as f64 * 0.5)))
+                .collect();
+            for &(id, slot) in slots.iter().rev() {
+                c.on_token(slot, t(100.0 + id as f64));
+                c.on_finish(slot, t(200.0 + id as f64));
             }
             c.into_records()
                 .iter()
@@ -257,7 +279,8 @@ mod tests {
     #[should_panic(expected = "unknown")]
     fn unknown_request_panics() {
         let mut c = Collector::new();
-        c.on_token(RequestId(9), t(0.0));
+        arrive(&mut c, 1, 0.0);
+        c.on_token(Slot::new(9), t(0.0));
     }
 
     #[test]
@@ -271,10 +294,10 @@ mod tests {
     #[test]
     fn bypass_counter() {
         let mut c = Collector::new();
-        arrive(&mut c, 1, 0.0);
-        c.on_bypass(RequestId(1));
-        c.on_bypass(RequestId(1));
-        assert_eq!(c.get(RequestId(1)).unwrap().bypasses, 2);
+        let s = arrive(&mut c, 1, 0.0);
+        c.on_bypass(s);
+        c.on_bypass(s);
+        assert_eq!(c.get(s).unwrap().bypasses, 2);
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
     }

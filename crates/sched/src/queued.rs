@@ -2,7 +2,7 @@
 
 use chameleon_models::{AdapterId, AdapterRank};
 use chameleon_simcore::SimTime;
-use chameleon_workload::{Request, RequestId};
+use chameleon_workload::{Request, RequestId, Slot};
 
 /// A request waiting in a scheduler queue, annotated with everything the
 /// scheduling policies need: the *predicted* output length (§2: the true
@@ -17,6 +17,7 @@ pub struct QueuedRequest {
     kv_token_need: u64,
     token_need: u64,
     enqueued_at: SimTime,
+    slot: Option<Slot>,
 }
 
 impl QueuedRequest {
@@ -42,7 +43,20 @@ impl QueuedRequest {
             kv_token_need,
             token_need: kv_token_need + adapter_token_equiv,
             enqueued_at,
+            slot: None,
         }
+    }
+
+    /// Stamps the serving engine's bookkeeping slot, which schedulers
+    /// carry through untouched.
+    pub fn with_slot(mut self, slot: Slot) -> Self {
+        self.slot = Some(slot);
+        self
+    }
+
+    /// The serving engine's bookkeeping slot, once stamped.
+    pub fn slot(&self) -> Option<Slot> {
+        self.slot
     }
 
     /// The underlying request.

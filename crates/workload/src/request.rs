@@ -14,6 +14,36 @@ impl std::fmt::Display for RequestId {
     }
 }
 
+/// A request's dense index in the engine serving it, assigned when the
+/// engine registers the arrival. Per-request engine state (the metrics
+/// record, the running-batch position) lives in `Vec`s indexed by slot,
+/// so per-token and per-dispatch bookkeeping never hashes a
+/// [`RequestId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot(u32);
+
+impl Slot {
+    /// The slot at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in 32 bits.
+    pub fn new(index: usize) -> Self {
+        Slot(u32::try_from(index).expect("an engine registers fewer than 2^32 requests"))
+    }
+
+    /// The index this slot names.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl std::fmt::Display for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "slot#{}", self.0)
+    }
+}
+
 /// One LLM inference request, as admitted by the serving frontend.
 ///
 /// The input length is known on arrival; the *true* output length is carried

@@ -43,6 +43,7 @@ fn cache_and_pool_agree_on_bytes() {
     let adapters = AdapterPool::generate(&llm, &pool_cfg);
     let mut mem = MemoryPool::new(8 << 30);
     let mut cache = AdapterCache::new(EvictionPolicy::chameleon());
+    cache.size_for_pool(adapters.len());
     let mut rng = SimRng::seed(1);
     let mut live: Vec<(chameleon_repro::models::AdapterId, u32)> = Vec::new();
     for step in 0..2000 {
