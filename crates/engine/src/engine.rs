@@ -246,7 +246,7 @@ struct BypassPair {
 }
 
 /// Test-only audit of the probe's residency answer against the set the
-/// engine used to build per dispatch (see [`Engine::audit_residency`]).
+/// engine used to build per dispatch, run at every probe while armed.
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct ResidencyAudit {
@@ -1257,10 +1257,10 @@ impl Engine {
     }
 
     /// Builds the protected-adapter set (adapters of queued requests,
-    /// §4.2) from the scheduler unless it is already built for this
-    /// admission or growth; `adapters_buf` keeps the ordered list,
-    /// `protected_buf` the set view. Callers that change the queues in
-    /// between clear `protected_ready` first.
+    /// §4.2) from the scheduler unless `protected_ready` says it is
+    /// current; `adapters_buf` keeps the ordered list, `protected_buf` the
+    /// set view. Each admission and each KV growth clears the flag, since
+    /// the queues may have changed since the last build.
     fn ensure_protected(&mut self) {
         if self.protected_ready {
             return;
