@@ -1,4 +1,4 @@
-//! CLI for the design-choice ablations (DESIGN.md §5).
+//! CLI for the design-choice ablations (`chameleon_core::ablation`).
 //!
 //! ```text
 //! cargo run -p chameleon-bench --release --bin ablations

@@ -19,7 +19,8 @@
 //! authors' hardware, so experiments are parameterised by *load level*
 //! relative to the measured knees: on the A40/Llama-7B platform, low ≈ 6,
 //! medium ≈ 9, high ≈ 10.5 (S-LoRA past its knee, Chameleon comfortable)
-//! and overload ≈ 12.5 RPS. EXPERIMENTS.md records the mapping per figure.
+//! and overload ≈ 12.5 RPS. Each figure in [`figures`] names the levels it
+//! runs at.
 
 pub mod compare;
 pub mod figures;

@@ -147,7 +147,7 @@ mod tests {
     fn llama70b_rank32_is_hundreds_of_mb() {
         // §3.2: "its size grows to 256 MB for Llama-70B". Our 4-projection
         // formula gives 320 MB for the 80-layer/8192-hidden geometry — the
-        // same order of magnitude; see DESIGN.md for the note.
+        // same order of magnitude, which is all the experiments rely on.
         let b = adapter_bytes(&LlmSpec::llama_70b(), AdapterRank::new(32));
         let mb = b >> 20;
         assert!((200..400).contains(&mb), "70B rank-32 adapter {mb} MB");

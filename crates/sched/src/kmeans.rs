@@ -6,9 +6,8 @@
 //!
 //! The paper says it "picks the K that yields minimal WCSS"; taken
 //! literally that always selects `K_max` because WCSS is non-increasing in
-//! K. We read it as the standard elbow criterion — stop increasing K once
-//! the marginal WCSS improvement falls below a threshold — and document the
-//! interpretation in DESIGN.md.
+//! K. We read it as the standard elbow criterion: stop increasing K once
+//! the marginal WCSS improvement falls below a threshold.
 
 /// Result of clustering at one K.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,8 +2,8 @@
 //!
 //! Re-exports every subsystem crate under one roof so examples, integration
 //! tests and downstream users can depend on a single package. See the
-//! repository `README.md` for the architecture overview and `DESIGN.md` for
-//! the per-experiment index.
+//! repository `README.md` for the architecture overview and the experiments
+//! it reproduces.
 //!
 //! ```
 //! use chameleon_repro::models::LlmSpec;
