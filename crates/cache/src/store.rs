@@ -247,11 +247,6 @@ impl AdapterCache {
         self.entries.get(id.0 as usize)?.as_ref()
     }
 
-    /// Every resident entry with its id, in id order.
-    fn resident_entries(&self) -> impl Iterator<Item = (AdapterId, &Entry)> + '_ {
-        resident_in(&self.entries)
-    }
-
     /// Switches eviction to the pre-index full-scan reference
     /// implementation (rebuilds the candidate list from the entry table on
     /// every victim), the oracle of `prop_indexed_eviction_matches_full_scan`.
@@ -296,12 +291,6 @@ impl AdapterCache {
         self.entry(id).is_some()
     }
 
-    /// True when the adapter is resident with no references (idle in the
-    /// cache, evictable).
-    pub fn is_idle(&self, id: AdapterId) -> bool {
-        self.entry(id).is_some_and(|e| e.ref_count == 0)
-    }
-
     /// Reference count of a resident adapter (0 = idle in cache).
     pub fn ref_count(&self, id: AdapterId) -> Option<u32> {
         self.entry(id).map(|e| e.ref_count)
@@ -319,7 +308,7 @@ impl AdapterCache {
 
     /// Bytes of idle (evictable) cached adapters.
     pub fn idle_bytes(&self) -> u64 {
-        self.resident_entries()
+        resident_in(&self.entries)
             .filter(|(_, e)| e.ref_count == 0)
             .map(|(_, e)| e.bytes)
             .sum()
@@ -327,7 +316,7 @@ impl AdapterCache {
 
     /// Bytes of in-use (pinned) adapters.
     pub fn in_use_bytes(&self) -> u64 {
-        self.resident_entries()
+        resident_in(&self.entries)
             .filter(|(_, e)| e.ref_count > 0)
             .map(|(_, e)| e.bytes)
             .sum()
@@ -645,8 +634,7 @@ impl AdapterCache {
         protected: Option<&HashSet<AdapterId>>,
     ) {
         while pool.free() < needed {
-            let mut ids: Vec<AdapterId> = self
-                .resident_entries()
+            let mut ids: Vec<AdapterId> = resident_in(&self.entries)
                 .filter(|(id, e)| e.ref_count == 0 && protected.is_none_or(|p| !p.contains(id)))
                 .map(|(id, _)| id)
                 .collect();
@@ -732,21 +720,20 @@ impl AdapterCache {
     /// Iterates over every resident adapter (idle or in use), in id
     /// order — the residency view cluster routers place requests on.
     pub fn resident_adapters(&self) -> impl Iterator<Item = AdapterId> + '_ {
-        self.resident_entries().map(|(id, _)| id)
+        resident_in(&self.entries).map(|(id, _)| id)
     }
 
     /// Asserts the idle index mirrors the entry table exactly (test/debug
     /// hook for the index-maintenance invariant).
     #[doc(hidden)]
     pub fn assert_index_consistent(&self) {
-        let idle_entries = self
-            .resident_entries()
+        let idle_entries = resident_in(&self.entries)
             .filter(|(_, e)| e.ref_count == 0)
             .count();
         assert_eq!(self.idle.len(), idle_entries, "idle index out of sync");
         assert_eq!(
             self.resident,
-            self.resident_entries().count(),
+            resident_in(&self.entries).count(),
             "resident count out of sync"
         );
         for &(.., id) in &self.idle {

@@ -245,55 +245,6 @@ struct BypassPair {
     r1_tokens: u64,
 }
 
-/// Test-only audit of the probe's residency answer against the set the
-/// engine used to build per dispatch, run at every probe while armed.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct ResidencyAudit {
-    /// Probes checked.
-    probes: u64,
-    /// Probes that saw an adapter referenced only by a restoring request.
-    restoring_only: u64,
-}
-
-#[cfg(test)]
-impl ResidencyAudit {
-    /// Asserts `probe` reports exactly the reference set — idle cached
-    /// adapters, adapters of running requests, and adapters in flight —
-    /// for every adapter in the pool.
-    fn check(
-        &mut self,
-        probe: &EngineProbe<'_>,
-        cache: &AdapterCache,
-        running: &[Running],
-        loading: &LoadingTable,
-        restoring: &[Restoring],
-        adapters: usize,
-    ) {
-        use chameleon_sched::ResourceProbe;
-        let reference: HashSet<AdapterId> = cache
-            .idle_adapters()
-            .chain(running.iter().map(|r| r.req.adapter()))
-            .chain(loading.iter().map(|(id, _)| id))
-            .collect();
-        for id in (0..adapters).map(|i| AdapterId(i as u32)) {
-            assert_eq!(
-                probe.adapter_resident(id),
-                reference.contains(&id),
-                "{id} at {}",
-                probe.now()
-            );
-        }
-        self.probes += 1;
-        if restoring.iter().any(|r| {
-            let a = r.d.req.adapter();
-            cache.is_resident(a) && !reference.contains(&a)
-        }) {
-            self.restoring_only += 1;
-        }
-    }
-}
-
 /// One LLM serving engine (a GPU or TP group).
 pub struct Engine {
     cfg: EngineConfig,
@@ -366,7 +317,7 @@ pub struct Engine {
     folded_pool: Vec<(Slot, u32)>,
     pairs_scratch: Vec<BypassPair>,
     #[cfg(test)]
-    residency_audit: Option<ResidencyAudit>,
+    residency_audit: Option<tests::ResidencyAudit>,
     /// Decision-trace buffer in this engine's own execution order; `None`
     /// (the default) keeps every emission site a single branch. The driver
     /// drains it via [`take_trace_events`](Self::take_trace_events) and
@@ -1342,11 +1293,7 @@ impl Engine {
     /// probe reads residency from the cache, running and loading tables
     /// directly, and invalidates the release schedule so the first wait
     /// estimate after it prices the batch as it stands now.
-    fn with_probe<R>(
-        &mut self,
-        now: SimTime,
-        f: impl FnOnce(&mut dyn Scheduler, &EngineProbe<'_>) -> R,
-    ) -> R {
+    fn with_probe(&mut self, now: SimTime, f: impl FnOnce(&mut dyn Scheduler, &EngineProbe<'_>)) {
         let scalars = self.probe_scalars(now);
         self.work.probes += 1;
         self.release.invalidate();
@@ -1364,7 +1311,7 @@ impl Engine {
         } = self;
         let (cache, users, loading) = (&*cache, &*adapter_users, &*loading);
         let resident = |a: AdapterId| {
-            cache.is_idle(a)
+            cache.ref_count(a) == Some(0)
                 || users.get(a.0 as usize).is_some_and(|&n| n > 0)
                 || loading.contains(a)
         };
@@ -1381,7 +1328,7 @@ impl Engine {
         if let Some(audit) = self.residency_audit.as_mut() {
             audit.check(&probe, cache, batch, loading, &self.restoring, pool.len());
         }
-        f(sched.as_mut(), &probe)
+        f(sched.as_mut(), &probe);
     }
 
     /// The probe's scalars at `now`; also records what its release
@@ -2079,6 +2026,52 @@ mod tests {
     use chameleon_predictor::OraclePredictor;
     use chameleon_sched::{FifoScheduler, ResourceProbe};
     use chameleon_workload::RequestId;
+
+    /// Test-only audit of the probe's residency answer against the set the
+    /// engine used to build per dispatch, run at every probe while armed.
+    #[derive(Debug, Default)]
+    pub(super) struct ResidencyAudit {
+        /// Probes checked.
+        probes: u64,
+        /// Probes that saw an adapter referenced only by a restoring request.
+        restoring_only: u64,
+    }
+
+    impl ResidencyAudit {
+        /// Asserts `probe` reports exactly the reference set — idle cached
+        /// adapters, adapters of running requests, and adapters in flight —
+        /// for every adapter in the pool.
+        pub(super) fn check(
+            &mut self,
+            probe: &EngineProbe<'_>,
+            cache: &AdapterCache,
+            running: &[Running],
+            loading: &LoadingTable,
+            restoring: &[Restoring],
+            adapters: usize,
+        ) {
+            let reference: HashSet<AdapterId> = cache
+                .idle_adapters()
+                .chain(running.iter().map(|r| r.req.adapter()))
+                .chain(loading.iter().map(|(id, _)| id))
+                .collect();
+            for id in (0..adapters).map(|i| AdapterId(i as u32)) {
+                assert_eq!(
+                    probe.adapter_resident(id),
+                    reference.contains(&id),
+                    "{id} at {}",
+                    probe.now()
+                );
+            }
+            self.probes += 1;
+            if restoring.iter().any(|r| {
+                let a = r.d.req.adapter();
+                cache.is_resident(a) && !reference.contains(&a)
+            }) {
+                self.restoring_only += 1;
+            }
+        }
+    }
 
     fn mk_engine() -> Engine {
         let llm = LlmSpec::llama_7b();
