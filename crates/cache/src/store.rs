@@ -182,8 +182,6 @@ pub struct AdapterCache {
     retain_on_release: bool,
     /// Entries by adapter id; `None` when not resident.
     entries: Vec<Option<Entry>>,
-    /// Resident entries (idle + in use).
-    resident: usize,
     stats: CacheStats,
     gdsf_floor: f64,
     /// Incrementally maintained eviction-candidate index over the idle
@@ -210,7 +208,6 @@ impl AdapterCache {
             policy,
             retain_on_release: true,
             entries: Vec::new(),
-            resident: 0,
             stats: CacheStats::default(),
             gdsf_floor: 0.0,
             idle: BTreeSet::new(),
@@ -298,12 +295,12 @@ impl AdapterCache {
 
     /// Number of resident adapters (idle + in use).
     pub fn len(&self) -> usize {
-        self.resident
+        resident_in(&self.entries).count()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.resident == 0
+        resident_in(&self.entries).next().is_none()
     }
 
     /// Bytes of idle (evictable) cached adapters.
@@ -370,11 +367,10 @@ impl AdapterCache {
         now: SimTime,
         initial_refs: u32,
     ) -> Result<(), OutOfMemory> {
-        let table = self.entries.len();
-        let slot = self
-            .entries
-            .get_mut(spec.id().0 as usize)
-            .unwrap_or_else(|| panic!("{} is outside the {table}-adapter table", spec.id()));
+        let slot = self.entries.get(spec.id().0 as usize).unwrap_or_else(|| {
+            let table = self.entries.len();
+            panic!("{} is outside the {table}-adapter table", spec.id())
+        });
         assert!(slot.is_none(), "{} already resident", spec.id());
         let region = if initial_refs > 0 {
             Region::AdaptersInUse
@@ -392,7 +388,6 @@ impl AdapterCache {
             self.idle.insert(idle_key(self.policy, spec.id(), &entry));
         }
         self.entries[spec.id().0 as usize] = Some(entry);
-        self.resident += 1;
         self.stats.bytes_loaded += spec.bytes();
         if let Some(j) = self.journal.as_mut() {
             j.push(CacheJournalEvent::Admit {
@@ -411,14 +406,13 @@ impl AdapterCache {
     ///
     /// Panics if the adapter is not resident.
     pub fn add_ref(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) {
-        let policy = self.policy;
         let e = self
             .entries
             .get_mut(id.0 as usize)
             .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("{id} not resident"));
         if e.ref_count == 0 {
-            self.idle.remove(&idle_key(policy, id, e));
+            self.idle.remove(&idle_key(self.policy, id, e));
             pool.transfer(Region::AdapterCache, Region::AdaptersInUse, e.bytes);
         }
         e.ref_count += 1;
@@ -433,25 +427,22 @@ impl AdapterCache {
     ///
     /// Panics if the adapter is not resident or has no references.
     pub fn release(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) {
-        let policy = self.policy;
-        let slot = self
+        let e = self
             .entries
             .get_mut(id.0 as usize)
-            .filter(|s| s.is_some())
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("{id} not resident"));
-        let e = slot.as_mut().expect("checked resident");
         assert!(e.ref_count > 0, "{id} released with zero refs");
         e.ref_count -= 1;
         e.last_used = now;
         if e.ref_count == 0 {
             let bytes = e.bytes;
             if self.retain_on_release {
-                self.idle.insert(idle_key(policy, id, e));
+                self.idle.insert(idle_key(self.policy, id, e));
                 pool.transfer(Region::AdaptersInUse, Region::AdapterCache, bytes);
             } else {
                 pool.release(Region::AdaptersInUse, bytes);
-                *slot = None;
-                self.resident -= 1;
+                self.entries[id.0 as usize] = None;
             }
         }
     }
@@ -665,7 +656,6 @@ impl AdapterCache {
         let e = self.entries[id.0 as usize]
             .take()
             .expect("victim is resident");
-        self.resident -= 1;
         debug_assert_eq!(e.ref_count, 0, "victim must be idle");
         self.idle.remove(&idle_key(self.policy, id, &e));
         if matches!(self.policy, EvictionPolicy::Gdsf) {
@@ -731,11 +721,6 @@ impl AdapterCache {
             .filter(|(_, e)| e.ref_count == 0)
             .count();
         assert_eq!(self.idle.len(), idle_entries, "idle index out of sync");
-        assert_eq!(
-            self.resident,
-            resident_in(&self.entries).count(),
-            "resident count out of sync"
-        );
         for &(.., id) in &self.idle {
             let e = self.entry(id).expect("indexed entry exists");
             assert_eq!(e.ref_count, 0, "{id} indexed while referenced");

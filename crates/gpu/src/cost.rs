@@ -518,6 +518,60 @@ mod tests {
         assert!(mixed > same);
     }
 
+    /// The allocation-free rank dedup sums exactly the distinct ranks a
+    /// sort-and-dedup finds, for power-of-two and other ranks alike.
+    #[test]
+    fn distinct_rank_bytes_matches_sort_dedup() {
+        let m = model();
+        for ranks in [
+            &[][..],
+            &[32, 32, 32],
+            &[8, 32, 128, 8],
+            &[12, 24, 12, 8, 24, 8],
+            &[3, 5, 3, 16, 5],
+        ] {
+            let batch: Vec<DecodeItem> = ranks
+                .iter()
+                .map(|&r| DecodeItem {
+                    kv_tokens: 100,
+                    rank: Some(AdapterRank::new(r)),
+                })
+                .chain([DecodeItem {
+                    kv_tokens: 100,
+                    rank: None,
+                }])
+                .collect();
+            let mut distinct: Vec<u32> = ranks.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let want: u64 = distinct
+                .iter()
+                .map(|&r| adapter_bytes(m.llm(), AdapterRank::new(r)))
+                .sum();
+            assert_eq!(m.distinct_rank_bytes(&batch), want, "ranks {ranks:?}");
+        }
+    }
+
+    /// The isolated oracle's hoisted decode loop adds exactly the one-item
+    /// `decode_step_time` of every step, at every TP degree.
+    #[test]
+    fn isolated_latency_sums_one_item_decode_steps() {
+        for tp in [1, 2, 4] {
+            let m = CostModel::new(LlmSpec::llama_7b(), GpuSpec::a40(), tp);
+            for rank in [None, Some(AdapterRank::new(8)), Some(AdapterRank::new(128))] {
+                let (ttft, e2e) = m.isolated_latency(300, 40, rank, true);
+                let mut want = ttft;
+                for step in 1..40 {
+                    want += m.decode_step_time(&[DecodeItem {
+                        kv_tokens: 300 + step,
+                        rank,
+                    }]);
+                }
+                assert_eq!(e2e, want, "tp {tp} rank {rank:?}");
+            }
+        }
+    }
+
     /// Adapter loads are monotone in size, and small adapters are dominated
     /// by fixed costs (so cost-aware eviction preferring to evict *small*
     /// adapters is rational — §4.2).

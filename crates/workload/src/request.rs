@@ -19,7 +19,7 @@ impl std::fmt::Display for RequestId {
 /// record, the running-batch position) lives in `Vec`s indexed by slot,
 /// so per-token and per-dispatch bookkeeping never hashes a
 /// [`RequestId`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(u32);
 
 impl Slot {
