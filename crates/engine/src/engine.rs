@@ -2395,7 +2395,7 @@ mod tests {
     /// and decode growth reaches the KV plane's demotion path.
     struct HalfPredictor;
 
-    impl chameleon_predictor::OutputLenPredictor for HalfPredictor {
+    impl OutputLenPredictor for HalfPredictor {
         fn predict(&mut self, request: &Request) -> u32 {
             (request.output_tokens() / 2).max(1)
         }
