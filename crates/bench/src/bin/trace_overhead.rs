@@ -1,7 +1,8 @@
 //! `trace-overhead` — the tracing-cost gate.
 //!
-//! Runs the pinned 600-adapter Zipf macro-scenario twice — tracing
-//! disabled and tracing enabled (flight recorder armed) — interleaved,
+//! Runs one scenario — Chameleon with 600 adapters on Splitwise at
+//! 12 rps for 3000 s — twice: tracing disabled and tracing enabled
+//! (flight recorder armed), interleaved,
 //! best-of-N wall each, and fails (exit 1) when the traced run's
 //! events/sec falls more than `--max-overhead` (default 5%) below the
 //! untraced run's. The two runs are also asserted behaviourally
@@ -20,10 +21,17 @@
 //! batching enabled), so the gate also bounds observation cost on the
 //! batched dispatch plane introduced in PR 8.
 
-use chameleon_bench::perf::timed;
 use chameleon_bench::SEED;
 use chameleon_core::{preset, DispatchSpec, Simulation, TraceSpec};
 use std::process::ExitCode;
+use std::time::Instant;
+
+/// Times `f`, returning `(wall_seconds, output)`.
+fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64(), out)
+}
 
 fn main() -> ExitCode {
     let mut smoke = false;
@@ -63,7 +71,7 @@ fn main() -> ExitCode {
     }
     assert!(runs > 0, "need at least one run");
 
-    // Full mode stretches the macro-scenario to ~1s of wall per run so
+    // Full mode stretches the scenario to ~1s of wall per run so
     // the best-of-N comparison sits well above scheduler/timer noise;
     // smoke stays for quick local runs (too short to be a meaningful
     // wall-clock gate).

@@ -10,8 +10,8 @@
 //! cargo run -p chameleon-bench --release --bin figures -- all
 //! ```
 //!
-//! Criterion micro-benchmarks for the load-bearing components live in
-//! `benches/`.
+//! The `trace-overhead` binary is the tracing-cost gate; the simulator's
+//! benchmark is `perfbench/` (see `BENCHMARK.json`).
 //!
 //! # Load levels
 //!
@@ -22,9 +22,7 @@
 //! and overload ≈ 12.5 RPS. Each figure in [`figures`] names the levels it
 //! runs at.
 
-pub mod compare;
 pub mod figures;
-pub mod perf;
 
 use chameleon_core::{sim::Simulation, RunReport, SystemConfig};
 use chameleon_models::AdapterPool;

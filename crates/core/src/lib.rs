@@ -19,15 +19,10 @@
 //!   per-class queue delays, cache and PCIe statistics.
 //! * [`isolated`] — the isolated-execution oracle behind the paper's
 //!   slowdown metric (§3.3) and SLO definition (§5.1).
-//! * [`sweep`] — load sweeps and SLO-bounded throughput (§5.2), with
-//!   serial and bit-identical parallel runners.
-//! * [`par`] — the scoped-thread work pool behind the parallel sweeps.
+//! * [`sweep`] — load sweeps and SLO-bounded throughput (§5.2), and the
+//!   routing-policy axis.
 //! * [`ablation`] — measurable versions of the paper's un-figured design
 //!   claims (WRS degree, eviction weights, bypass, K_max).
-//! * [`telemetry`] — windowed time-series export (sliding TTFT
-//!   percentiles, queue depth, occupancy, utilisation) as CSV/JSONL,
-//!   fed by the run report and the opt-in decision trace
-//!   (`SystemConfig::trace`, flight recorder, barrier profile).
 //! * [`workloads`] — the scaled-down paper workloads (§5.1).
 //!
 //! # Quickstart
@@ -45,13 +40,11 @@
 
 pub mod ablation;
 pub mod isolated;
-pub mod par;
 pub mod preset;
 pub mod report;
 pub mod sim;
 pub mod sweep;
 pub mod system;
-pub mod telemetry;
 pub mod workloads;
 
 pub use chameleon_engine::{

@@ -6,7 +6,7 @@ use crate::system::{
 };
 use chameleon_engine::{DispatchSpec, FaultSpec, KvSpec, PredictiveSpec};
 use chameleon_router::RouterPolicy;
-use chameleon_simcore::{SimDuration, SimTime};
+use chameleon_simcore::SimTime;
 
 /// S-LoRA (§5.1 baseline): FIFO iteration-level scheduling, asynchronous
 /// adapter prefetching for queued requests, **no** adapter caching
@@ -166,7 +166,7 @@ pub fn chameleon_cluster_partitioned(engines: usize) -> SystemConfig {
 /// onto the survivors, and admission sheds when the whole fleet's
 /// estimated TTFT exceeds 8× the SLO. Identical to the partitioned
 /// preset in every other knob — the pair is the failover comparison the
-/// `macro_failover` bench scenario and the recovery-efficacy tests run.
+/// recovery-efficacy tests run.
 pub fn chameleon_cluster_faulted(engines: usize) -> SystemConfig {
     chameleon_cluster_partitioned(engines)
         .with_fault(
@@ -229,8 +229,7 @@ pub fn chameleon_cluster_batched(engines: usize) -> SystemConfig {
 /// budget, and batches route from a cached snapshot generation with the
 /// coordinator's own placements echoed in — per-engine queue-depth error
 /// is bounded by the batch size. Identical to the partitioned preset in
-/// every other knob — the pair is the per-arrival-vs-batched comparison
-/// the `macro_batched_dispatch` bench scenario runs.
+/// every other knob.
 pub fn chameleon_cluster_bounded_staleness(engines: usize) -> SystemConfig {
     chameleon_cluster_partitioned(engines)
         .with_dispatch(DispatchSpec::new())
@@ -271,31 +270,6 @@ pub fn chameleon_cluster_elastic() -> SystemConfig {
         .with_label("Chameleon-Elastic")
 }
 
-/// Chameleon at fleet scale: sixteen mixed-TP engines (ten TP1, four
-/// TP2, two TP4) serving a 600-adapter pool behind capacity-weighted
-/// adapter-affinity routing, with elastic growth enabled (up to twenty
-/// engines, growing by TP2). This is the `macro_cluster16_affinity`
-/// bench scenario — the fleet size at which parallel cluster execution
-/// ([`SystemConfig::with_parallel_cluster`]) pays for its barriers.
-pub fn chameleon_cluster16() -> SystemConfig {
-    // A fleet this wide keeps per-engine queues shallow, so the
-    // controller is tighter than the small-fleet default — overload
-    // bursts actually grow the fleet within a bench-length trace.
-    let mut autoscale = AutoscaleSpec::new(16, 20).with_growth(vec![EngineSpec::tp(2)]);
-    autoscale.controller.interval = SimDuration::from_secs(2);
-    autoscale.controller.scale_up_mean_queue = 2.0;
-    autoscale.controller.scale_up_max_queue = 12;
-    autoscale.controller.cooldown = SimDuration::from_secs(8);
-    chameleon()
-        .with_fleet(FleetSpec::mixed_tp(&[
-            1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 4, 1, 2, 1, 2, 4,
-        ]))
-        .with_router(RouterPolicy::AdapterAffinity)
-        .with_autoscale(autoscale)
-        .with_adapters(600)
-        .with_label("Chameleon-Fleet16")
-}
-
 /// Chameleon with the unified GPU-memory economy armed: KV-aware
 /// admission (batch formation refuses admissions whose block-rounded KV
 /// footprint — input plus predicted output, consulting the release
@@ -304,8 +278,7 @@ pub fn chameleon_cluster16() -> SystemConfig {
 /// cache (under pressure a running request's full KV demotes to a
 /// compact hidden-state proxy; restoration is a modelled PCIe
 /// transfer). Identical to [`chameleon`] in every other knob — the pair
-/// is the optimistic-vs-guarded comparison the `macro_kv_pressure`
-/// bench scenario runs.
+/// is the optimistic-vs-guarded comparison the KV economy tests run.
 pub fn chameleon_kv_guarded() -> SystemConfig {
     chameleon()
         .with_kv(KvSpec::new())
@@ -316,7 +289,7 @@ pub fn chameleon_kv_guarded() -> SystemConfig {
 /// run (pressure, storm, and refusal-candidate accounting) but neither
 /// admission control nor hybrid demotion intervenes — behaviourally the
 /// optimistic baseline, with the `kv` canonical line attached. This is
-/// the control arm of the bench comparison.
+/// the control arm of that comparison.
 pub fn chameleon_kv_observed() -> SystemConfig {
     chameleon()
         .with_kv(KvSpec::observe())
@@ -471,7 +444,6 @@ mod tests {
             chameleon_cluster_partitioned(4),
             chameleon_cluster_hetero(),
             chameleon_cluster_elastic(),
-            chameleon_cluster16(),
         ] {
             assert!(cfg.dispatch.is_none(), "{} gained batching", cfg.label);
         }
@@ -501,25 +473,9 @@ mod tests {
             chameleon_cluster_partitioned(4),
             chameleon_cluster_hetero(),
             chameleon_cluster_elastic(),
-            chameleon_cluster16(),
         ] {
             assert!(cfg.kv.is_none(), "{} gained KV metering", cfg.label);
         }
-    }
-
-    #[test]
-    fn fleet16_preset_shape() {
-        let c = chameleon_cluster16();
-        assert_eq!(c.engine_count(), 16);
-        assert_eq!(c.num_adapters, 600);
-        assert_eq!(c.router, RouterPolicy::AdapterAffinity);
-        let auto = c.autoscale.as_ref().expect("elastic growth enabled");
-        assert_eq!(auto.controller.min_engines, 16);
-        assert_eq!(auto.controller.max_engines, 20);
-        let tps: Vec<u32> = (0..16).map(|i| c.engine_spec(i).tp_degree).collect();
-        assert_eq!(tps.iter().filter(|&&t| t == 1).count(), 10);
-        assert_eq!(tps.iter().filter(|&&t| t == 2).count(), 4);
-        assert_eq!(tps.iter().filter(|&&t| t == 4).count(), 2);
     }
 
     #[test]
@@ -562,7 +518,6 @@ mod tests {
             chameleon_cluster_elastic_predictive(),
             chameleon_cluster_hetero(),
             chameleon_cluster_elastic(),
-            chameleon_cluster16(),
             chameleon_kv_guarded(),
             chameleon_kv_observed(),
             static_mlq(),

@@ -71,9 +71,10 @@ pub struct RunReport {
     pub flight_dumps: Vec<FlightDump>,
     /// Total anomaly firings, including those past the dump cap.
     pub flight_firings: u64,
-    /// Wall-clock barrier/epoch profile of cluster runs, present only
-    /// when the system opted into profiling. Host-dependent by nature —
-    /// excluded from the canonical text.
+    /// Wall-clock barrier/epoch profile of a cluster run, for callers
+    /// that drive a `Cluster` with `enable_barrier_profiling` and fill it
+    /// in themselves; [`Simulation`](crate::Simulation) leaves it `None`.
+    /// Host-dependent by nature — excluded from the canonical text.
     pub barrier_profile: Option<BarrierProfile>,
 }
 
@@ -316,6 +317,24 @@ impl RunReport {
     /// `1.0` for fault-free runs.
     pub fn availability(&self, offered: usize) -> f64 {
         self.routing.fault.availability(offered as u64)
+    }
+
+    /// P99 TTFT in seconds over **all** `offered` requests: every request
+    /// without a first token (shed, failed, or still waiting at the
+    /// horizon) counts as an infinite sample, so abandoning work shows in
+    /// the tail instead of improving it. The sample is the
+    /// `ceil(0.99 · offered)`-th smallest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offered` is zero or smaller than the number of requests
+    /// that produced a first token.
+    pub fn p99_ttft_offered(&self, offered: usize) -> f64 {
+        let mut xs = self.ttft_seconds();
+        assert!(xs.len() <= offered, "more first tokens than offered");
+        xs.resize(offered, f64::INFINITY);
+        xs.sort_by(f64::total_cmp);
+        xs[((offered as f64 * 0.99).ceil() as usize).max(1) - 1]
     }
 
     /// Verifies request conservation against the number of requests the
@@ -665,6 +684,38 @@ mod tests {
         let dup = r.records[0].clone();
         r.records.push(dup);
         assert!(r.verify_request_conservation(4).is_err(), "duplicate id");
+    }
+
+    #[test]
+    fn offered_p99_counts_unserved_requests_as_infinite() {
+        // 150 served: the sample is the ceil(0.99 · 150) = 149th smallest.
+        let r = report(
+            (0..150)
+                .map(|i| record(i, 0.0, 0.01 * (150 - i) as f64, 5.0, 8))
+                .collect(),
+        );
+        let mut sorted = r.ttft_seconds();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(r.p99_ttft_offered(150), sorted[148]);
+        assert!(r.p99_ttft_offered(150) < sorted[149]);
+
+        // 99 of 100 served and one shed: index 98 is the slowest served.
+        let mut r = report(
+            (0..99)
+                .map(|i| record(i, 0.0, 0.1 + 0.01 * i as f64, 5.0, 8))
+                .collect(),
+        );
+        r.routing.fault.requests_shed = 1;
+        r.verify_request_conservation(100).expect("shed accounted");
+        let slowest = r.ttft_seconds().into_iter().fold(0.0, f64::max);
+        assert_eq!(r.p99_ttft_offered(100), slowest);
+
+        // One more lost to a failure: index 98 is now an unserved request.
+        r.records.pop();
+        r.routing.fault.requests_failed = 1;
+        r.verify_request_conservation(100)
+            .expect("failed accounted");
+        assert_eq!(r.p99_ttft_offered(100), f64::INFINITY);
     }
 
     #[test]

@@ -183,8 +183,7 @@ impl Simulation {
         let wrs = self.wrs_config(trace);
         let max_output = trace.summary().max_output;
         let tracing = self.cfg.trace.is_some();
-        let (engine_report, horizon, events, trace_log, barrier_profile) = if self.cfg.is_cluster()
-        {
+        let (engine_report, horizon, events, trace_log) = if self.cfg.is_cluster() {
             let initial = self.cfg.engine_count();
             let mut cluster = Cluster::with_router(
                 initial,
@@ -208,9 +207,6 @@ impl Simulation {
             }
             if tracing {
                 cluster.enable_tracing();
-            }
-            if self.cfg.profile_barriers {
-                cluster.enable_barrier_profiling();
             }
             let exec = self.cfg.cluster_exec;
             let last = match &self.cfg.autoscale {
@@ -236,8 +232,8 @@ impl Simulation {
                 None => cluster.run_with(trace, exec),
             };
             let events = cluster.events_processed();
-            let (report, log, profile) = cluster.into_report_with_trace();
-            (report, last, events, log, profile)
+            let (report, log, _) = cluster.into_report_with_trace();
+            (report, last, events, log)
         } else {
             let spec = self.cfg.engine_spec(0);
             let mut engine = self.build_engine(slo, wrs, 0, max_output, k_max, &spec);
@@ -251,7 +247,7 @@ impl Simulation {
                 buf.extend_lane(Lane::Engine(0), engine.take_trace_events());
                 buf.finish()
             });
-            (engine.into_report(), last, events, log, None)
+            (engine.into_report(), last, events, log)
         };
         let isolated_e2e = engine_report
             .records
@@ -279,7 +275,6 @@ impl Simulation {
             trace.summary().mean_rps,
             events,
         );
-        report.barrier_profile = barrier_profile;
         if let (Some(spec), Some(log)) = (&self.cfg.trace, trace_log) {
             let mut predicates: Vec<Box<dyn AnomalyPredicate>> = Vec::new();
             if let Some(trigger) = spec.ttft_slo_trigger {

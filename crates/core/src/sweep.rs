@@ -8,7 +8,6 @@
 //! cluster routing policy instead, making `RouterPolicy` an experiment
 //! dimension next to scheduler and eviction policy.
 
-use crate::par;
 use crate::report::RunReport;
 use crate::sim::Simulation;
 use crate::system::SystemConfig;
@@ -93,22 +92,12 @@ impl LoadSweep {
     }
 
     /// One self-contained sweep point: fresh simulation, per-load trace,
-    /// full run. Pure in (cfg, seed, rps), which is what makes the
-    /// parallel runner bit-identical to the serial one.
+    /// full run.
     fn point(&self, rps: f64) -> SweepPoint {
         let mut sim = Simulation::new(self.cfg.clone(), self.seed);
         let trace =
             workloads::splitwise(rps, self.trace_secs, self.seed ^ rps.to_bits(), sim.pool());
         let report = sim.run(&trace);
-        SweepPoint { rps, report }
-    }
-
-    /// One sweep point over a caller-provided trace (pure in
-    /// (cfg, seed, trace)); shared by the serial and parallel trace
-    /// runners so their per-point behaviour cannot drift apart.
-    fn trace_point(&self, rps: f64, trace: &Trace) -> SweepPoint {
-        let mut sim = Simulation::new(self.cfg.clone(), self.seed);
-        let report = sim.run(trace);
         SweepPoint { rps, report }
     }
 
@@ -123,19 +112,6 @@ impl LoadSweep {
         }
     }
 
-    /// Runs the sweep with up to `workers` load points in flight
-    /// concurrently (a `std::thread::scope` work pool; see [`par`]).
-    /// Bit-identical to [`run`](Self::run): every point is an independent
-    /// deterministic simulation and results are assembled in load order —
-    /// asserted byte-for-byte (serialised reports) by the crate's
-    /// determinism tests.
-    pub fn run_parallel(&self, loads: &[f64], workers: usize) -> SweepResult {
-        SweepResult {
-            label: self.cfg.label.clone(),
-            points: par::parallel_map(loads, workers, |_, &rps| self.point(rps)),
-        }
-    }
-
     /// Runs the sweep over custom traces (one per load), for non-default
     /// workloads.
     pub fn run_traces(&self, traces: &[(f64, Trace)]) -> SweepResult {
@@ -143,19 +119,11 @@ impl LoadSweep {
             label: self.cfg.label.clone(),
             points: traces
                 .iter()
-                .map(|(rps, trace)| self.trace_point(*rps, trace))
+                .map(|(rps, trace)| SweepPoint {
+                    rps: *rps,
+                    report: Simulation::new(self.cfg.clone(), self.seed).run(trace),
+                })
                 .collect(),
-        }
-    }
-
-    /// Parallel variant of [`run_traces`](Self::run_traces); bit-identical
-    /// point-for-point.
-    pub fn run_traces_parallel(&self, traces: &[(f64, Trace)], workers: usize) -> SweepResult {
-        SweepResult {
-            label: self.cfg.label.clone(),
-            points: par::parallel_map(traces, workers, |_, (rps, trace)| {
-                self.trace_point(*rps, trace)
-            }),
         }
     }
 
@@ -219,35 +187,12 @@ impl RouterSweep {
             .collect()
     }
 
-    /// Runs `trace` under each policy with up to `workers` points in
-    /// flight concurrently; bit-identical to
-    /// [`run_trace`](Self::run_trace) point-for-point.
-    pub fn run_trace_parallel(
-        &self,
-        policies: &[RouterPolicy],
-        trace: &Trace,
-        workers: usize,
-    ) -> Vec<RouterPoint> {
-        par::parallel_map(policies, workers, |_, &policy| self.point(policy, trace))
-    }
-
-    /// The shared workload of [`run_all`](Self::run_all) and its parallel
-    /// variant — one construction site, so the serial and parallel entry
-    /// points cannot drift onto different traces.
-    fn default_trace(&self, rps: f64, secs: f64) -> Trace {
-        let pool = AdapterPool::generate(&self.cfg.llm, &self.cfg.pool_config());
-        workloads::splitwise(rps, secs, self.seed, &pool)
-    }
-
     /// Runs all built-in policies over the scaled Splitwise workload at
     /// `rps` for `secs` seconds.
     pub fn run_all(&self, rps: f64, secs: f64) -> Vec<RouterPoint> {
-        self.run_trace(&RouterPolicy::ALL, &self.default_trace(rps, secs))
-    }
-
-    /// Parallel variant of [`run_all`](Self::run_all).
-    pub fn run_all_parallel(&self, rps: f64, secs: f64, workers: usize) -> Vec<RouterPoint> {
-        self.run_trace_parallel(&RouterPolicy::ALL, &self.default_trace(rps, secs), workers)
+        let pool = AdapterPool::generate(&self.cfg.llm, &self.cfg.pool_config());
+        let trace = workloads::splitwise(rps, secs, self.seed, &pool);
+        self.run_trace(&RouterPolicy::ALL, &trace)
     }
 }
 
@@ -283,70 +228,6 @@ mod tests {
     #[should_panic(expected = "data-parallel")]
     fn router_sweep_rejects_single_engine() {
         let _ = RouterSweep::new(preset::chameleon(), 1);
-    }
-
-    /// The determinism guarantee of the parallel runner: byte-identical
-    /// serialised reports against the serial runner, across two seeds.
-    #[test]
-    fn parallel_sweep_bit_identical_to_serial() {
-        for seed in [3, 17] {
-            let sweep = LoadSweep::new(preset::chameleon(), seed).with_trace_secs(6.0);
-            let loads = [2.0, 5.0, 8.0];
-            let serial = sweep.run(&loads);
-            let parallel = sweep.run_parallel(&loads, 4);
-            assert_eq!(serial.points.len(), parallel.points.len());
-            for (a, b) in serial.points.iter().zip(&parallel.points) {
-                assert_eq!(a.rps, b.rps);
-                assert_eq!(
-                    a.report.canonical_text(),
-                    b.report.canonical_text(),
-                    "seed {seed} rps {} diverged",
-                    a.rps
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_trace_sweep_bit_identical_to_serial() {
-        let sweep = LoadSweep::new(preset::chameleon(), 13).with_trace_secs(5.0);
-        let pool = sweep.pool();
-        let traces: Vec<(f64, chameleon_workload::Trace)> = [3.0, 6.0]
-            .iter()
-            .map(|&rps| (rps, crate::workloads::splitwise(rps, 5.0, 13, &pool)))
-            .collect();
-        let serial = sweep.run_traces(&traces);
-        let parallel = sweep.run_traces_parallel(&traces, 4);
-        for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a.rps, b.rps);
-            assert_eq!(
-                a.report.canonical_text(),
-                b.report.canonical_text(),
-                "rps {} diverged",
-                a.rps
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_router_sweep_bit_identical_to_serial() {
-        for seed in [5, 23] {
-            let sweep = RouterSweep::new(preset::chameleon_cluster(2), seed);
-            let pool = sweep.cfg.pool_config();
-            let pool = chameleon_models::AdapterPool::generate(&sweep.cfg.llm, &pool);
-            let trace = crate::workloads::splitwise(6.0, 6.0, seed, &pool);
-            let serial = sweep.run_trace(&RouterPolicy::ALL, &trace);
-            let parallel = sweep.run_trace_parallel(&RouterPolicy::ALL, &trace, 4);
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.policy, b.policy);
-                assert_eq!(
-                    a.report.canonical_text(),
-                    b.report.canonical_text(),
-                    "seed {seed} policy {} diverged",
-                    a.policy.name()
-                );
-            }
-        }
     }
 
     #[test]

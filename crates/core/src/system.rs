@@ -333,10 +333,6 @@ pub struct SystemConfig {
     /// decision stream into [`RunReport::trace`](crate::RunReport) and
     /// arms the spec's anomaly predicates.
     pub trace: Option<TraceSpec>,
-    /// Measure the wall-clock barrier/epoch profile of cluster runs
-    /// (dispatch vs step vs barrier wait). Wall-clock only: never
-    /// perturbs simulation results, never part of the trace stream.
-    pub profile_barriers: bool,
 }
 
 impl SystemConfig {
@@ -370,7 +366,6 @@ impl SystemConfig {
             slo: None,
             max_batch_requests: 256,
             trace: None,
-            profile_barriers: false,
         }
     }
 
@@ -524,12 +519,6 @@ impl SystemConfig {
         self.trace = Some(spec);
         self
     }
-
-    /// Builder-style: enables wall-clock barrier/epoch profiling.
-    pub fn with_barrier_profiling(mut self) -> Self {
-        self.profile_barriers = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -617,12 +606,9 @@ mod tests {
     #[test]
     fn telemetry_axes_default_off() {
         let c = SystemConfig::base("x");
-        assert!(c.trace.is_none() && !c.profile_barriers);
-        let t = SystemConfig::base("x")
-            .with_trace(TraceSpec::new().with_shed_idle_trigger())
-            .with_barrier_profiling();
+        assert!(c.trace.is_none());
+        let t = SystemConfig::base("x").with_trace(TraceSpec::new().with_shed_idle_trigger());
         assert!(t.trace.is_some_and(|s| s.shed_idle_trigger));
-        assert!(t.profile_barriers);
     }
 
     #[test]

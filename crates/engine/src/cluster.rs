@@ -1816,7 +1816,6 @@ impl Cluster {
                 .filter(|s| s.queue_depth == 0 && s.running == 0)
                 .count() as u32;
             self.stats.fault.requests_shed += 1;
-            self.stats.fault.shed_times.push(req.arrival());
             self.events_processed += 1;
             if let Some(tracer) = self.tracer.as_mut() {
                 tracer.push(

@@ -10,9 +10,7 @@
 //! * [`summary`] — percentile summaries ([`LatencySummary`]) and SLO
 //!   accounting.
 //! * [`series`] — time-binned series for the over-time figures (memory
-//!   occupancy for Figure 6, P99-over-time for Figures 15/19) and the
-//!   telemetry plane's sliding-window percentile series
-//!   ([`WindowedSeries`]).
+//!   occupancy for Figure 6, P99-over-time for Figures 15/19).
 //! * [`routing`] — cluster-routing statistics ([`RoutingStats`]): per-
 //!   engine dispatch counts, affinity hit rate, spill rate, and the
 //!   load-imbalance coefficient of the global dispatcher.
@@ -28,5 +26,5 @@ pub use collector::Collector;
 pub use kv::KvStats;
 pub use record::{RequestRecord, SizeClass};
 pub use routing::{DispatchStats, FaultStats, PredictiveStats, RoutingStats};
-pub use series::{BinnedSeries, MemorySample, MonotonicTimeError, WindowedSeries};
+pub use series::{BinnedSeries, MemorySample};
 pub use summary::LatencySummary;

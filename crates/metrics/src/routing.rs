@@ -22,7 +22,6 @@
 //! folded in.
 
 use chameleon_router::EngineId;
-use chameleon_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Outcome counters of the predictive control plane (SLO/forecast
@@ -94,11 +93,6 @@ pub struct FaultStats {
     /// Mean time-to-complete in seconds over recovery episodes whose
     /// victims finished: crash barrier → last victim completed.
     pub mttr_complete: f64,
-    /// Barrier instants at which SLO-aware shedding refused a request —
-    /// the fault plane's own shed ledger, recorded whether or not tracing
-    /// is on so telemetry can derive availability windows without a trace
-    /// stream. One entry per shed request, in shed order.
-    pub shed_times: Vec<SimTime>,
 }
 
 impl FaultStats {

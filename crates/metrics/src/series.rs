@@ -91,139 +91,6 @@ impl BinnedSeries {
     }
 }
 
-/// The error returned when a [`WindowedSeries`] push goes backwards in
-/// time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonotonicTimeError {
-    /// The latest accepted sample instant.
-    pub last: SimTime,
-    /// The rejected (earlier) instant.
-    pub attempted: SimTime,
-}
-
-impl std::fmt::Display for MonotonicTimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "non-monotonic sample: {} after {}",
-            self.attempted, self.last
-        )
-    }
-}
-
-impl std::error::Error for MonotonicTimeError {}
-
-/// A sliding-window series: observations pushed in non-decreasing time
-/// order, reducible to percentiles over the trailing window ending at any
-/// instant.
-///
-/// Unlike [`BinnedSeries`] (fixed, disjoint bins for the paper's figures)
-/// this is the telemetry plane's view — "P99 TTFT over the last 10 s,
-/// evaluated every second" — and the monotonicity requirement is enforced
-/// rather than repaired by sorting, so a producer handing samples out of
-/// order is caught instead of silently reordered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowedSeries {
-    window: SimDuration,
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl WindowedSeries {
-    /// Creates an empty series with the given trailing-window width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "zero window width");
-        WindowedSeries {
-            window,
-            samples: Vec::new(),
-        }
-    }
-
-    /// The trailing-window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Appends an observation. Samples must arrive in non-decreasing time
-    /// order; a violation is rejected (and the series left unchanged).
-    pub fn push(&mut self, at: SimTime, value: f64) -> Result<(), MonotonicTimeError> {
-        if let Some(&(last, _)) = self.samples.last() {
-            if at < last {
-                return Err(MonotonicTimeError {
-                    last,
-                    attempted: at,
-                });
-            }
-        }
-        self.samples.push((at, value));
-        Ok(())
-    }
-
-    /// The samples inside the window `(end - window, end]`.
-    ///
-    /// The left edge is exclusive: a sample exactly `window` old has
-    /// slid out, a sample exactly at `end` is included.
-    pub fn window_at(&self, end: SimTime) -> &[(SimTime, f64)] {
-        // Before one full window has elapsed nothing can have slid out;
-        // past that, the left edge `end - window` is exclusive.
-        let lo = if end.as_nanos() >= self.window.as_nanos() {
-            let cut = end - self.window;
-            self.samples.partition_point(|&(t, _)| t <= cut)
-        } else {
-            0
-        };
-        let hi = self.samples.partition_point(|&(t, _)| t <= end);
-        &self.samples[lo..hi]
-    }
-
-    /// Percentile `p` (0–100) over the trailing window ending at `end`;
-    /// `None` when the window holds no samples.
-    pub fn percentile_at(&self, end: SimTime, p: f64) -> Option<f64> {
-        let vals: Vec<f64> = self.window_at(end).iter().map(|&(_, v)| v).collect();
-        percentile(&vals, p)
-    }
-
-    /// Evaluates `percentile_at` on a fixed cadence from the first sample
-    /// through the last (inclusive of the final partial stride), skipping
-    /// empty windows. Returns `(evaluation_instant, value)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn percentile_series(&self, stride: SimDuration, p: f64) -> Vec<(SimTime, f64)> {
-        assert!(!stride.is_zero(), "zero stride");
-        let (Some(&(first, _)), Some(&(last, _))) = (self.samples.first(), self.samples.last())
-        else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut end = first;
-        loop {
-            if let Some(v) = self.percentile_at(end, p) {
-                out.push((end, v));
-            }
-            if end >= last {
-                break;
-            }
-            end = (end + stride).min(last);
-        }
-        out
-    }
-}
-
 /// One snapshot of GPU memory occupancy — a point of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MemorySample {
@@ -303,92 +170,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert!(s.p99_bins(SimDuration::from_secs(1)).is_empty());
-    }
-
-    fn d(s: f64) -> SimDuration {
-        SimDuration::from_secs_f64(s)
-    }
-
-    #[test]
-    fn windowed_empty_window_yields_none() {
-        let s = WindowedSeries::new(d(10.0));
-        assert!(s.is_empty());
-        assert_eq!(s.percentile_at(t(5.0), 99.0), None);
-        assert!(s.percentile_series(d(1.0), 99.0).is_empty());
-        // Non-empty series, but the window has slid past every sample.
-        let mut s = WindowedSeries::new(d(1.0));
-        s.push(t(0.5), 1.0).unwrap();
-        assert_eq!(s.percentile_at(t(10.0), 50.0), None);
-    }
-
-    #[test]
-    fn windowed_single_sample() {
-        let mut s = WindowedSeries::new(d(10.0));
-        s.push(t(2.0), 7.5).unwrap();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.percentile_at(t(2.0), 50.0), Some(7.5));
-        assert_eq!(s.percentile_at(t(11.9), 99.0), Some(7.5));
-        let series = s.percentile_series(d(1.0), 50.0);
-        assert_eq!(series, vec![(t(2.0), 7.5)]);
-    }
-
-    #[test]
-    fn windowed_window_boundary_is_left_exclusive_right_inclusive() {
-        let mut s = WindowedSeries::new(d(5.0));
-        s.push(t(0.0), 1.0).unwrap();
-        s.push(t(5.0), 2.0).unwrap();
-        s.push(t(10.0), 3.0).unwrap();
-        // Window (0, 5]: the t=0 sample is exactly window-old -> out;
-        // the t=5 sample is exactly at the end -> in.
-        assert_eq!(s.window_at(t(5.0)), &[(t(5.0), 2.0)]);
-        // Window (5, 10]: t=5 slid out.
-        assert_eq!(s.window_at(t(10.0)), &[(t(10.0), 3.0)]);
-        // Before one full window has elapsed nothing has slid out.
-        assert_eq!(s.window_at(t(4.0)), &[(t(0.0), 1.0)]);
-        // Future samples past `end` are never visible.
-        assert_eq!(s.window_at(t(7.0)), &[(t(5.0), 2.0)]);
-    }
-
-    #[test]
-    fn windowed_percentiles_slide() {
-        let mut s = WindowedSeries::new(d(2.0));
-        for i in 0..10 {
-            s.push(t(i as f64), i as f64).unwrap();
-        }
-        // Window (7, 9] holds {8, 9}.
-        assert_eq!(s.percentile_at(t(9.0), 0.0), Some(8.0));
-        assert_eq!(s.percentile_at(t(9.0), 100.0), Some(9.0));
-        let series = s.percentile_series(d(3.0), 100.0);
-        // Evaluated at 0, 3, 6, 9: max of each trailing 2s window.
-        assert_eq!(
-            series,
-            vec![(t(0.0), 0.0), (t(3.0), 3.0), (t(6.0), 6.0), (t(9.0), 9.0)]
-        );
-    }
-
-    #[test]
-    fn windowed_monotonic_violation_is_rejected() {
-        let mut s = WindowedSeries::new(d(1.0));
-        s.push(t(3.0), 1.0).unwrap();
-        s.push(t(3.0), 2.0).unwrap(); // equal instants are fine
-        let err = s.push(t(2.0), 9.0).unwrap_err();
-        assert_eq!(
-            err,
-            MonotonicTimeError {
-                last: t(3.0),
-                attempted: t(2.0),
-            }
-        );
-        assert!(err.to_string().contains("non-monotonic"));
-        // The series is unchanged by the rejected push.
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.percentile_at(t(3.0), 100.0), Some(2.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "zero window")]
-    fn windowed_zero_window_panics() {
-        let _ = WindowedSeries::new(SimDuration::ZERO);
     }
 
     #[test]

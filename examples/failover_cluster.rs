@@ -28,23 +28,9 @@ use chameleon_repro::simcore::{SimDuration, SimTime};
 const SEED: u64 = 7;
 const CRASH_AT_SECS: f64 = 10.0;
 
-/// P99 TTFT over **all offered** requests: anything unserved (failed or
-/// shed) counts as an infinite sample.
-fn p99_all_offered(report: &RunReport, offered: usize) -> f64 {
-    let mut xs: Vec<f64> = report
-        .records
-        .iter()
-        .filter_map(|r| r.ttft())
-        .map(|d| d.as_secs_f64())
-        .collect();
-    xs.resize(offered, f64::INFINITY);
-    xs.sort_by(f64::total_cmp);
-    xs[((offered as f64 * 0.99).ceil() as usize).max(1) - 1]
-}
-
 fn show(name: &str, r: &RunReport, offered: usize) {
     let f = &r.routing.fault;
-    let p99 = p99_all_offered(r, offered);
+    let p99 = r.p99_ttft_offered(offered);
     println!(
         "  {name:<20} served={:<4} failed={:<3} shed={:<3} recovered={:<3} retries={:<3} \
          availability={:>6.2}% p99-offered={}",
@@ -113,9 +99,9 @@ fn main() {
     // the tail, but recovery keeps every offered request's TTFT finite
     // and the P99 within an order of magnitude of the clean run —
     // while the no-recovery ablation's offered-P99 is infinite.
-    let p99_clean = p99_all_offered(&clean, offered);
-    let p99_recovery = p99_all_offered(&recovery, offered);
-    let p99_ablation = p99_all_offered(&ablation, offered);
+    let p99_clean = clean.p99_ttft_offered(offered);
+    let p99_recovery = recovery.p99_ttft_offered(offered);
+    let p99_ablation = ablation.p99_ttft_offered(offered);
     assert!(p99_recovery.is_finite(), "recovery left unserved requests");
     assert!(
         p99_recovery <= 10.0 * p99_clean,

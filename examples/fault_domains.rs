@@ -30,20 +30,6 @@ use chameleon_repro::simcore::SimTime;
 const SEED: u64 = 7;
 const CRASH_AT_SECS: f64 = 14.0;
 
-/// P99 TTFT over **all offered** requests: anything unserved (failed or
-/// shed) counts as an infinite sample.
-fn p99_all_offered(report: &RunReport, offered: usize) -> f64 {
-    let mut xs: Vec<f64> = report
-        .records
-        .iter()
-        .filter_map(|r| r.ttft())
-        .map(|d| d.as_secs_f64())
-        .collect();
-    xs.resize(offered, f64::INFINITY);
-    xs.sort_by(f64::total_cmp);
-    xs[((offered as f64 * 0.99).ceil() as usize).max(1) - 1]
-}
-
 /// The same fleet with the anti-affinity preference switched off: spill
 /// second choices ignore the racks (the racks themselves stay, so the
 /// crash scopes identically).
@@ -59,7 +45,7 @@ fn topology_blind(mut cfg: SystemConfig) -> SystemConfig {
 
 fn show(name: &str, r: &RunReport, offered: usize) {
     let f = &r.routing.fault;
-    let p99 = p99_all_offered(r, offered);
+    let p99 = r.p99_ttft_offered(offered);
     println!(
         "  {name:<20} served={:<4} lost={:<3} recovered={:<3} availability={:>6.2}% \
          p99-offered={}",
@@ -111,8 +97,8 @@ fn main() {
     // The efficacy claim: placing second choices off-rack strictly wins
     // on the offered tail and on requests lost to the fault.
     let f = &affine.routing.fault;
-    let p99_affine = p99_all_offered(&affine, offered);
-    let p99_blind = p99_all_offered(&blind, offered);
+    let p99_affine = affine.p99_ttft_offered(offered);
+    let p99_blind = blind.p99_ttft_offered(offered);
     assert!(
         p99_affine < p99_blind,
         "anti-affinity ({p99_affine}s) must strictly beat blind ({p99_blind}s) on offered P99"

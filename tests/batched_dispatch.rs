@@ -5,8 +5,9 @@
 //! * **State-independent routing** (pure weighted rendezvous, spill off;
 //!   round-robin) reads no load state, so routing a whole arrival batch
 //!   from one cached snapshot generation must be **byte-identical** — at
-//!   the [`RunReport::canonical_text`] level — to per-arrival dispatch.
-//!   Only the barrier count may change.
+//!   the [`RunReport::canonical_text`] level — to serial per-arrival
+//!   dispatch, whether the batched run steps its engines serially or on
+//!   the worker pool. Only the barrier count may change.
 //! * **Bounded-staleness routing** (load-aware policies with a declared
 //!   `(max_batch, max_age)` budget) intentionally routes from snapshots
 //!   up to one batch stale (coordinator echoes included), so it is *not*
@@ -83,6 +84,23 @@ fn state_independent_batching_is_byte_identical_to_per_arrival() {
                 per_arrival, batched,
                 "{name}, seed {seed}: batched dispatch diverged from per-arrival"
             );
+            // Unbounded batches stepped on the worker pool still match
+            // serial per-arrival dispatch.
+            for workers in WORKER_COUNTS {
+                let pooled = canonical(
+                    base.clone()
+                        .with_dispatch(DispatchSpec::new())
+                        .with_parallel_cluster(workers),
+                    seed,
+                    40.0,
+                    10.0,
+                );
+                assert_eq!(
+                    per_arrival, pooled,
+                    "{name}, seed {seed}, {workers} workers: pooled batched dispatch \
+                     diverged from serial per-arrival"
+                );
+            }
 
             // The equality is meaningful only if batching actually
             // happened: re-run and inspect the dispatch counters.

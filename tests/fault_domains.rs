@@ -25,23 +25,6 @@ use chameleon_repro::trace::TraceEvent;
 
 const SEED: u64 = 7;
 
-/// P99 TTFT over **all offered** requests: anything the system never
-/// served counts as an infinite sample — the honest way to compare a run
-/// that drops work against one that doesn't.
-fn p99_ttft_all_offered(report: &RunReport, offered: usize) -> f64 {
-    let mut xs: Vec<f64> = report
-        .records
-        .iter()
-        .filter_map(|r| r.ttft())
-        .map(|d| d.as_secs_f64())
-        .collect();
-    assert!(xs.len() <= offered);
-    xs.resize(offered, f64::INFINITY);
-    xs.sort_by(f64::total_cmp);
-    let idx = ((offered as f64 * 0.99).ceil() as usize).max(1) - 1;
-    xs[idx]
-}
-
 /// The topology-blind ablation: identical fleet and racks, anti-affinity
 /// off. Placement ignores domains, but the correlated injections still
 /// hit whole racks — so the comparison isolates the placement policy.
@@ -186,8 +169,8 @@ fn anti_affinity_strictly_beats_blind_placement_under_a_domain_crash() {
         );
     }
 
-    let p99_affine = p99_ttft_all_offered(&affine, offered);
-    let p99_blind = p99_ttft_all_offered(&blind, offered);
+    let p99_affine = affine.p99_ttft_offered(offered);
+    let p99_blind = blind.p99_ttft_offered(offered);
     assert!(
         p99_affine < p99_blind,
         "anti-affinity ({p99_affine:.3}s) must strictly beat blind ({p99_blind:.3}s) on offered P99"

@@ -21,24 +21,6 @@ use chameleon_repro::simcore::{SimDuration, SimTime};
 use chameleon_repro::trace::TraceEvent;
 use chameleon_repro::workload::Trace;
 
-/// P99 TTFT over **all offered** requests: anything the system never
-/// served (shed, failed, or still waiting at the horizon) counts as an
-/// infinite sample — the honest way to compare a run that drops work
-/// against one that doesn't.
-fn p99_ttft_all_offered(report: &RunReport, offered: usize) -> f64 {
-    let mut xs: Vec<f64> = report
-        .records
-        .iter()
-        .filter_map(|r| r.ttft())
-        .map(|d| d.as_secs_f64())
-        .collect();
-    assert!(xs.len() <= offered);
-    xs.resize(offered, f64::INFINITY);
-    xs.sort_by(f64::total_cmp);
-    let idx = ((offered as f64 * 0.99).ceil() as usize).max(1) - 1;
-    xs[idx]
-}
-
 fn run_faulted(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (RunReport, usize) {
     let mut sim = Simulation::new(cfg, seed);
     let trace = workloads::splitwise(rps, secs, seed, sim.pool());
@@ -131,8 +113,8 @@ fn recovery_beats_no_recovery_ablation_on_p99() {
         ablation.routing.fault.requests_failed > 0,
         "ablation must actually drop the victim queue for the comparison to bite"
     );
-    let p99_recovery = p99_ttft_all_offered(&recovery, offered);
-    let p99_ablation = p99_ttft_all_offered(&ablation, offered);
+    let p99_recovery = recovery.p99_ttft_offered(offered);
+    let p99_ablation = ablation.p99_ttft_offered(offered);
     assert!(
         p99_recovery.is_finite(),
         "recovery left unserved requests in the P99 tail"

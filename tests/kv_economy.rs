@@ -105,8 +105,10 @@ fn armed_runs_are_bit_identical_across_worker_counts() {
 
 /// The headline mechanism under KV-bound load: the optimistic baseline
 /// unwinds admissions through requeue-front storms; the guarded arm
-/// refuses them up front and suffers **zero** storms — without losing
-/// work or blowing up tail latency.
+/// refuses them up front and suffers **zero** storms without losing
+/// work. The load is saturated (the baseline's P99 TTFT is 42–52 s on
+/// this 30 s trace), so the P99 bound compares two saturated tails; it
+/// says nothing about tail latency in a served regime.
 #[test]
 fn admission_control_eliminates_requeue_storms() {
     for seed in SEEDS {

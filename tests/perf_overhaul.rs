@@ -1,9 +1,8 @@
-//! Integration tests for the simulator hot-path overhaul: indexed
-//! eviction at simulation level, event accounting through `RunReport`,
-//! and the parallel sweep runners seen through the umbrella crate.
+//! Integration tests for the simulator hot-path overhaul: event
+//! accounting through `RunReport` and a reproducible canonical text,
+//! seen through the umbrella crate.
 
-use chameleon_repro::core::sweep::LoadSweep;
-use chameleon_repro::core::{par, preset, sim::Simulation, workloads};
+use chameleon_repro::core::{preset, sim::Simulation, workloads};
 
 /// Event accounting flows from the driver into `RunReport` and its
 /// canonical serialisation.
@@ -34,25 +33,4 @@ fn canonical_text_is_reproducible() {
         sim.run(&trace).canonical_text()
     };
     assert_eq!(run(), run());
-}
-
-/// The parallel sweep is byte-identical to the serial sweep through the
-/// umbrella crate, for oversubscribed worker counts too (more workers
-/// than points, more workers than cores).
-#[test]
-fn oversubscribed_parallel_sweep_stays_deterministic() {
-    let sweep = LoadSweep::new(preset::slora(), 7).with_trace_secs(5.0);
-    let loads = [3.0, 7.0];
-    let serial = sweep.run(&loads);
-    for workers in [2, 8, par::default_workers() * 4] {
-        let parallel = sweep.run_parallel(&loads, workers);
-        for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(
-                a.report.canonical_text(),
-                b.report.canonical_text(),
-                "diverged at rps {} with {workers} workers",
-                a.rps
-            );
-        }
-    }
 }
