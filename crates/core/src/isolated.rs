@@ -7,9 +7,12 @@
 //! isolated latency of a request, which the cost model provides directly.
 
 use chameleon_gpu::CostModel;
+use chameleon_metrics::RequestRecord;
 use chameleon_models::adapter::adapter_bytes;
+use chameleon_models::AdapterRank;
 use chameleon_simcore::SimDuration;
-use chameleon_workload::{Request, Trace};
+use chameleon_workload::{Request, RequestId, Trace};
+use std::collections::HashMap;
 
 /// Isolated (alone-on-the-GPU) latencies of one request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,6 +32,38 @@ pub fn isolated(cost: &CostModel, req: &Request, with_lora: bool) -> IsolatedLat
     let (ttft, e2e) =
         cost.isolated_latency(req.input_tokens(), req.output_tokens(), rank, with_lora);
     IsolatedLatency { ttft, e2e }
+}
+
+/// The isolated E2E latency of every record, by request id: what
+/// [`isolated`] gives each one (adapter included, cold), in O(1) per
+/// record. Each rank's decode steps are summed once, up to the longest
+/// context any record reaches ([`CostModel::solo_decode_sums`]); a
+/// record's decode time is then the difference of two sums, in integer
+/// nanoseconds and so exact.
+pub fn isolated_e2e_by_id(
+    cost: &CostModel,
+    records: &[RequestRecord],
+) -> HashMap<RequestId, SimDuration> {
+    // The context the last output token decodes at; the first comes from
+    // prefill.
+    let last_kv = |r: &RequestRecord| r.input_tokens + r.output_tokens.saturating_sub(1);
+    let top = records.iter().map(last_kv).max().unwrap_or(0);
+    let mut sums: Vec<(AdapterRank, Vec<SimDuration>)> = Vec::new();
+    let mut e2e = HashMap::with_capacity(records.len());
+    for r in records {
+        let i = match sums.iter().position(|(rank, _)| *rank == r.rank) {
+            Some(i) => i,
+            None => {
+                sums.push((r.rank, cost.solo_decode_sums(Some(r.rank), top)));
+                sums.len() - 1
+            }
+        };
+        let p = &sums[i].1;
+        let decode = p[last_kv(r) as usize] - p[r.input_tokens as usize];
+        let ttft = cost.isolated_ttft(r.input_tokens, Some(r.rank), true);
+        e2e.insert(r.id, ttft + decode);
+    }
+    e2e
 }
 
 /// Mean isolated E2E latency over (a sample of) the trace — the base of
@@ -120,6 +155,56 @@ mod tests {
             mean_isolated_e2e(&c, &Trace::new(vec![]), 10),
             SimDuration::ZERO
         );
+    }
+
+    /// A run prices every record's isolated E2E from the running sums
+    /// exactly as the per-request reference does: on the `engine_high`
+    /// system and the KV-guarded 24 GiB system, with single-token
+    /// requests mixed in.
+    #[test]
+    fn run_prices_every_record_like_the_reference() {
+        use crate::{preset, workloads, KvSpec, Simulation};
+        use chameleon_models::GpuSpec;
+        let mut kv24 =
+            preset::chameleon_kv_guarded().with_gpu(GpuSpec::a40().with_memory_bytes(24 << 30));
+        kv24.kv = Some(KvSpec::new().with_pressure_threshold(0.5));
+        for (cfg, rps) in [(preset::chameleon().with_adapters(600), 10.5), (kv24, 10.0)] {
+            let mut sim = Simulation::new(cfg, 3);
+            let mut reqs = workloads::splitwise(rps, 30.0, 3, sim.pool())
+                .requests()
+                .to_vec();
+            let n = reqs.len();
+            for k in 0..5 {
+                let base = reqs[k * n / 5];
+                reqs.push(Request::new(
+                    RequestId((n + k) as u64),
+                    base.arrival(),
+                    base.input_tokens(),
+                    1,
+                    base.adapter(),
+                    base.rank(),
+                ));
+            }
+            let report = sim.run(&Trace::new(reqs));
+            assert_eq!(report.isolated_e2e.len(), n + 5);
+            for r in &report.records {
+                let req = Request::new(
+                    r.id,
+                    r.arrival,
+                    r.input_tokens,
+                    r.output_tokens,
+                    r.adapter,
+                    r.rank,
+                );
+                assert_eq!(
+                    report.isolated_e2e[&r.id],
+                    isolated(sim.cost_model(), &req, true).e2e,
+                    "{} {}",
+                    report.label,
+                    r.id
+                );
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,9 @@ pub struct RunReport {
     /// from [`canonical_text`](RunReport::canonical_text) — unless the
     /// run armed a `KvSpec`.
     pub kv: KvStats,
-    /// Simulation events processed by the driver (throughput denominator
-    /// for the benchmark harness's events/sec).
+    /// Simulation events processed by the driver, arrivals included: the
+    /// `events=` field of [`canonical_text`](RunReport::canonical_text)
+    /// and perfbench's `simcore.events`.
     pub events_processed: u64,
     /// The merged deterministic decision stream, present only when the
     /// system opted into tracing ([`SystemConfig::trace`]). Never feeds

@@ -249,21 +249,7 @@ impl Simulation {
             });
             (engine.into_report(), last, events, log)
         };
-        let isolated_e2e = engine_report
-            .records
-            .iter()
-            .map(|r| {
-                let req = chameleon_workload::Request::new(
-                    r.id,
-                    r.arrival,
-                    r.input_tokens,
-                    r.output_tokens,
-                    r.adapter,
-                    r.rank,
-                );
-                (r.id, isolated::isolated(&self.cost, &req, true).e2e)
-            })
-            .collect();
+        let isolated_e2e = isolated::isolated_e2e_by_id(&self.cost, &engine_report.records);
         let mut report = RunReport::new(
             self.cfg.label.clone(),
             self.cfg.llm.clone(),

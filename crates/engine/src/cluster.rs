@@ -74,7 +74,6 @@ use chameleon_simcore::shard::{self, ShardPool};
 use chameleon_simcore::{EventQueue, SimDuration, SimTime};
 use chameleon_trace::{AutoscaleAction, BarrierProfile, Lane, TraceBuffer, TraceEvent, TraceLog};
 use chameleon_workload::{Request, Trace};
-use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
 
@@ -1653,12 +1652,11 @@ impl Cluster {
     ) -> SimTime {
         // Arrivals in dispatch order: by time, ties by trace position
         // (the old heap's FIFO tie-break for the up-front pushes).
-        // Traces are normally already sorted, making this a cheap
-        // verification pass.
-        let mut arrivals = Cow::Borrowed(trace.requests());
-        if !arrivals.is_sorted_by_key(Request::arrival) {
-            arrivals.to_mut().sort_by_key(Request::arrival);
-        }
+        let arrivals = trace.requests();
+        debug_assert!(
+            arrivals.is_sorted_by_key(Request::arrival),
+            "a Trace keeps its requests sorted by arrival"
+        );
         let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
         for slot in &mut self.slots {
             slot.begin_run(mem_int, refresh_int);

@@ -1340,15 +1340,7 @@ impl Engine {
         // token costs one full (shared) iteration of wall time; a prefill
         // token costs its compute share.
         let batch = self.running.len().max(1);
-        self.decode_items.clear();
-        self.decode_items.resize(
-            batch,
-            DecodeItem {
-                kv_tokens: 256,
-                rank: None,
-            },
-        );
-        let step = self.cost.decode_step_time(&self.decode_items);
+        let step = self.cost.uniform_decode_step_time(batch, 256);
         self.release_basis = ReleaseBasis {
             now,
             step,

@@ -234,20 +234,36 @@ impl CostModel {
         if batch.is_empty() {
             return SimDuration::ZERO;
         }
-        let tp_hbm = self.decode_tp_hbm();
-        // Per-GPU weight shard streams in parallel across the group.
-        let weight_secs = self.llm.weight_bytes() as f64 / tp_hbm;
         let kv_bytes: u64 = batch
             .iter()
             .map(|i| u64::from(i.kv_tokens) * self.llm.kv_bytes_per_token())
             .sum();
-        let kv_secs = kv_bytes as f64 / tp_hbm;
         // Each *distinct* adapter's weights are re-read by the gather
         // kernels once per iteration, with a scatter penalty.
-        let lora_secs = self.lora_decode_secs(self.distinct_rank_bytes(batch), tp_hbm);
+        self.decode_step(batch.len(), kv_bytes, self.distinct_rank_bytes(batch))
+    }
+
+    /// [`decode_step_time`](Self::decode_step_time) of `batch` base-only
+    /// items that each hold `kv_tokens` of context, in O(1).
+    pub fn uniform_decode_step_time(&self, batch: usize, kv_tokens: u32) -> SimDuration {
+        if batch == 0 {
+            return SimDuration::ZERO;
+        }
+        let kv_bytes = batch as u64 * u64::from(kv_tokens) * self.llm.kv_bytes_per_token();
+        self.decode_step(batch, kv_bytes, 0)
+    }
+
+    /// One decode iteration over `items` sequences that stream `kv_bytes`
+    /// of KV cache and re-read `lora_bytes` of adapter weights.
+    fn decode_step(&self, items: usize, kv_bytes: u64, lora_bytes: u64) -> SimDuration {
+        let tp_hbm = self.decode_tp_hbm();
+        // Per-GPU weight shard streams in parallel across the group.
+        let weight_secs = self.llm.weight_bytes() as f64 / tp_hbm;
+        let kv_secs = kv_bytes as f64 / tp_hbm;
+        let lora_secs = self.lora_decode_secs(lora_bytes, tp_hbm);
         self.calib.iter_overhead
             + SimDuration::from_secs_f64(weight_secs + kv_secs + lora_secs)
-            + self.tp_sync(batch.len() as u64)
+            + self.tp_sync(items as u64)
     }
 
     /// HBM bytes per second decode streams at across the TP group.
@@ -327,6 +343,24 @@ impl CostModel {
         }
     }
 
+    /// Time to first token of a request running *alone* on an idle
+    /// engine: its prefill, after the adapter load when `cold_adapter`.
+    pub fn isolated_ttft(
+        &self,
+        input_tokens: u32,
+        rank: Option<AdapterRank>,
+        cold_adapter: bool,
+    ) -> SimDuration {
+        let load = match (rank, cold_adapter) {
+            (Some(r), true) => self.adapter_load_time(adapter_bytes(&self.llm, r)),
+            _ => SimDuration::ZERO,
+        };
+        load + self.prefill_time(&[PrefillItem {
+            tokens: input_tokens,
+            rank,
+        }])
+    }
+
     /// End-to-end latency of a request running *alone* on an idle engine:
     /// `(ttft, e2e)`. This is the denominator of the paper's per-request
     /// slowdown metric (§3.3) and the base of the SLO definition (§5.1).
@@ -340,33 +374,57 @@ impl CostModel {
         rank: Option<AdapterRank>,
         cold_adapter: bool,
     ) -> (SimDuration, SimDuration) {
-        let load = match (rank, cold_adapter) {
-            (Some(r), true) => self.adapter_load_time(adapter_bytes(&self.llm, r)),
-            _ => SimDuration::ZERO,
-        };
-        let prefill = self.prefill_time(&[PrefillItem {
-            tokens: input_tokens,
-            rank,
-        }]);
-        let ttft = load + prefill;
+        let ttft = self.isolated_ttft(input_tokens, rank, cold_adapter);
+        // First output token comes from prefill; remaining ones decode.
+        let step = self.solo_decode_step(rank);
         let mut e2e = ttft;
-        // First output token comes from prefill; remaining ones decode,
-        // each a one-item `decode_step_time`: the same float expression
-        // and nanosecond rounding per step, with the step-invariant terms
-        // computed once.
+        for k in 1..output_tokens {
+            e2e += step(input_tokens + k);
+        }
+        (ttft, e2e)
+    }
+
+    /// Running sums of the one-item decode step at `rank`: entry `k` sums
+    /// `decode_step_time(&[DecodeItem { kv_tokens: j, rank }])` over `j` in
+    /// `1..=k`, for `k` in `0..=max_kv_tokens`.
+    ///
+    /// A request alone on the engine decodes its tokens after the first at
+    /// contexts `input + 1 ..= input + output - 1`, so its decode time is
+    /// `sums[input + output - 1] - sums[input]`. The sums are integer
+    /// nanoseconds, so that difference is exactly what
+    /// [`isolated_latency`](Self::isolated_latency) adds step by step.
+    pub fn solo_decode_sums(
+        &self,
+        rank: Option<AdapterRank>,
+        max_kv_tokens: u32,
+    ) -> Vec<SimDuration> {
+        let step = self.solo_decode_step(rank);
+        let mut acc = SimDuration::ZERO;
+        let mut sums = Vec::with_capacity(max_kv_tokens as usize + 1);
+        sums.push(acc);
+        for k in 1..=max_kv_tokens {
+            acc += step(k);
+            sums.push(acc);
+        }
+        sums
+    }
+
+    /// The one-item [`decode_step_time`](Self::decode_step_time) at `rank`
+    /// as a function of context length: the same float expression and
+    /// nanosecond rounding, with the step-invariant terms computed once.
+    fn solo_decode_step(&self, rank: Option<AdapterRank>) -> impl Fn(u32) -> SimDuration + '_ {
         let tp_hbm = self.decode_tp_hbm();
         let weight_secs = self.llm.weight_bytes() as f64 / tp_hbm;
         let lora_bytes = rank.map_or(0, |r| adapter_bytes(&self.llm, r));
         let lora_secs = self.lora_decode_secs(lora_bytes, tp_hbm);
         let sync = self.tp_sync(1);
-        for step in 1..output_tokens {
-            let kv_bytes = u64::from(input_tokens + step) * self.llm.kv_bytes_per_token();
+        move |kv_tokens| {
+            let kv_bytes = u64::from(kv_tokens) * self.llm.kv_bytes_per_token();
             let kv_secs = kv_bytes as f64 / tp_hbm;
-            e2e += self.calib.iter_overhead
+            self.calib.iter_overhead
                 + SimDuration::from_secs_f64(weight_secs + kv_secs + lora_secs)
-                + sync;
+                + sync
         }
-        (ttft, e2e)
     }
 }
 
@@ -568,6 +626,52 @@ mod tests {
                     }]);
                 }
                 assert_eq!(e2e, want, "tp {tp} rank {rank:?}");
+            }
+        }
+    }
+
+    /// The closed-form uniform step prices exactly what `decode_step_time`
+    /// prices for the same number of identical base-only items.
+    #[test]
+    fn uniform_decode_step_matches_identical_items() {
+        for tp in [1, 2, 4, 8] {
+            let m = CostModel::new(LlmSpec::llama_7b(), GpuSpec::a40(), tp);
+            for kv_tokens in [0, 1, 256, 1537] {
+                let mut items = Vec::new();
+                for b in 0..=256 {
+                    assert_eq!(
+                        m.uniform_decode_step_time(b, kv_tokens),
+                        m.decode_step_time(&items),
+                        "tp {tp} batch {b} kv {kv_tokens}"
+                    );
+                    items.push(DecodeItem {
+                        kv_tokens,
+                        rank: None,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Differences of the running sums price every output length exactly
+    /// as the step-by-step isolated loop does, a single token included.
+    #[test]
+    fn solo_decode_sums_price_isolated_decode() {
+        for tp in [1, 2, 4] {
+            let m = CostModel::new(LlmSpec::llama_7b(), GpuSpec::a40(), tp);
+            for rank in [None, Some(AdapterRank::new(8)), Some(AdapterRank::new(128))] {
+                let sums = m.solo_decode_sums(rank, 400);
+                assert_eq!(sums.len(), 401);
+                assert_eq!(sums[0], SimDuration::ZERO);
+                for (input, output) in [(1, 1), (1, 2), (300, 1), (300, 40), (200, 201)] {
+                    let (ttft, e2e) = m.isolated_latency(input, output, rank, true);
+                    let last = (input + output - 1) as usize;
+                    assert_eq!(
+                        ttft + (sums[last] - sums[input as usize]),
+                        e2e,
+                        "tp {tp} rank {rank:?} in {input} out {output}"
+                    );
+                }
             }
         }
     }

@@ -57,8 +57,14 @@ impl Collector {
         let slot = Slot::new(self.slots.len());
         let prev = self.index.insert(id, slot);
         assert!(prev.is_none(), "{id} arrived twice");
+        let mut record = RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank);
+        // Every token after the first adds one gap; a squash clears the
+        // gaps but keeps their room.
+        record
+            .tbt_gaps
+            .reserve_exact(output_tokens.saturating_sub(1) as usize);
         self.slots.push(Some(Entry {
-            record: RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank),
+            record,
             last_token: at,
         }));
         slot
@@ -217,6 +223,28 @@ mod tests {
         assert_eq!(r.queue_delay(), Some(SimDuration::from_secs(1)));
         assert_eq!(r.ttft(), Some(SimDuration::from_millis(1200)));
         assert!(r.tbt_gaps.is_empty());
+        assert_eq!(r.tbt_gaps.capacity(), 3, "the squash kept the room");
+    }
+
+    #[test]
+    fn gaps_are_reserved_for_every_token_after_the_first() {
+        let mut c = Collector::new();
+        let s = arrive(&mut c, 1, 0.0);
+        assert_eq!(c.get(s).unwrap().tbt_gaps.capacity(), 3);
+        for at in [1.0, 1.1, 1.2, 1.3] {
+            c.on_token(s, t(at));
+        }
+        let r = c.get(s).unwrap();
+        assert_eq!((r.tbt_gaps.len(), r.tbt_gaps.capacity()), (3, 3));
+        let one = c.on_arrival(
+            RequestId(2),
+            t(0.0),
+            100,
+            1,
+            AdapterId(0),
+            AdapterRank::new(8),
+        );
+        assert_eq!(c.get(one).unwrap().tbt_gaps.capacity(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// A time-ordered sequence of requests driving one experiment.
 ///
 /// Invariant: requests are sorted by arrival time (ties keep insertion
-/// order), so the simulator can feed them to the event queue directly.
+/// order), so the drivers stream them in order without sorting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     requests: Vec<Request>,

@@ -10,7 +10,7 @@
 //! stale release-schedule bytes, squash underestimating r1 footprints).
 
 use chameleon_repro::cache::{AdapterCache, EvictionPolicy};
-use chameleon_repro::engine::{Engine, EngineConfig, EngineEvent, KvSpec};
+use chameleon_repro::engine::{driver, Engine, EngineConfig, EngineEvent, KvSpec};
 use chameleon_repro::models::{AdapterPool, GpuSpec, LlmSpec, PoolConfig};
 use chameleon_repro::predictor::OutputLenPredictor;
 use chameleon_repro::sched::{FifoScheduler, WrsConfig};
@@ -263,4 +263,34 @@ fn evacuation_releases_all_kv() {
         (0, 0),
         "evacuation left KV bytes behind"
     );
+}
+
+/// Every complete record holds exactly the `output_tokens - 1` TBT gaps
+/// the collector reserves room for on arrival, in exactly that room:
+/// squashed requests (baseline) and demoted-then-restored ones (armed)
+/// included.
+#[test]
+fn every_record_fills_its_reserved_gaps_exactly() {
+    for kv in [None, Some(KvSpec::new().with_pressure_threshold(0.5))] {
+        let llm = LlmSpec::llama_7b();
+        let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
+        let trace = long_output_trace(120, 20.0, 3, &pool);
+        let mut e = engine(pool, kv);
+        driver::run_engine(&mut e, &trace);
+        let report = e.into_report();
+        let disturbed =
+            report.records.iter().filter(|r| r.squashes > 0).count() as u64 + report.kv.demotions;
+        assert!(disturbed > 0, "{kv:?}: nothing was squashed or demoted");
+        for r in &report.records {
+            assert!(r.is_complete(), "{}", r.id);
+            let want = r.output_tokens as usize - 1;
+            assert_eq!(
+                (r.tbt_gaps.len(), r.tbt_gaps.capacity()),
+                (want, want),
+                "{kv:?} {} (squashes {})",
+                r.id,
+                r.squashes
+            );
+        }
+    }
 }
