@@ -7,6 +7,13 @@
 //!   [`Region::AdapterCache`];
 //! * `release` moves an adapter from in-use to cache (Chameleon) or frees
 //!   it outright (the S-LoRA discard-on-completion baseline, §2).
+//!
+//! Eviction candidates are the idle entries, indexed incrementally. The
+//! keyed policies (LRU/LFU/size/GDSF) keep them in a `BTreeSet` in victim
+//! order. The compound policies (FairShare and the §4.2 Chameleon score)
+//! have no stable order, so they keep an unordered dense table; an
+//! eviction pass scores each candidate once into a reused buffer and takes
+//! every victim by a linear min over `(score bits, id)`, with no heap.
 
 use crate::policy::{Candidate, EvictionPolicy};
 use chameleon_gpu::memory::{MemoryPool, OutOfMemory, Region};
@@ -80,17 +87,57 @@ struct Entry {
     last_used: SimTime,
     frequency: u32,
     ref_count: u32,
+    /// Position in the dense idle table while idle under a compound
+    /// policy; unused otherwise.
+    idle_pos: u32,
 }
 
-/// An idle entry's position in the eviction-candidate index: two policy-
-/// derived sort words plus the adapter id as the final, deterministic
-/// tie-break. Policies whose victim choice admits a stable per-entry key
-/// (LRU/LFU/size/GDSF) encode it in the leading words, so the BTree's
-/// first non-protected element *is* the victim; the normalised compound
-/// policies (whose scores depend on the candidate set and on `now`) use
-/// `(0, 0, id)`, degrading the index to a deterministic id-ordered idle
-/// set that the per-pass scan walks without touching the entry table.
+/// An idle entry's key in the keyed policies' BTree: two policy-derived
+/// sort words plus the adapter id as the final, deterministic tie-break.
+/// LRU/LFU/size/GDSF victim choice admits a stable per-entry key, so the
+/// BTree's first non-protected element *is* the victim.
 type IdleKey = (u64, u64, AdapterId);
+
+/// The eviction-candidate index over the idle (`ref_count == 0`) entries.
+#[derive(Debug, Clone)]
+enum IdleIndex {
+    /// Keyed policies: ordered by [`idle_key`], victim first.
+    Keyed(BTreeSet<IdleKey>),
+    /// Compound policies: their scores depend on the candidate set and on
+    /// `now`, so no stable order exists and the idle set is an unordered
+    /// dense table of ids; each entry keeps its position in `idle_pos`.
+    Dense(Vec<AdapterId>),
+}
+
+impl IdleIndex {
+    fn for_policy(policy: EvictionPolicy) -> Self {
+        if policy.compound_weights().is_some() {
+            IdleIndex::Dense(Vec::new())
+        } else {
+            IdleIndex::Keyed(BTreeSet::new())
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            IdleIndex::Keyed(keys) => keys.len(),
+            IdleIndex::Dense(ids) => ids.len(),
+        }
+    }
+
+    /// The indexed ids: in victim order for the keyed policies, in no
+    /// particular (but deterministic) order for the compound ones.
+    fn ids(&self) -> impl Iterator<Item = AdapterId> + '_ {
+        let (keyed, dense) = match self {
+            IdleIndex::Keyed(keys) => (Some(keys.iter().map(|&(.., id)| id)), None),
+            IdleIndex::Dense(ids) => (None, Some(ids.iter().copied())),
+        };
+        keyed
+            .into_iter()
+            .flatten()
+            .chain(dense.into_iter().flatten())
+    }
+}
 
 fn idle_key(policy: EvictionPolicy, id: AdapterId, e: &Entry) -> IdleKey {
     match policy {
@@ -113,7 +160,9 @@ fn idle_key(policy: EvictionPolicy, id: AdapterId, e: &Entry) -> IdleKey {
             );
             (base.to_bits(), 0, id)
         }
-        EvictionPolicy::FairShare | EvictionPolicy::ChameleonScore { .. } => (0, 0, id),
+        EvictionPolicy::FairShare | EvictionPolicy::ChameleonScore { .. } => {
+            unreachable!("compound policies index idle entries densely")
+        }
     }
 }
 
@@ -125,18 +174,10 @@ fn resident_in(entries: &[Option<Entry>]) -> impl Iterator<Item = (AdapterId, &E
         .filter_map(|(i, e)| Some((AdapterId(i as u32), e.as_ref()?)))
 }
 
-/// True when the policy's victim order is fully captured by [`idle_key`].
-fn key_is_total(policy: EvictionPolicy) -> bool {
-    !matches!(
-        policy,
-        EvictionPolicy::FairShare | EvictionPolicy::ChameleonScore { .. }
-    )
-}
-
 /// The compound score of [`EvictionPolicy::pick_victim`], computed with
 /// the identical expression (term order included, so the bits match) and
 /// returned as its IEEE-754 pattern. Scores are finite and non-negative,
-/// making the bit pattern order-preserving as a `u64` — the heap key of
+/// making the bit pattern order-preserving as a `u64` — the sort key of
 /// the lazily rescored compound eviction pass.
 #[allow(clippy::too_many_arguments)]
 fn compound_score_bits(
@@ -186,15 +227,18 @@ pub struct AdapterCache {
     gdsf_floor: f64,
     /// Incrementally maintained eviction-candidate index over the idle
     /// (`ref_count == 0`) entries, updated on acquire/release/insert/decay.
-    idle: BTreeSet<IdleKey>,
+    idle: IdleIndex,
     /// Pre-index full-scan eviction: the reference path the indexed
     /// passes are property-tested against.
     #[cfg(test)]
     full_scan_eviction: bool,
+    /// What the compound passes did, for tests that must see every branch.
+    #[cfg(test)]
+    compound_work: tests::CompoundWork,
     /// Reusable per-pass scratch (compound policies + victim batching).
     scan_ids: Vec<AdapterId>,
     scan_cands: Vec<Candidate>,
-    scan_heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, AdapterId)>>,
+    scan_scores: Vec<u64>,
     victims: Vec<AdapterId>,
     /// Decision journal for the telemetry overlay; `None` (the default)
     /// keeps the admit/evict paths free of any journalling work.
@@ -210,12 +254,14 @@ impl AdapterCache {
             entries: Vec::new(),
             stats: CacheStats::default(),
             gdsf_floor: 0.0,
-            idle: BTreeSet::new(),
+            idle: IdleIndex::for_policy(policy),
             #[cfg(test)]
             full_scan_eviction: false,
+            #[cfg(test)]
+            compound_work: tests::CompoundWork::default(),
             scan_ids: Vec::new(),
             scan_cands: Vec::new(),
-            scan_heap: std::collections::BinaryHeap::new(),
+            scan_scores: Vec::new(),
             victims: Vec::new(),
             journal: None,
         }
@@ -242,6 +288,50 @@ impl AdapterCache {
 
     fn entry(&self, id: AdapterId) -> Option<&Entry> {
         self.entries.get(id.0 as usize)?.as_ref()
+    }
+
+    fn entry_mut(&mut self, id: AdapterId) -> Option<&mut Entry> {
+        self.entries.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// Adds a resident entry that just became idle to the idle index,
+    /// under its current key.
+    fn index_idle(&mut self, id: AdapterId) {
+        let e = self.entries[id.0 as usize]
+            .as_mut()
+            .expect("an indexed entry is resident");
+        match &mut self.idle {
+            IdleIndex::Keyed(keys) => {
+                keys.insert(idle_key(self.policy, id, e));
+            }
+            IdleIndex::Dense(ids) => {
+                e.idle_pos = ids.len() as u32;
+                ids.push(id);
+            }
+        }
+    }
+
+    /// Removes an idle entry from the idle index; call before changing
+    /// anything its key reads.
+    fn unindex_idle(&mut self, id: AdapterId) {
+        let e = self.entries[id.0 as usize]
+            .as_ref()
+            .expect("an indexed entry is resident");
+        match &mut self.idle {
+            IdleIndex::Keyed(keys) => {
+                keys.remove(&idle_key(self.policy, id, e));
+            }
+            IdleIndex::Dense(ids) => {
+                let pos = e.idle_pos as usize;
+                ids.swap_remove(pos);
+                if let Some(&moved) = ids.get(pos) {
+                    self.entries[moved.0 as usize]
+                        .as_mut()
+                        .expect("an indexed entry is resident")
+                        .idle_pos = pos as u32;
+                }
+            }
+        }
     }
 
     /// Switches eviction to the pre-index full-scan reference
@@ -327,24 +417,22 @@ impl AdapterCache {
     /// returned — the caller is expected to load the weights and then call
     /// [`insert_loaded`](Self::insert_loaded).
     pub fn acquire(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) -> bool {
-        match self.entries.get_mut(id.0 as usize).and_then(Option::as_mut) {
-            Some(e) => {
-                if e.ref_count == 0 {
-                    // Leaving the idle set: unindex under the *old* key.
-                    self.idle.remove(&idle_key(self.policy, id, e));
-                    pool.transfer(Region::AdapterCache, Region::AdaptersInUse, e.bytes);
-                }
-                e.ref_count += 1;
-                e.last_used = now;
-                e.frequency += 1;
-                self.stats.hits += 1;
-                true
-            }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
+        let Some(e) = self.entry(id) else {
+            self.stats.misses += 1;
+            return false;
+        };
+        if e.ref_count == 0 {
+            // Leaving the idle set: unindex under the *old* key.
+            let bytes = e.bytes;
+            self.unindex_idle(id);
+            pool.transfer(Region::AdapterCache, Region::AdaptersInUse, bytes);
         }
+        let e = self.entry_mut(id).expect("checked resident above");
+        e.ref_count += 1;
+        e.last_used = now;
+        e.frequency += 1;
+        self.stats.hits += 1;
+        true
     }
 
     /// Registers a freshly loaded adapter with `initial_refs` waiting
@@ -378,16 +466,16 @@ impl AdapterCache {
             Region::AdapterCache
         };
         pool.reserve(region, spec.bytes())?;
-        let entry = Entry {
+        self.entries[spec.id().0 as usize] = Some(Entry {
             bytes: spec.bytes(),
             last_used: now,
             frequency: initial_refs.max(1),
             ref_count: initial_refs,
-        };
+            idle_pos: 0,
+        });
         if initial_refs == 0 {
-            self.idle.insert(idle_key(self.policy, spec.id(), &entry));
+            self.index_idle(spec.id());
         }
-        self.entries[spec.id().0 as usize] = Some(entry);
         self.stats.bytes_loaded += spec.bytes();
         if let Some(j) = self.journal.as_mut() {
             j.push(CacheJournalEvent::Admit {
@@ -407,14 +495,14 @@ impl AdapterCache {
     /// Panics if the adapter is not resident.
     pub fn add_ref(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) {
         let e = self
-            .entries
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
+            .entry(id)
             .unwrap_or_else(|| panic!("{id} not resident"));
         if e.ref_count == 0 {
-            self.idle.remove(&idle_key(self.policy, id, e));
-            pool.transfer(Region::AdapterCache, Region::AdaptersInUse, e.bytes);
+            let bytes = e.bytes;
+            self.unindex_idle(id);
+            pool.transfer(Region::AdapterCache, Region::AdaptersInUse, bytes);
         }
+        let e = self.entry_mut(id).expect("checked resident above");
         e.ref_count += 1;
         e.last_used = now;
     }
@@ -428,9 +516,7 @@ impl AdapterCache {
     /// Panics if the adapter is not resident or has no references.
     pub fn release(&mut self, pool: &mut MemoryPool, id: AdapterId, now: SimTime) {
         let e = self
-            .entries
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
+            .entry_mut(id)
             .unwrap_or_else(|| panic!("{id} not resident"));
         assert!(e.ref_count > 0, "{id} released with zero refs");
         e.ref_count -= 1;
@@ -438,7 +524,7 @@ impl AdapterCache {
         if e.ref_count == 0 {
             let bytes = e.bytes;
             if self.retain_on_release {
-                self.idle.insert(idle_key(self.policy, id, e));
+                self.index_idle(id);
                 pool.transfer(Region::AdaptersInUse, Region::AdapterCache, bytes);
             } else {
                 pool.release(Region::AdaptersInUse, bytes);
@@ -485,10 +571,9 @@ impl AdapterCache {
             self.evict_pass_full_scan(pool, needed, now, protected);
             return;
         }
-        if key_is_total(self.policy) {
-            self.evict_pass_indexed(pool, needed, protected);
-        } else {
-            self.evict_pass_compound(pool, needed, now, protected);
+        match self.idle {
+            IdleIndex::Keyed(_) => self.evict_pass_indexed(pool, needed, protected),
+            IdleIndex::Dense(_) => self.evict_pass_compound(pool, needed, now, protected),
         }
     }
 
@@ -504,7 +589,7 @@ impl AdapterCache {
         let mut victims = std::mem::take(&mut self.victims);
         victims.clear();
         let mut projected_free = pool.free();
-        for &(.., id) in &self.idle {
+        for id in self.idle.ids() {
             if projected_free >= needed {
                 break;
             }
@@ -521,15 +606,17 @@ impl AdapterCache {
 
     /// Compound (normalised) policies: scores depend on the candidate-set
     /// maxima and on `now`, so no stable across-call key exists. The pass
-    /// builds the candidate set once — in deterministic id order, from the
-    /// idle index, into reusable scratch — scores it into a min-heap, and
-    /// rescores lazily: a victim only invalidates the remaining scores
-    /// when it held one of the normalisation extrema (max frequency, max
-    /// bytes, or oldest use). The victim sequence is exactly the one
-    /// [`EvictionPolicy::pick_victim`] produces (oracle property test
-    /// `prop_indexed_eviction_matches_full_scan`), but a typical victim
-    /// costs O(log n) instead of a full rescan, and nothing allocates
-    /// after warm-up.
+    /// builds the candidate set once from the dense idle table into
+    /// reusable scratch, scores every candidate into `scan_scores`, and
+    /// takes each victim by a linear min over `(score bits, id)` — the
+    /// order [`EvictionPolicy::pick_victim`] breaks ties in, whatever the
+    /// table order. It rescores lazily: a victim only invalidates the
+    /// remaining scores when it held one of the normalisation extrema (max
+    /// frequency, max bytes, or oldest use). The victim sequence is exactly
+    /// the one `pick_victim` produces (oracle tests
+    /// `prop_indexed_eviction_matches_full_scan` and
+    /// `compound_eviction_matches_full_scan_on_generated_workloads`), and
+    /// nothing allocates after warm-up.
     fn evict_pass_compound(
         &mut self,
         pool: &mut MemoryPool,
@@ -537,7 +624,6 @@ impl AdapterCache {
         now: SimTime,
         protected: Option<&HashSet<AdapterId>>,
     ) {
-        use std::cmp::Reverse;
         if pool.free() >= needed {
             return;
         }
@@ -547,11 +633,10 @@ impl AdapterCache {
             .expect("compound eviction pass requires a compound policy");
         let mut ids = std::mem::take(&mut self.scan_ids);
         let mut cands = std::mem::take(&mut self.scan_cands);
-        let mut heap = std::mem::take(&mut self.scan_heap);
+        let mut scores = std::mem::take(&mut self.scan_scores);
         ids.clear();
         cands.clear();
-        heap.clear();
-        for &(.., id) in &self.idle {
+        for id in self.idle.ids() {
             if protected.is_none_or(|p| !p.contains(&id)) {
                 let e = self.entry(id).expect("indexed entry is resident");
                 cands.push(Candidate {
@@ -563,7 +648,11 @@ impl AdapterCache {
                 ids.push(id);
             }
         }
-        // Normalisation state of the current heap contents:
+        #[cfg(test)]
+        let (mut victims, mut scorings) = (0u64, 0u64);
+        #[cfg(test)]
+        self.compound_work.note_skipped(self.idle.len() - ids.len());
+        // Normalisation state of the current scores:
         // (max_freq, max_bytes, min_last); `None` forces a rescore.
         let mut norm: Option<(f64, f64, SimTime)> = None;
         while pool.free() < needed && !cands.is_empty() {
@@ -577,25 +666,30 @@ impl AdapterCache {
                         .map(|c| now.saturating_since(c.last_used).as_secs_f64())
                         .fold(0.0f64, f64::max);
                     let min_last = cands.iter().map(|c| c.last_used).min().unwrap_or(now);
-                    heap.clear();
-                    for (c, &id) in cands.iter().zip(ids.iter()) {
-                        let bits =
-                            compound_score_bits(c, now, max_freq, max_bytes, max_age, wf, wr, ws);
-                        heap.push(Reverse((bits, id)));
+                    scores.clear();
+                    scores.extend(cands.iter().map(|c| {
+                        compound_score_bits(c, now, max_freq, max_bytes, max_age, wf, wr, ws)
+                    }));
+                    #[cfg(test)]
+                    {
+                        scorings += 1;
                     }
                     let n = (max_freq, max_bytes, min_last);
                     norm = Some(n);
                     n
                 }
             };
-            let Reverse((_, victim_id)) = heap.pop().expect("heap mirrors the candidate set");
-            let pos = ids
-                .binary_search(&victim_id)
-                .expect("victim is a candidate");
-            let victim = cands[pos];
-            ids.remove(pos);
-            cands.remove(pos);
+            let pos = (0..cands.len())
+                .min_by_key(|&i| (scores[i], ids[i]))
+                .expect("candidates are non-empty");
+            let victim = cands.swap_remove(pos);
+            let victim_id = ids.swap_remove(pos);
+            scores.swap_remove(pos);
             self.evict_one(pool, victim_id);
+            #[cfg(test)]
+            {
+                victims += 1;
+            }
             // Remaining scores stay exact unless the victim defined one of
             // the normalisation extrema.
             if victim.frequency as f64 == max_freq
@@ -605,9 +699,11 @@ impl AdapterCache {
                 norm = None;
             }
         }
+        #[cfg(test)]
+        self.compound_work.note_pass(victims, scorings);
         self.scan_ids = ids;
         self.scan_cands = cands;
-        self.scan_heap = heap;
+        self.scan_scores = scores;
     }
 
     /// The pre-index reference: rebuild the candidate list from the entry
@@ -653,11 +749,11 @@ impl AdapterCache {
     /// Evicts one idle adapter: entry, index, pool accounting, statistics,
     /// and the GDSF aging floor.
     fn evict_one(&mut self, pool: &mut MemoryPool, id: AdapterId) {
+        self.unindex_idle(id);
         let e = self.entries[id.0 as usize]
             .take()
             .expect("victim is resident");
         debug_assert_eq!(e.ref_count, 0, "victim must be idle");
-        self.idle.remove(&idle_key(self.policy, id, &e));
         if matches!(self.policy, EvictionPolicy::Gdsf) {
             // GreedyDual aging: the floor rises to the evicted score.
             self.gdsf_floor = EvictionPolicy::gdsf_score(
@@ -690,21 +786,25 @@ impl AdapterCache {
             e.frequency /= 2;
         }
         // Frequency participates in the LFU/GDSF index keys: rebuild.
-        if matches!(self.policy, EvictionPolicy::Lfu | EvictionPolicy::Gdsf) {
-            self.idle.clear();
-            let policy = self.policy;
-            self.idle.extend(
-                resident_in(&self.entries)
-                    .filter(|(_, e)| e.ref_count == 0)
-                    .map(|(id, e)| idle_key(policy, id, e)),
-            );
+        if let IdleIndex::Keyed(keys) = &mut self.idle {
+            if matches!(self.policy, EvictionPolicy::Lfu | EvictionPolicy::Gdsf) {
+                keys.clear();
+                let policy = self.policy;
+                keys.extend(
+                    resident_in(&self.entries)
+                        .filter(|(_, e)| e.ref_count == 0)
+                        .map(|(id, e)| idle_key(policy, id, e)),
+                );
+            }
         }
     }
 
-    /// Ids of all idle (evictable) adapters, in index order (no
-    /// allocation — callers that need a `Vec` collect explicitly).
+    /// Ids of all idle (evictable) adapters (no allocation — callers that
+    /// need a `Vec` collect explicitly): in victim order under the keyed
+    /// policies, in no particular but deterministic order under the
+    /// compound ones.
     pub fn idle_adapters(&self) -> impl Iterator<Item = AdapterId> + '_ {
-        self.idle.iter().map(|&(.., id)| id)
+        self.idle.ids()
     }
 
     /// Iterates over every resident adapter (idle or in use), in id
@@ -714,20 +814,27 @@ impl AdapterCache {
     }
 
     /// Asserts the idle index mirrors the entry table exactly (test/debug
-    /// hook for the index-maintenance invariant).
+    /// hook for the index-maintenance invariant): every idle entry is
+    /// indexed once, under its current key or at the position it records.
     #[doc(hidden)]
     pub fn assert_index_consistent(&self) {
         let idle_entries = resident_in(&self.entries)
             .filter(|(_, e)| e.ref_count == 0)
             .count();
         assert_eq!(self.idle.len(), idle_entries, "idle index out of sync");
-        for &(.., id) in &self.idle {
+        for (pos, id) in self.idle.ids().enumerate() {
             let e = self.entry(id).expect("indexed entry exists");
             assert_eq!(e.ref_count, 0, "{id} indexed while referenced");
-            assert!(
-                self.idle.contains(&idle_key(self.policy, id, e)),
-                "{id} indexed under a stale key"
-            );
+            match &self.idle {
+                IdleIndex::Keyed(keys) => assert!(
+                    keys.contains(&idle_key(self.policy, id, e)),
+                    "{id} indexed under a stale key"
+                ),
+                IdleIndex::Dense(_) => assert_eq!(
+                    e.idle_pos as usize, pos,
+                    "{id} records a stale idle position"
+                ),
+            }
         }
     }
 }
@@ -736,8 +843,48 @@ impl AdapterCache {
 mod tests {
     use super::*;
     use chameleon_models::{AdapterRank, LlmSpec};
+    use chameleon_simcore::rng::SimRng;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    /// What the compound passes did: enough to show that a test reached
+    /// the multi-victim, rescoring and protected-set branches.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(super) struct CompoundWork {
+        /// Passes that evicted at least one adapter.
+        passes: u64,
+        /// Passes that evicted three or more.
+        multi_victim_passes: u64,
+        /// Rescorings after a victim held a normalisation extremum.
+        rescores: u64,
+        /// Passes whose protected set spared two or more idle adapters.
+        protected_passes: u64,
+    }
+
+    impl CompoundWork {
+        pub(super) fn note_skipped(&mut self, spared: usize) {
+            if spared >= 2 {
+                self.protected_passes += 1;
+            }
+        }
+
+        pub(super) fn note_pass(&mut self, victims: u64, scorings: u64) {
+            if victims > 0 {
+                self.passes += 1;
+            }
+            if victims >= 3 {
+                self.multi_victim_passes += 1;
+            }
+            self.rescores += scorings.saturating_sub(1);
+        }
+
+        fn add(&mut self, other: CompoundWork) {
+            self.passes += other.passes;
+            self.multi_victim_passes += other.multi_victim_passes;
+            self.rescores += other.rescores;
+            self.protected_passes += other.protected_passes;
+        }
+    }
 
     fn spec(id: u32, rank: u32) -> AdapterSpec {
         AdapterSpec::new(AdapterId(id), AdapterRank::new(rank), &LlmSpec::llama_7b())
@@ -933,6 +1080,117 @@ mod tests {
         );
         // Drain resets; a second drain sees only new decisions.
         assert!(c.drain_journal().is_empty());
+    }
+
+    /// Deterministic companion of `prop_indexed_eviction_matches_full_scan`
+    /// for the compound policies, sized so that passes with three or more
+    /// victims, rescoring after a victim held a normalisation extremum, and
+    /// protected sets sparing several idle adapters all occur, and are
+    /// counted, along with score ties. Every cache decision, in order, must
+    /// equal the full-scan reference's.
+    #[test]
+    fn compound_eviction_matches_full_scan_on_generated_workloads() {
+        let mut rng = SimRng::seed(17);
+        let mut work = CompoundWork::default();
+        for case in 0..120 {
+            let policy = if case % 2 == 0 {
+                EvictionPolicy::chameleon()
+            } else {
+                EvictionPolicy::FairShare
+            };
+            let ranks: Vec<u32> = (0..16).map(|_| 4 << rng.below(4)).collect();
+            let mut pools = [
+                MemoryPool::new(12 * (16 << 20)),
+                MemoryPool::new(12 * (16 << 20)),
+            ];
+            let mut caches = [cache(policy), cache(policy)];
+            caches[1].set_full_scan_eviction(true);
+            caches.iter_mut().for_each(AdapterCache::enable_journal);
+            // References held by running requests, the same in both.
+            let mut held: Vec<AdapterId> = Vec::new();
+            let mut clock = 0.0;
+            for _ in 0..150 {
+                // Some operations share an instant, so equal-rank adapters
+                // tie on score and the id must break the tie.
+                if rng.chance(0.7) {
+                    clock += rng.range_f64(0.01, 0.5);
+                }
+                let now = t(clock);
+                let id = rng.below(16) as u32;
+                let a = spec(id, ranks[id as usize]);
+                let op = rng.below(10);
+                let protect: HashSet<AdapterId> = (0..rng.below(6))
+                    .map(|_| AdapterId(rng.below(16) as u32))
+                    .collect();
+                let slots = 1 + rng.below(6);
+                let release = (matches!(op, 3 | 4) && !held.is_empty())
+                    .then(|| held.swap_remove(rng.below(held.len() as u64) as usize));
+                let mut outcomes = Vec::new();
+                for (c, pool) in caches.iter_mut().zip(pools.iter_mut()) {
+                    let outcome = match op {
+                        // A request arrives and holds its adapter.
+                        0..=2 => {
+                            c.acquire(pool, a.id(), now)
+                                || (c.make_room(pool, a.bytes(), now, &protect)
+                                    && c.insert_loaded(pool, &a, now, 1).is_ok())
+                        }
+                        // A running request finishes.
+                        3 | 4 => {
+                            if let Some(r) = release {
+                                c.release(pool, r, now);
+                            }
+                            false
+                        }
+                        // A short request: hit and release, or prefetch.
+                        5 | 6 => {
+                            if c.acquire(pool, a.id(), now) {
+                                c.release(pool, a.id(), now);
+                                true
+                            } else {
+                                c.make_room(pool, a.bytes(), now, &protect)
+                                    && c.insert_loaded(pool, &a, now, 0).is_ok()
+                            }
+                        }
+                        // KV growth or a large admission.
+                        7 | 8 => c.make_room(pool, slots * (16 << 20), now, &protect),
+                        _ => {
+                            c.decay_frequencies();
+                            false
+                        }
+                    };
+                    outcomes.push(outcome);
+                }
+                if op <= 2 && outcomes[0] {
+                    held.push(a.id());
+                }
+                assert_eq!(
+                    outcomes[0],
+                    outcomes[1],
+                    "outcome diverged ({})",
+                    policy.name()
+                );
+                let [indexed, scanned] = &mut caches;
+                assert_eq!(
+                    indexed.drain_journal(),
+                    scanned.drain_journal(),
+                    "decisions diverged"
+                );
+                assert_eq!(indexed.stats(), scanned.stats());
+                assert_eq!(pools[0].free(), pools[1].free());
+                indexed.assert_index_consistent();
+            }
+            work.add(caches[0].compound_work);
+        }
+        assert!(work.passes > 0, "{work:?}");
+        assert!(
+            work.multi_victim_passes > 0,
+            "no pass took 3+ victims: {work:?}"
+        );
+        assert!(work.rescores > 0, "no victim held an extremum: {work:?}");
+        assert!(
+            work.protected_passes > 0,
+            "no protected set spared 2+: {work:?}"
+        );
     }
 
     proptest! {

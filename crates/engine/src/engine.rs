@@ -14,7 +14,7 @@ use chameleon_cache::{AdapterCache, CacheJournalEvent};
 use chameleon_fault::PcieFaultInjector;
 use chameleon_gpu::cost::{DecodeItem, PrefillItem};
 use chameleon_gpu::memory::{MemoryPool, Region};
-use chameleon_gpu::{CostModel, KvAllocator, PcieLink};
+use chameleon_gpu::{CostModel, KvAllocator, KvSeq, PcieLink};
 use chameleon_metrics::{Collector, KvStats, MemorySample, SizeClass};
 use chameleon_models::{AdapterId, AdapterPool};
 use chameleon_predictor::{HistogramLoadPredictor, OutputLenPredictor};
@@ -50,6 +50,8 @@ struct Running {
     /// The request's dense bookkeeping slot: its collector record and its
     /// entry in the slot → batch-position table.
     slot: Slot,
+    /// The request's sequence in the KV allocator.
+    kv: KvSeq,
     queue_index: usize,
     charged_tokens: u64,
     predicted_output: u32,
@@ -202,6 +204,8 @@ fn release_pairs(
 struct Demoted {
     req: Request,
     slot: Slot,
+    /// The request's KV sequence, holding its proxy.
+    kv: KvSeq,
     queue_index: usize,
     charged_tokens: u64,
     predicted_output: u32,
@@ -519,30 +523,30 @@ impl Engine {
     /// they land.
     pub fn evacuate_unfinished(&mut self, now: SimTime) -> Vec<Request> {
         for idx in 0..self.running.len() {
-            let (id, queue_index, charged) = {
+            let (seq, queue_index, charged) = {
                 let r = &self.running[idx];
-                (r.req.id(), r.queue_index, r.charged_tokens)
+                (r.kv, r.queue_index, r.charged_tokens)
             };
-            self.kv.free(&mut self.mem, id);
+            self.kv.free(&mut self.mem, seq);
             self.sched.on_finish(queue_index, charged);
         }
         // Hybrid-cache state evacuates like running reservations: proxies
         // are dropped, in-flight restores release the full KV they had
         // already re-reserved, and both give their scheduler quota back.
         for idx in 0..self.demoted.len() {
-            let (id, queue_index, charged) = {
+            let (seq, queue_index, charged) = {
                 let d = &self.demoted[idx];
-                (d.req.id(), d.queue_index, d.charged_tokens)
+                (d.kv, d.queue_index, d.charged_tokens)
             };
-            self.kv.drop_proxy(&mut self.mem, id);
+            self.kv.drop_proxy(&mut self.mem, seq);
             self.sched.on_finish(queue_index, charged);
         }
         for idx in 0..self.restoring.len() {
-            let (id, queue_index, charged) = {
+            let (seq, queue_index, charged) = {
                 let r = &self.restoring[idx];
-                (r.d.req.id(), r.d.queue_index, r.d.charged_tokens)
+                (r.d.kv, r.d.queue_index, r.d.charged_tokens)
             };
-            self.kv.free(&mut self.mem, id);
+            self.kv.free(&mut self.mem, seq);
             self.sched.on_finish(queue_index, charged);
         }
         // Cache references: a running request holds one on its adapter
@@ -826,7 +830,10 @@ impl Engine {
             .unwrap_or_else(|| panic!("unknown adapter {}", req.adapter()))
             .clone();
         let slot = self.register(&req);
-        self.load_predictor.observe(req.adapter(), now);
+        // Only the predictive prefetcher reads the load predictor.
+        if self.cfg.predictive_prefetch {
+            self.load_predictor.observe(req.adapter(), now);
+        }
         let predicted = self.predictor.predict(&req);
         let wrs = self
             .wrs_cfg
@@ -1064,7 +1071,7 @@ impl Engine {
         };
         let r = self.take_running(idx);
         let id = r.req.id();
-        let (full, proxy) = self.kv.demote(&mut self.mem, id, spec.proxy_ratio);
+        let (full, proxy) = self.kv.demote(&mut self.mem, r.kv, spec.proxy_ratio);
         // Adapter reference: same discipline as squash — the adapter may
         // still be in flight, in which case the waiter is dropped instead
         // of a cache reference that does not exist yet.
@@ -1088,6 +1095,7 @@ impl Engine {
         self.demoted.push(Demoted {
             req: r.req,
             slot: r.slot,
+            kv: r.kv,
             queue_index: r.queue_index,
             charged_tokens: r.charged_tokens,
             predicted_output: r.predicted_output,
@@ -1132,6 +1140,7 @@ impl Engine {
             self.push_running(Running {
                 req: rst.d.req,
                 slot: rst.d.slot,
+                kv: rst.d.kv,
                 queue_index: rst.d.queue_index,
                 charged_tokens: rst.d.charged_tokens,
                 predicted_output: rst.d.predicted_output,
@@ -1166,9 +1175,8 @@ impl Engine {
                 break;
             }
             let d = self.demoted.remove(0);
-            let id = d.req.id();
             self.kv
-                .restore(&mut self.mem, id, kv_tokens)
+                .restore(&mut self.mem, d.kv, kv_tokens)
                 .expect("free memory checked above");
             // The proxy → full-KV re-materialisation rides the host link
             // like any transfer.
@@ -1237,8 +1245,8 @@ impl Engine {
         let idx = self
             .batch_index(slot)
             .expect("only running requests grow their KV");
-        let id = self.running[idx].req.id();
-        if self.kv.grow(&mut self.mem, id, 1).is_ok() {
+        let seq = self.running[idx].kv;
+        if self.kv.grow(&mut self.mem, seq, 1).is_ok() {
             self.running[idx].kv_reserved += 1;
             return true;
         }
@@ -1254,7 +1262,7 @@ impl Engine {
                 return false;
             }
         }
-        match self.kv.grow(&mut self.mem, id, 1) {
+        match self.kv.grow(&mut self.mem, seq, 1) {
             Ok(()) => {
                 self.running[idx].kv_reserved += 1;
                 true
@@ -1273,7 +1281,7 @@ impl Engine {
             }
             let r = self.take_running(idx);
             self.collector.on_finish(r.slot, now);
-            self.kv.free(&mut self.mem, r.req.id());
+            self.kv.free(&mut self.mem, r.kv);
             self.cache.release(&mut self.mem, r.req.adapter(), now);
             self.sched.on_finish(r.queue_index, r.charged_tokens);
             self.completed += 1;
@@ -1534,7 +1542,7 @@ impl Engine {
             self.cache
                 .make_room(&mut self.mem, kv_bytes, now, &self.protected_buf);
         }
-        if self.kv.allocate(&mut self.mem, id, kv_tokens).is_err() {
+        let Ok(seq) = self.kv.allocate(&mut self.mem, id, kv_tokens) else {
             // Snapshot was optimistic; push back and stop. With the KV
             // stats plane armed this is a requeue-front storm — the event
             // admission control exists to eliminate.
@@ -1547,7 +1555,7 @@ impl Engine {
             self.sched.on_finish(adm.queue_index, adm.charged_tokens);
             self.sched.requeue_front(queued.requeued_at(now));
             return false;
-        }
+        };
 
         // 2. Adapter residency.
         let mut load_on_path = SimDuration::ZERO;
@@ -1577,7 +1585,7 @@ impl Engine {
                 if self.kv_stats.enabled {
                     self.kv_stats.on_storm();
                 }
-                self.kv.free(&mut self.mem, id);
+                self.kv.free(&mut self.mem, seq);
                 self.sched.on_finish(adm.queue_index, adm.charged_tokens);
                 self.sched.requeue_front(queued.requeued_at(now));
                 return false;
@@ -1624,6 +1632,7 @@ impl Engine {
         self.collector.on_admitted(slot, now, load_on_path);
         self.push_running(Running {
             slot,
+            kv: seq,
             prefill_remaining: req.input_tokens(),
             produced: 0,
             kv_reserved: kv_tokens,
@@ -1685,7 +1694,7 @@ impl Engine {
             return;
         };
         let r = self.take_running(idx);
-        self.kv.free(&mut self.mem, r.req.id());
+        self.kv.free(&mut self.mem, r.kv);
         // The adapter may still be in flight (a request can be squashed
         // before its prefill ever started): drop the waiter instead of
         // releasing a cache reference that does not exist yet.
@@ -2250,6 +2259,31 @@ mod tests {
         assert!(e.take_trace_events().is_empty());
     }
 
+    /// The load predictor feeds only the predictive prefetcher, so it
+    /// observes arrivals only when that prefetcher is armed.
+    #[test]
+    fn load_predictor_observes_only_when_predictive_prefetch_is_armed() {
+        for armed in [false, true] {
+            let mut e = mk_engine();
+            e.cfg.predictive_prefetch = armed;
+            let arrivals = (0..6)
+                .map(|i| {
+                    let at = 0.5 * i as f64;
+                    let req = request(i, at, 32, 2, (i % 3) as u32);
+                    (SimTime::from_secs_f64(at), EngineEvent::Arrival(req))
+                })
+                .collect();
+            drive(&mut e, arrivals);
+            assert_eq!(e.completed(), 6);
+            let tracked = e.load_predictor.tracked();
+            if armed {
+                assert_eq!(tracked, 3, "armed prefetcher tracks every adapter");
+            } else {
+                assert_eq!(tracked, 0, "nothing reads an unarmed predictor");
+            }
+        }
+    }
+
     #[test]
     fn stale_step_done_is_ignored() {
         let mut e = mk_engine();
@@ -2271,8 +2305,9 @@ mod tests {
         admitted_at: SimTime,
     ) -> Slot {
         let slot = e.register(&req);
-        e.kv.allocate(&mut e.mem, req.id(), kv_reserved)
-            .expect("test fixture KV fits");
+        let kv =
+            e.kv.allocate(&mut e.mem, req.id(), kv_reserved)
+                .expect("test fixture KV fits");
         if !e.loading.contains(req.adapter()) {
             e.loading.insert(
                 req.adapter(),
@@ -2288,6 +2323,7 @@ mod tests {
         }
         e.push_running(Running {
             slot,
+            kv,
             prefill_remaining: 0,
             produced: 1,
             kv_reserved,
@@ -2328,7 +2364,8 @@ mod tests {
         e.apply_decode_progress(r1, now);
         assert_eq!(e.squashes, squashes_before, "within-block growth preempted");
         assert_eq!(e.running.len(), 2, "victim stayed in the batch");
-        assert_eq!(e.kv.tokens_of(RequestId(1)), Some(18));
+        let seq = e.running[e.batch_index(r1).expect("r1 runs")].kv;
+        assert_eq!(e.kv.tokens_of(seq), Some(18));
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }
 

@@ -6,13 +6,47 @@
 //! `ceil(tokens / block_size)` blocks, growth allocates blocks on demand,
 //! and all bytes are accounted against [`Region::KvCache`] in the shared
 //! [`MemoryPool`].
+//!
+//! Sequences live in a slot table addressed by the [`KvSeq`] handle that
+//! [`KvAllocator::allocate`] returns, so a grow (one per decoded token) is
+//! an index, not a hash lookup. Freed slots are reused, so the table holds
+//! as many slots as sequences and proxies were ever live at once; each
+//! slot's generation makes a handle that outlived its sequence panic
+//! instead of reaching the slot's next owner.
 
 use crate::memory::{MemoryPool, OutOfMemory, Region};
 use chameleon_workload::RequestId;
-use std::collections::HashMap;
 
 /// Default tokens per KV block (vLLM/S-LoRA use 16).
 pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
+
+/// A sequence's handle: its slot in the allocator's table and the slot's
+/// generation at allocation. It stays valid across demotion and restore
+/// and dies when the sequence is freed or its proxy dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvSeq {
+    slot: u32,
+    generation: u32,
+}
+
+/// What a slot of the table holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SeqState {
+    /// Free for the next allocation.
+    Vacant,
+    /// Full block-granular KV.
+    Full { tokens: u32, blocks: u32 },
+    /// A demoted sequence's compact hidden-state proxy, in bytes.
+    Proxy { bytes: u64 },
+}
+
+#[derive(Debug, Clone)]
+struct SeqSlot {
+    /// The request owning the slot (for misuse checks and messages).
+    id: RequestId,
+    generation: u32,
+    state: SeqState,
+}
 
 /// Block-granular KV-cache allocator backed by a [`MemoryPool`].
 ///
@@ -23,22 +57,23 @@ pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
 ///
 /// let mut mem = MemoryPool::new(1 << 30);
 /// let mut kv = KvAllocator::new(1024, 16); // 1 KiB per token, 16-token blocks
-/// kv.allocate(&mut mem, RequestId(0), 100).unwrap();
-/// assert_eq!(kv.tokens_of(RequestId(0)), Some(100));
-/// kv.grow(&mut mem, RequestId(0), 1).unwrap();
-/// kv.free(&mut mem, RequestId(0));
+/// let seq = kv.allocate(&mut mem, RequestId(0), 100).unwrap();
+/// assert_eq!(kv.tokens_of(seq), Some(100));
+/// kv.grow(&mut mem, seq, 1).unwrap();
+/// kv.free(&mut mem, seq);
 /// assert_eq!(mem.free(), 1 << 30);
 /// ```
 #[derive(Debug, Clone)]
 pub struct KvAllocator {
     bytes_per_token: u64,
     block_tokens: u32,
-    /// Per-sequence (token count, block count).
-    seqs: HashMap<RequestId, (u32, u32)>,
+    /// Sequences and proxies by [`KvSeq`] slot.
+    slots: Vec<SeqSlot>,
+    /// Vacant slots, reused last-freed first.
+    vacant: Vec<u32>,
+    /// Slots holding full KV.
+    full_seqs: usize,
     total_blocks: u64,
-    /// Hybrid-cache proxy entries: demoted sequences holding a compact
-    /// hidden-state proxy (bytes) instead of full block-granular KV.
-    proxies: HashMap<RequestId, u64>,
     proxy_bytes_total: u64,
 }
 
@@ -54,9 +89,10 @@ impl KvAllocator {
         KvAllocator {
             bytes_per_token,
             block_tokens,
-            seqs: HashMap::new(),
+            slots: Vec::new(),
+            vacant: Vec::new(),
+            full_seqs: 0,
             total_blocks: 0,
-            proxies: HashMap::new(),
             proxy_bytes_total: 0,
         }
     }
@@ -81,7 +117,31 @@ impl KvAllocator {
         u64::from(self.blocks_for(tokens)) * self.block_bytes()
     }
 
-    /// Registers a new sequence holding `tokens` tokens (its prompt).
+    /// The live slot `seq` names, `None` once it was freed.
+    fn slot(&self, seq: KvSeq) -> Option<&SeqSlot> {
+        self.slots
+            .get(seq.slot as usize)
+            .filter(|s| s.generation == seq.generation && s.state != SeqState::Vacant)
+    }
+
+    /// The state of `seq`'s live slot, for a transition.
+    fn state_mut(&mut self, seq: KvSeq) -> Option<&mut SeqState> {
+        self.slots
+            .get_mut(seq.slot as usize)
+            .filter(|s| s.generation == seq.generation && s.state != SeqState::Vacant)
+            .map(|s| &mut s.state)
+    }
+
+    /// Frees `seq`'s slot for reuse; later uses of `seq` panic.
+    fn vacate(&mut self, seq: KvSeq) {
+        let s = &mut self.slots[seq.slot as usize];
+        s.state = SeqState::Vacant;
+        s.generation = s.generation.wrapping_add(1);
+        self.vacant.push(seq.slot);
+    }
+
+    /// Registers a new sequence holding `tokens` tokens (its prompt) and
+    /// returns its handle.
     ///
     /// # Errors
     ///
@@ -90,19 +150,49 @@ impl KvAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already registered.
+    /// Panics if `id` already holds a sequence or a proxy.
     pub fn allocate(
         &mut self,
         mem: &mut MemoryPool,
         id: RequestId,
         tokens: u32,
-    ) -> Result<(), OutOfMemory> {
-        assert!(!self.seqs.contains_key(&id), "{id} already has KV state");
+    ) -> Result<KvSeq, OutOfMemory> {
+        // A scan of the live slots: as many as sequences were ever live
+        // at once, and once per admission rather than per token.
+        assert!(
+            !self
+                .slots
+                .iter()
+                .any(|s| s.id == id && s.state != SeqState::Vacant),
+            "{id} already has KV state"
+        );
         let blocks = self.blocks_for(tokens);
         mem.reserve(Region::KvCache, u64::from(blocks) * self.block_bytes())?;
-        self.seqs.insert(id, (tokens, blocks));
         self.total_blocks += u64::from(blocks);
-        Ok(())
+        self.full_seqs += 1;
+        let state = SeqState::Full { tokens, blocks };
+        let seq = match self.vacant.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                (s.id, s.state) = (id, state);
+                KvSeq {
+                    slot,
+                    generation: s.generation,
+                }
+            }
+            None => {
+                self.slots.push(SeqSlot {
+                    id,
+                    generation: 0,
+                    state,
+                });
+                KvSeq {
+                    slot: (self.slots.len() - 1) as u32,
+                    generation: 0,
+                }
+            }
+        };
+        Ok(seq)
     }
 
     /// Appends `new_tokens` tokens to a sequence, allocating blocks as
@@ -115,26 +205,32 @@ impl KvAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not registered.
+    /// Panics if `seq` holds no full KV (freed, or demoted to a proxy).
     pub fn grow(
         &mut self,
         mem: &mut MemoryPool,
-        id: RequestId,
+        seq: KvSeq,
         new_tokens: u32,
     ) -> Result<(), OutOfMemory> {
         let (block_tokens, block_bytes) = (self.block_tokens, self.block_bytes());
-        let seq = self
-            .seqs
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("{id} unknown"));
-        let target_tokens = seq.0 + new_tokens;
+        // The table is borrowed field by field here, so the block total
+        // can update while the slot is held.
+        let slot = self.slots.get_mut(seq.slot as usize);
+        let Some(SeqSlot {
+            state: SeqState::Full { tokens, blocks },
+            ..
+        }) = slot.filter(|s| s.generation == seq.generation)
+        else {
+            panic!("{seq:?} unknown");
+        };
+        let target_tokens = *tokens + new_tokens;
         let target_blocks = target_tokens.div_ceil(block_tokens);
-        if target_blocks > seq.1 {
-            let extra = target_blocks - seq.1;
+        if target_blocks > *blocks {
+            let extra = target_blocks - *blocks;
             mem.reserve(Region::KvCache, u64::from(extra) * block_bytes)?;
             self.total_blocks += u64::from(extra);
         }
-        *seq = (target_tokens, target_blocks);
+        (*tokens, *blocks) = (target_tokens, target_blocks);
         Ok(())
     }
 
@@ -142,40 +238,43 @@ impl KvAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not registered.
-    pub fn free(&mut self, mem: &mut MemoryPool, id: RequestId) {
-        let (_, blocks) = self
-            .seqs
-            .remove(&id)
-            .unwrap_or_else(|| panic!("{id} unknown"));
+    /// Panics if `seq` holds no full KV (freed, or demoted to a proxy).
+    pub fn free(&mut self, mem: &mut MemoryPool, seq: KvSeq) {
+        let Some(&mut SeqState::Full { blocks, .. }) = self.state_mut(seq) else {
+            panic!("{seq:?} unknown");
+        };
         mem.release(Region::KvCache, u64::from(blocks) * self.block_bytes());
         self.total_blocks -= u64::from(blocks);
+        self.full_seqs -= 1;
+        self.vacate(seq);
     }
 
     /// Demotes a full sequence to a compact hidden-state proxy entry
     /// (Apt-Serve's hybrid cache): all blocks are released and
     /// `ratio` of the freed bytes (at least one) stays resident as the
-    /// proxy. Returns `(full_bytes_freed, proxy_bytes)`.
+    /// proxy. The handle now names the proxy. Returns
+    /// `(full_bytes_freed, proxy_bytes)`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a registered sequence, already holds a
-    /// proxy, or `ratio` is not in `(0, 1)`.
-    pub fn demote(&mut self, mem: &mut MemoryPool, id: RequestId, ratio: f64) -> (u64, u64) {
+    /// Panics if `seq` already holds a proxy or is not a live sequence, or
+    /// `ratio` is not in `(0, 1)`.
+    pub fn demote(&mut self, mem: &mut MemoryPool, seq: KvSeq, ratio: f64) -> (u64, u64) {
         assert!(ratio > 0.0 && ratio < 1.0, "proxy ratio must be in (0,1)");
-        assert!(!self.proxies.contains_key(&id), "{id} already demoted");
-        let (_, blocks) = self
-            .seqs
-            .remove(&id)
-            .unwrap_or_else(|| panic!("{id} unknown"));
+        let slot = self.slot(seq).unwrap_or_else(|| panic!("{seq:?} unknown"));
+        let id = slot.id;
+        let SeqState::Full { blocks, .. } = slot.state else {
+            panic!("{id} already demoted");
+        };
         let full = u64::from(blocks) * self.block_bytes();
         mem.release(Region::KvCache, full);
         self.total_blocks -= u64::from(blocks);
+        self.full_seqs -= 1;
         let proxy = ((full as f64 * ratio) as u64).max(1);
         // Always fits: strictly less than the bytes just released.
         mem.reserve(Region::KvCache, proxy)
             .expect("proxy smaller than freed KV");
-        self.proxies.insert(id, proxy);
+        *self.state_mut(seq).expect("checked live above") = SeqState::Proxy { bytes: proxy };
         self.proxy_bytes_total += proxy;
         (full, proxy)
     }
@@ -191,22 +290,28 @@ impl KvAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `id` holds no proxy or is somehow still a full sequence.
+    /// Panics if `seq` holds no proxy: freed, or still a full sequence.
     pub fn restore(
         &mut self,
         mem: &mut MemoryPool,
-        id: RequestId,
+        seq: KvSeq,
         tokens: u32,
     ) -> Result<u64, OutOfMemory> {
-        assert!(self.proxies.contains_key(&id), "{id} holds no proxy");
-        assert!(!self.seqs.contains_key(&id), "{id} still has full KV");
+        let slot = self
+            .slot(seq)
+            .unwrap_or_else(|| panic!("{seq:?} holds no proxy"));
+        let id = slot.id;
+        let proxy = match slot.state {
+            SeqState::Proxy { bytes } => bytes,
+            _ => panic!("{id} still has full KV"),
+        };
         let blocks = self.blocks_for(tokens);
         mem.reserve(Region::KvCache, u64::from(blocks) * self.block_bytes())?;
-        let proxy = self.proxies.remove(&id).unwrap();
         mem.release(Region::KvCache, proxy);
         self.proxy_bytes_total -= proxy;
-        self.seqs.insert(id, (tokens, blocks));
+        *self.state_mut(seq).expect("checked live above") = SeqState::Full { tokens, blocks };
         self.total_blocks += u64::from(blocks);
+        self.full_seqs += 1;
         Ok(proxy)
     }
 
@@ -215,20 +320,21 @@ impl KvAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if `id` holds no proxy.
-    pub fn drop_proxy(&mut self, mem: &mut MemoryPool, id: RequestId) -> u64 {
-        let proxy = self
-            .proxies
-            .remove(&id)
-            .unwrap_or_else(|| panic!("{id} holds no proxy"));
+    /// Panics if `seq` holds no proxy.
+    pub fn drop_proxy(&mut self, mem: &mut MemoryPool, seq: KvSeq) -> u64 {
+        let Some(&mut SeqState::Proxy { bytes: proxy }) = self.state_mut(seq) else {
+            panic!("{seq:?} holds no proxy");
+        };
         mem.release(Region::KvCache, proxy);
         self.proxy_bytes_total -= proxy;
+        self.vacate(seq);
         proxy
     }
 
     /// Whether a sequence currently holds a proxy entry.
-    pub fn has_proxy(&self, id: RequestId) -> bool {
-        self.proxies.contains_key(&id)
+    pub fn has_proxy(&self, seq: KvSeq) -> bool {
+        self.slot(seq)
+            .is_some_and(|s| matches!(s.state, SeqState::Proxy { .. }))
     }
 
     /// Total bytes held by proxy entries.
@@ -236,14 +342,18 @@ impl KvAllocator {
         self.proxy_bytes_total
     }
 
-    /// Tokens currently held by a sequence, if registered.
-    pub fn tokens_of(&self, id: RequestId) -> Option<u32> {
-        self.seqs.get(&id).map(|&(t, _)| t)
+    /// Tokens currently held by a sequence, `None` once it was freed or
+    /// while it is demoted.
+    pub fn tokens_of(&self, seq: KvSeq) -> Option<u32> {
+        match self.slot(seq)?.state {
+            SeqState::Full { tokens, .. } => Some(tokens),
+            _ => None,
+        }
     }
 
-    /// Number of registered sequences.
+    /// Number of registered sequences holding full KV.
     pub fn num_seqs(&self) -> usize {
-        self.seqs.len()
+        self.full_seqs
     }
 
     /// Total blocks currently allocated.
@@ -282,55 +392,59 @@ mod tests {
     #[test]
     fn allocate_grow_free_roundtrip() {
         let (mut mem, mut kv) = setup();
-        kv.allocate(&mut mem, RequestId(1), 20).unwrap(); // 2 blocks
+        let seq = kv.allocate(&mut mem, RequestId(1), 20).unwrap(); // 2 blocks
         assert_eq!(mem.used(Region::KvCache), 2048);
-        kv.grow(&mut mem, RequestId(1), 10).unwrap(); // 30 tokens → 2 blocks
+        kv.grow(&mut mem, seq, 10).unwrap(); // 30 tokens → 2 blocks
         assert_eq!(mem.used(Region::KvCache), 2048);
-        kv.grow(&mut mem, RequestId(1), 3).unwrap(); // 33 tokens → 3 blocks
+        kv.grow(&mut mem, seq, 3).unwrap(); // 33 tokens → 3 blocks
         assert_eq!(mem.used(Region::KvCache), 3072);
-        assert_eq!(kv.tokens_of(RequestId(1)), Some(33));
-        kv.free(&mut mem, RequestId(1));
+        assert_eq!(kv.tokens_of(seq), Some(33));
+        kv.free(&mut mem, seq);
         assert_eq!(mem.used(Region::KvCache), 0);
         assert_eq!(kv.num_seqs(), 0);
         assert_eq!(kv.total_blocks(), 0);
+        assert_eq!(kv.tokens_of(seq), None);
     }
 
     #[test]
     fn oom_keeps_state_consistent() {
         let mut mem = MemoryPool::new(2048); // room for 2 blocks
         let mut kv = KvAllocator::new(64, 16);
-        kv.allocate(&mut mem, RequestId(1), 16).unwrap();
+        let seq = kv.allocate(&mut mem, RequestId(1), 16).unwrap();
         // 3 more blocks don't fit.
         assert!(kv.allocate(&mut mem, RequestId(2), 48).is_err());
         assert_eq!(kv.num_seqs(), 1);
-        assert_eq!(kv.tokens_of(RequestId(2)), None);
+        assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
+        // The failed request may try again later.
+        mem.release(Region::KvCache, 1024);
+        mem.reserve(Region::KvCache, 1024).unwrap();
         // Growth failure leaves the sequence unchanged.
-        kv.grow(&mut mem, RequestId(1), 1).unwrap(); // 17 tokens → 2 blocks, fits
-        assert!(kv.grow(&mut mem, RequestId(1), 32).is_err());
-        assert_eq!(kv.tokens_of(RequestId(1)), Some(17));
+        kv.grow(&mut mem, seq, 1).unwrap(); // 17 tokens → 2 blocks, fits
+        assert!(kv.grow(&mut mem, seq, 32).is_err());
+        assert_eq!(kv.tokens_of(seq), Some(17));
     }
 
     #[test]
     fn demote_restore_roundtrip() {
         let (mut mem, mut kv) = setup();
-        kv.allocate(&mut mem, RequestId(1), 33).unwrap(); // 3 blocks
+        let seq = kv.allocate(&mut mem, RequestId(1), 33).unwrap(); // 3 blocks
         assert_eq!(mem.used(Region::KvCache), 3072);
-        let (full, proxy) = kv.demote(&mut mem, RequestId(1), 0.125);
+        let (full, proxy) = kv.demote(&mut mem, seq, 0.125);
         assert_eq!(full, 3072);
         assert_eq!(proxy, 384);
-        assert!(kv.has_proxy(RequestId(1)));
-        assert_eq!(kv.tokens_of(RequestId(1)), None);
+        assert!(kv.has_proxy(seq));
+        assert_eq!(kv.tokens_of(seq), None);
         assert_eq!(kv.proxy_bytes(), 384);
         assert_eq!(mem.used(Region::KvCache), 384);
         assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
-        let moved = kv.restore(&mut mem, RequestId(1), 40).unwrap(); // 3 blocks
+        let moved = kv.restore(&mut mem, seq, 40).unwrap(); // 3 blocks
         assert_eq!(moved, 384);
-        assert!(!kv.has_proxy(RequestId(1)));
-        assert_eq!(kv.tokens_of(RequestId(1)), Some(40));
+        assert!(!kv.has_proxy(seq));
+        assert_eq!(kv.tokens_of(seq), Some(40));
         assert_eq!(kv.proxy_bytes(), 0);
         assert_eq!(mem.used(Region::KvCache), 3072);
         assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
-        kv.free(&mut mem, RequestId(1));
+        kv.free(&mut mem, seq);
         assert_eq!(mem.used(Region::KvCache), 0);
     }
 
@@ -338,23 +452,62 @@ mod tests {
     fn failed_restore_keeps_the_proxy() {
         let mut mem = MemoryPool::new(4096); // 4 blocks
         let mut kv = KvAllocator::new(64, 16);
-        kv.allocate(&mut mem, RequestId(1), 48).unwrap(); // 3 blocks
-        kv.demote(&mut mem, RequestId(1), 0.5);
+        let seq = kv.allocate(&mut mem, RequestId(1), 48).unwrap(); // 3 blocks
+        kv.demote(&mut mem, seq, 0.5);
         // Eat the freed memory so the full footprint no longer fits.
         mem.reserve(Region::Activations, mem.free()).unwrap();
-        assert!(kv.restore(&mut mem, RequestId(1), 48).is_err());
-        assert!(kv.has_proxy(RequestId(1)));
+        assert!(kv.restore(&mut mem, seq, 48).is_err());
+        assert!(kv.has_proxy(seq));
         assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
-        assert_eq!(kv.drop_proxy(&mut mem, RequestId(1)), 1536);
+        assert_eq!(kv.drop_proxy(&mut mem, seq), 1536);
         assert_eq!(mem.used(Region::KvCache), 0);
         assert_eq!(kv.total_bytes(), 0);
+        assert!(!kv.has_proxy(seq));
+    }
+
+    #[test]
+    fn freed_slots_are_reused_and_stale_handles_see_nothing() {
+        let (mut mem, mut kv) = setup();
+        let a = kv.allocate(&mut mem, RequestId(1), 16).unwrap();
+        kv.free(&mut mem, a);
+        let b = kv.allocate(&mut mem, RequestId(2), 32).unwrap();
+        assert_ne!(a, b, "a reused slot gets a new generation");
+        assert_eq!(kv.slots.len(), 1, "the freed slot was reused");
+        assert_eq!(kv.tokens_of(a), None);
+        assert!(!kv.has_proxy(a));
+        assert_eq!(kv.tokens_of(b), Some(32));
+        // A request whose sequence was freed may allocate again.
+        let a2 = kv.allocate(&mut mem, RequestId(1), 1).unwrap();
+        assert_eq!(kv.slots.len(), 2);
+        kv.free(&mut mem, a2);
+        kv.free(&mut mem, b);
+        assert_eq!(mem.used(Region::KvCache), 0);
     }
 
     #[test]
     #[should_panic(expected = "holds no proxy")]
     fn restore_without_proxy_panics() {
         let (mut mem, mut kv) = setup();
-        let _ = kv.restore(&mut mem, RequestId(7), 16);
+        let seq = kv.allocate(&mut mem, RequestId(7), 16).unwrap();
+        kv.free(&mut mem, seq);
+        let _ = kv.restore(&mut mem, seq, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "still has full KV")]
+    fn restore_of_full_sequence_panics() {
+        let (mut mem, mut kv) = setup();
+        let seq = kv.allocate(&mut mem, RequestId(7), 16).unwrap();
+        let _ = kv.restore(&mut mem, seq, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "already demoted")]
+    fn double_demote_panics() {
+        let (mut mem, mut kv) = setup();
+        let seq = kv.allocate(&mut mem, RequestId(7), 16).unwrap();
+        kv.demote(&mut mem, seq, 0.5);
+        kv.demote(&mut mem, seq, 0.5);
     }
 
     #[test]
@@ -366,10 +519,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "already has KV state")]
+    fn allocate_while_demoted_panics() {
+        let (mut mem, mut kv) = setup();
+        let seq = kv.allocate(&mut mem, RequestId(1), 1).unwrap();
+        kv.demote(&mut mem, seq, 0.5);
+        let _ = kv.allocate(&mut mem, RequestId(1), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "unknown")]
     fn free_unknown_panics() {
         let (mut mem, mut kv) = setup();
-        kv.free(&mut mem, RequestId(9));
+        let seq = kv.allocate(&mut mem, RequestId(9), 16).unwrap();
+        kv.free(&mut mem, seq);
+        kv.free(&mut mem, seq);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown")]
+    fn grow_after_free_panics() {
+        let (mut mem, mut kv) = setup();
+        let seq = kv.allocate(&mut mem, RequestId(9), 16).unwrap();
+        kv.free(&mut mem, seq);
+        // The slot's next owner must not be reachable through the old handle.
+        kv.allocate(&mut mem, RequestId(10), 16).unwrap();
+        let _ = kv.grow(&mut mem, seq, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown")]
+    fn grow_while_demoted_panics() {
+        let (mut mem, mut kv) = setup();
+        let seq = kv.allocate(&mut mem, RequestId(9), 16).unwrap();
+        kv.demote(&mut mem, seq, 0.5);
+        let _ = kv.grow(&mut mem, seq, 1);
     }
 
     proptest! {
@@ -380,43 +564,39 @@ mod tests {
         fn prop_no_leaks(ops in proptest::collection::vec((0u64..8, 0u8..5, 1u32..100), 1..200)) {
             let mut mem = MemoryPool::new(1 << 24);
             let mut kv = KvAllocator::new(64, 16);
+            let mut seqs: [Option<KvSeq>; 8] = [None; 8];
             for (id, op, tokens) in ops {
-                let id = RequestId(id);
-                match op {
-                    0 => {
-                        if kv.tokens_of(id).is_none() && !kv.has_proxy(id) {
-                            let _ = kv.allocate(&mut mem, id, tokens);
-                        }
+                let held = &mut seqs[id as usize];
+                let full = held.is_some_and(|s| kv.tokens_of(s).is_some());
+                match (op, *held) {
+                    (0, None) => {
+                        *held = kv.allocate(&mut mem, RequestId(id), tokens).ok();
                     }
-                    1 => {
-                        if kv.tokens_of(id).is_some() {
-                            let _ = kv.grow(&mut mem, id, tokens);
-                        }
+                    (1, Some(seq)) if full => {
+                        let _ = kv.grow(&mut mem, seq, tokens);
                     }
-                    2 => {
-                        if kv.tokens_of(id).is_some() {
-                            kv.free(&mut mem, id);
-                        }
+                    (2, Some(seq)) if full => {
+                        kv.free(&mut mem, seq);
+                        *held = None;
                     }
-                    3 => {
-                        if kv.tokens_of(id).is_some() {
-                            kv.demote(&mut mem, id, 0.125);
-                        }
+                    (3, Some(seq)) if full => {
+                        kv.demote(&mut mem, seq, 0.125);
                     }
-                    _ => {
-                        if kv.has_proxy(id) {
-                            let _ = kv.restore(&mut mem, id, tokens);
-                        }
+                    (4, Some(seq)) if kv.has_proxy(seq) => {
+                        let _ = kv.restore(&mut mem, seq, tokens);
                     }
+                    _ => {}
                 }
                 prop_assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
+                let live = seqs.iter().flatten().filter(|&&s| kv.tokens_of(s).is_some()).count();
+                prop_assert_eq!(kv.num_seqs(), live);
+                prop_assert!(kv.slots.len() <= 8, "the table outgrew the live set");
             }
-            let ids: Vec<RequestId> = (0..8).map(RequestId).collect();
-            for id in ids {
-                if kv.tokens_of(id).is_some() {
-                    kv.free(&mut mem, id);
-                } else if kv.has_proxy(id) {
-                    kv.drop_proxy(&mut mem, id);
+            for seq in seqs.into_iter().flatten() {
+                if kv.tokens_of(seq).is_some() {
+                    kv.free(&mut mem, seq);
+                } else {
+                    kv.drop_proxy(&mut mem, seq);
                 }
             }
             prop_assert_eq!(mem.used(Region::KvCache), 0);

@@ -20,6 +20,6 @@ pub mod memory;
 pub mod pcie;
 
 pub use cost::CostModel;
-pub use kv::KvAllocator;
+pub use kv::{KvAllocator, KvSeq};
 pub use memory::{MemoryPool, OutOfMemory, Region};
 pub use pcie::PcieLink;

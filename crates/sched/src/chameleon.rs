@@ -96,6 +96,8 @@ pub struct ChameleonScheduler {
     seen: std::collections::HashSet<AdapterId>,
     /// Reusable WRS-sample buffer for the K-means refresh.
     wrs_scratch: Vec<f64>,
+    /// Reusable per-queue physical-token shares for batch formation.
+    shares_scratch: Vec<u64>,
     /// Retired queue deques kept for reuse across reconfigurations, so a
     /// refresh storm never reallocates queue storage.
     spare_queues: Vec<VecDeque<QueuedRequest>>,
@@ -123,6 +125,7 @@ impl ChameleonScheduler {
             bypass_admissions: 0,
             seen: std::collections::HashSet::new(),
             wrs_scratch: Vec::new(),
+            shares_scratch: Vec::new(),
             spare_queues: Vec::new(),
         }
     }
@@ -163,13 +166,6 @@ impl ChameleonScheduler {
         self.bypass_admissions
     }
 
-    /// Per-queue (quota, outstanding, backlog) snapshot for diagnostics.
-    pub fn queue_state(&self) -> Vec<(u64, i64, usize)> {
-        (0..self.queues.len())
-            .map(|qi| (self.quotas[qi], self.outstanding[qi], self.queues[qi].len()))
-            .collect()
-    }
-
     fn queue_idx(&self, wrs: f64) -> usize {
         kmeans::queue_of(wrs, &self.cutoffs)
     }
@@ -185,9 +181,11 @@ impl ChameleonScheduler {
         self.wrs_scratch.clear();
         self.wrs_scratch
             .extend(self.window.iter().map(|&(_, w, ..)| w));
-        let Some(clustering) =
-            kmeans::choose_queues(&self.wrs_scratch, self.cfg.k_max, self.cfg.elbow_threshold)
-        else {
+        let Some(clustering) = kmeans::choose_queues(
+            &mut self.wrs_scratch,
+            self.cfg.k_max,
+            self.cfg.elbow_threshold,
+        ) else {
             return;
         };
         let new_cutoffs = kmeans::cutoffs(&clustering.centroids);
@@ -428,11 +426,13 @@ impl Scheduler for ChameleonScheduler {
         let total_banked: u64 = self.banked.iter().sum();
         physical = physical.saturating_sub(total_banked);
         let quota_sum: f64 = self.quotas.iter().map(|&q| q as f64).sum::<f64>().max(1.0);
-        let phys_shares: Vec<u64> = self
-            .quotas
-            .iter()
-            .map(|&q| (physical as f64 * (q as f64 / quota_sum)).floor() as u64)
-            .collect();
+        let mut phys_shares = std::mem::take(&mut self.shares_scratch);
+        phys_shares.clear();
+        phys_shares.extend(
+            self.quotas
+                .iter()
+                .map(|&q| (physical as f64 * (q as f64 / quota_sum)).floor() as u64),
+        );
         // Phase 1: every queue up to its own quota; emptied queues donate.
         let mut leftover: u64 = 0;
         // Index loop is load-bearing: the body calls `&mut self` methods.
@@ -454,6 +454,7 @@ impl Scheduler for ChameleonScheduler {
             // the bank below, so donation stays starvation-safe.
             leftover += budget.saturating_sub(consumed).saturating_sub(bank_left);
         }
+        self.shares_scratch = phys_shares;
         // Banking (before spare redistribution): a head still blocked by
         // physical memory — its quota would admit it — reserves free tokens
         // now, accumulating a claim across cycles so overload cannot starve
