@@ -71,8 +71,6 @@ pub struct KvAllocator {
     slots: Vec<SeqSlot>,
     /// Vacant slots, reused last-freed first.
     vacant: Vec<u32>,
-    /// Slots holding full KV.
-    full_seqs: usize,
     total_blocks: u64,
     proxy_bytes_total: u64,
 }
@@ -91,7 +89,6 @@ impl KvAllocator {
             block_tokens,
             slots: Vec::new(),
             vacant: Vec::new(),
-            full_seqs: 0,
             total_blocks: 0,
             proxy_bytes_total: 0,
         }
@@ -169,7 +166,6 @@ impl KvAllocator {
         let blocks = self.blocks_for(tokens);
         mem.reserve(Region::KvCache, u64::from(blocks) * self.block_bytes())?;
         self.total_blocks += u64::from(blocks);
-        self.full_seqs += 1;
         let state = SeqState::Full { tokens, blocks };
         let seq = match self.vacant.pop() {
             Some(slot) => {
@@ -245,7 +241,6 @@ impl KvAllocator {
         };
         mem.release(Region::KvCache, u64::from(blocks) * self.block_bytes());
         self.total_blocks -= u64::from(blocks);
-        self.full_seqs -= 1;
         self.vacate(seq);
     }
 
@@ -269,7 +264,6 @@ impl KvAllocator {
         let full = u64::from(blocks) * self.block_bytes();
         mem.release(Region::KvCache, full);
         self.total_blocks -= u64::from(blocks);
-        self.full_seqs -= 1;
         let proxy = ((full as f64 * ratio) as u64).max(1);
         // Always fits: strictly less than the bytes just released.
         mem.reserve(Region::KvCache, proxy)
@@ -311,7 +305,6 @@ impl KvAllocator {
         self.proxy_bytes_total -= proxy;
         *self.state_mut(seq).expect("checked live above") = SeqState::Full { tokens, blocks };
         self.total_blocks += u64::from(blocks);
-        self.full_seqs += 1;
         Ok(proxy)
     }
 
@@ -351,9 +344,13 @@ impl KvAllocator {
         }
     }
 
-    /// Number of registered sequences holding full KV.
+    /// Number of registered sequences holding full KV (a scan of the
+    /// table).
     pub fn num_seqs(&self) -> usize {
-        self.full_seqs
+        self.slots
+            .iter()
+            .filter(|s| matches!(s.state, SeqState::Full { .. }))
+            .count()
     }
 
     /// Total blocks currently allocated.
@@ -411,17 +408,21 @@ mod tests {
         let mut mem = MemoryPool::new(2048); // room for 2 blocks
         let mut kv = KvAllocator::new(64, 16);
         let seq = kv.allocate(&mut mem, RequestId(1), 16).unwrap();
-        // 3 more blocks don't fit.
+        // 3 more blocks don't fit, and the failed request holds no slot.
         assert!(kv.allocate(&mut mem, RequestId(2), 48).is_err());
+        assert_eq!(kv.slots.len(), 1);
         assert_eq!(kv.num_seqs(), 1);
         assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
-        // The failed request may try again later.
-        mem.release(Region::KvCache, 1024);
-        mem.reserve(Region::KvCache, 1024).unwrap();
         // Growth failure leaves the sequence unchanged.
         kv.grow(&mut mem, seq, 1).unwrap(); // 17 tokens → 2 blocks, fits
         assert!(kv.grow(&mut mem, seq, 32).is_err());
         assert_eq!(kv.tokens_of(seq), Some(17));
+        // Once memory frees up, the failed request allocates again.
+        kv.free(&mut mem, seq);
+        let retry = kv.allocate(&mut mem, RequestId(2), 32).unwrap(); // 2 blocks
+        assert_eq!(kv.tokens_of(retry), Some(32));
+        assert_eq!(kv.num_seqs(), 1);
+        assert_eq!(kv.total_bytes(), mem.used(Region::KvCache));
     }
 
     #[test]

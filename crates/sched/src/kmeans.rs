@@ -11,7 +11,7 @@
 //!
 //! [`choose_queues`] sorts the sample once and runs every K on it. On
 //! sorted data each cluster is a contiguous range, so a Lloyd round in
-//! [`kmeans_sorted`] places the range boundaries by binary search and sums
+//! `kmeans_sorted` places the range boundaries by binary search and sums
 //! each range in data order, and the WCSS takes one merge walk. A round
 //! whose centroids are too close for the rounded distances to keep that
 //! order runs per value instead. Centroids and WCSS keep the bits of the
@@ -81,7 +81,7 @@ impl Assignment {
 /// same bits as testing every value against every centroid.
 ///
 /// Returns `None` for an empty sample or `k == 0`.
-pub fn kmeans_sorted(sorted: &[f64], k: usize, iters: usize) -> Option<Clustering> {
+fn kmeans_sorted(sorted: &[f64], k: usize, iters: usize) -> Option<Clustering> {
     if sorted.is_empty() || k == 0 {
         return None;
     }
@@ -193,7 +193,7 @@ pub fn kmeans_sorted(sorted: &[f64], k: usize, iters: usize) -> Option<Clusterin
 
 /// Chooses the number of queues: the smallest K in `1..=k_max` after which
 /// adding a cluster improves WCSS by less than `elbow_threshold`
-/// (relative), evaluated with [`kmeans_sorted`].
+/// (relative), evaluated with `kmeans_sorted`.
 ///
 /// Sorts `values` in place once; every K runs on that order. Returns the
 /// chosen clustering, `None` for an empty sample.
