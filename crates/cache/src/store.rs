@@ -14,13 +14,18 @@
 //! have no stable order, so they keep an unordered dense table; an
 //! eviction pass scores each candidate once into a reused buffer and takes
 //! every victim by a linear min over `(score bits, id)`, with no heap.
+//!
+//! [`AdapterCache::make_room`] takes the adapters it should spare as a
+//! membership predicate, so a pass asks the caller's own table about each
+//! candidate (the engine answers from dense stamps over adapter ids) and
+//! probes no hash set.
 
 use crate::policy::{Candidate, EvictionPolicy};
 use chameleon_gpu::memory::{MemoryPool, OutOfMemory, Region};
 use chameleon_models::{AdapterId, AdapterSpec};
 use chameleon_simcore::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Aggregate cache statistics (Figure 14 and §5.3 report these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -374,11 +379,13 @@ impl AdapterCache {
     }
 
     /// True when the adapter's weights are on the GPU (idle or in use).
+    #[inline]
     pub fn is_resident(&self, id: AdapterId) -> bool {
         self.entry(id).is_some()
     }
 
     /// Reference count of a resident adapter (0 = idle in cache).
+    #[inline]
     pub fn ref_count(&self, id: AdapterId) -> Option<u32> {
         self.entry(id).map(|e| e.ref_count)
     }
@@ -534,9 +541,10 @@ impl AdapterCache {
     }
 
     /// Ensures at least `needed` bytes are free in `pool`, evicting idle
-    /// adapters by policy. Adapters in `protected` (those of queued
-    /// requests, §4.2) are spared in the first pass and evicted only if the
-    /// first pass was insufficient. Referenced adapters are never evicted.
+    /// adapters by policy. Adapters for which `protected` holds (those of
+    /// queued requests, §4.2) are spared in the first pass and evicted only
+    /// if the first pass was insufficient. Referenced adapters are never
+    /// evicted.
     ///
     /// Returns `true` when the pool ended with `needed` bytes free.
     pub fn make_room(
@@ -544,7 +552,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: &HashSet<AdapterId>,
+        protected: &dyn Fn(AdapterId) -> bool,
     ) -> bool {
         if pool.free() >= needed {
             return true;
@@ -564,7 +572,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&dyn Fn(AdapterId) -> bool>,
     ) {
         #[cfg(test)]
         if self.full_scan_eviction {
@@ -584,7 +592,7 @@ impl AdapterCache {
         &mut self,
         pool: &mut MemoryPool,
         needed: u64,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&dyn Fn(AdapterId) -> bool>,
     ) {
         let mut victims = std::mem::take(&mut self.victims);
         victims.clear();
@@ -593,7 +601,7 @@ impl AdapterCache {
             if projected_free >= needed {
                 break;
             }
-            if protected.is_none_or(|p| !p.contains(&id)) {
+            if protected.is_none_or(|p| !p(id)) {
                 projected_free += self.entry(id).expect("indexed entry is resident").bytes;
                 victims.push(id);
             }
@@ -622,7 +630,7 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&dyn Fn(AdapterId) -> bool>,
     ) {
         if pool.free() >= needed {
             return;
@@ -637,7 +645,7 @@ impl AdapterCache {
         ids.clear();
         cands.clear();
         for id in self.idle.ids() {
-            if protected.is_none_or(|p| !p.contains(&id)) {
+            if protected.is_none_or(|p| !p(id)) {
                 let e = self.entry(id).expect("indexed entry is resident");
                 cands.push(Candidate {
                     index: ids.len(),
@@ -718,11 +726,11 @@ impl AdapterCache {
         pool: &mut MemoryPool,
         needed: u64,
         now: SimTime,
-        protected: Option<&HashSet<AdapterId>>,
+        protected: Option<&dyn Fn(AdapterId) -> bool>,
     ) {
         while pool.free() < needed {
             let mut ids: Vec<AdapterId> = resident_in(&self.entries)
-                .filter(|(id, e)| e.ref_count == 0 && protected.is_none_or(|p| !p.contains(id)))
+                .filter(|&(id, e)| e.ref_count == 0 && protected.is_none_or(|p| !p(id)))
                 .map(|(id, _)| id)
                 .collect();
             ids.sort_unstable();
@@ -967,7 +975,7 @@ mod tests {
         c.insert_loaded(&mut pool, &d, t(2.0), 0).unwrap(); // idle, newer
         assert_eq!(pool.free(), 0);
         // Need one slot: LRU evicts b (oldest idle), never a (pinned).
-        assert!(c.make_room(&mut pool, 64 << 20, t(3.0), &HashSet::new()));
+        assert!(c.make_room(&mut pool, 64 << 20, t(3.0), &|_| false));
         assert!(!c.is_resident(b.id()));
         assert!(c.is_resident(a.id()));
         assert!(c.is_resident(d.id()));
@@ -982,7 +990,7 @@ mod tests {
         let (a, b) = (spec(1, 32), spec(2, 32));
         c.insert_loaded(&mut pool, &a, t(0.0), 0).unwrap();
         c.insert_loaded(&mut pool, &b, t(1.0), 0).unwrap();
-        let protect_a: HashSet<AdapterId> = [a.id()].into();
+        let protect_a = |id| id == a.id();
         // One slot needed: b (unprotected) goes first even though a is older.
         assert!(c.make_room(&mut pool, 64 << 20, t(2.0), &protect_a));
         assert!(c.is_resident(a.id()));
@@ -998,7 +1006,7 @@ mod tests {
         let mut c = cache(EvictionPolicy::chameleon());
         let a = spec(1, 32);
         c.insert_loaded(&mut pool, &a, t(0.0), 1).unwrap();
-        assert!(!c.make_room(&mut pool, 64 << 20, t(1.0), &HashSet::new()));
+        assert!(!c.make_room(&mut pool, 64 << 20, t(1.0), &|_| false));
         assert!(c.is_resident(a.id()), "pinned adapter survived");
     }
 
@@ -1060,7 +1068,7 @@ mod tests {
         c.add_ref(&mut pool, a.id(), t(2.0));
         c.release(&mut pool, a.id(), t(3.0));
         // Need a slot: LRU evicts a (idle); b is pinned.
-        assert!(c.make_room(&mut pool, 64 << 20, t(4.0), &HashSet::new()));
+        assert!(c.make_room(&mut pool, 64 << 20, t(4.0), &|_| false));
         let journal = c.drain_journal();
         assert_eq!(
             journal,
@@ -1119,9 +1127,10 @@ mod tests {
                 let id = rng.below(16) as u32;
                 let a = spec(id, ranks[id as usize]);
                 let op = rng.below(10);
-                let protect: HashSet<AdapterId> = (0..rng.below(6))
+                let protect: Vec<AdapterId> = (0..rng.below(6))
                     .map(|_| AdapterId(rng.below(16) as u32))
                     .collect();
+                let protect = |id| protect.contains(&id);
                 let slots = 1 + rng.below(6);
                 let release = (matches!(op, 3 | 4) && !held.is_empty())
                     .then(|| held.swap_remove(rng.below(held.len() as u64) as usize));
@@ -1210,7 +1219,7 @@ mod tests {
                     0 => {
                         // acquire-or-load path
                         if !c.acquire(&mut pool, a.id(), t(clock)) {
-                            if c.make_room(&mut pool, a.bytes(), t(clock), &HashSet::new())
+                            if c.make_room(&mut pool, a.bytes(), t(clock), &|_| false)
                                 && c.insert_loaded(&mut pool, &a, t(clock), 1).is_ok() {
                                 *live_refs.entry(a.id()).or_insert(0) += 1;
                             }
@@ -1226,7 +1235,7 @@ mod tests {
                         }
                     }
                     2 => {
-                        let _ = c.make_room(&mut pool, 16 << 20, t(clock), &HashSet::new());
+                        let _ = c.make_room(&mut pool, 16 << 20, t(clock), &|_| false);
                     }
                     _ => c.decay_frequencies(),
                 }
@@ -1275,7 +1284,7 @@ mod tests {
                     match op {
                         0 | 1 => {
                             if !c.acquire(pool, a.id(), t(clock)) {
-                                if c.make_room(pool, a.bytes(), t(clock), &HashSet::new()) {
+                                if c.make_room(pool, a.bytes(), t(clock), &|_| false) {
                                     let _ = c.insert_loaded(pool, &a, t(clock), 0);
                                 }
                             } else {
@@ -1284,11 +1293,10 @@ mod tests {
                         }
                         2 => {
                             // Protected first pass, override second.
-                            let protect: HashSet<AdapterId> = [a.id()].into();
-                            let _ = c.make_room(pool, 32 << 20, t(clock), &protect);
+                            let _ = c.make_room(pool, 32 << 20, t(clock), &|id| id == a.id());
                         }
                         3 => {
-                            let _ = c.make_room(pool, 16 << 20, t(clock), &HashSet::new());
+                            let _ = c.make_room(pool, 16 << 20, t(clock), &|_| false);
                         }
                         _ => c.decay_frequencies(),
                     }

@@ -12,11 +12,11 @@ use crate::probe::{EngineProbe, ProbeScalars, ReleaseSchedule, Releases};
 use crate::report::EngineReport;
 use chameleon_cache::{AdapterCache, CacheJournalEvent};
 use chameleon_fault::PcieFaultInjector;
-use chameleon_gpu::cost::{DecodeItem, PrefillItem};
+use chameleon_gpu::cost::{DecodeBatch, DecodeItem, PrefillItem};
 use chameleon_gpu::memory::{MemoryPool, Region};
 use chameleon_gpu::{CostModel, KvAllocator, KvSeq, PcieLink};
 use chameleon_metrics::{Collector, KvStats, MemorySample, SizeClass};
-use chameleon_models::{AdapterId, AdapterPool};
+use chameleon_models::{AdapterId, AdapterPool, AdapterStamps};
 use chameleon_predictor::{HistogramLoadPredictor, OutputLenPredictor};
 use chameleon_sched::{AdmissionOutcome, QueuedRequest, Scheduler, WrsConfig};
 use chameleon_simcore::{SimDuration, SimTime};
@@ -161,37 +161,20 @@ pub struct EngineWork {
     pub protected_sets: u64,
 }
 
-/// What a probe's release schedule prices: the running batch's first
-/// `batch` requests (those running when the probe was taken) at `step`
-/// per decode token from `now`.
-#[derive(Debug, Clone, Copy)]
-struct ReleaseBasis {
-    now: SimTime,
-    step: SimDuration,
-    batch: usize,
-}
-
-/// Appends each running request's predicted `(finish time, bytes freed)`:
-/// its remaining decode tokens (plus pending prompt at 64 tokens a step)
-/// at `basis.step` each, and its block-rounded KV plus adapter bytes —
-/// what `KvAllocator::free` and the cache release at retirement.
-fn release_pairs(
-    out: &mut Releases,
-    running: &[Running],
-    basis: ReleaseBasis,
-    kv: &KvAllocator,
-    pool: &AdapterPool,
-) {
+/// Appends each running request's predicted `(remaining steps, bytes
+/// freed)`: its remaining decode tokens plus pending prompt at 64 tokens a
+/// step, and its block-rounded KV plus adapter bytes — what
+/// `KvAllocator::free` and the cache release at retirement.
+fn release_pairs(out: &mut Releases, running: &[Running], kv: &KvAllocator, pool: &AdapterPool) {
     out.extend(running.iter().map(|r| {
         let remaining = u64::from(
             r.predicted_output
                 .max(r.produced)
                 .saturating_sub(r.produced),
         ) + u64::from(r.prefill_remaining) / 64;
-        let finish = basis.now + basis.step.mul_f64(remaining as f64);
         let freed =
             kv.bytes_for(r.kv_reserved) + pool.get(r.req.adapter()).map(|a| a.bytes()).unwrap_or(0);
-        (finish, freed)
+        (remaining, freed)
     }));
 }
 
@@ -230,9 +213,9 @@ struct Restoring {
 /// What the engine is executing right now.
 #[derive(Debug, Clone)]
 enum StepPlan {
-    /// Full (or chunked) prefill for these requests; `chunks[i]` prompt
-    /// tokens are processed for the request in `slots[i]`.
-    Prefill { slots: Vec<Slot>, chunks: Vec<u32> },
+    /// Full (or chunked) prefill: each `(slot, tokens)` processes that
+    /// many of the slot's prompt tokens.
+    Prefill { chunks: Vec<(Slot, u32)> },
     /// One decode iteration for these requests, plus (in chunked-prefill
     /// mode) prompt chunks folded in.
     Decode {
@@ -264,6 +247,9 @@ pub struct Engine {
     load_predictor: HistogramLoadPredictor,
     collector: Collector,
     running: Vec<Running>,
+    /// Resource tokens charged to the running, demoted and restoring
+    /// requests, kept by every move in or out of those sets.
+    charged_total: u64,
     /// Position in `running` of each registered slot, `NOT_RUNNING` when
     /// the request is queued, demoted, restoring or gone. Kept current by
     /// `push_running` and `take_running`, the only ways in and out of
@@ -296,9 +282,14 @@ pub struct Engine {
     /// Seconds per prefill token from the cost model, cached at
     /// construction for the probe.
     prefill_secs_per_token: f64,
-    /// The release schedule of the latest probe, built on demand.
+    /// The release schedule of the latest probe, built on demand from the
+    /// first `release_batch` running requests, those running when the
+    /// probe was taken.
     release: ReleaseSchedule,
-    release_basis: ReleaseBasis,
+    release_batch: usize,
+    /// Free bytes below which no warm load can start: the pool's
+    /// smallest adapter plus the KV headroom `warm_load` keeps.
+    prefetch_floor: u64,
     work: EngineWork,
     // --- reusable per-step scratch (zero-alloc stepping) ------------------
     // Every buffer below is cleared and refilled in place each iteration,
@@ -309,15 +300,12 @@ pub struct Engine {
     /// scheduler's ordered list and as a set, valid while
     /// `protected_ready` is set.
     adapters_buf: Vec<AdapterId>,
-    protected_buf: HashSet<AdapterId>,
+    protected_buf: AdapterStamps,
     protected_ready: bool,
     prefetch_buf: Vec<AdapterId>,
-    prefill_idx: Vec<usize>,
-    decode_idx: Vec<usize>,
     prefill_items: Vec<PrefillItem>,
-    decode_items: Vec<DecodeItem>,
+    decode_batch: DecodeBatch,
     slots_pool: Vec<Slot>,
-    chunks_pool: Vec<u32>,
     folded_pool: Vec<(Slot, u32)>,
     pairs_scratch: Vec<BypassPair>,
     #[cfg(test)]
@@ -374,6 +362,12 @@ impl Engine {
             let t0 = cost.base_prefill_time(1).as_secs_f64();
             (t1k - t0) / 1023.0
         };
+        let prefetch_floor = pool
+            .iter()
+            .map(|a| a.bytes())
+            .min()
+            .unwrap_or(u64::MAX)
+            .saturating_add(4 * kv.block_bytes());
         let kv_spec = cfg.kv;
         let kv_stats = KvStats {
             enabled: kv_spec.is_some(),
@@ -393,6 +387,7 @@ impl Engine {
             load_predictor: HistogramLoadPredictor::new(),
             collector: Collector::new(),
             running: Vec::new(),
+            charged_total: 0,
             batch_pos: Vec::new(),
             adapter_users: vec![0; pool.len()],
             loading: LoadingTable::new(pool.len()),
@@ -413,25 +408,19 @@ impl Engine {
             isolated_secs_per_token,
             prefill_secs_per_token,
             release: ReleaseSchedule::default(),
-            release_basis: ReleaseBasis {
-                now: SimTime::ZERO,
-                step: SimDuration::ZERO,
-                batch: 0,
-            },
+            release_batch: 0,
+            prefetch_floor,
             work: EngineWork::default(),
             cfg,
             admit_buf: Vec::new(),
             requeue_buf: Vec::new(),
             adapters_buf: Vec::new(),
-            protected_buf: HashSet::new(),
+            protected_buf: AdapterStamps::default(),
             protected_ready: false,
             prefetch_buf: Vec::new(),
-            prefill_idx: Vec::new(),
-            decode_idx: Vec::new(),
             prefill_items: Vec::new(),
-            decode_items: Vec::new(),
+            decode_batch: DecodeBatch::default(),
             slots_pool: Vec::new(),
-            chunks_pool: Vec::new(),
             folded_pool: Vec::new(),
             pairs_scratch: Vec::new(),
             #[cfg(test)]
@@ -498,8 +487,12 @@ impl Engine {
         while let Some(last) = self.running.len().checked_sub(1) {
             lost.push(self.take_running(last).req);
         }
-        lost.extend(self.demoted.drain(..).map(|d| d.req));
-        lost.extend(self.restoring.drain(..).map(|r| r.d.req));
+        let parked = self.demoted.drain(..);
+        for d in parked.chain(self.restoring.drain(..).map(|r| r.d)) {
+            self.charged_total -= d.charged_tokens;
+            lost.push(d.req);
+        }
+        debug_assert_eq!(self.charged_total, 0, "a crash leaves no charge behind");
         self.current_step = None;
         self.loading.clear();
         self.bypass_pairs.clear();
@@ -618,13 +611,18 @@ impl Engine {
     /// the cluster's global scheduler. Demoted/restoring requests keep
     /// their charge: they never left the system.
     pub fn outstanding_tokens(&self) -> u64 {
-        let running: u64 = self.running.iter().map(|r| r.charged_tokens).sum::<u64>()
-            + self.demoted.iter().map(|d| d.charged_tokens).sum::<u64>()
-            + self
-                .restoring
-                .iter()
-                .map(|r| r.d.charged_tokens)
-                .sum::<u64>();
+        debug_assert_eq!(
+            self.charged_total,
+            self.running.iter().map(|r| r.charged_tokens).sum::<u64>()
+                + self.demoted.iter().map(|d| d.charged_tokens).sum::<u64>()
+                + self
+                    .restoring
+                    .iter()
+                    .map(|r| r.d.charged_tokens)
+                    .sum::<u64>(),
+            "charged total out of step"
+        );
+        let running = self.charged_total;
         // Queued work approximated by queue length × mean running charge.
         let mean = if self.running.is_empty() {
             256
@@ -657,7 +655,13 @@ impl Engine {
     /// what the SLO-aware autoscaler needs to see a saturated engine as a
     /// TTFT violation in the making. O(1) per call.
     pub fn estimated_ttft_secs(&self) -> f64 {
-        self.outstanding_tokens() as f64 * self.isolated_secs_per_token
+        self.ttft_secs_of(self.outstanding_tokens())
+    }
+
+    /// [`estimated_ttft_secs`](Self::estimated_ttft_secs) of an
+    /// `outstanding` backlog.
+    fn ttft_secs_of(&self, outstanding: u64) -> f64 {
+        outstanding as f64 * self.isolated_secs_per_token
     }
 
     /// Adapters whose weights are on (or in flight to) this engine.
@@ -685,14 +689,15 @@ impl Engine {
         id: chameleon_router::EngineId,
         with_residency: bool,
     ) -> chameleon_router::EngineSnapshot {
+        let outstanding = self.outstanding_tokens();
         chameleon_router::EngineSnapshot {
             id,
             weight: self.capacity_weight(),
             queue_depth: self.sched.len(),
             running: self.running.len(),
-            outstanding_tokens: self.outstanding_tokens(),
+            outstanding_tokens: outstanding,
             free_memory_bytes: self.free_memory_bytes(),
-            est_ttft_secs: self.estimated_ttft_secs(),
+            est_ttft_secs: self.ttft_secs_of(outstanding),
             resident_adapters: if with_residency {
                 self.resident_adapters()
             } else {
@@ -884,6 +889,7 @@ impl Engine {
     fn push_running(&mut self, r: Running) {
         self.batch_pos[r.slot.index()] = self.running.len() as u32;
         self.adapter_users[r.req.adapter().0 as usize] += 1;
+        self.charged_total += r.charged_tokens;
         self.running.push(r);
     }
 
@@ -897,6 +903,7 @@ impl Engine {
             self.batch_pos[moved.slot.index()] = idx as u32;
         }
         self.adapter_users[r.req.adapter().0 as usize] -= 1;
+        self.charged_total -= r.charged_tokens;
         r
     }
 
@@ -953,13 +960,12 @@ impl Engine {
             return;
         };
         match plan {
-            StepPlan::Prefill { slots, chunks } => {
-                for (&slot, &chunk) in slots.iter().zip(chunks.iter()) {
+            StepPlan::Prefill { chunks } => {
+                for &(slot, chunk) in &chunks {
                     self.apply_prefill_progress(slot, chunk, now);
                 }
-                // Return the plan's buffers to the pool for the next step.
-                self.slots_pool = slots;
-                self.chunks_pool = chunks;
+                // Return the plan's buffer to the pool for the next step.
+                self.folded_pool = chunks;
             }
             StepPlan::Decode {
                 slots,
@@ -1092,6 +1098,7 @@ impl Engine {
                 },
             ));
         }
+        self.charged_total += r.charged_tokens;
         self.demoted.push(Demoted {
             req: r.req,
             slot: r.slot,
@@ -1127,6 +1134,7 @@ impl Engine {
                 continue;
             }
             let rst = self.restoring.remove(i);
+            self.charged_total -= rst.d.charged_tokens;
             if let Some(buf) = self.trace.as_mut() {
                 buf.push((
                     now,
@@ -1229,7 +1237,9 @@ impl Engine {
         self.adapters_buf.clear();
         self.sched.queued_adapters_into(&mut self.adapters_buf);
         self.protected_buf.clear();
-        self.protected_buf.extend(self.adapters_buf.iter().copied());
+        for &a in &self.adapters_buf {
+            self.protected_buf.insert(a);
+        }
     }
 
     /// Tries to grow `id`'s KV reservation by one token, evicting idle
@@ -1255,10 +1265,9 @@ impl Engine {
         if self.mem.free() < need_block {
             self.protected_ready = false;
             self.ensure_protected();
-            if !self
-                .cache
-                .make_room(&mut self.mem, need_block, now, &self.protected_buf)
-            {
+            if !self.cache.make_room(&mut self.mem, need_block, now, &|a| {
+                self.protected_buf.contains(a)
+            }) {
                 return false;
             }
         }
@@ -1304,7 +1313,6 @@ impl Engine {
     fn with_probe(&mut self, now: SimTime, f: impl FnOnce(&mut dyn Scheduler, &EngineProbe<'_>)) {
         let scalars = self.probe_scalars(now);
         self.work.probes += 1;
-        self.release.invalidate();
         let Engine {
             sched,
             cache,
@@ -1314,7 +1322,7 @@ impl Engine {
             kv,
             pool,
             release,
-            release_basis,
+            release_batch,
             ..
         } = self;
         let (cache, users, loading) = (&*cache, &*adapter_users, &*loading);
@@ -1323,9 +1331,8 @@ impl Engine {
                 || users.get(a.0 as usize).is_some_and(|&n| n > 0)
                 || loading.contains(a)
         };
-        let basis = *release_basis;
-        let (batch, kv, pool) = (&running[..basis.batch], &*kv, &*pool);
-        let fill = |out: &mut Releases| release_pairs(out, batch, basis, kv, pool);
+        let (batch, kv, pool) = (&running[..*release_batch], &*kv, &*pool);
+        let fill = |out: &mut Releases| release_pairs(out, batch, kv, pool);
         let probe = EngineProbe {
             scalars,
             resident: &resident,
@@ -1339,8 +1346,8 @@ impl Engine {
         f(sched.as_mut(), &probe);
     }
 
-    /// The probe's scalars at `now`; also records what its release
-    /// schedule will price.
+    /// The probe's scalars at `now`; also invalidates the release schedule
+    /// and records what its rebuild will price.
     fn probe_scalars(&mut self, now: SimTime) -> ProbeScalars {
         // Evictable idle cache bytes count as available.
         let available_bytes = self.free_memory_bytes();
@@ -1349,11 +1356,8 @@ impl Engine {
         // token costs its compute share.
         let batch = self.running.len().max(1);
         let step = self.cost.uniform_decode_step_time(batch, 256);
-        self.release_basis = ReleaseBasis {
-            now,
-            step,
-            batch: self.running.len(),
-        };
+        self.release.invalidate(step);
+        self.release_batch = self.running.len();
         let usable = self
             .mem
             .capacity()
@@ -1507,10 +1511,10 @@ impl Engine {
                 if let Some(buf) = &mut self.trace {
                     // How long the release schedule of this dispatch's
                     // probe says the deficit takes to free up.
-                    let basis = self.release_basis;
-                    let (batch, kv, pool) = (&self.running[..basis.batch], &self.kv, &self.pool);
-                    let est_wait = self.release.wait(basis.now, need - reclaimable, |out| {
-                        release_pairs(out, batch, basis, kv, pool)
+                    let (batch, kv, pool) =
+                        (&self.running[..self.release_batch], &self.kv, &self.pool);
+                    let est_wait = self.release.wait(need - reclaimable, |out| {
+                        release_pairs(out, batch, kv, pool)
                     });
                     buf.push((
                         now,
@@ -1539,8 +1543,9 @@ impl Engine {
         };
         if self.mem.free() < kv_bytes {
             self.ensure_protected();
-            self.cache
-                .make_room(&mut self.mem, kv_bytes, now, &self.protected_buf);
+            self.cache.make_room(&mut self.mem, kv_bytes, now, &|a| {
+                self.protected_buf.contains(a)
+            });
         }
         let Ok(seq) = self.kv.allocate(&mut self.mem, id, kv_tokens) else {
             // Snapshot was optimistic; push back and stop. With the KV
@@ -1574,7 +1579,9 @@ impl Engine {
             if self.mem.free() < spec.bytes() {
                 self.ensure_protected();
                 self.cache
-                    .make_room(&mut self.mem, spec.bytes(), now, &self.protected_buf);
+                    .make_room(&mut self.mem, spec.bytes(), now, &|a| {
+                        self.protected_buf.contains(a)
+                    });
             }
             if self
                 .mem
@@ -1744,44 +1751,104 @@ impl Engine {
     }
 
     /// Chooses and launches the next iteration.
+    ///
+    /// One pass over the running batch plans it: each request whose
+    /// adapter is on the GPU either takes a prompt chunk while the prefill
+    /// budget lasts or, when decoding, joins the step's slots and its
+    /// pricing sums.
     fn launch_step(&mut self, now: SimTime, out: &mut Vec<(SimTime, EngineEvent)>) {
         if self.current_step.is_some() {
             return;
         }
-        let adapter_ready = |e: &Engine, a: AdapterId| -> bool { e.cache.is_resident(a) };
-        // S-LoRA batch semantics (§2): the engine does not launch the next
-        // iteration while an admitted request's adapter is still loading —
-        // the scheduler synchronously loads missing adapters before sending
-        // the batch. Chameleon's asynchronous cache manager avoids this.
-        if self.cfg.block_on_load
-            && self
-                .running
-                .iter()
-                .any(|r| r.prefill_remaining > 0 && !adapter_ready(self, r.req.adapter()))
-        {
-            return; // a LoadDone event will re-trigger dispatch
-        }
-        self.prefill_idx.clear();
-        self.decode_idx.clear();
-        let cache = &self.cache;
-        for (i, r) in self.running.iter().enumerate() {
-            if !cache.is_resident(r.req.adapter()) {
-                continue;
-            }
-            if r.prefill_remaining > 0 {
-                self.prefill_idx.push(i);
-            } else if !r.finished() {
-                self.decode_idx.push(i);
-            }
-        }
-
-        let plan = if self.cfg.chunked_prefill {
-            self.plan_chunked()
+        let chunked = self.cfg.chunked_prefill;
+        let mut budget = if chunked {
+            self.cfg.prefill_chunk_tokens
         } else {
-            self.plan_plain()
+            self.cfg.max_prefill_batch_tokens
         };
-        let Some((plan, duration)) = plan else {
-            return; // nothing executable: waiting on loads or truly idle
+        let mut chunks = std::mem::take(&mut self.folded_pool);
+        let mut slots = std::mem::take(&mut self.slots_pool);
+        chunks.clear();
+        slots.clear();
+        self.prefill_items.clear();
+        self.decode_batch.clear();
+        let (mut prefilling, mut blocked) = (false, false);
+        for r in &self.running {
+            // A running request holds a cache reference or waits on its
+            // adapter's load, so its adapter is resident exactly when it
+            // is not loading.
+            let adapter = r.req.adapter();
+            let resident = !self.loading.contains(adapter);
+            debug_assert_eq!(resident, self.cache.is_resident(adapter), "{adapter}");
+            if r.prefill_remaining > 0 {
+                if !resident {
+                    // S-LoRA batch semantics (§2): the engine does not
+                    // launch the next iteration while an admitted request's
+                    // adapter is still loading — the scheduler synchronously
+                    // loads missing adapters before sending the batch.
+                    // Chameleon's asynchronous cache manager avoids this.
+                    blocked = self.cfg.block_on_load;
+                    if blocked {
+                        break;
+                    }
+                    continue;
+                }
+                prefilling = true;
+                // Cap the prompt tokens processed this iteration so a wave
+                // of admissions cannot stall running decodes indefinitely.
+                let take = r.prefill_remaining.min(budget);
+                if take > 0 {
+                    budget -= take;
+                    chunks.push((r.slot, take));
+                    self.prefill_items.push(PrefillItem {
+                        tokens: take,
+                        rank: Some(r.req.rank()),
+                    });
+                }
+            } else if resident && !r.finished() {
+                slots.push(r.slot);
+                self.decode_batch.push(
+                    self.cost.llm(),
+                    DecodeItem {
+                        kv_tokens: r.req.input_tokens() + r.produced,
+                        rank: Some(r.req.rank()),
+                    },
+                );
+            }
+        }
+        if blocked || (!prefilling && slots.is_empty()) {
+            // Waiting on a load (a LoadDone event will re-trigger
+            // dispatch), or nothing executable.
+            self.folded_pool = chunks;
+            self.slots_pool = slots;
+            return;
+        }
+        let (plan, duration) = if prefilling && !chunked {
+            // Default (LightLLM/S-LoRA-style) execution: pending prefills
+            // run as a dedicated prefill iteration before decoding
+            // continues.
+            self.slots_pool = slots;
+            let dur = self.cost.prefill_time(&self.prefill_items);
+            (StepPlan::Prefill { chunks }, dur)
+        } else {
+            // One decode iteration; in Sarathi-style chunked prefill the
+            // prompt chunks fold into it and their compute rides along,
+            // minus one duplicated fixed overhead.
+            let mut dur = self.cost.decode_batch_time(&self.decode_batch);
+            if !self.prefill_items.is_empty() {
+                let pf = self.cost.prefill_time(&self.prefill_items);
+                let overhead = self.cost.calibration().prefill_overhead;
+                dur = if dur.is_zero() {
+                    pf
+                } else {
+                    dur + pf.saturating_sub(overhead)
+                };
+            }
+            let plan = StepPlan::Decode {
+                slots,
+                folded_prefill: chunks,
+            };
+            (plan, dur)
         };
         // Straggler windows stretch every iteration; the healthy-path
         // branch (factor exactly 1.0) skips the multiply so arming the
@@ -1795,119 +1862,6 @@ impl Engine {
         self.current_step = Some(plan);
         self.busy_until = now + duration;
         out.push((self.busy_until, EngineEvent::StepDone(self.step_seq)));
-    }
-
-    /// Default (LightLLM/S-LoRA-style) execution: pending prefills run as a
-    /// dedicated prefill iteration before decoding continues.
-    ///
-    /// Reads `prefill_idx`/`decode_idx` (filled by `launch_step`) and
-    /// builds the plan out of the pooled buffers, which `on_step_done`
-    /// recycles when the step completes.
-    fn plan_plain(&mut self) -> Option<(StepPlan, SimDuration)> {
-        if !self.prefill_idx.is_empty() {
-            // Cap the prompt tokens processed this iteration so a wave of
-            // admissions cannot stall running decodes indefinitely.
-            let mut budget = self.cfg.max_prefill_batch_tokens;
-            let mut slots = std::mem::take(&mut self.slots_pool);
-            let mut chunks = std::mem::take(&mut self.chunks_pool);
-            slots.clear();
-            chunks.clear();
-            self.prefill_items.clear();
-            for &i in &self.prefill_idx {
-                if budget == 0 {
-                    break;
-                }
-                let r = &self.running[i];
-                let take = r.prefill_remaining.min(budget);
-                budget -= take;
-                slots.push(r.slot);
-                chunks.push(take);
-                self.prefill_items.push(PrefillItem {
-                    tokens: take,
-                    rank: Some(r.req.rank()),
-                });
-            }
-            let dur = self.cost.prefill_time(&self.prefill_items);
-            return Some((StepPlan::Prefill { slots, chunks }, dur));
-        }
-        if self.decode_idx.is_empty() {
-            return None;
-        }
-        let mut slots = std::mem::take(&mut self.slots_pool);
-        slots.clear();
-        slots.extend(self.decode_idx.iter().map(|&i| self.running[i].slot));
-        self.fill_decode_items();
-        let dur = self.cost.decode_step_time(&self.decode_items);
-        let mut folded = std::mem::take(&mut self.folded_pool);
-        folded.clear();
-        Some((
-            StepPlan::Decode {
-                slots,
-                folded_prefill: folded,
-            },
-            dur,
-        ))
-    }
-
-    /// Fills `decode_items` with the cost-model view of `decode_idx`.
-    fn fill_decode_items(&mut self) {
-        self.decode_items.clear();
-        let running = &self.running;
-        self.decode_items.extend(self.decode_idx.iter().map(|&i| {
-            let r = &running[i];
-            DecodeItem {
-                kv_tokens: r.req.input_tokens() + r.produced,
-                rank: Some(r.req.rank()),
-            }
-        }));
-    }
-
-    /// Sarathi-style chunked prefill: decode every iteration, folding in up
-    /// to `prefill_chunk_tokens` of pending prompt work.
-    fn plan_chunked(&mut self) -> Option<(StepPlan, SimDuration)> {
-        if self.prefill_idx.is_empty() && self.decode_idx.is_empty() {
-            return None;
-        }
-        let mut budget = self.cfg.prefill_chunk_tokens;
-        let mut folded = std::mem::take(&mut self.folded_pool);
-        folded.clear();
-        self.prefill_items.clear();
-        for &i in &self.prefill_idx {
-            if budget == 0 {
-                break;
-            }
-            let r = &self.running[i];
-            let chunk = r.prefill_remaining.min(budget);
-            budget -= chunk;
-            folded.push((r.slot, chunk));
-            self.prefill_items.push(PrefillItem {
-                tokens: chunk,
-                rank: Some(r.req.rank()),
-            });
-        }
-        let mut slots = std::mem::take(&mut self.slots_pool);
-        slots.clear();
-        slots.extend(self.decode_idx.iter().map(|&i| self.running[i].slot));
-        self.fill_decode_items();
-        // Folding shares one iteration: the chunk's compute rides along,
-        // minus one duplicated fixed overhead.
-        let mut dur = self.cost.decode_step_time(&self.decode_items);
-        if !self.prefill_items.is_empty() {
-            let pf = self.cost.prefill_time(&self.prefill_items);
-            let overhead = self.cost.calibration().prefill_overhead;
-            dur = if dur.is_zero() {
-                pf
-            } else {
-                dur + pf.saturating_sub(overhead)
-            };
-        }
-        Some((
-            StepPlan::Decode {
-                slots,
-                folded_prefill: folded,
-            },
-            dur,
-        ))
     }
 
     /// Issues the host→GPU copy for an adapter load and returns the
@@ -1935,6 +1889,10 @@ impl Engine {
     /// when enabled, for predicted future requests (§4.2 3).
     fn prefetch(&mut self, now: SimTime, out: &mut Vec<(SimTime, EngineEvent)>) {
         if !self.cfg.prefetch_queued && !self.cfg.predictive_prefetch {
+            return;
+        }
+        if self.mem.free() < self.prefetch_floor {
+            // No warm load could start, and a warm load never evicts.
             return;
         }
         self.prefetch_buf.clear();
@@ -2025,7 +1983,7 @@ mod tests {
     use chameleon_cache::EvictionPolicy;
     use chameleon_models::{AdapterRank, GpuSpec, LlmSpec, PoolConfig};
     use chameleon_predictor::OraclePredictor;
-    use chameleon_sched::{FifoScheduler, ResourceProbe};
+    use chameleon_sched::{FifoScheduler, QueuedRequest, ResourceProbe};
     use chameleon_workload::RequestId;
 
     /// Test-only audit of the probe's residency answer against the set the
@@ -2528,6 +2486,127 @@ mod tests {
         assert_eq!(work.tokens_applied, recorded);
         assert!(work.probes > 0);
         assert_eq!(work.release_schedules, 0, "a schedule was built unasked");
+    }
+
+    /// A FIFO scheduler that counts `queued_adapters_into` calls.
+    struct CountingFifo {
+        inner: FifoScheduler,
+        queued_adapter_calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Scheduler for CountingFifo {
+        fn enqueue(&mut self, req: QueuedRequest) {
+            self.inner.enqueue(req);
+        }
+        fn requeue_front(&mut self, req: QueuedRequest) {
+            self.inner.requeue_front(req);
+        }
+        fn form_batch_into(&mut self, probe: &dyn ResourceProbe, out: &mut Vec<AdmissionOutcome>) {
+            self.inner.form_batch_into(probe, out);
+        }
+        fn on_finish(&mut self, queue_index: usize, charged_tokens: u64) {
+            self.inner.on_finish(queue_index, charged_tokens);
+        }
+        fn queued_adapters_into(&mut self, out: &mut Vec<AdapterId>) {
+            self.queued_adapter_calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.queued_adapters_into(out);
+        }
+        fn drain_queued_into(&mut self, out: &mut Vec<QueuedRequest>) {
+            self.inner.drain_queued_into(out);
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn name(&self) -> &'static str {
+            "counting-fifo"
+        }
+    }
+
+    /// With less free memory than the pool's smallest adapter plus the
+    /// warm-load headroom, prefetch neither walks the queue nor issues a
+    /// load; at exactly that much it loads the queued smallest adapter.
+    #[test]
+    fn prefetch_below_the_floor_walks_no_queue() {
+        use std::sync::atomic::Ordering;
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut e = mk_engine();
+        e.sched = Box::new(CountingFifo {
+            inner: FifoScheduler::new(),
+            queued_adapter_calls: calls.clone(),
+        });
+        let smallest = e
+            .pool
+            .iter()
+            .min_by_key(|a| (a.bytes(), a.id()))
+            .expect("the pool has adapters")
+            .clone();
+        assert_eq!(e.prefetch_floor, smallest.bytes() + 4 * e.kv.block_bytes());
+        // Queue a request for it without dispatching.
+        let req = request(0, 0.0, 64, 4, smallest.id().0);
+        let slot = e.register(&req);
+        let tokens = smallest.bytes() / e.kv_bytes_per_token;
+        let queued = QueuedRequest::new(req, 4, smallest.bytes(), tokens, 0.1, SimTime::ZERO);
+        e.sched.enqueue(queued.with_slot(slot));
+        let spare = e.mem.free() - (e.prefetch_floor - 1);
+        e.mem
+            .reserve(Region::Activations, spare)
+            .expect("free bytes just measured");
+        let mut out = Vec::new();
+        e.prefetch(SimTime::ZERO, &mut out);
+        assert!(out.is_empty() && e.loading.is_empty(), "a load was issued");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "the queue was walked");
+        e.mem.release(Region::Activations, 1);
+        e.prefetch(SimTime::ZERO, &mut out);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert!(e.loading.contains(smallest.id()), "no load at the floor");
+        assert_eq!(out.len(), 1);
+    }
+
+    /// The charged total follows every move in and out of the running,
+    /// demoted and restoring sets on a hybrid-KV run, through demotions
+    /// and landed restores, and a crash leaves none behind.
+    #[test]
+    fn charged_total_tracks_demotion_restore_and_crash() {
+        let llm = LlmSpec::llama_7b();
+        let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(100));
+        let trace = decode_heavy_trace(&pool, 200, 20.0);
+        let mut cfg = EngineConfig::new(llm, GpuSpec::a40().with_memory_bytes(15 << 30));
+        cfg.kv = Some(KvSpec::new().with_pressure_threshold(0.5));
+        let mut e = Engine::new(
+            cfg,
+            pool,
+            Box::new(FifoScheduler::new()),
+            Box::new(HalfPredictor),
+            AdapterCache::new(EvictionPolicy::chameleon()),
+            WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64),
+        );
+        let recomputed = |e: &Engine| {
+            e.running.iter().map(|r| r.charged_tokens).sum::<u64>()
+                + e.demoted.iter().map(|d| d.charged_tokens).sum::<u64>()
+                + e.restoring.iter().map(|r| r.d.charged_tokens).sum::<u64>()
+        };
+        let mut q = chameleon_simcore::EventQueue::new();
+        for r in trace.requests() {
+            q.push(r.arrival(), EngineEvent::Arrival(*r));
+        }
+        let mut out = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            e.handle(t, ev, &mut out);
+            for (at, ev) in out.drain(..) {
+                q.push(at, ev);
+            }
+            assert_eq!(e.charged_total, recomputed(&e), "at {t}");
+            // Each restore started is in flight or has landed.
+            let landed = e.kv_stats.restores - e.restoring.len() as u64;
+            if landed > 0 && (!e.demoted.is_empty() || !e.restoring.is_empty()) {
+                assert!(!e.crash_unfinished().is_empty());
+                assert_eq!(e.charged_total, 0);
+                assert_eq!(e.outstanding_tokens(), 0);
+                return;
+            }
+        }
+        panic!("no restore landed while another request was parked");
     }
 
     /// §4.3.3 squash rule, dissolve branch: when enough memory has freed

@@ -7,6 +7,13 @@
 //! built only when a scheduler first asks how long memory takes to free
 //! up, and it prices the running batch as it stood when the probe was
 //! taken.
+//!
+//! The schedule is keyed by each running request's remaining decode
+//! steps, not by its predicted finish time, and an answer costs one
+//! multiplication of the step duration. Both orders agree: `mul_f64` is
+//! monotone non-decreasing in its factor and `(now + d) − now = d`, so the
+//! smallest finish whose cumulative freed bytes reach a target is the
+//! finish of the smallest such step count.
 
 use chameleon_models::AdapterId;
 use chameleon_sched::ResourceProbe;
@@ -35,24 +42,28 @@ pub(crate) struct ProbeScalars {
     pub(crate) kv_block_bytes: u64,
 }
 
-/// `(finish time, bytes)` pairs of running requests.
-pub(crate) type Releases = Vec<(SimTime, u64)>;
+/// `(remaining decode steps, bytes)` pairs of running requests.
+pub(crate) type Releases = Vec<(u64, u64)>;
 
-/// The predicted release schedule of the running batch: when each
-/// running request is expected to finish and how many bytes have freed by
+/// The predicted release schedule of the running batch: how many decode
+/// steps each running request has left and how many bytes have freed by
 /// then. The engine keeps one and invalidates it whenever it takes a
 /// probe; the first wait estimate after that rebuilds it.
 #[derive(Debug, Default)]
 pub(crate) struct ReleaseSchedule {
-    /// `(finish time, cumulative freed bytes)`, sorted by finish time.
+    /// `(remaining steps, cumulative freed bytes)`, sorted by steps.
     entries: RefCell<Releases>,
+    /// The predicted duration of one decode step.
+    step: Cell<SimDuration>,
     built: Cell<bool>,
     builds: Cell<u64>,
 }
 
 impl ReleaseSchedule {
-    /// Forgets the schedule; the next [`wait`](Self::wait) rebuilds it.
-    pub(crate) fn invalidate(&self) {
+    /// Forgets the schedule; the next [`wait`](Self::wait) rebuilds it and
+    /// prices each remaining step at `step`.
+    pub(crate) fn invalidate(&self, step: SimDuration) {
+        self.step.set(step);
         self.built.set(false);
     }
 
@@ -61,23 +72,18 @@ impl ReleaseSchedule {
         self.builds.get()
     }
 
-    /// How long after `now` the running batch will have freed `bytes`;
+    /// How long the running batch takes to free `bytes`;
     /// [`SimDuration::MAX`] when it never frees that much. On the first
     /// call since [`invalidate`](Self::invalidate), `fill` appends each
-    /// running request's `(finish time, bytes freed)`.
-    pub(crate) fn wait(
-        &self,
-        now: SimTime,
-        bytes: u64,
-        fill: impl FnOnce(&mut Releases),
-    ) -> SimDuration {
+    /// running request's `(remaining steps, bytes freed)`.
+    pub(crate) fn wait(&self, bytes: u64, fill: impl FnOnce(&mut Releases)) -> SimDuration {
         let mut entries = self.entries.borrow_mut();
         if !self.built.get() {
             entries.clear();
             fill(&mut entries);
-            // In-place unstable sort; tied finish times all resolve to
-            // the same wait, so the tie order is immaterial.
-            entries.sort_unstable_by_key(|&(t, _)| t);
+            // In-place unstable sort; tied step counts all resolve to the
+            // same wait, so the tie order is immaterial.
+            entries.sort_unstable_by_key(|&(steps, _)| steps);
             let mut acc = 0u64;
             for item in entries.iter_mut() {
                 acc += item.1;
@@ -89,8 +95,8 @@ impl ReleaseSchedule {
         entries
             .iter()
             .find(|&&(_, freed)| freed >= bytes)
-            .map_or(SimDuration::MAX, |&(finish, _)| {
-                finish.saturating_since(now)
+            .map_or(SimDuration::MAX, |&(steps, _)| {
+                self.step.get().mul_f64(steps as f64)
             })
     }
 
@@ -142,8 +148,7 @@ impl ResourceProbe for EngineProbe<'_> {
     }
 
     fn estimate_mem_wait(&self, bytes: u64) -> SimDuration {
-        self.release
-            .wait(self.scalars.now, bytes, self.fill_release)
+        self.release.wait(bytes, self.fill_release)
     }
 
     fn total_token_capacity(&self) -> u64 {
@@ -171,11 +176,11 @@ mod tests {
         id == AdapterId(1)
     }
 
-    /// Two running requests: one finishing at 12 s freeing 100 bytes, one
-    /// at 15 s freeing 200.
+    /// Two running requests: one with 5 steps left freeing 200 bytes, one
+    /// with 2 freeing 100.
     fn releases(out: &mut Releases) {
-        out.push((SimTime::from_secs_f64(15.0), 200));
-        out.push((SimTime::from_secs_f64(12.0), 100));
+        out.push((5, 200));
+        out.push((2, 100));
     }
 
     fn probe(release: &ReleaseSchedule) -> EngineProbe<'_> {
@@ -239,14 +244,93 @@ mod tests {
     #[test]
     fn mem_wait_walks_release_schedule() {
         let rel = ReleaseSchedule::default();
+        rel.invalidate(SimDuration::from_secs(1));
         let p = probe(&rel);
         assert_eq!(p.estimate_mem_wait(50), SimDuration::from_secs(2));
         assert_eq!(p.estimate_mem_wait(100), SimDuration::from_secs(2));
         assert_eq!(p.estimate_mem_wait(250), SimDuration::from_secs(5));
         assert_eq!(p.estimate_mem_wait(1000), SimDuration::MAX);
         assert_eq!(rel.builds(), 1, "one build serves every estimate");
-        rel.invalidate();
-        assert_eq!(p.estimate_mem_wait(250), SimDuration::from_secs(5));
+        rel.invalidate(SimDuration::from_millis(500));
+        assert_eq!(p.estimate_mem_wait(250), SimDuration::from_millis(2500));
         assert_eq!(rel.builds(), 2, "an invalidated schedule rebuilds");
+    }
+
+    /// The schedule the step-keyed one replaced: each request finishes at
+    /// `now + step · remaining`, the entries are sorted by finish, and the
+    /// wait runs to the first finish whose cumulative bytes reach `bytes`.
+    fn finish_keyed_wait(
+        now: SimTime,
+        step: SimDuration,
+        releases: &[(u64, u64)],
+        bytes: u64,
+    ) -> SimDuration {
+        let mut entries: Vec<(SimTime, u64)> = releases
+            .iter()
+            .map(|&(remaining, freed)| (now + step.mul_f64(remaining as f64), freed))
+            .collect();
+        entries.sort_unstable_by_key(|&(t, _)| t);
+        let mut acc = 0u64;
+        for item in entries.iter_mut() {
+            acc += item.1;
+            item.1 = acc;
+        }
+        entries
+            .iter()
+            .find(|&&(_, freed)| freed >= bytes)
+            .map_or(SimDuration::MAX, |&(finish, _)| {
+                finish.saturating_since(now)
+            })
+    }
+
+    /// On generated batches the step-keyed schedule answers every target
+    /// exactly as the finish-keyed reference: tied and zero step counts,
+    /// steps of 0 ns, 1 ns, 50 ms and an odd length, targets of 0 bytes,
+    /// in between, exactly the total, and beyond it (`MAX`).
+    #[test]
+    fn step_keyed_schedule_matches_the_finish_keyed_reference() {
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let rel = ReleaseSchedule::default();
+        let (mut ties, mut zeros, mut unreachable) = (0, 0, 0);
+        for step in [
+            SimDuration::ZERO,
+            SimDuration::from_nanos(1),
+            SimDuration::from_millis(50),
+            SimDuration::from_nanos(27_318_461),
+        ] {
+            for _ in 0..400 {
+                let now = SimTime::from_nanos(below(1 << 40));
+                // A narrow step range makes ties and zeros common.
+                let span = [3, 40, 2_000][below(3) as usize];
+                let releases: Vec<(u64, u64)> = (0..below(10))
+                    .map(|_| (below(span), 1 + below(1 << 30)))
+                    .collect();
+                let mut steps: Vec<u64> = releases.iter().map(|&(r, _)| r).collect();
+                steps.sort_unstable();
+                ties += steps.windows(2).any(|w| w[0] == w[1]) as u32;
+                zeros += steps.first().is_some_and(|&r| r == 0) as u32;
+                let total: u64 = releases.iter().map(|&(_, b)| b).sum();
+                rel.invalidate(step);
+                for bytes in [0, 1, total / 3, total / 2, total, total + 1, below(1 << 32)] {
+                    let want = finish_keyed_wait(now, step, &releases, bytes);
+                    unreachable += (want == SimDuration::MAX) as u32;
+                    let got = rel.wait(bytes, |out| out.extend_from_slice(&releases));
+                    assert_eq!(
+                        got, want,
+                        "step {step} now {now} {releases:?} target {bytes}"
+                    );
+                }
+            }
+        }
+        assert!(
+            ties > 0 && zeros > 0 && unreachable > 0,
+            "{ties} {zeros} {unreachable}"
+        );
     }
 }

@@ -98,6 +98,57 @@ pub struct DecodeItem {
     pub rank: Option<AdapterRank>,
 }
 
+/// The sums one decode iteration is priced from, added one sequence at a
+/// time: the sequence count, their total context, and the adapter bytes of
+/// their distinct ranks. Every sum is an integer, so the order sequences
+/// arrive in does not matter. [`clear`](Self::clear) keeps the rank list's
+/// capacity, so refilling one batch every iteration allocates nothing
+/// after warm-up.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeBatch {
+    items: usize,
+    kv_tokens: u64,
+    lora_bytes: u64,
+    /// Power-of-two ranks seen (every rank the paper uses), one bit each.
+    pow2_ranks: u32,
+    /// Every other rank seen.
+    other_ranks: Vec<u32>,
+}
+
+impl DecodeBatch {
+    /// Empties the batch.
+    pub fn clear(&mut self) {
+        self.items = 0;
+        self.kv_tokens = 0;
+        self.lora_bytes = 0;
+        self.pow2_ranks = 0;
+        self.other_ranks.clear();
+    }
+
+    /// Adds one sequence of a model with `llm`'s geometry.
+    pub fn push(&mut self, llm: &LlmSpec, item: DecodeItem) {
+        self.items += 1;
+        self.kv_tokens += u64::from(item.kv_tokens);
+        let Some(rank) = item.rank else {
+            return;
+        };
+        let r = rank.get();
+        let first = if r.is_power_of_two() {
+            let fresh = self.pow2_ranks & r == 0;
+            self.pow2_ranks |= r;
+            fresh
+        } else if self.other_ranks.contains(&r) {
+            false
+        } else {
+            self.other_ranks.push(r);
+            true
+        };
+        if first {
+            self.lora_bytes += adapter_bytes(llm, rank);
+        }
+    }
+}
+
 /// TTFT decomposition of a single request, Figure 2's three bars.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefillBreakdown {
@@ -231,16 +282,23 @@ impl CostModel {
     /// Duration of one decode iteration over `batch` (one token per
     /// sequence): weight streaming + KV streaming + LoRA reads + sync.
     pub fn decode_step_time(&self, batch: &[DecodeItem]) -> SimDuration {
-        if batch.is_empty() {
+        let mut sums = DecodeBatch::default();
+        for &item in batch {
+            sums.push(&self.llm, item);
+        }
+        self.decode_batch_time(&sums)
+    }
+
+    /// [`decode_step_time`](Self::decode_step_time) of the sequences
+    /// accumulated in `batch`.
+    pub fn decode_batch_time(&self, batch: &DecodeBatch) -> SimDuration {
+        if batch.items == 0 {
             return SimDuration::ZERO;
         }
-        let kv_bytes: u64 = batch
-            .iter()
-            .map(|i| u64::from(i.kv_tokens) * self.llm.kv_bytes_per_token())
-            .sum();
+        let kv_bytes = batch.kv_tokens * self.llm.kv_bytes_per_token();
         // Each *distinct* adapter's weights are re-read by the gather
         // kernels once per iteration, with a scatter penalty.
-        self.decode_step(batch.len(), kv_bytes, self.distinct_rank_bytes(batch))
+        self.decode_step(batch.items, kv_bytes, batch.lora_bytes)
     }
 
     /// [`decode_step_time`](Self::decode_step_time) of `batch` base-only
@@ -276,32 +334,6 @@ impl CostModel {
     /// adapter weights in one decode iteration.
     fn lora_decode_secs(&self, lora_bytes: u64, tp_hbm: f64) -> f64 {
         lora_bytes as f64 * self.calib.lora_decode_read_penalty / tp_hbm
-    }
-
-    /// Adapter bytes summed over the batch's distinct ranks, without
-    /// allocating: a power-of-two rank (every rank the paper uses) is its
-    /// own bit in a mask; any other rank is checked against the items
-    /// before it.
-    fn distinct_rank_bytes(&self, batch: &[DecodeItem]) -> u64 {
-        let mut seen_pow2 = 0u32;
-        let mut bytes = 0;
-        for (i, item) in batch.iter().enumerate() {
-            let Some(rank) = item.rank else {
-                continue;
-            };
-            let r = rank.get();
-            let first = if r.is_power_of_two() {
-                let fresh = seen_pow2 & r == 0;
-                seen_pow2 |= r;
-                fresh
-            } else {
-                !batch[..i].iter().any(|p| p.rank == Some(rank))
-            };
-            if first {
-                bytes += adapter_bytes(&self.llm, rank);
-            }
-        }
-        bytes
     }
 
     /// Time to load an adapter of `bytes` from host memory, including the
@@ -581,6 +613,7 @@ mod tests {
     #[test]
     fn distinct_rank_bytes_matches_sort_dedup() {
         let m = model();
+        let mut sums = DecodeBatch::default();
         for ranks in [
             &[][..],
             &[32, 32, 32],
@@ -588,26 +621,98 @@ mod tests {
             &[12, 24, 12, 8, 24, 8],
             &[3, 5, 3, 16, 5],
         ] {
-            let batch: Vec<DecodeItem> = ranks
-                .iter()
-                .map(|&r| DecodeItem {
-                    kv_tokens: 100,
-                    rank: Some(AdapterRank::new(r)),
-                })
-                .chain([DecodeItem {
-                    kv_tokens: 100,
-                    rank: None,
-                }])
-                .collect();
-            let mut distinct: Vec<u32> = ranks.to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let want: u64 = distinct
-                .iter()
-                .map(|&r| adapter_bytes(m.llm(), AdapterRank::new(r)))
-                .sum();
-            assert_eq!(m.distinct_rank_bytes(&batch), want, "ranks {ranks:?}");
+            sums.clear();
+            let items = ranks.iter().map(|&r| Some(AdapterRank::new(r)));
+            for rank in items.chain([None]) {
+                sums.push(
+                    m.llm(),
+                    DecodeItem {
+                        kv_tokens: 100,
+                        rank,
+                    },
+                );
+            }
+            assert_eq!(sums.items, ranks.len() + 1);
+            assert_eq!(
+                sums.lora_bytes,
+                distinct_rank_bytes(&m, ranks),
+                "ranks {ranks:?}"
+            );
         }
+    }
+
+    /// Adapter bytes of the distinct `ranks`, by sort and dedup.
+    fn distinct_rank_bytes(m: &CostModel, ranks: &[u32]) -> u64 {
+        let mut distinct = ranks.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        distinct
+            .iter()
+            .map(|&r| adapter_bytes(m.llm(), AdapterRank::new(r)))
+            .sum()
+    }
+
+    /// The slice formula the accumulated batch replaced: KV bytes summed
+    /// per item, rank bytes found by sort and dedup.
+    fn slice_decode_step_time(m: &CostModel, batch: &[DecodeItem]) -> SimDuration {
+        if batch.is_empty() {
+            return SimDuration::ZERO;
+        }
+        let kv_bytes = batch
+            .iter()
+            .map(|i| u64::from(i.kv_tokens) * m.llm().kv_bytes_per_token())
+            .sum();
+        let ranks: Vec<u32> = batch.iter().filter_map(|i| Some(i.rank?.get())).collect();
+        m.decode_step(batch.len(), kv_bytes, distinct_rank_bytes(m, &ranks))
+    }
+
+    /// A reused batch, cleared between iterations and filled in any order,
+    /// prices every generated batch exactly as the slice formula does, and
+    /// so does `decode_step_time`: power-of-two and other ranks, duplicates,
+    /// base-only items and the empty batch, at TP 1, 2, 4 and 8.
+    #[test]
+    fn decode_batch_time_matches_the_slice_formula() {
+        const RANKS: [u32; 9] = [8, 16, 32, 64, 128, 3, 12, 24, 100];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let mut sums = DecodeBatch::default();
+        let (mut other_ranks, mut duplicates) = (0, 0);
+        for tp in [1, 2, 4, 8] {
+            let m = CostModel::new(LlmSpec::llama_7b(), GpuSpec::a40(), tp);
+            for _ in 0..200 {
+                let len = below(24) as usize;
+                let batch: Vec<DecodeItem> = (0..len)
+                    .map(|_| DecodeItem {
+                        kv_tokens: below(4_000) as u32,
+                        rank: (below(8) != 0)
+                            .then(|| AdapterRank::new(RANKS[below(RANKS.len() as u64) as usize])),
+                    })
+                    .collect();
+                let ranks: Vec<u32> = batch.iter().filter_map(|i| Some(i.rank?.get())).collect();
+                other_ranks += ranks.iter().any(|r| !r.is_power_of_two()) as u32;
+                duplicates += (distinct_rank_bytes(&m, &ranks)
+                    < ranks
+                        .iter()
+                        .map(|&r| adapter_bytes(m.llm(), AdapterRank::new(r)))
+                        .sum()) as u32;
+                sums.clear();
+                for &item in batch.iter().rev() {
+                    sums.push(m.llm(), item);
+                }
+                let want = slice_decode_step_time(&m, &batch);
+                assert_eq!(m.decode_batch_time(&sums), want, "tp {tp} batch {batch:?}");
+                assert_eq!(m.decode_step_time(&batch), want, "tp {tp} batch {batch:?}");
+            }
+        }
+        assert!(
+            other_ranks > 0 && duplicates > 0,
+            "{other_ranks} {duplicates}"
+        );
     }
 
     /// The isolated oracle's hoisted decode loop adds exactly the one-item

@@ -10,6 +10,29 @@ use chameleon_models::{AdapterId, AdapterRank};
 use chameleon_simcore::{SimDuration, SimTime};
 use chameleon_workload::{RequestId, Slot};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a request id by one multiplication (Fibonacci hashing). Ids
+/// are integers the trace assigns, so no input is adversarial, and the
+/// low bits the table indexes by stay a bijection of the id's low bits.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// One registered request: its record plus the instant of its latest
 /// output token, the base of the next TBT gap.
@@ -30,7 +53,7 @@ pub struct Collector {
     slots: Vec<Option<Entry>>,
     /// The live slot of each registered id. Only looked up (registration's
     /// duplicate check, crash removal), never iterated.
-    index: HashMap<RequestId, Slot>,
+    index: HashMap<RequestId, Slot, BuildHasherDefault<IdHasher>>,
 }
 
 impl Collector {
@@ -87,6 +110,7 @@ impl Collector {
 
     /// Records a produced output token; the first one sets TTFT, each
     /// later one a TBT gap.
+    #[inline]
     pub fn on_token(&mut self, slot: Slot, at: SimTime) {
         let e = self.entry(slot);
         if e.record.first_token.is_none() {

@@ -22,6 +22,54 @@ impl std::fmt::Display for AdapterId {
     }
 }
 
+/// A set of adapter ids kept as a dense table of epoch stamps: an id is in
+/// the set when its entry holds the current epoch, so
+/// [`clear`](Self::clear) is one increment and a lookup is one index. The
+/// table grows to the largest id inserted and never shrinks.
+#[derive(Debug, Clone)]
+pub struct AdapterStamps {
+    stamps: Vec<u32>,
+    /// Never 0, the stamp of an id that was never inserted.
+    epoch: u32,
+}
+
+impl Default for AdapterStamps {
+    fn default() -> Self {
+        AdapterStamps {
+            stamps: Vec::new(),
+            epoch: 1,
+        }
+    }
+}
+
+impl AdapterStamps {
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // After 2^32 clears, old stamps would read as current again.
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Adds `id`, returning whether it was absent.
+    pub fn insert(&mut self, id: AdapterId) -> bool {
+        let i = id.0 as usize;
+        if i >= self.stamps.len() {
+            self.stamps.resize(i + 1, 0);
+        }
+        let absent = self.stamps[i] != self.epoch;
+        self.stamps[i] = self.epoch;
+        absent
+    }
+
+    /// True when `id` is in the set.
+    pub fn contains(&self, id: AdapterId) -> bool {
+        self.stamps.get(id.0 as usize) == Some(&self.epoch)
+    }
+}
+
 /// A LoRA rank — the paper sweeps {8, 16, 32, 64, 128}.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct AdapterRank(u32);
@@ -167,6 +215,47 @@ mod tests {
     fn display_formats() {
         assert_eq!(AdapterId(5).to_string(), "adapter#5");
         assert_eq!(AdapterRank::new(64).to_string(), "r64");
+    }
+
+    #[test]
+    fn stamps_insert_contains_and_clear() {
+        let mut set = AdapterStamps::default();
+        assert!(!set.contains(AdapterId(0)), "a new set is empty");
+        assert!(set.insert(AdapterId(7)));
+        assert!(!set.insert(AdapterId(7)), "second insert finds it");
+        assert!(set.contains(AdapterId(7)));
+        assert!(
+            !set.contains(AdapterId(3)),
+            "the grown table holds no others"
+        );
+        set.clear();
+        assert!(!set.contains(AdapterId(7)));
+        assert!(set.insert(AdapterId(7)));
+    }
+
+    /// The 2^32nd clear wraps the epoch around; ids stamped in an epoch the
+    /// counter reaches again must not reappear.
+    #[test]
+    fn stamps_survive_the_epoch_wrap() {
+        let mut set = AdapterStamps::default();
+        assert!(set.insert(AdapterId(2)));
+        assert!(set.insert(AdapterId(5)));
+        set.clear();
+        assert!(set.insert(AdapterId(5)));
+        // Skip ahead to the last epochs before the wrap.
+        set.epoch = u32::MAX - 1;
+        assert!(set.insert(AdapterId(4)));
+        set.clear();
+        assert!(!set.contains(AdapterId(4)));
+        assert!(set.insert(AdapterId(1)));
+        set.clear();
+        for id in 0..8 {
+            assert!(!set.contains(AdapterId(id)), "{id} survived the wrap");
+        }
+        assert!(set.insert(AdapterId(2)));
+        assert!(!set.insert(AdapterId(2)));
+        set.clear();
+        assert!(!set.contains(AdapterId(2)));
     }
 
     #[test]

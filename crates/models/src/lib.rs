@@ -10,7 +10,8 @@
 //!   memory capacities, with HBM bandwidth, peak FLOPs and PCIe link speed.
 //! * [`adapter`] — LoRA adapters ([`AdapterSpec`], [`AdapterRank`]): the
 //!   rank → bytes formula calibrated to the paper (§3.2: rank-32 on Llama-7B
-//!   = 64 MB).
+//!   = 64 MB); [`AdapterStamps`] is the set of adapter ids the schedulers and
+//!   the engine clear and refill on every dispatch.
 //! * [`pool`] — adapter-pool generation ([`AdapterPool`]): `N_a` adapters,
 //!   five rank groups, rank popularity × within-rank popularity
 //!   distributions (uniform / power-law), exactly the §5.1 workload recipe.
@@ -20,7 +21,7 @@ pub mod gpu;
 pub mod llm;
 pub mod pool;
 
-pub use adapter::{AdapterId, AdapterRank, AdapterSpec};
+pub use adapter::{AdapterId, AdapterRank, AdapterSpec, AdapterStamps};
 pub use gpu::GpuSpec;
 pub use llm::LlmSpec;
 pub use pool::{AdapterPool, PoolConfig, PopularityDist};

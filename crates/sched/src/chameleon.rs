@@ -28,7 +28,7 @@ use crate::queued::QueuedRequest;
 use crate::quota::{assign_quotas, QueueLoad};
 use crate::scheduler::{effective_need, AdmissionOutcome, ResourceProbe, Scheduler};
 use crate::wrs::WrsConfig;
-use chameleon_models::AdapterId;
+use chameleon_models::{AdapterId, AdapterStamps};
 use chameleon_simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -93,7 +93,7 @@ pub struct ChameleonScheduler {
     refreshes: u64,
     bypass_admissions: u64,
     /// Dedup scratch for [`Scheduler::queued_adapters_into`].
-    seen: std::collections::HashSet<AdapterId>,
+    seen: AdapterStamps,
     /// Reusable WRS-sample buffer for the K-means refresh.
     wrs_scratch: Vec<f64>,
     /// Reusable per-queue physical-token shares for batch formation.
@@ -123,7 +123,7 @@ impl ChameleonScheduler {
             last_refresh: None,
             refreshes: 0,
             bypass_admissions: 0,
-            seen: std::collections::HashSet::new(),
+            seen: AdapterStamps::default(),
             wrs_scratch: Vec::new(),
             shares_scratch: Vec::new(),
             spare_queues: Vec::new(),
@@ -352,14 +352,16 @@ impl ChameleonScheduler {
             .front()
             .expect("bypass requires a blocked head")
             .adapter_bytes();
-        let mem_wait = probe.estimate_mem_wait(head_bytes);
+        // The head's memory wait is priced only once a younger request
+        // fits, and at most once: nothing else reads it.
+        let mut mem_wait = None;
         let candidate = self.queues[qi].iter().enumerate().skip(1).find(|(_, r)| {
             let need = effective_need(r, probe);
             need <= budget
                 && need <= *physical
                 && probe
                     .estimate_service(u64::from(r.input_tokens()), u64::from(r.predicted_output()))
-                    < mem_wait
+                    < *mem_wait.get_or_insert_with(|| probe.estimate_mem_wait(head_bytes))
         });
         let Some((pos, _)) = candidate else {
             return;
@@ -404,6 +406,12 @@ impl Scheduler for ChameleonScheduler {
 
     fn form_batch_into(&mut self, probe: &dyn ResourceProbe, admitted: &mut Vec<AdmissionOutcome>) {
         self.maybe_refresh(probe);
+        if self.queues.iter().all(VecDeque::is_empty) {
+            // Both phases would admit nothing, and banking would zero
+            // every bank.
+            self.banked.fill(0);
+            return;
+        }
         let mut physical = probe.available_tokens();
         let mut slots = probe.batch_slots();
         // §4.3.5: quotas partition the system's token capacity. Phase 1
@@ -814,6 +822,130 @@ mod tests {
             ..StaticProbe::default()
         };
         assert!(s.form_batch(&probe).is_empty());
+    }
+
+    /// A [`StaticProbe`] that counts memory-wait estimates.
+    struct CountingProbe {
+        inner: StaticProbe,
+        mem_waits: std::cell::Cell<u32>,
+    }
+
+    impl CountingProbe {
+        fn new(inner: StaticProbe) -> Self {
+            CountingProbe {
+                inner,
+                mem_waits: std::cell::Cell::new(0),
+            }
+        }
+    }
+
+    impl ResourceProbe for CountingProbe {
+        fn now(&self) -> SimTime {
+            self.inner.now()
+        }
+        fn available_tokens(&self) -> u64 {
+            self.inner.available_tokens()
+        }
+        fn batch_slots(&self) -> usize {
+            self.inner.batch_slots()
+        }
+        fn adapter_resident(&self, id: AdapterId) -> bool {
+            self.inner.adapter_resident(id)
+        }
+        fn estimate_exec(&self, tokens: u64) -> SimDuration {
+            self.inner.estimate_exec(tokens)
+        }
+        fn estimate_service(&self, input_tokens: u64, output_tokens: u64) -> SimDuration {
+            self.inner.estimate_service(input_tokens, output_tokens)
+        }
+        fn estimate_mem_wait(&self, bytes: u64) -> SimDuration {
+            self.mem_waits.set(self.mem_waits.get() + 1);
+            self.inner.estimate_mem_wait(bytes)
+        }
+        fn total_token_capacity(&self) -> u64 {
+            self.inner.total_token_capacity()
+        }
+    }
+
+    /// Request `id` of `input + output` tokens on `adapter`, whose weights
+    /// count as `adapter_tokens` when not resident.
+    fn sized(id: u64, tokens: u32, adapter: u32, adapter_tokens: u64) -> QueuedRequest {
+        let r = Request::new(
+            RequestId(id),
+            SimTime::ZERO,
+            tokens,
+            tokens,
+            AdapterId(adapter),
+            AdapterRank::new(8),
+        );
+        QueuedRequest::new(r, tokens, 128 << 20, adapter_tokens, 0.01, SimTime::ZERO)
+    }
+
+    /// The memory wait is priced only when a younger request passes the
+    /// budget and physical checks, and then once per bypass attempt; the
+    /// admissions are those of an uncounted probe.
+    #[test]
+    fn bypass_prices_the_memory_wait_only_for_a_fitting_candidate() {
+        let probe = |resident: Vec<AdapterId>| StaticProbe {
+            available_tokens: 150,
+            resident,
+            mem_wait: SimDuration::from_secs(10),
+            ..StaticProbe::default()
+        };
+        let run = |requests: &[QueuedRequest], probe: &dyn ResourceProbe| {
+            let mut s = sched();
+            for r in requests {
+                s.enqueue(r.clone());
+            }
+            s.set_quotas(vec![10_000, 1, 1]);
+            let out = s.form_batch(probe);
+            out.iter()
+                .map(|o| (o.request.id().0, o.bypassed))
+                .collect::<Vec<_>>()
+        };
+        // The head needs 264 tokens of the 150 free.
+        let head = sized(0, 100, 0, 64);
+        // Nobody behind the head; then a younger request that needs 164
+        // tokens, or 100 with its adapter resident.
+        for (requests, resident, calls, admitted) in [
+            (vec![head.clone()], vec![], 0, vec![]),
+            (vec![head.clone(), sized(1, 50, 1, 64)], vec![], 0, vec![]),
+            (
+                vec![head.clone(), sized(1, 50, 1, 64)],
+                vec![AdapterId(1)],
+                1,
+                vec![(1, true)],
+            ),
+        ] {
+            let counting = CountingProbe::new(probe(resident.clone()));
+            let out = run(&requests, &counting);
+            assert_eq!(out, admitted);
+            assert_eq!(out, run(&requests, &probe(resident)));
+            assert_eq!(counting.mem_waits.get(), calls, "{} queued", requests.len());
+        }
+    }
+
+    /// With every queue empty, a batch admits nothing and zeroes every
+    /// bank, and a refresh that is due still runs.
+    #[test]
+    fn empty_queues_zero_the_banks_and_still_refresh() {
+        let mut s = sched();
+        for i in 0..100 {
+            s.enqueue(queued(i, (i % 10) as f64 / 10.0, 100, i as u32));
+        }
+        assert_eq!(s.form_batch(&StaticProbe::default()).len(), 100);
+        assert_eq!(s.refreshes(), 1);
+        assert!(s.is_empty());
+        let at = |secs| StaticProbe {
+            now: SimTime::from_secs_f64(secs),
+            ..StaticProbe::default()
+        };
+        s.banked.fill(7);
+        assert!(s.form_batch(&at(1.0)).is_empty());
+        assert!(s.banked.iter().all(|&b| b == 0), "{:?}", s.banked);
+        assert_eq!(s.refreshes(), 1, "no refresh is due yet");
+        assert!(s.form_batch(&at(301.0)).is_empty());
+        assert_eq!(s.refreshes(), 2, "the due refresh ran");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::queued::QueuedRequest;
 use crate::scheduler::{effective_need, AdmissionOutcome, ResourceProbe, Scheduler};
-use chameleon_models::AdapterId;
+use chameleon_models::{AdapterId, AdapterStamps};
 use std::collections::VecDeque;
 
 /// Strict arrival-order admission.
@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 pub struct FifoScheduler {
     queue: VecDeque<QueuedRequest>,
     /// Dedup scratch for [`Scheduler::queued_adapters_into`].
-    seen: std::collections::HashSet<AdapterId>,
+    seen: AdapterStamps,
 }
 
 impl FifoScheduler {

@@ -9,7 +9,7 @@
 
 use crate::queued::QueuedRequest;
 use crate::scheduler::{effective_need, AdmissionOutcome, ResourceProbe, Scheduler};
-use chameleon_models::AdapterId;
+use chameleon_models::{AdapterId, AdapterStamps};
 
 /// Default aging credit: tokens of priority gained per second of waiting.
 pub const DEFAULT_AGING_TOKENS_PER_SEC: f64 = 8.0;
@@ -20,7 +20,7 @@ pub struct SjfScheduler {
     queue: Vec<QueuedRequest>,
     aging_tokens_per_sec: f64,
     /// Dedup scratch for [`Scheduler::queued_adapters_into`].
-    seen: std::collections::HashSet<AdapterId>,
+    seen: AdapterStamps,
 }
 
 impl SjfScheduler {
@@ -40,7 +40,7 @@ impl SjfScheduler {
         SjfScheduler {
             queue: Vec::new(),
             aging_tokens_per_sec,
-            seen: std::collections::HashSet::new(),
+            seen: AdapterStamps::default(),
         }
     }
 

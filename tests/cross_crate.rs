@@ -51,7 +51,7 @@ fn cache_and_pool_agree_on_bytes() {
         if rng.chance(0.6) {
             let spec: &AdapterSpec = adapters.sample(&mut rng);
             let acquired = cache.acquire(&mut mem, spec.id(), now)
-                || (cache.make_room(&mut mem, spec.bytes(), now, &Default::default())
+                || (cache.make_room(&mut mem, spec.bytes(), now, &|_| false)
                     && cache.insert_loaded(&mut mem, spec, now, 1).is_ok());
             if acquired {
                 live.push((spec.id(), 1));
