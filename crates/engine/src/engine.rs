@@ -145,6 +145,9 @@ impl LoadingTable {
 /// `batch_pos` entry of a slot that is not in the running batch.
 const NOT_RUNNING: u32 = u32::MAX;
 
+/// KV blocks of free memory a warm load leaves untouched.
+const WARM_LOAD_HEADROOM_BLOCKS: u64 = 4;
+
 /// Exact counts of the engine's bookkeeping work. Deterministic, so a
 /// profile can compare two versions of the engine by count instead of by
 /// timer; kept out of every report and canonical text.
@@ -367,7 +370,7 @@ impl Engine {
             .map(|a| a.bytes())
             .min()
             .unwrap_or(u64::MAX)
-            .saturating_add(4 * kv.block_bytes());
+            .saturating_add(WARM_LOAD_HEADROOM_BLOCKS * kv.block_bytes());
         let kv_spec = cfg.kv;
         let kv_stats = KvStats {
             enabled: kv_spec.is_some(),
@@ -1941,7 +1944,7 @@ impl Engine {
         let spec = self.pool.get(adapter)?.clone();
         // Never evict for speculation: only genuinely free memory, with
         // headroom for a few KV blocks.
-        if self.mem.free() < spec.bytes() + 4 * self.kv.block_bytes() {
+        if self.mem.free() < spec.bytes() + WARM_LOAD_HEADROOM_BLOCKS * self.kv.block_bytes() {
             return None;
         }
         if self
@@ -2541,7 +2544,8 @@ mod tests {
             .min_by_key(|a| (a.bytes(), a.id()))
             .expect("the pool has adapters")
             .clone();
-        assert_eq!(e.prefetch_floor, smallest.bytes() + 4 * e.kv.block_bytes());
+        let headroom = WARM_LOAD_HEADROOM_BLOCKS * e.kv.block_bytes();
+        assert_eq!(e.prefetch_floor, smallest.bytes() + headroom);
         // Queue a request for it without dispatching.
         let req = request(0, 0.0, 64, 4, smallest.id().0);
         let slot = e.register(&req);
