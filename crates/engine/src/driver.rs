@@ -270,6 +270,27 @@ mod tests {
         assert_eq!(a.squashes, b.squashes);
     }
 
+    /// At 0.2 rps the engine idles between arrivals. Its periodic ticks
+    /// must keep firing until the last arrival, as in the heap reference,
+    /// which keeps them while any arrival is undelivered.
+    #[test]
+    fn sparse_trace_keeps_ticks_until_the_last_arrival() {
+        let (pool, trace) = small_trace(30, 0.2);
+        let mut reference = engine(pool.clone());
+        let (ref_last, ref_events, _) = heap_reference(&mut reference, &trace);
+        let mut streamed = engine(pool);
+        let (last, events) = run_engine_counted(&mut streamed, &trace);
+        assert_eq!((last, events), (ref_last, ref_events));
+        let (a, b) = (streamed.into_report(), reference.into_report());
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.mem_series, b.mem_series);
+        let last_arrival = trace.requests().last().expect("non-empty").arrival();
+        assert!(
+            b.mem_series.len() as u64 >= last_arrival.as_nanos() / 1_000_000_000,
+            "one memory sample per second until the last arrival"
+        );
+    }
+
     #[test]
     fn empty_trace_is_fine() {
         let (pool, _) = small_trace(1, 1.0);

@@ -119,6 +119,27 @@ fn state_independent_batching_is_byte_identical_to_per_arrival() {
     }
 }
 
+/// On sparse traces the engines idle between arrivals. An unbounded
+/// batch routes the whole trace at the first barrier, so no arrival is
+/// left undispatched, yet per-arrival dispatch keeps every engine's
+/// periodic ticks alive until the last arrival: the batched run must
+/// keep them alive as long, and match byte for byte.
+#[test]
+fn sparse_unbounded_batches_keep_idle_ticks_as_per_arrival() {
+    for rps in [0.3, 1.0] {
+        for seed in SEEDS {
+            let base =
+                preset::chameleon_cluster_rendezvous(4).with_router(RouterPolicy::RoundRobin);
+            let per_arrival = canonical(base.clone(), seed, rps, 120.0);
+            let batched = canonical(base.with_dispatch(DispatchSpec::new()), seed, rps, 120.0);
+            assert_eq!(
+                per_arrival, batched,
+                "{rps} rps, seed {seed}: batched dispatch diverged from per-arrival"
+            );
+        }
+    }
+}
+
 /// Bounded-staleness batching (load-aware affinity with spill) must be
 /// bit-identical between serial and pooled execution for every worker
 /// count, across seeds.

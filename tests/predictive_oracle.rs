@@ -33,7 +33,7 @@
 mod common;
 
 use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, ClusterExecution, PredictiveSpec, RouterPolicy,
+    preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, PredictiveSpec, RouterPolicy,
     SystemConfig, TraceSpec,
 };
 use chameleon_repro::models::AdapterPool;
@@ -439,5 +439,33 @@ fn fault_armed_batching_matches_frozen_bytes() {
             stream.0,
             stream.1,
         );
+    }
+}
+
+/// A crash just after the last arrival leaves recovery re-dispatches
+/// pending while no arrival is: the pending retries alone must keep the
+/// idle survivors' periodic ticks alive until they land. Round-robin
+/// rendezvous on three engines, Splitwise at 0.5 rps, engine 0 crashed
+/// 1 ms after the last arrival with a 5 s detection timeout.
+#[test]
+fn crash_after_the_last_arrival_matches_frozen_bytes() {
+    for (seed, events, len, fnv) in [
+        (3u64, 2030u64, 6697usize, 0x9f13_9cfa_0f3a_9a23_u64),
+        (11, 1715, 6692, 0xa03f_897e_a81a_ad7a),
+    ] {
+        let base = preset::chameleon_cluster_rendezvous(3).with_router(RouterPolicy::RoundRobin);
+        let pool = Simulation::new(base.clone(), seed).pool().clone();
+        let trace = workloads::splitwise(0.5, 60.0, seed, &pool);
+        let last = trace.requests().last().expect("non-empty trace").arrival();
+        let faults = FaultSpec::new()
+            .with_crash(0, last + SimDuration::from_millis(1))
+            .with_detect_timeout(SimDuration::from_secs(5));
+        let (text, _) = run(base.with_fault(faults), seed, |_| trace);
+        assert!(
+            text.contains(&format!(" events={events}\n")),
+            "seed {seed}: {}",
+            text.lines().next().unwrap_or_default()
+        );
+        assert_reactive_frozen("crash after the last arrival", seed, &text, len, fnv);
     }
 }
