@@ -4,7 +4,7 @@ use crate::isolated;
 use crate::report::RunReport;
 use crate::system::{SchedPolicy, SystemConfig};
 use chameleon_cache::AdapterCache;
-use chameleon_engine::{driver, Autoscaler, Cluster, Engine, EngineConfig};
+use chameleon_engine::{run_alone, Autoscaler, Cluster, Engine, EngineConfig};
 use chameleon_gpu::CostModel;
 use chameleon_models::AdapterPool;
 use chameleon_predictor::{NoisyBucketPredictor, OraclePredictor, OutputLenPredictor};
@@ -240,7 +240,7 @@ impl Simulation {
             if tracing {
                 engine.enable_tracing();
             }
-            let (last, events) = driver::run_engine_counted(&mut engine, trace);
+            let (mut engine, last, events) = run_alone(engine, trace);
             // A lone engine is lane 0, matching its cluster EngineId.
             let log = tracing.then(|| {
                 let mut buf = TraceBuffer::new();

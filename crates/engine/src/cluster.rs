@@ -123,19 +123,11 @@ struct EpochCmd {
     /// events at the boundary instant belong to the *next* epoch: the
     /// cross event (arrival or autoscaler tick) wins equal-time ties.
     boundary: Option<SimTime>,
-    /// Whether undispatched arrivals remain anywhere in the trace —
-    /// constant within an epoch, and the condition keeping periodic
-    /// ticks alive on idle engines.
-    arrivals_remaining: bool,
-    /// The last arrival instant of the batch routed at the previous
-    /// barrier, whose later members are delivered this epoch. Periodic
-    /// ticks at `t < batch_until` stay alive even when
-    /// `arrivals_remaining` is false — exactly the ticks one barrier per
-    /// arrival would have kept, because it had not dispatched those
-    /// members yet.
-    batch_until: Option<SimTime>,
-    mem_int: SimDuration,
-    refresh_int: SimDuration,
+    /// Periodic ticks before this instant stay alive on an idle engine:
+    /// until then a dispatch can still reach it (the trace's last
+    /// arrival, or the latest pending retry). Later ticks survive only
+    /// while their engine has work.
+    ticks_until: SimTime,
 }
 
 /// The class of the next cross-engine event. Simultaneous cross events
@@ -269,18 +261,24 @@ impl EngineSlot {
 
     /// Resets the per-run state and schedules the first periodic ticks
     /// (the queue is always empty between runs: a run returns only after
-    /// every local queue drained or was cleared by retirement).
-    fn begin_run(&mut self, mem_int: SimDuration, refresh_int: SimDuration) {
+    /// every local queue drained or its slot retired).
+    fn begin_run(&mut self) {
         debug_assert!(self.queue.is_empty());
         debug_assert!(self.arrivals.is_empty());
         debug_assert_eq!(self.arrival_hits, 0, "hits harvested at run end");
         self.processed = 0;
         self.last = SimTime::ZERO;
         self.retire_ready = false;
-        self.queue
-            .push(SimTime::ZERO + mem_int, EngineEvent::MemSample);
-        self.queue
-            .push(SimTime::ZERO + refresh_int, EngineEvent::Refresh);
+        self.seed_ticks(SimTime::ZERO);
+    }
+
+    /// Schedules the engine's first periodic ticks one interval of its
+    /// own cadence after `t`, the instant it joins the run.
+    fn seed_ticks(&mut self, t: SimTime) {
+        let cfg = self.engine.config();
+        let (mem, refresh) = (t + cfg.mem_sample_interval, t + cfg.refresh_interval);
+        self.queue.push(mem, EngineEvent::MemSample);
+        self.queue.push(refresh, EngineEvent::Refresh);
     }
 
     /// True when this slot has a local event due before `boundary` or an
@@ -325,9 +323,12 @@ impl EngineSlot {
                 }
             }
             let (t, ev) = self.queue.pop().expect("peeked event");
+            let cfg = self.engine.config();
             let reschedule = match &ev {
-                EngineEvent::MemSample => Some((t + cmd.mem_int, EngineEvent::MemSample)),
-                EngineEvent::Refresh => Some((t + cmd.refresh_int, EngineEvent::Refresh)),
+                EngineEvent::MemSample => {
+                    Some((t + cfg.mem_sample_interval, EngineEvent::MemSample))
+                }
+                EngineEvent::Refresh => Some((t + cfg.refresh_interval, EngineEvent::Refresh)),
                 _ => None,
             };
             self.engine.handle(t, ev, &mut self.out);
@@ -335,14 +336,7 @@ impl EngineSlot {
                 self.queue.push(at, e);
             }
             if let Some((at, e)) = reschedule {
-                // Keep periodic ticks alive while dispatches remain —
-                // including batch members not yet delivered (`t <
-                // batch_until`), which per-arrival dispatch would still
-                // count as remaining arrivals at this instant.
-                if cmd.arrivals_remaining
-                    || cmd.batch_until.is_some_and(|u| t < u)
-                    || self.engine.has_work()
-                {
+                if t < cmd.ticks_until || self.engine.has_work() {
                     self.queue.push(at, e);
                 }
             }
@@ -379,6 +373,37 @@ impl EngineSlot {
     }
 }
 
+/// Runs a lone engine through `trace` on the fleet's own stepper, as a
+/// one-engine fleet under per-arrival dispatch would, without the
+/// router: one epoch up to each arrival (the boundary is exclusive, so
+/// the arrival wins an equal-time tie), the arrival's delivery at the
+/// barrier, then one unbounded epoch that drains the engine.
+///
+/// Returns the engine, the instant of its last event and the number of
+/// events it processed, arrivals included (the `events=` field of
+/// `RunReport::canonical_text`).
+pub fn run_alone(engine: Engine, trace: &Trace) -> (Engine, SimTime, u64) {
+    let arrivals = trace.requests();
+    debug_assert!(
+        arrivals.is_sorted_by_key(Request::arrival),
+        "a Trace keeps its requests sorted by arrival"
+    );
+    let mut slot = EngineSlot::new(EngineId(0), false, engine);
+    slot.begin_run();
+    let mut cmd = EpochCmd {
+        boundary: None,
+        ticks_until: arrivals.last().map_or(SimTime::ZERO, Request::arrival),
+    };
+    for &req in arrivals {
+        cmd.boundary = Some(req.arrival());
+        slot.step_to(&cmd);
+        slot.deliver(req.arrival(), req);
+    }
+    cmd.boundary = None;
+    slot.step_to(&cmd);
+    (slot.engine, slot.last, slot.processed)
+}
+
 /// A data-parallel group of engines behind a global dispatcher.
 pub struct Cluster {
     slots: Vec<EngineSlot>,
@@ -394,10 +419,6 @@ pub struct Cluster {
     /// Reports of engines drained and retired during the run, tagged
     /// with their stable id so the final merge is order-independent.
     retired: Vec<(EngineId, EngineReport)>,
-    /// Periodic-event cadence, shared by every engine (taken from the
-    /// initial fleet; `add_engine` asserts newcomers agree).
-    mem_int: SimDuration,
-    refresh_int: SimDuration,
     /// Events processed across all [`Cluster::run`] calls.
     events_processed: u64,
     /// The current run's horizon: the instant of its last arrival or
@@ -491,15 +512,11 @@ impl Cluster {
             .collect();
         let ids: Vec<EngineId> = slots.iter().map(|s| s.id).collect();
         let stats = RoutingStats::new(router.name(), &ids);
-        let mem_int = slots[0].engine.config().mem_sample_interval;
-        let refresh_int = slots[0].engine.config().refresh_interval;
         Cluster {
             next_id: n as u32,
             snap_buf: Vec::with_capacity(n),
             snap_slots: Vec::with_capacity(n),
             retired: Vec::new(),
-            mem_int,
-            refresh_int,
             slots,
             router,
             stats,
@@ -752,22 +769,7 @@ impl Cluster {
     /// router, exactly the adapters whose weighted-rendezvous top choice
     /// is the new engine re-home onto it (measured into
     /// `adapters_rehomed`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the newcomer's periodic-event cadence differs from the
-    /// fleet's (the cluster shares one tick schedule).
     pub fn add_engine(&mut self, engine: Engine) -> EngineId {
-        assert_eq!(
-            engine.config().mem_sample_interval,
-            self.mem_int,
-            "newcomer must share the fleet's sampling cadence"
-        );
-        assert_eq!(
-            engine.config().refresh_interval,
-            self.refresh_int,
-            "newcomer must share the fleet's refresh cadence"
-        );
         let id = self.next_engine_id();
         self.next_id += 1;
         if self.router.uses_affinity() {
@@ -935,17 +937,23 @@ impl Cluster {
         (self.snap_slots[decision.engine], decision.spilled)
     }
 
-    /// Retires slot `pos`: its report (tagged with its stable id) is
-    /// stashed for the final merge, its run counters fold into the
-    /// cluster's, and its pending events are discarded — exactly the
-    /// stale ticks the pre-epoch single-heap loop popped and dropped.
-    fn retire_slot(&mut self, pos: usize) {
-        let mut slot = self.slots.remove(pos);
-        self.snap_filled_at = None;
-        slot.queue.clear();
+    /// Folds slot `pos`'s run counters into the cluster's: its events,
+    /// its last instant (the horizon) and its affinity hits.
+    fn fold_run(&mut self, pos: usize) {
+        let slot = &mut self.slots[pos];
         self.events_processed += slot.processed;
         self.horizon = self.horizon.max(slot.last);
-        self.stats.affinity_hits += slot.arrival_hits;
+        self.stats.affinity_hits += std::mem::take(&mut slot.arrival_hits);
+    }
+
+    /// Retires slot `pos`: its run counters fold into the cluster's, its
+    /// report (tagged with its stable id) is stashed for the final merge,
+    /// and its pending events are dropped with it — exactly the stale
+    /// ticks the pre-epoch single-heap loop popped and dropped.
+    fn retire_slot(&mut self, pos: usize) {
+        self.fold_run(pos);
+        let mut slot = self.slots.remove(pos);
+        self.snap_filled_at = None;
         self.stats.fault.pcie_retries += slot.engine.pcie_fault_retries();
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.extend_lane(Lane::Engine(slot.id.0), slot.engine.take_trace_events());
@@ -977,16 +985,12 @@ impl Cluster {
     fn run_epoch(
         &mut self,
         boundary: Option<SimTime>,
-        arrivals_remaining: bool,
-        batch_until: Option<SimTime>,
+        ticks_until: SimTime,
         pool: Option<&ShardPool<'_, EngineSlot, EpochCmd>>,
     ) {
         let cmd = EpochCmd {
             boundary,
-            arrivals_remaining,
-            batch_until,
-            mem_int: self.mem_int,
-            refresh_int: self.refresh_int,
+            ticks_until,
         };
         let mut pending = 0usize;
         let mut lone = usize::MAX;
@@ -1263,16 +1267,13 @@ impl Cluster {
 
     /// Provisions one engine from `grow` at `t`. The factory sees the id
     /// the newcomer will be registered under (per-engine RNG streams and
-    /// growth specs key off it), and the newcomer joins the shared tick
-    /// schedule.
+    /// growth specs key off it), and the newcomer's ticks start at `t`.
     fn provision(&mut self, t: SimTime, grow: &mut dyn FnMut(EngineId) -> Engine) {
         let id = self.next_engine_id();
         let assigned = self.add_engine(grow(id));
         assert_eq!(assigned, id, "engine id minted twice");
-        let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
         let slot = self.slots.last_mut().expect("engine just added");
-        slot.queue.push(t + mem_int, EngineEvent::MemSample);
-        slot.queue.push(t + refresh_int, EngineEvent::Refresh);
+        slot.seed_ticks(t);
     }
 
     /// Kills engine `engine` at `t`: its shard re-homes (warm, when the
@@ -1657,16 +1658,15 @@ impl Cluster {
             arrivals.is_sorted_by_key(Request::arrival),
             "a Trace keeps its requests sorted by arrival"
         );
-        let (mem_int, refresh_int) = (self.mem_int, self.refresh_int);
         for slot in &mut self.slots {
-            slot.begin_run(mem_int, refresh_int);
+            slot.begin_run();
         }
         self.horizon = SimTime::ZERO;
+        let last_arrival = arrivals.last().map_or(SimTime::ZERO, Request::arrival);
         let mut next_scale = scale
             .as_ref()
             .map(|(autoscaler, _)| SimTime::ZERO + autoscaler.config().interval);
         let mut next_arr = 0usize;
-        let mut batch_until: Option<SimTime> = None;
         loop {
             let arr_t = arrivals.get(next_arr).map(Request::arrival);
             let fault_t = self.next_fault_time();
@@ -1689,14 +1689,9 @@ impl Cluster {
             // Pending re-dispatches count as future dispatches: they keep
             // periodic ticks alive on the idle engines about to inherit
             // the recovered work.
-            let dispatches_remaining =
-                arr_t.is_some() || self.fault.as_ref().is_some_and(|fs| !fs.retries.is_empty());
-            self.run_epoch(
-                cross.map(|(t, _)| t),
-                dispatches_remaining,
-                batch_until.take(),
-                pool,
-            );
+            let latest_retry = self.fault.as_ref().and_then(|fs| fs.retries.last());
+            let ticks_until = latest_retry.map_or(last_arrival, |r| r.due.max(last_arrival));
+            self.run_epoch(cross.map(|(t, _)| t), ticks_until, pool);
             self.harvest_retired();
             let Some((t, kind)) = cross else {
                 break; // final epoch drained every local queue
@@ -1708,7 +1703,6 @@ impl Cluster {
                     // class wins an equal-time tie.
                     let limit = next_scale.into_iter().chain(fault_t).min();
                     next_arr += self.dispatch_arrivals(t, limit, &arrivals[next_arr..]);
-                    batch_until = Some(arrivals[next_arr - 1].arrival());
                 }
                 CrossEvent::Scale => {
                     let (autoscaler, grow) = scale.as_mut().expect("scale event without scaler");
@@ -1717,13 +1711,9 @@ impl Cluster {
                 CrossEvent::Fault => self.fault_barrier(t, &mut scale),
             }
         }
-        // Fold the run counters of the engines still in the fleet
-        // (retired engines folded at retirement).
-        for slot in &mut self.slots {
-            self.events_processed += slot.processed;
-            self.horizon = self.horizon.max(slot.last);
-            self.stats.affinity_hits += slot.arrival_hits;
-            slot.arrival_hits = 0;
+        // Retired engines folded their run counters at retirement.
+        for pos in 0..self.slots.len() {
+            self.fold_run(pos);
         }
         self.horizon
     }
@@ -2683,5 +2673,220 @@ mod tests {
             );
             assert_eq!(serial_jsonl, jsonl, "trace diverged at {workers} workers");
         }
+    }
+
+    fn small_trace(n: usize, rps: f64) -> (AdapterPool, Trace) {
+        let llm = LlmSpec::llama_7b();
+        let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(20));
+        let gen = TraceGenerator::new(
+            LengthModel::Custom {
+                input: chameleon_workload::generator::TokenLengthModel {
+                    median: 64.0,
+                    sigma: 0.5,
+                    min: 8,
+                    max: 256,
+                },
+                output: chameleon_workload::generator::TokenLengthModel {
+                    median: 16.0,
+                    sigma: 0.5,
+                    min: 2,
+                    max: 64,
+                },
+            },
+            ArrivalModel::poisson(rps),
+        );
+        let mut rng = SimRng::seed(42);
+        let trace = gen.generate_n(&pool, n, &mut rng);
+        (pool, trace)
+    }
+
+    fn engine(pool: AdapterPool) -> Engine {
+        let cfg = EngineConfig::new(LlmSpec::llama_7b(), GpuSpec::a40());
+        Engine::new(
+            cfg,
+            pool,
+            Box::new(FifoScheduler::new()),
+            Box::new(OraclePredictor::new()),
+            AdapterCache::new(EvictionPolicy::chameleon()),
+            WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64),
+        )
+    }
+
+    #[test]
+    fn drains_full_trace() {
+        let (pool, trace) = small_trace(50, 5.0);
+        let (e, last, _) = run_alone(engine(pool), &trace);
+        assert_eq!(e.completed(), 50);
+        assert!(!e.has_work());
+        assert!(last >= trace.requests().last().unwrap().arrival());
+        let report = e.into_report();
+        assert!(report.records.iter().all(|r| r.is_complete()));
+        assert!(!report.mem_series.is_empty(), "memory was sampled");
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let (pool, trace) = small_trace(40, 8.0);
+        let run = || {
+            let (e, _, _) = run_alone(engine(pool.clone()), &trace);
+            let rep = e.into_report();
+            rep.records
+                .iter()
+                .map(|r| (r.id, r.first_token, r.finished))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// A reference loop for [`run_alone`] that pushes the whole trace up
+    /// front, so an arrival wins an equal-time tie by its lower sequence
+    /// number. Also returns every event's instant and kind.
+    fn heap_reference(engine: &mut Engine, trace: &Trace) -> (SimTime, u64, Vec<(SimTime, Kind)>) {
+        let mut q: EventQueue<EngineEvent> = EventQueue::new();
+        for r in trace {
+            q.push(r.arrival(), EngineEvent::Arrival(*r));
+        }
+        let mem_int = engine.config().mem_sample_interval;
+        let refresh_int = engine.config().refresh_interval;
+        q.push(SimTime::ZERO + mem_int, EngineEvent::MemSample);
+        q.push(SimTime::ZERO + refresh_int, EngineEvent::Refresh);
+        let mut arrivals_left = trace.len();
+        let (mut out, mut log) = (Vec::new(), Vec::new());
+        let mut last = SimTime::ZERO;
+        while let Some((t, ev)) = q.pop() {
+            last = t;
+            log.push((t, Kind::of(&ev)));
+            let periodic = matches!(ev, EngineEvent::MemSample | EngineEvent::Refresh);
+            if matches!(ev, EngineEvent::Arrival(_)) {
+                arrivals_left -= 1;
+            }
+            let reschedule = match &ev {
+                EngineEvent::MemSample => Some((t + mem_int, EngineEvent::MemSample)),
+                EngineEvent::Refresh => Some((t + refresh_int, EngineEvent::Refresh)),
+                _ => None,
+            };
+            engine.handle(t, ev, &mut out);
+            for (at, e) in out.drain(..) {
+                q.push(at, e);
+            }
+            if periodic && (arrivals_left > 0 || engine.has_work()) {
+                let (at, e) = reschedule.expect("periodic events always reschedule");
+                q.push(at, e);
+            }
+        }
+        (last, q.processed(), log)
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Kind {
+        Arrival,
+        StepDone,
+        MemSample,
+        Other,
+    }
+
+    impl Kind {
+        fn of(ev: &EngineEvent) -> Kind {
+            match ev {
+                EngineEvent::Arrival(_) => Kind::Arrival,
+                EngineEvent::StepDone(_) => Kind::StepDone,
+                EngineEvent::MemSample => Kind::MemSample,
+                _ => Kind::Other,
+            }
+        }
+    }
+
+    /// A copy of `base` arriving at `at` under a fresh id.
+    fn arriving_at(base: &Request, id: u64, at: SimTime) -> Request {
+        Request::new(
+            chameleon_workload::RequestId(id),
+            at,
+            base.input_tokens(),
+            base.output_tokens(),
+            base.adapter(),
+            base.rank(),
+        )
+    }
+
+    /// Arrivals that land on the instant of a pending `StepDone` or
+    /// `MemSample` are handled before it, as in the heap reference: both
+    /// loops see the same ties and produce the same run.
+    #[test]
+    fn arrival_first_on_ties_matches_heap_reference() {
+        let (pool, base) = small_trace(40, 6.0);
+        let mut reqs = base.requests().to_vec();
+        let mut id = reqs.len() as u64;
+        // MemSample fires every whole second while arrivals remain.
+        for secs in [2, 4] {
+            let at = SimTime::ZERO + SimDuration::from_secs(secs);
+            reqs.push(arriving_at(&reqs[0], id, at));
+            id += 1;
+        }
+        // Adding an arrival at `t` leaves every event before `t` as it
+        // was, so a StepDone the reference ran at `t` is still pending
+        // there: pick one per round, later each time.
+        let mut step_ties = Vec::new();
+        let mut after = SimTime::ZERO;
+        for _ in 0..4 {
+            let trace = Trace::new(reqs.clone());
+            let (_, _, log) = heap_reference(&mut engine(pool.clone()), &trace);
+            let t = log
+                .iter()
+                .filter(|&&(t, k)| k == Kind::StepDone && t > after)
+                .map(|&(t, _)| t)
+                .find(|&t| !reqs.iter().any(|r| r.arrival() == t))
+                .expect("a later step to tie with");
+            reqs.push(arriving_at(&reqs[1], id, t));
+            id += 1;
+            step_ties.push(t);
+            after = t + SimDuration::from_secs(1);
+        }
+        let trace = Trace::new(reqs);
+        let mut reference = engine(pool.clone());
+        let (ref_last, ref_events, log) = heap_reference(&mut reference, &trace);
+        let at = |t: SimTime| log.iter().filter(move |&&(u, _)| u == t).map(|&(_, k)| k);
+        for secs in [2, 4] {
+            let kinds: Vec<Kind> = at(SimTime::ZERO + SimDuration::from_secs(secs)).collect();
+            assert_eq!(kinds[..2], [Kind::Arrival, Kind::MemSample], "{secs} s");
+        }
+        for &t in &step_ties {
+            let kinds: Vec<Kind> = at(t).collect();
+            assert_eq!(kinds[0], Kind::Arrival, "{t}");
+            assert!(kinds.contains(&Kind::StepDone), "no step at {t}");
+        }
+        let (streamed, last, events) = run_alone(engine(pool), &trace);
+        assert_eq!((last, events), (ref_last, ref_events));
+        let (a, b) = (streamed.into_report(), reference.into_report());
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.mem_series, b.mem_series);
+        assert_eq!(a.squashes, b.squashes);
+    }
+
+    /// At 0.2 rps the engine idles between arrivals. Its periodic ticks
+    /// must keep firing until the last arrival, as in the heap reference,
+    /// which keeps them while any arrival is undelivered.
+    #[test]
+    fn sparse_trace_keeps_ticks_until_the_last_arrival() {
+        let (pool, trace) = small_trace(30, 0.2);
+        let mut reference = engine(pool.clone());
+        let (ref_last, ref_events, _) = heap_reference(&mut reference, &trace);
+        let (streamed, last, events) = run_alone(engine(pool), &trace);
+        assert_eq!((last, events), (ref_last, ref_events));
+        let (a, b) = (streamed.into_report(), reference.into_report());
+        assert_eq!(a.records, b.records);
+        assert_eq!(a.mem_series, b.mem_series);
+        let last_arrival = trace.requests().last().expect("non-empty").arrival();
+        assert!(
+            b.mem_series.len() as u64 >= last_arrival.as_nanos() / 1_000_000_000,
+            "one memory sample per second until the last arrival"
+        );
+    }
+
+    #[test]
+    fn empty_trace_is_fine() {
+        let (pool, _) = small_trace(1, 1.0);
+        let (e, last, _) = run_alone(engine(pool), &Trace::new(vec![]));
+        assert_eq!(e.completed(), 0);
+        assert!(last >= SimTime::ZERO);
     }
 }

@@ -2440,7 +2440,7 @@ mod tests {
             WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64),
         );
         e.residency_audit = Some(ResidencyAudit::default());
-        crate::driver::run_engine(&mut e, &trace);
+        let (mut e, _, _) = crate::cluster::run_alone(e, &trace);
         assert_eq!(e.completed() as usize, trace.len());
         assert!(
             e.kv_stats.restores > 0,
@@ -2468,7 +2468,7 @@ mod tests {
         let wrs = WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64);
         let sched =
             ChameleonScheduler::new(ChameleonConfig::paper(SimDuration::from_secs(10)), wrs);
-        let mut e = Engine::new(
+        let e = Engine::new(
             EngineConfig::new(llm, GpuSpec::a40()),
             pool,
             Box::new(sched),
@@ -2476,7 +2476,7 @@ mod tests {
             AdapterCache::new(EvictionPolicy::chameleon()),
             wrs,
         );
-        crate::driver::run_engine(&mut e, &trace);
+        let (e, _, _) = crate::cluster::run_alone(e, &trace);
         let work = e.work();
         let report = e.into_report();
         assert_eq!(report.records.len(), trace.len());

@@ -59,7 +59,6 @@ pub mod autoscaler;
 pub mod cluster;
 pub mod config;
 pub mod dispatch;
-pub mod driver;
 pub mod engine;
 pub mod kv_spec;
 pub mod predictive;
@@ -68,7 +67,7 @@ pub mod report;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ForecastSignal, ScaleAction, ScaleTrigger};
 pub use chameleon_fault::{FaultSpec, StragglerWindow};
-pub use cluster::{Cluster, ClusterExecution};
+pub use cluster::{run_alone, Cluster, ClusterExecution};
 pub use config::EngineConfig;
 pub use dispatch::DispatchSpec;
 pub use engine::{Engine, EngineEvent, EngineWork};

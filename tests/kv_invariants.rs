@@ -10,7 +10,7 @@
 //! stale release-schedule bytes, squash underestimating r1 footprints).
 
 use chameleon_repro::cache::{AdapterCache, EvictionPolicy};
-use chameleon_repro::engine::{driver, Engine, EngineConfig, EngineEvent, KvSpec};
+use chameleon_repro::engine::{run_alone, Engine, EngineConfig, EngineEvent, KvSpec};
 use chameleon_repro::models::{AdapterPool, GpuSpec, LlmSpec, PoolConfig};
 use chameleon_repro::predictor::OutputLenPredictor;
 use chameleon_repro::sched::{FifoScheduler, WrsConfig};
@@ -275,8 +275,7 @@ fn every_record_fills_its_reserved_gaps_exactly() {
         let llm = LlmSpec::llama_7b();
         let pool = AdapterPool::generate(&llm, &PoolConfig::paper_default(10));
         let trace = long_output_trace(120, 20.0, 3, &pool);
-        let mut e = engine(pool, kv);
-        driver::run_engine(&mut e, &trace);
+        let (e, _, _) = run_alone(engine(pool, kv), &trace);
         let report = e.into_report();
         let disturbed =
             report.records.iter().filter(|r| r.squashes > 0).count() as u64 + report.kv.demotions;
