@@ -56,7 +56,7 @@ pub struct RunReport {
     /// from [`canonical_text`](RunReport::canonical_text) — unless the
     /// run armed a `KvSpec`.
     pub kv: KvStats,
-    /// Simulation events processed by the driver, arrivals included: the
+    /// Simulation events processed by the run, arrivals included: the
     /// `events=` field of [`canonical_text`](RunReport::canonical_text)
     /// and perfbench's `simcore.events`.
     pub events_processed: u64,
@@ -133,22 +133,15 @@ impl RunReport {
             .collect()
     }
 
-    /// E2E samples in seconds.
-    pub fn e2e_seconds(&self) -> Vec<f64> {
-        self.records
-            .iter()
-            .filter_map(|r| r.e2e())
-            .map(|d| d.as_secs_f64())
-            .collect()
+    /// Every inter-token gap of the run (its TBT samples), in record
+    /// order.
+    pub fn tbt_gaps(&self) -> impl Iterator<Item = SimDuration> + '_ {
+        self.records.iter().flat_map(|r| r.tbt_gaps.iter().copied())
     }
 
     /// All inter-token gaps in seconds (TBT samples).
     pub fn tbt_seconds(&self) -> Vec<f64> {
-        self.records
-            .iter()
-            .flat_map(|r| r.tbt_gaps.iter())
-            .map(|d| d.as_secs_f64())
-            .collect()
+        self.tbt_gaps().map(|d| d.as_secs_f64()).collect()
     }
 
     /// TTFT percentile summary.
@@ -159,11 +152,6 @@ impl RunReport {
     /// TBT percentile summary.
     pub fn tbt_summary(&self) -> Option<LatencySummary> {
         LatencySummary::from_seconds(&self.tbt_seconds())
-    }
-
-    /// E2E percentile summary.
-    pub fn e2e_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::from_seconds(&self.e2e_seconds())
     }
 
     /// P99 TTFT in seconds (0 when empty) — the headline metric.
@@ -488,7 +476,6 @@ impl RunReport {
         }
         let opt = |t: Option<SimTime>| t.map(|t| t.as_nanos()).unwrap_or(u64::MAX);
         for rec in &self.records {
-            let tbt_ns: u64 = rec.tbt_gaps.iter().map(|d| d.as_nanos()).sum();
             let _ = writeln!(
                 s,
                 "req {} arr={} in={} out={} a={} rank={} adm={} ft={} fin={} tbt_n={} tbt_ns={} load_ns={} sq={} by={}",
@@ -501,8 +488,8 @@ impl RunReport {
                 opt(rec.admitted),
                 opt(rec.first_token),
                 opt(rec.finished),
-                rec.tbt_gaps.len(),
-                tbt_ns,
+                rec.tbt_count(),
+                rec.tbt_sum().as_nanos(),
                 rec.load_on_critical_path.as_nanos(),
                 rec.squashes,
                 rec.bypasses,

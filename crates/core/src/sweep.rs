@@ -44,22 +44,6 @@ impl SweepResult {
             .collect()
     }
 
-    /// `(load, p50_ttft_seconds)` pairs.
-    pub fn p50_curve(&self) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .map(|p| (p.rps, p.report.p50_ttft()))
-            .collect()
-    }
-
-    /// `(load, p99_tbt_seconds)` pairs.
-    pub fn p99_tbt_curve(&self) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .map(|p| (p.rps, p.report.tbt_summary().map(|s| s.p99).unwrap_or(0.0)))
-            .collect()
-    }
-
     /// SLO-bounded throughput (§5.2.2) against `slo` seconds.
     pub fn throughput(&self, slo: f64) -> Option<f64> {
         throughput_at_slo(&self.p99_curve(), slo)
@@ -109,21 +93,6 @@ impl LoadSweep {
         SweepResult {
             label: self.cfg.label.clone(),
             points: loads.iter().map(|&rps| self.point(rps)).collect(),
-        }
-    }
-
-    /// Runs the sweep over custom traces (one per load), for non-default
-    /// workloads.
-    pub fn run_traces(&self, traces: &[(f64, Trace)]) -> SweepResult {
-        SweepResult {
-            label: self.cfg.label.clone(),
-            points: traces
-                .iter()
-                .map(|(rps, trace)| SweepPoint {
-                    rps: *rps,
-                    report: Simulation::new(self.cfg.clone(), self.seed).run(trace),
-                })
-                .collect(),
         }
     }
 

@@ -742,11 +742,6 @@ impl Cluster {
             .collect()
     }
 
-    /// The active routing policy's label.
-    pub fn router_name(&self) -> &'static str {
-        self.router.name()
-    }
-
     /// The stable id the next engine to join will be registered under —
     /// the single mint point for engine identities.
     pub fn next_engine_id(&self) -> EngineId {

@@ -4,6 +4,22 @@ use crate::kv_spec::KvSpec;
 use chameleon_models::{GpuSpec, LlmSpec};
 use chameleon_simcore::SimDuration;
 
+/// KV block size in tokens.
+pub(crate) const KV_BLOCK_TOKENS: u32 = 16;
+/// Prompt tokens processed per iteration in chunked-prefill mode.
+pub(crate) const PREFILL_CHUNK_TOKENS: u32 = 512;
+/// Maximum prompt tokens batched into one (non-chunked) prefill
+/// iteration; pending prompts beyond this wait for the next iteration.
+/// Bounds the decode stall a prefill iteration can cause (LightLLM's max
+/// new-batch input cap).
+pub(crate) const MAX_PREFILL_BATCH_TOKENS: u32 = 768;
+/// Look-ahead window for predictive prefetch.
+pub(crate) const PREFETCH_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Maximum adapters to prefetch speculatively per opportunity.
+pub(crate) const PREFETCH_DEPTH: usize = 4;
+/// Fraction of GPU memory reserved for activation workspace.
+pub(crate) const ACTIVATION_HEADROOM: f64 = 0.04;
+
 /// Static configuration of one serving engine.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -15,18 +31,9 @@ pub struct EngineConfig {
     pub tp_degree: u32,
     /// Maximum concurrent requests in the running batch.
     pub max_batch_requests: usize,
-    /// KV block size in tokens.
-    pub kv_block_tokens: u32,
     /// Sarathi-style chunked prefill: prompts are processed in chunks
     /// folded into decode iterations, prioritising decode latency.
     pub chunked_prefill: bool,
-    /// Prompt tokens processed per iteration in chunked mode.
-    pub prefill_chunk_tokens: u32,
-    /// Maximum prompt tokens batched into one (non-chunked) prefill
-    /// iteration; pending prompts beyond this wait for the next iteration.
-    /// Bounds the decode stall a prefill iteration can cause (LightLLM's
-    /// max new-batch input cap).
-    pub max_prefill_batch_tokens: u32,
     /// Asynchronously prefetch adapters of queued requests (§2: S-LoRA and
     /// Chameleon both do this).
     pub prefetch_queued: bool,
@@ -39,12 +46,6 @@ pub struct EngineConfig {
     /// while an admitted request's adapter is in flight. Chameleon's cache
     /// manager is asynchronous and clears this flag.
     pub block_on_load: bool,
-    /// Look-ahead window for predictive prefetch.
-    pub prefetch_window: SimDuration,
-    /// Maximum adapters to prefetch speculatively per opportunity.
-    pub prefetch_depth: usize,
-    /// Fraction of GPU memory reserved for activation workspace.
-    pub activation_headroom: f64,
     /// Scheduler/cache reconfiguration period (`T_refresh`, §4.3.4).
     pub refresh_interval: SimDuration,
     /// Memory-occupancy sampling period (Figure 6).
@@ -64,16 +65,10 @@ impl EngineConfig {
             gpu,
             tp_degree: 1,
             max_batch_requests: 256,
-            kv_block_tokens: 16,
             chunked_prefill: false,
-            prefill_chunk_tokens: 512,
-            max_prefill_batch_tokens: 768,
             prefetch_queued: true,
             predictive_prefetch: false,
             block_on_load: false,
-            prefetch_window: SimDuration::from_secs(10),
-            prefetch_depth: 4,
-            activation_headroom: 0.04,
             refresh_interval: SimDuration::from_secs(300),
             mem_sample_interval: SimDuration::from_secs(1),
             kv: None,
@@ -103,7 +98,7 @@ mod tests {
         assert!(c.max_batch_requests > 0);
         assert!(c.prefetch_queued);
         assert!(!c.predictive_prefetch);
-        assert!(c.activation_headroom < 0.5);
+        const { assert!(ACTIVATION_HEADROOM < 0.5) };
     }
 
     #[test]

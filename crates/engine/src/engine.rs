@@ -1,12 +1,16 @@
 //! The engine state machine.
 //!
-//! [`Engine`] is deliberately reactive: it owns no event queue. A driver
-//! ([`crate::driver`] or [`crate::cluster`]) feeds it [`EngineEvent`]s and
+//! [`Engine`] is deliberately reactive: it owns no event queue. The
+//! cluster's per-engine stepper ([`crate::cluster`], which also runs a lone
+//! engine through [`crate::run_alone`]) feeds it [`EngineEvent`]s and
 //! collects the future events the engine wants scheduled. This keeps one
 //! implementation reusable for both single-engine runs and data-parallel
 //! clusters, and makes every transition unit-testable.
 
-use crate::config::EngineConfig;
+use crate::config::{
+    EngineConfig, ACTIVATION_HEADROOM, KV_BLOCK_TOKENS, MAX_PREFILL_BATCH_TOKENS, PREFETCH_DEPTH,
+    PREFETCH_WINDOW, PREFILL_CHUNK_TOKENS,
+};
 use crate::kv_spec::KvSpec;
 use crate::probe::{EngineProbe, ProbeScalars, ReleaseSchedule, Releases};
 use crate::report::EngineReport;
@@ -314,7 +318,7 @@ pub struct Engine {
     #[cfg(test)]
     residency_audit: Option<tests::ResidencyAudit>,
     /// Decision-trace buffer in this engine's own execution order; `None`
-    /// (the default) keeps every emission site a single branch. The driver
+    /// (the default) keeps every emission site a single branch. The run
     /// drains it via [`take_trace_events`](Self::take_trace_events) and
     /// assigns the lane — the engine never knows its cluster id.
     trace: Option<Vec<(SimTime, TraceEvent)>>,
@@ -348,11 +352,11 @@ impl Engine {
         let mut mem = MemoryPool::new(total_mem);
         mem.reserve(Region::Weights, cfg.llm.weight_bytes())
             .expect("base model must fit in GPU memory");
-        let headroom = (total_mem as f64 * cfg.activation_headroom) as u64;
+        let headroom = (total_mem as f64 * ACTIVATION_HEADROOM) as u64;
         mem.reserve(Region::Activations, headroom)
             .expect("activation headroom must fit");
         let kv_bytes_per_token = cfg.llm.kv_bytes_per_token();
-        let kv = KvAllocator::new(kv_bytes_per_token, cfg.kv_block_tokens);
+        let kv = KvAllocator::new(kv_bytes_per_token, KV_BLOCK_TOKENS);
         let link = PcieLink::new(cfg.gpu.effective_copy_bytes_per_sec());
         let isolated_secs_per_token = cost
             .decode_step_time(&[DecodeItem {
@@ -571,7 +575,7 @@ impl Engine {
         self.crash_unfinished()
     }
 
-    /// The engine's WRS configuration (used by drivers for reporting).
+    /// The engine's WRS configuration (used by callers for reporting).
     pub fn wrs_config(&self) -> &WrsConfig {
         &self.wrs_cfg
     }
@@ -1169,7 +1173,7 @@ impl Engine {
                 // at least that plus a block of headroom.
                 let predicted = d
                     .predicted_output
-                    .max(d.produced + self.cfg.kv_block_tokens)
+                    .max(d.produced + KV_BLOCK_TOKENS)
                     .min(d.req.output_tokens().max(1));
                 let kv_tokens = d.req.input_tokens() + predicted;
                 let adapter = d.req.adapter();
@@ -1723,7 +1727,7 @@ impl Engine {
         let spec = self.pool.get(r.req.adapter()).expect("known").clone();
         let predicted = r
             .predicted_output
-            .max(r.produced + self.cfg.kv_block_tokens)
+            .max(r.produced + KV_BLOCK_TOKENS)
             .min(r.req.output_tokens().max(1));
         let wrs = self
             .wrs_cfg
@@ -1765,9 +1769,9 @@ impl Engine {
         }
         let chunked = self.cfg.chunked_prefill;
         let mut budget = if chunked {
-            self.cfg.prefill_chunk_tokens
+            PREFILL_CHUNK_TOKENS
         } else {
-            self.cfg.max_prefill_batch_tokens
+            MAX_PREFILL_BATCH_TOKENS
         };
         let mut chunks = std::mem::take(&mut self.folded_pool);
         let mut slots = std::mem::take(&mut self.slots_pool);
@@ -1903,15 +1907,13 @@ impl Engine {
             self.sched.queued_adapters_into(&mut self.prefetch_buf);
         }
         if self.cfg.predictive_prefetch {
-            let predicted = self
-                .load_predictor
-                .candidates(now, self.cfg.prefetch_window);
+            let predicted = self.load_predictor.candidates(now, PREFETCH_WINDOW);
             self.prefetch_buf.extend(predicted);
         }
         let mut issued = 0;
         for k in 0..self.prefetch_buf.len() {
             let adapter = self.prefetch_buf[k];
-            if issued >= self.cfg.prefetch_depth {
+            if issued >= PREFETCH_DEPTH {
                 break;
             }
             if self.warm_load(adapter, now, out).is_some() {

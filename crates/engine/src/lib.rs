@@ -20,8 +20,9 @@
 //!   blocked request's memory frees early, and squashes the youngest
 //!   running request if KV growth hits an out-of-memory condition.
 //!
-//! [`driver::run_engine`] drives a single engine through a trace;
-//! [`cluster::Cluster`] runs N data-parallel engines behind the paper's
+//! [`run_alone`] steps a single engine through a trace on the same
+//! per-engine stepper a fleet uses; [`cluster::Cluster`] runs N
+//! data-parallel engines behind the paper's
 //! two-level (global + local) scheduler (§4.4). The global level is
 //! delegated to the `chameleon_router` subsystem: each arrival is routed
 //! through a pluggable [`Router`] fed per-engine [`EngineSnapshot`]s

@@ -192,12 +192,6 @@ impl CostModel {
         }
     }
 
-    /// Replaces the calibration constants (sensitivity studies).
-    pub fn with_calibration(mut self, calib: Calibration) -> Self {
-        self.calib = calib;
-        self
-    }
-
     /// The base model.
     pub fn llm(&self) -> &LlmSpec {
         &self.llm

@@ -127,6 +127,16 @@ impl RequestRecord {
     pub fn is_complete(&self) -> bool {
         self.finished.is_some()
     }
+
+    /// Number of inter-token gaps recorded (the request's TBT samples).
+    pub fn tbt_count(&self) -> usize {
+        self.tbt_gaps.len()
+    }
+
+    /// Sum of the request's inter-token gaps.
+    pub fn tbt_sum(&self) -> SimDuration {
+        self.tbt_gaps.iter().copied().sum()
+    }
 }
 
 #[cfg(test)]
@@ -158,6 +168,15 @@ mod tests {
         assert_eq!(r.ttft(), Some(SimDuration::from_secs(1)));
         assert_eq!(r.e2e(), Some(SimDuration::from_secs(2)));
         assert!(r.is_complete());
+    }
+
+    #[test]
+    fn tbt_count_and_sum_read_the_gaps() {
+        let mut r = rec();
+        assert_eq!((r.tbt_count(), r.tbt_sum()), (0, SimDuration::ZERO));
+        r.tbt_gaps = vec![SimDuration::from_millis(30), SimDuration::from_millis(45)];
+        assert_eq!(r.tbt_count(), 2);
+        assert_eq!(r.tbt_sum(), SimDuration::from_millis(75));
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl BinnedSeries {
         self.samples.is_empty()
     }
 
-    /// Raw observations in insertion order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
     /// Reduces the series into bins of width `bin`, applying `f` to each
     /// non-empty bin's values. Returns `(bin_start_time, f(values))` pairs.
     ///
@@ -78,16 +73,6 @@ impl BinnedSeries {
     /// Per-bin P99 — the Figure 15/19 reduction.
     pub fn p99_bins(&self, bin: SimDuration) -> Vec<(SimTime, f64)> {
         self.reduce_bins(bin, |xs| percentile(xs, 99.0).expect("non-empty bin"))
-    }
-
-    /// Per-bin mean.
-    pub fn mean_bins(&self, bin: SimDuration) -> Vec<(SimTime, f64)> {
-        self.reduce_bins(bin, |xs| xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-
-    /// Per-bin sum (e.g. bytes per bin → bandwidth).
-    pub fn sum_bins(&self, bin: SimDuration) -> Vec<(SimTime, f64)> {
-        self.reduce_bins(bin, |xs| xs.iter().sum::<f64>())
     }
 }
 
@@ -135,7 +120,8 @@ mod tests {
         s.push(t(0.9), 3.0);
         s.push(t(1.5), 10.0);
         s.push(t(3.2), 7.0);
-        let bins = s.mean_bins(SimDuration::from_secs(1));
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let bins = s.reduce_bins(SimDuration::from_secs(1), mean);
         assert_eq!(bins.len(), 3);
         assert_eq!(bins[0].1, 2.0);
         assert_eq!(bins[1].1, 10.0);
@@ -148,7 +134,7 @@ mod tests {
         let mut s = BinnedSeries::new();
         s.push(t(5.0), 2.0);
         s.push(t(1.0), 4.0);
-        let bins = s.sum_bins(SimDuration::from_secs(1));
+        let bins = s.reduce_bins(SimDuration::from_secs(1), |xs| xs.iter().sum::<f64>());
         assert_eq!(bins[0], (t(1.0), 4.0));
         assert_eq!(bins[1], (t(5.0), 2.0));
     }

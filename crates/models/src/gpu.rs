@@ -70,11 +70,6 @@ impl GpuSpec {
         GpuSpec::new("A100-80GB", 80 * (1 << 30), 2039e9, 312e12, 31.5e9, 12e9)
     }
 
-    /// A100 artificially capped at 48 GB (§5.5 memory-scalability study).
-    pub fn a100_48gb() -> Self {
-        GpuSpec::new("A100-48GB", 48 * (1 << 30), 2039e9, 312e12, 31.5e9, 12e9)
-    }
-
     /// A100 artificially capped at 24 GB (§5.5 memory-scalability study).
     pub fn a100_24gb() -> Self {
         GpuSpec::new("A100-24GB", 24 * (1 << 30), 2039e9, 312e12, 31.5e9, 12e9)

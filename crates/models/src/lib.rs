@@ -4,10 +4,10 @@
 //! computes with:
 //!
 //! * [`llm`] — base-LLM architectures ([`LlmSpec`]): Llama-7B/13B/30B/70B and
-//!   the other models §5.1 mentions (Falcon, OPT, Mixtral), with parameter
-//!   counts, layer/hidden geometry and KV-cache byte formulas.
-//! * [`gpu`] — GPU platforms ([`GpuSpec`]): A40 and A100 at the paper's three
-//!   memory capacities, with HBM bandwidth, peak FLOPs and PCIe link speed.
+//!   OPT-13B, one of the other models §5.1 mentions, with parameter counts,
+//!   layer/hidden geometry and KV-cache byte formulas.
+//! * [`gpu`] — GPU platforms ([`GpuSpec`]): A40, and A100 at 80 GB and capped
+//!   at 24 GB, with HBM bandwidth, peak FLOPs and PCIe link speed.
 //! * [`adapter`] — LoRA adapters ([`AdapterSpec`], [`AdapterRank`]): the
 //!   rank → bytes formula calibrated to the paper (§3.2: rank-32 on Llama-7B
 //!   = 64 MB); [`AdapterStamps`] is the set of adapter ids the schedulers and

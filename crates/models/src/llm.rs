@@ -1,8 +1,8 @@
 //! Base-LLM architecture specifications.
 //!
 //! All sizes are derived from the public architecture cards of the models
-//! the paper evaluates (§5.1): the Llama family, plus Falcon, OPT and
-//! Mixtral which the authors report showing "similar trends".
+//! the paper evaluates (§5.1): the Llama family, plus OPT, which the
+//! authors report showing "similar trends".
 
 use serde::{Deserialize, Serialize};
 
@@ -84,20 +84,9 @@ impl LlmSpec {
         LlmSpec::new("Llama-70B", 68_977_000_000, 80, 8192, 64, 8)
     }
 
-    /// Falcon-40B (§5.1: "similar trends").
-    pub fn falcon_40b() -> Self {
-        LlmSpec::new("Falcon-40B", 41_303_000_000, 60, 8192, 128, 8)
-    }
-
     /// OPT-13B (§5.1: "similar trends").
     pub fn opt_13b() -> Self {
         LlmSpec::new("OPT-13B", 12_853_000_000, 40, 5120, 40, 40)
-    }
-
-    /// Mixtral-8x7B; modelled by its ~13B active parameters per token, which
-    /// is what drives inference latency.
-    pub fn mixtral_8x7b() -> Self {
-        LlmSpec::new("Mixtral-8x7B", 12_879_000_000, 32, 4096, 32, 8)
     }
 
     /// Human-readable model name.

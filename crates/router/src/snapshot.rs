@@ -89,14 +89,6 @@ impl EngineSnapshot {
         }
     }
 
-    /// Idle snapshot with an explicit capacity weight.
-    pub fn idle_weighted(id: EngineId, weight: f64) -> Self {
-        EngineSnapshot {
-            weight,
-            ..EngineSnapshot::idle(id)
-        }
-    }
-
     /// True when the adapter's weights are already on this engine.
     pub fn has_adapter(&self, id: AdapterId) -> bool {
         self.resident_adapters.contains(&id)

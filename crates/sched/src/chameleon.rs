@@ -32,20 +32,21 @@ use chameleon_models::{AdapterId, AdapterStamps};
 use chameleon_simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// Elbow threshold for choosing K (relative WCSS improvement).
+const ELBOW_THRESHOLD: f64 = 0.15;
+/// Reconfiguration period `T_refresh` (paper: 5 minutes).
+const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(300);
+/// Number of recent arrivals whose WRS is kept for clustering.
+const WINDOW: usize = 2048;
+
 /// Configuration of the Chameleon scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChameleonConfig {
     /// Maximum number of queues (paper: 4, "to keep queue management
     /// overheads tolerable").
     pub k_max: usize,
-    /// Elbow threshold for choosing K (relative WCSS improvement).
-    pub elbow_threshold: f64,
     /// The TTFT SLO used in quota assignment (§4.3.5).
     pub slo: SimDuration,
-    /// Reconfiguration period `T_refresh` (paper: 5 minutes).
-    pub refresh_interval: SimDuration,
-    /// Number of recent arrivals whose WRS is kept for clustering.
-    pub window: usize,
     /// Enables opportunistic bypass (§4.3.3).
     pub enable_bypass: bool,
     /// When false the initial configuration is never re-derived (the
@@ -60,10 +61,7 @@ impl ChameleonConfig {
     pub fn paper(slo: SimDuration) -> Self {
         ChameleonConfig {
             k_max: 4,
-            elbow_threshold: 0.15,
             slo,
-            refresh_interval: SimDuration::from_secs(300),
-            window: 2048,
             enable_bypass: true,
             dynamic: true,
             // Seed classification for the warm-up phase; replaced by the
@@ -181,11 +179,9 @@ impl ChameleonScheduler {
         self.wrs_scratch.clear();
         self.wrs_scratch
             .extend(self.window.iter().map(|&(_, w, ..)| w));
-        let Some(clustering) = kmeans::choose_queues(
-            &mut self.wrs_scratch,
-            self.cfg.k_max,
-            self.cfg.elbow_threshold,
-        ) else {
+        let Some(clustering) =
+            kmeans::choose_queues(&mut self.wrs_scratch, self.cfg.k_max, ELBOW_THRESHOLD)
+        else {
             return;
         };
         let new_cutoffs = kmeans::cutoffs(&clustering.centroids);
@@ -268,7 +264,7 @@ impl ChameleonScheduler {
         let due = match self.last_refresh {
             // First configuration happens as soon as a modest sample exists.
             None => self.window.len() >= 64,
-            Some(at) => now.saturating_since(at) >= self.cfg.refresh_interval,
+            Some(at) => now.saturating_since(at) >= REFRESH_INTERVAL,
         };
         if due && !self.window.is_empty() {
             self.reconfigure(probe);
@@ -392,7 +388,7 @@ impl Scheduler for ChameleonScheduler {
             req.input_tokens(),
             req.predicted_output(),
         ));
-        while self.window.len() > self.cfg.window {
+        while self.window.len() > WINDOW {
             self.window.pop_front();
         }
         let qi = self.queue_idx(req.wrs());

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 /// parallel cluster execution because engine stepping is bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lane {
-    /// The cluster coordinator (or the driver of a single-engine run).
+    /// The cluster coordinator (a single-engine run has none).
     Coordinator,
     /// One engine, by stable [`EngineId`](https://docs.rs/chameleon-router) value.
     Engine(u32),

@@ -49,34 +49,6 @@ impl BarrierProfile {
             .saturating_sub(self.worker_busy_ns)
     }
 
-    /// Fraction of run wall spent stepping engines.
-    pub fn step_share(&self) -> f64 {
-        share(self.step_wall_ns, self.run_wall_ns)
-    }
-
-    /// Fraction of run wall spent in coordinator dispatch.
-    pub fn dispatch_share(&self) -> f64 {
-        share(self.dispatch_wall_ns(), self.run_wall_ns)
-    }
-
-    /// Barrier wait as a fraction of the pool's total worker-seconds
-    /// (how much of the hired capacity idled at barriers).
-    pub fn barrier_wait_share(&self) -> f64 {
-        share(
-            self.barrier_wait_ns(),
-            self.pool_step_wall_ns.saturating_mul(self.workers as u64),
-        )
-    }
-
-    /// Mean engine-stepping nanoseconds per epoch.
-    pub fn mean_epoch_ns(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.step_wall_ns as f64 / self.epochs as f64
-        }
-    }
-
     /// Folds another run's profile into this one (sweeps aggregate).
     pub fn merge(&mut self, other: &BarrierProfile) {
         self.workers = self.workers.max(other.workers);
@@ -86,14 +58,6 @@ impl BarrierProfile {
         self.step_wall_ns += other.step_wall_ns;
         self.pool_step_wall_ns += other.pool_step_wall_ns;
         self.worker_busy_ns += other.worker_busy_ns;
-    }
-}
-
-fn share(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64
     }
 }
 
@@ -115,18 +79,13 @@ mod tests {
         assert_eq!(p.dispatch_wall_ns(), 400);
         // 500 * 4 workers - 1200 busy = 800 parked.
         assert_eq!(p.barrier_wait_ns(), 800);
-        assert!((p.step_share() - 0.6).abs() < 1e-12);
-        assert!((p.dispatch_share() - 0.4).abs() < 1e-12);
-        assert!((p.barrier_wait_share() - 0.4).abs() < 1e-12);
-        assert!((p.mean_epoch_ns() - 60.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_profile_is_quiet() {
         let p = BarrierProfile::default();
         assert_eq!(p.barrier_wait_ns(), 0);
-        assert_eq!(p.step_share(), 0.0);
-        assert_eq!(p.mean_epoch_ns(), 0.0);
+        assert_eq!(p.dispatch_wall_ns(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// A time-ordered sequence of requests driving one experiment.
 ///
 /// Invariant: requests are sorted by arrival time (ties keep insertion
-/// order), so the drivers stream them in order without sorting.
+/// order), so runs stream them in order without sorting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     requests: Vec<Request>,

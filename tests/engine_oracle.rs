@@ -1,7 +1,8 @@
 //! Frozen-digest oracle suite for the single-engine paths.
 //!
 //! `predictive_oracle.rs` pins the cluster's planes; this suite pins the
-//! systems that run on one engine through `driver::run_engine_counted`:
+//! systems that run on one engine through `cluster::run_alone` (the
+//! fleet's per-engine stepper, without the router):
 //! the paper's Chameleon system at 600 adapters (the `engine_high`
 //! benchmark system), the S-LoRA baselines (discard cache with
 //! block-on-load, folded chunked prefill, SJF), the static MLQ ablation,
@@ -13,8 +14,10 @@
 //! Every test re-runs its scenario through the current tree and compares
 //! the `canonical_text` (or the traced JSONL) length + FNV-1a digest
 //! against values captured before the engine's bookkeeping was rebuilt
-//! on dense request slots and a live scheduler probe. If one fails, a
-//! behaviour-preserving change to the engine changed behaviour.
+//! on dense request slots and a live scheduler probe. Moving the lone
+//! engine from its own driver loop onto the fleet's stepper left every
+//! one of them unchanged. If one fails, a behaviour-preserving change to
+//! the engine changed behaviour.
 
 use chameleon_repro::core::{preset, sim::Simulation, workloads, KvSpec, SystemConfig, TraceSpec};
 use chameleon_repro::models::GpuSpec;

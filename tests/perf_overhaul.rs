@@ -4,7 +4,7 @@
 
 use chameleon_repro::core::{preset, sim::Simulation, workloads};
 
-/// Event accounting flows from the driver into `RunReport` and its
+/// Event accounting flows from the engine stepper into `RunReport` and its
 /// canonical serialisation.
 #[test]
 fn run_reports_count_events() {
