@@ -46,6 +46,9 @@
 //! consecutive arrivals from one snapshot generation, within a `(batch
 //! size, age)` budget; per-arrival dispatch — the default — is the batch
 //! whose budget is `(1, 0)`, and [`Cluster::set_dispatch`] widens it.
+//! A lone engine runs on the same per-engine stepper through
+//! [`run_alone`], as per-arrival dispatch would step it, without the
+//! router.
 //!
 //! Because engine state is thread-confined between barriers (the
 //! zero-alloc scratch from the hot-path overhaul lives inside each
@@ -293,9 +296,9 @@ impl EngineSlot {
     }
 
     /// Steps this engine's local events up to the epoch boundary. This is
-    /// the per-shard body of both execution modes; it touches nothing
-    /// outside the slot, which is what makes parallel stepping sound and
-    /// bit-identical to serial.
+    /// the per-shard body of both execution modes and of [`run_alone`]; it
+    /// touches nothing outside the slot, which is what makes parallel
+    /// stepping sound and bit-identical to serial.
     fn step_to(&mut self, cmd: &EpochCmd) {
         loop {
             // Deliver routed batch members interleaved with local events,
