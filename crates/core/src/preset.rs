@@ -178,14 +178,14 @@ pub fn chameleon_cluster_faulted(engines: usize) -> SystemConfig {
 }
 
 /// [`chameleon_cluster_partitioned`] on a two-rack topology with
-/// domain-aware anti-affinity placement and the predictive control plane
-/// on: the fleet's first half lives on rack 0, the second on rack 1,
-/// affinity spill prefers the best-ranked engine *outside* the primary's
-/// rack, and a crashed engine's shard is warmed onto the survivors
-/// (shard handoff), so a whole-domain failure never takes a primary and
-/// all of its spilled work together. Pair it with
-/// `FaultSpec::with_domain_crash` (or `.without_anti_affinity()` on the
-/// topology) for the correlated-failure efficacy comparison.
+/// domain-aware anti-affinity placement: the fleet's first half lives on
+/// rack 0, the second on rack 1, and affinity spill prefers the
+/// best-ranked engine *outside* the primary's rack, so a whole-domain
+/// failure never takes a primary and all of its spilled work together.
+/// Pair it with a `FaultSpec` carrying `with_domain_crash` and
+/// `with_shard_recovery` (a crashed engine's shard is warmed onto the
+/// survivors), and with `.without_anti_affinity()` on the topology, for
+/// the correlated-failure efficacy comparison.
 ///
 /// # Panics
 ///
@@ -194,7 +194,6 @@ pub fn chameleon_cluster_domains(engines: usize) -> SystemConfig {
     assert!(engines >= 2, "a two-rack topology needs at least 2 engines");
     let racks: Vec<u32> = (0..engines).map(|i| u32::from(i >= engines / 2)).collect();
     chameleon_cluster_partitioned(engines)
-        .with_predictive(PredictiveSpec::new())
         .with_fleet(FleetSpec::homogeneous(engines, 1).with_topology(TopologySpec::racks(&racks)))
         .with_label(format!("Chameleon-DP{engines}-Domains"))
 }
@@ -238,9 +237,7 @@ pub fn chameleon_cluster_bounded_staleness(engines: usize) -> SystemConfig {
 
 /// [`chameleon_cluster_elastic`] with the predictive control plane: the
 /// autoscaler additionally fires on per-engine TTFT-violation estimates
-/// and predicted arrivals (growing *before* a forecast burst lands), and
-/// draining engines hand their adapter shard to the survivors' caches
-/// instead of leaving them to cold-miss it.
+/// and predicted arrivals (growing *before* a forecast burst lands).
 pub fn chameleon_cluster_elastic_predictive() -> SystemConfig {
     chameleon_cluster_elastic()
         .with_predictive(PredictiveSpec::new())
@@ -397,6 +394,7 @@ mod tests {
         for cfg in [
             chameleon(),
             chameleon_cluster_partitioned(4),
+            chameleon_cluster_domains(4),
             chameleon_cluster_hetero(),
         ] {
             assert!(cfg.predictive.is_none(), "{} gained prediction", cfg.label);
@@ -488,10 +486,7 @@ mod tests {
             topo.domains.iter().map(|d| d.rack).collect::<Vec<_>>(),
             vec![0, 0, 1, 1]
         );
-        assert!(
-            c.predictive.is_some_and(|p| p.handoff),
-            "crashed shards are warmed onto the survivors"
-        );
+        assert!(c.predictive.is_none() && c.fault.is_none());
         assert_eq!(c.router, RouterPolicy::AdapterAffinity);
     }
 

@@ -192,9 +192,13 @@ impl RunReport {
         self.routing.load_imbalance()
     }
 
-    /// Mean consumed PCIe bandwidth over the run (bytes/second).
+    /// Mean consumed PCIe bandwidth over the served span, from time zero
+    /// to the last completion (bytes/second). The horizon would also
+    /// count the engines' trailing periodic ticks, up to one refresh
+    /// interval past the last completion.
     pub fn pcie_mean_bandwidth(&self) -> f64 {
-        let secs = self.horizon.as_secs_f64();
+        let served = self.records.iter().filter_map(|r| r.finished).max();
+        let secs = served.map_or(0.0, SimTime::as_secs_f64);
         if secs <= 0.0 {
             0.0
         } else {
@@ -419,8 +423,8 @@ impl RunReport {
             let p = &r.predictive;
             let _ = writeln!(
                 s,
-                "predictive handoff_n={} handoff_bytes={} slo_scaleups={} forecast_scaleups={}",
-                p.handoff_adapters, p.handoff_bytes, p.slo_scaleups, p.forecast_scaleups,
+                "predictive slo_scaleups={} forecast_scaleups={}",
+                p.slo_scaleups, p.forecast_scaleups,
             );
         }
         // Like the predictive line, the fault line exists only for runs
@@ -576,6 +580,18 @@ mod tests {
             flight_firings: 0,
             barrier_profile: None,
         }
+    }
+
+    #[test]
+    fn pcie_bandwidth_divides_by_the_last_completion_not_the_horizon() {
+        // The last request finishes at 5 s; the horizon lies at 100 s.
+        let r = report(vec![
+            record(0, 0.0, 0.1, 2.0, 8),
+            record(1, 1.0, 0.2, 4.0, 8),
+        ]);
+        assert!(r.horizon > SimTime::from_secs_f64(5.0));
+        assert_eq!(r.pcie_mean_bandwidth(), 1_000_000.0 / 5.0);
+        assert_eq!(report(Vec::new()).pcie_mean_bandwidth(), 0.0);
     }
 
     #[test]

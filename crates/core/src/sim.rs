@@ -15,7 +15,7 @@ use chameleon_sched::{
 use chameleon_simcore::{SimDuration, SimRng};
 use chameleon_trace::{
     AnomalyPredicate, FlightRecorder, Lane, RetryStormPredicate, ShedIdlePredicate, TraceBuffer,
-    TtftSloPredicate,
+    TtftSloPredicate, FLIGHT_CAPACITY, MAX_DUMPS,
 };
 use chameleon_workload::Trace;
 
@@ -273,7 +273,7 @@ impl Simulation {
                 predicates.push(Box::new(ShedIdlePredicate));
             }
             if !predicates.is_empty() {
-                let recorder = FlightRecorder::new(spec.flight_capacity, spec.max_dumps);
+                let recorder = FlightRecorder::new(FLIGHT_CAPACITY, MAX_DUMPS);
                 let (dumps, firings) = recorder.scan(&log, &mut predicates);
                 report.flight_dumps = dumps;
                 report.flight_firings = firings;

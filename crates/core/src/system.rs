@@ -261,9 +261,9 @@ pub struct SystemConfig {
     /// Runtime fleet scaling; `None` keeps the fleet fixed for the run.
     pub autoscale: Option<AutoscaleSpec>,
     /// Cluster-level predictive control plane (SLO/forecast autoscaling
-    /// signals, shard handoff on drains and crashes). `None` — the
-    /// default — keeps the cluster purely reactive and byte-identical to
-    /// the pre-control-plane stack; ignored for single-engine runs.
+    /// signals). `None` — the default — keeps the cluster purely reactive
+    /// and byte-identical to the pre-control-plane stack; ignored for
+    /// single-engine runs.
     pub predictive: Option<PredictiveSpec>,
     /// Deterministic fault-injection and recovery plane: scheduled engine
     /// crashes, straggler windows, flaky PCIe transfers and delayed

@@ -429,9 +429,9 @@ pub struct Cluster {
     /// and stale events of retired engines count toward neither it nor
     /// `events_processed`.
     horizon: SimTime,
-    /// Predictive control plane (SLO/forecast autoscaling, shard
-    /// handoff); `None` keeps the cluster purely reactive — and
-    /// byte-identical to the pre-control-plane stack.
+    /// Predictive control plane (SLO/forecast autoscaling); `None` keeps
+    /// the cluster purely reactive — and byte-identical to the
+    /// pre-control-plane stack.
     predictive: Option<PredictiveSpec>,
     /// Coordinator-owned arrival-history predictor behind the forecast
     /// signal. Observed and queried only at barriers, which is what keeps
@@ -570,9 +570,9 @@ impl Cluster {
     }
 
     /// Enables the predictive control plane: the forecast signal into
-    /// elastic runs' autoscaler and shard handoff on drains and crashes,
-    /// per `spec`'s switches. Strictly additive — a cluster without this
-    /// call behaves byte-for-byte as if the control plane did not exist.
+    /// elastic runs' autoscaler, per `spec`'s switches. Strictly additive
+    /// — a cluster without this call behaves byte-for-byte as if the
+    /// control plane did not exist.
     pub fn set_predictive(&mut self, spec: PredictiveSpec) {
         self.predictive = Some(spec);
         self.stats.predictive.enabled = true;
@@ -613,9 +613,10 @@ impl Cluster {
     /// crashes and straggler windows replay at coordinator barriers,
     /// PCIe fault injectors (seeded per engine id) attach to every
     /// engine, and recovery — timeout-detected failover with capped
-    /// exponential backoff, warm shard re-homing, SLO-aware shedding
-    /// against `slo` — switches on. Strictly additive: a cluster without
-    /// this call behaves byte-for-byte as if the plane did not exist.
+    /// exponential backoff, plus warm shard re-homing and SLO-aware
+    /// shedding against `slo` where `spec` arms them — switches on.
+    /// Strictly additive: a cluster without this call behaves
+    /// byte-for-byte as if the plane did not exist.
     pub fn set_fault(&mut self, spec: FaultSpec, slo: Option<SimDuration>) {
         let timeline = FaultTimeline::compile(&spec);
         if spec.pcie_fail_prob > 0.0 {
@@ -1080,79 +1081,6 @@ impl Cluster {
         ForecastSignal { predicted_arrivals }
     }
 
-    /// Warm-loads the shard of departing engine `victim` — its resident
-    /// adapters that *homed* on it — onto the survivors that inherit
-    /// them (each adapter to its post-departure rendezvous home), as
-    /// PCIe-cost-modelled warm transfers on the survivors' links.
-    /// Spilled copies the victim happened to hold are not part of the
-    /// shard and stay behind. Returns the adapters moved and their total
-    /// bytes.
-    fn warm_shard(&mut self, victim: EngineId, now: SimTime) -> (u64, u64) {
-        let survivors = self.active_weights();
-        if survivors.is_empty() {
-            return (0, 0);
-        }
-        let vpos = self
-            .slots
-            .iter()
-            .position(|s| s.id == victim)
-            .expect("departing engine is present");
-        let mut before = survivors.clone();
-        before.push((victim, self.slots[vpos].engine.capacity_weight()));
-        let mut shard: Vec<AdapterId> = self.slots[vpos]
-            .engine
-            .resident_adapters()
-            .into_iter()
-            .collect();
-        // The residency set iterates in arbitrary order; transfers queue
-        // on each survivor's PCIe link, so the order must be pinned.
-        shard.sort_unstable();
-        let mut moved = 0u64;
-        let mut bytes_total = 0u64;
-        for a in shard {
-            let home_before = before[policies::rendezvous_home(a, before.iter().copied())].0;
-            if home_before != victim {
-                continue;
-            }
-            let new_home = survivors[policies::rendezvous_home(a, survivors.iter().copied())].0;
-            let pos = self
-                .slots
-                .iter()
-                .position(|s| s.id == new_home)
-                .expect("survivor is present");
-            let slot = &mut self.slots[pos];
-            if let Some(bytes) = slot.engine.warm_load(a, now, &mut slot.out) {
-                for (at, e) in slot.out.drain(..) {
-                    slot.queue.push(at, e);
-                }
-                moved += 1;
-                bytes_total += bytes;
-            }
-        }
-        (moved, bytes_total)
-    }
-
-    /// Drain-time shard handoff ([`Cluster::warm_shard`]): the migrated
-    /// shard is warm before its first post-drain request instead of
-    /// cold-missing on demand.
-    fn handoff_shard(&mut self, victim: EngineId, now: SimTime) {
-        let (moved, bytes_total) = self.warm_shard(victim, now);
-        if moved > 0 {
-            self.stats.predictive.on_handoff(moved, bytes_total);
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.push(
-                    now,
-                    Lane::Coordinator,
-                    TraceEvent::Handoff {
-                        from: victim.0,
-                        adapters: moved as u32,
-                        bytes: bytes_total,
-                    },
-                );
-            }
-        }
-    }
-
     /// The instant of the next fault-plane cross event: the earliest of
     /// the scheduled-fault timeline head, the first due retry, and any
     /// pending delayed provision. `None` when no plane is armed or it
@@ -1275,8 +1203,7 @@ impl Cluster {
     }
 
     /// Kills engine `engine` at `t`: its shard re-homes (warm, when the
-    /// predictive handoff is armed — the same machinery a graceful drain
-    /// uses, minus the victim's cooperation), its unfinished requests are
+    /// fault spec arms shard recovery), its unfinished requests are
     /// extracted for router re-dispatch after the detection timeout plus
     /// per-request capped exponential backoff, and the corpse is retired
     /// (the records of requests it *completed* survive into the report).
@@ -1316,7 +1243,7 @@ impl Cluster {
             // Out of the routing candidate set before any recovery
             // decision looks at the fleet.
             self.slots[pos].draining = true;
-            if self.predictive.is_some_and(|s| s.handoff) {
+            if self.fault.as_ref().is_some_and(|fs| fs.spec.shard_recovery) {
                 self.recover_shard(victim, t);
             }
         }
@@ -1486,12 +1413,55 @@ impl Cluster {
         }
     }
 
-    /// Crash-time shard recovery: the dead engine's shard is warm-loaded
-    /// onto the survivors ([`Cluster::warm_shard`]), counted into the
-    /// fault ledger because here the copies race the backlog's
-    /// re-dispatch instead of a graceful drain.
+    /// Crash-time shard recovery: warm-loads the shard of dead engine
+    /// `victim` — its resident adapters that *homed* on it — onto the
+    /// survivors that inherit them (each adapter to its post-crash
+    /// rendezvous home), as PCIe-cost-modelled warm transfers on the
+    /// survivors' links. Spilled copies the victim happened to hold are
+    /// not part of the shard and stay behind. The copies race the
+    /// backlog's re-dispatch, and the fault ledger counts them.
     fn recover_shard(&mut self, victim: EngineId, now: SimTime) {
-        let (moved, bytes_total) = self.warm_shard(victim, now);
+        let survivors = self.active_weights();
+        if survivors.is_empty() {
+            return;
+        }
+        let vpos = self
+            .slots
+            .iter()
+            .position(|s| s.id == victim)
+            .expect("crashed engine is present");
+        let mut before = survivors.clone();
+        before.push((victim, self.slots[vpos].engine.capacity_weight()));
+        let mut shard: Vec<AdapterId> = self.slots[vpos]
+            .engine
+            .resident_adapters()
+            .into_iter()
+            .collect();
+        // The residency set iterates in arbitrary order; transfers queue
+        // on each survivor's PCIe link, so the order must be pinned.
+        shard.sort_unstable();
+        let mut moved = 0u64;
+        let mut bytes_total = 0u64;
+        for a in shard {
+            let home_before = before[policies::rendezvous_home(a, before.iter().copied())].0;
+            if home_before != victim {
+                continue;
+            }
+            let new_home = survivors[policies::rendezvous_home(a, survivors.iter().copied())].0;
+            let pos = self
+                .slots
+                .iter()
+                .position(|s| s.id == new_home)
+                .expect("survivor is present");
+            let slot = &mut self.slots[pos];
+            if let Some(bytes) = slot.engine.warm_load(a, now, &mut slot.out) {
+                for (at, e) in slot.out.drain(..) {
+                    slot.queue.push(at, e);
+                }
+                moved += 1;
+                bytes_total += bytes;
+            }
+        }
         if moved > 0 {
             self.stats.fault.shard_adapters_recovered += moved;
             self.stats.fault.shard_bytes_recovered += bytes_total;
@@ -1684,11 +1654,7 @@ impl Cluster {
                     }
                 }
             }
-            // Pending re-dispatches count as future dispatches: they keep
-            // periodic ticks alive on the idle engines about to inherit
-            // the recovered work.
-            let latest_retry = self.fault.as_ref().and_then(|fs| fs.retries.last());
-            let ticks_until = latest_retry.map_or(last_arrival, |r| r.due.max(last_arrival));
+            let ticks_until = self.ticks_until(last_arrival);
             self.run_epoch(cross.map(|(t, _)| t), ticks_until, pool);
             self.harvest_retired();
             let Some((t, kind)) = cross else {
@@ -1704,7 +1670,7 @@ impl Cluster {
                 }
                 CrossEvent::Scale => {
                     let (autoscaler, grow) = scale.as_mut().expect("scale event without scaler");
-                    next_scale = self.scale_tick(t, autoscaler, grow, next_arr < arrivals.len());
+                    next_scale = self.scale_tick(t, autoscaler, grow, last_arrival);
                 }
                 CrossEvent::Fault => self.fault_barrier(t, &mut scale),
             }
@@ -1857,17 +1823,27 @@ impl Cluster {
         }
     }
 
+    /// The keep-alive instant of periodic ticks, the engines' and the
+    /// autoscaler's alike: a tick before it survives even on an idle
+    /// fleet, because until then a dispatch can still arrive — the
+    /// trace's last arrival, or the latest pending crash-recovery retry.
+    /// Later ticks survive only while there is work.
+    fn ticks_until(&self, last_arrival: SimTime) -> SimTime {
+        let latest_retry = self.fault.as_ref().and_then(|fs| fs.retries.last());
+        latest_retry.map_or(last_arrival, |r| r.due.max(last_arrival))
+    }
+
     /// One autoscaler tick at `t`: the controller reads a fresh fleet
     /// snapshot and holds, scales up through `grow` (subject to
     /// provisioning faults), or drains an engine. Returns the next
-    /// tick's instant — `None` once no arrival is left and every engine
-    /// is idle.
+    /// tick's instant — `None` once `t` has reached
+    /// [`Cluster::ticks_until`] and every engine is idle.
     fn scale_tick(
         &mut self,
         t: SimTime,
         autoscaler: &mut Autoscaler,
         grow: &mut dyn FnMut(EngineId) -> Engine,
-        arrivals_left: bool,
+        last_arrival: SimTime,
     ) -> Option<SimTime> {
         self.events_processed += 1;
         self.fill_snapshots();
@@ -1944,9 +1920,6 @@ impl Cluster {
                             TraceEvent::DrainStarted { engine: victim.0 },
                         );
                     }
-                    if self.predictive.is_some_and(|s| s.handoff) {
-                        self.handoff_shard(victim, t);
-                    }
                     let pos = self
                         .slots
                         .iter()
@@ -1958,8 +1931,9 @@ impl Cluster {
                 }
             }
         }
-        let work_left = arrivals_left || self.slots.iter().any(|s| s.engine.has_work());
-        work_left.then(|| t + autoscaler.config().interval)
+        let keep_alive =
+            t < self.ticks_until(last_arrival) || self.slots.iter().any(|s| s.engine.has_work());
+        keep_alive.then(|| t + autoscaler.config().interval)
     }
 
     /// Total completed requests across live and retired engines.

@@ -11,7 +11,7 @@ use crate::config::{
     EngineConfig, ACTIVATION_HEADROOM, KV_BLOCK_TOKENS, MAX_PREFILL_BATCH_TOKENS, PREFETCH_DEPTH,
     PREFETCH_WINDOW, PREFILL_CHUNK_TOKENS,
 };
-use crate::kv_spec::KvSpec;
+use crate::kv_spec::{KvSpec, MAX_PROXIES, PROXY_RATIO};
 use crate::probe::{EngineProbe, ProbeScalars, ReleaseSchedule, Releases};
 use crate::report::EngineReport;
 use chameleon_cache::{AdapterCache, CacheJournalEvent};
@@ -1059,7 +1059,7 @@ impl Engine {
     /// Hybrid cache mode (Apt-Serve): under KV pressure, demotes the
     /// youngest running request (except `keep`) to a compact proxy entry
     /// instead of squashing it. The victim's full blocks free, a
-    /// `proxy_ratio` fraction stays resident, and the scheduler quota
+    /// [`PROXY_RATIO`] fraction stays resident, and the scheduler quota
     /// stays charged — retirement after restore credits it exactly once.
     /// Returns whether a demotion happened.
     fn try_demote_youngest_except(&mut self, keep: Slot, now: SimTime) -> bool {
@@ -1067,7 +1067,7 @@ impl Engine {
             return false;
         };
         if !spec.hybrid
-            || self.demoted.len() + self.restoring.len() >= spec.max_proxies
+            || self.demoted.len() + self.restoring.len() >= MAX_PROXIES
             || self.kv_pressure() < spec.pressure_threshold
         {
             return false;
@@ -1084,7 +1084,7 @@ impl Engine {
         };
         let r = self.take_running(idx);
         let id = r.req.id();
-        let (full, proxy) = self.kv.demote(&mut self.mem, r.kv, spec.proxy_ratio);
+        let (full, proxy) = self.kv.demote(&mut self.mem, r.kv, PROXY_RATIO);
         // Adapter reference: same discipline as squash — the adapter may
         // still be in flight, in which case the waiter is dropped instead
         // of a cache reference that does not exist yet.
@@ -1506,13 +1506,13 @@ impl Engine {
             // consume, so counting it as both "resident, need 0" and
             // "evictable" overstates capacity and ends in a
             // self-inflicted storm when the cold-load reserve fails.
-            let reclaimable = self.mem.free()
-                + self
-                    .cache
-                    .idle_adapters()
-                    .filter(|a| *a != adapter)
-                    .map(|a| self.pool.get(a).map(|s| s.bytes()).unwrap_or(0))
-                    .sum::<u64>();
+            // O(1): the idle adapters' bytes are the pool's cache region.
+            let own_idle = if self.cache.ref_count(adapter) == Some(0) {
+                spec.bytes()
+            } else {
+                0
+            };
+            let reclaimable = self.free_memory_bytes() - own_idle;
             if need > reclaimable {
                 self.kv_stats.on_refused();
                 if let Some(buf) = &mut self.trace {
@@ -1927,13 +1927,12 @@ impl Engine {
     /// already resident or in flight, unknown, or memory is too tight.
     ///
     /// This is the warm-insert primitive shared by the engine's own
-    /// prefetcher and the cluster's shard moves (drain-time handoff and
-    /// crash-time shard recovery onto the survivors).
-    /// Warm loads never evict: they use only genuinely free memory and
-    /// keep headroom for KV growth, so speculation can cost queued work
-    /// nothing. The transfer is PCIe-cost-modelled — it queues on this
-    /// engine's link like any demand load and completes via the returned
-    /// [`EngineEvent::LoadDone`] pushed to `out`.
+    /// prefetcher and the cluster's crash-time shard recovery onto the
+    /// survivors. Warm loads never evict: they use only genuinely free
+    /// memory and keep headroom for KV growth, so speculation can cost
+    /// queued work nothing. The transfer is PCIe-cost-modelled — it
+    /// queues on this engine's link like any demand load and completes
+    /// via the returned [`EngineEvent::LoadDone`] pushed to `out`.
     pub fn warm_load(
         &mut self,
         adapter: AdapterId,

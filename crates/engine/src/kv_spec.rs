@@ -13,13 +13,20 @@
 //!   how long the request would have had to wait.
 //! * **Hybrid cache mode** (Apt-Serve-style): under a configurable KV
 //!   pressure threshold, a running request hit by out-of-memory growth
-//!   is demoted to a compact hidden-state proxy entry (a configurable
-//!   fraction of its full KV) rather than squashed outright; the proxy
-//!   is restored to full residency over PCIe once memory frees up.
+//!   is demoted to a compact hidden-state proxy entry (`PROXY_RATIO`,
+//!   1/8 of its full KV) rather than squashed outright; the proxy is
+//!   restored to full residency over PCIe once memory frees up.
 //!
 //! Like `PredictiveSpec`, `FaultSpec` and `DispatchSpec`, the KV plane
 //! is a strict opt-in overlay: `SystemConfig.kv = None` (the default)
 //! leaves every run byte-identical to the digest-pinned oracles.
+
+/// Proxy size as a fraction of the full KV footprint it replaces
+/// (Apt-Serve's compact hidden-state entry).
+pub(crate) const PROXY_RATIO: f64 = 0.125;
+/// Maximum demoted + restoring requests held at once; beyond this the
+/// engine falls back to squashing.
+pub(crate) const MAX_PROXIES: usize = 16;
 
 /// Tuning knobs of the KV plane. `Default` arms both mechanisms with
 /// the paper-calibrated settings.
@@ -34,24 +41,16 @@ pub struct KvSpec {
     /// KV pressure (KV bytes over usable memory) at or above which
     /// demotion is preferred over squash.
     pub pressure_threshold: f64,
-    /// Proxy size as a fraction of the full KV footprint it replaces
-    /// (Apt-Serve's compact hidden-state entry).
-    pub proxy_ratio: f64,
-    /// Maximum demoted + restoring requests held at once; beyond this
-    /// the engine falls back to squashing.
-    pub max_proxies: usize,
 }
 
 impl KvSpec {
-    /// Both mechanisms armed: KV-aware admission plus hybrid demotion,
-    /// 80% pressure threshold, 1/8 proxy ratio, 16 proxies.
+    /// Both mechanisms armed: KV-aware admission plus hybrid demotion at
+    /// an 80% pressure threshold.
     pub fn new() -> Self {
         KvSpec {
             admission: true,
             hybrid: true,
             pressure_threshold: 0.80,
-            proxy_ratio: 0.125,
-            max_proxies: 16,
         }
     }
 
@@ -80,18 +79,6 @@ impl KvSpec {
         self.pressure_threshold = t;
         self
     }
-
-    /// Sets the proxy size ratio.
-    pub fn with_proxy_ratio(mut self, r: f64) -> Self {
-        self.proxy_ratio = r;
-        self
-    }
-
-    /// Sets the proxy population cap.
-    pub fn with_max_proxies(mut self, n: usize) -> Self {
-        self.max_proxies = n;
-        self
-    }
 }
 
 impl Default for KvSpec {
@@ -109,8 +96,7 @@ mod tests {
         let s = KvSpec::new();
         assert!(s.admission && s.hybrid);
         assert!(s.pressure_threshold > 0.0 && s.pressure_threshold <= 1.0);
-        assert!(s.proxy_ratio > 0.0 && s.proxy_ratio < 1.0);
-        assert!(s.max_proxies > 0);
+        const { assert!(PROXY_RATIO > 0.0 && PROXY_RATIO < 1.0 && MAX_PROXIES > 0) };
         assert_eq!(KvSpec::default(), s);
     }
 
@@ -125,13 +111,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let s = KvSpec::admission_only()
-            .with_pressure_threshold(0.5)
-            .with_proxy_ratio(0.25)
-            .with_max_proxies(4);
+        let s = KvSpec::admission_only().with_pressure_threshold(0.5);
         assert!(s.admission && !s.hybrid);
         assert_eq!(s.pressure_threshold, 0.5);
-        assert_eq!(s.proxy_ratio, 0.25);
-        assert_eq!(s.max_proxies, 4);
     }
 }

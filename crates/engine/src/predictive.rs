@@ -1,35 +1,26 @@
 //! Configuration of the cluster-level predictive control plane.
 //!
 //! Chameleon's §4.2 thesis — act *before* load lands — applied to the
-//! cluster layer. Two mechanisms, switchable individually and both off
-//! by default (the control plane is a strict opt-in overlay; with it
-//! disabled every cluster run is byte-identical to the reactive stack):
+//! cluster's autoscaler. The plane is a strict opt-in overlay: with it
+//! disabled every cluster run is byte-identical to the reactive stack.
 //!
-//! * **SLO- and forecast-driven autoscaling** — per-engine
-//!   TTFT-violation estimates (the SLO signal, configured on
-//!   [`AutoscalerConfig::ttft_slo`]) and the predicted-arrivals count
-//!   over the controller's evaluation interval (see [`ForecastSignal`];
-//!   the coordinator feeds a [`HistogramLoadPredictor`] from
-//!   dispatch-time arrivals) both fold into the scale-up decision, so the
-//!   fleet grows on estimated or forecast pressure rather than on
-//!   realised queue depth.
-//! * **Shard handoff** — when the autoscaler drains an engine, or a crash
-//!   retires one, the departing shard's resident adapters are pushed into
-//!   the survivors' caches through their PCIe links (cost-modelled warm
-//!   transfers) instead of being reloaded on demand after the first
-//!   post-departure miss.
+//! Per-engine TTFT-violation estimates (the SLO signal, configured on
+//! [`AutoscalerConfig::ttft_slo`]) and the predicted-arrivals count over
+//! the controller's evaluation interval (see [`ForecastSignal`]; the
+//! coordinator feeds a [`HistogramLoadPredictor`] from dispatch-time
+//! arrivals) both fold into the scale-up decision, so the fleet grows on
+//! estimated or forecast pressure rather than on realised queue depth.
 //!
-//! Every predictor update and handoff happens at a coordinator barrier,
-//! so every predictive configuration stays bit-identical between serial
-//! and parallel cluster execution.
+//! Every predictor update happens at a coordinator barrier, so every
+//! predictive configuration stays bit-identical between serial and
+//! parallel cluster execution.
 //!
 //! [`HistogramLoadPredictor`]: chameleon_predictor::HistogramLoadPredictor
 //! [`ForecastSignal`]: crate::autoscaler::ForecastSignal
 //! [`AutoscalerConfig::ttft_slo`]: crate::autoscaler::AutoscalerConfig::ttft_slo
 
 /// Switches of the predictive control plane. Construct with
-/// [`PredictiveSpec::new`] (everything enabled) and switch individual
-/// mechanisms off, or start from [`PredictiveSpec::handoff_only`].
+/// [`PredictiveSpec::new`] (both signals enabled) and switch either off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictiveSpec {
     /// Wire the run's TTFT SLO into the autoscaler as a per-engine
@@ -39,27 +30,14 @@ pub struct PredictiveSpec {
     /// Feed the predicted-arrivals signal into the autoscaler's scale-up
     /// decision.
     pub forecast_autoscale: bool,
-    /// Push a draining or crashed engine's shard into the survivors'
-    /// caches.
-    pub handoff: bool,
 }
 
 impl PredictiveSpec {
-    /// Every mechanism enabled.
+    /// Both signals enabled.
     pub fn new() -> Self {
         PredictiveSpec {
             slo_autoscale: true,
             forecast_autoscale: true,
-            handoff: true,
-        }
-    }
-
-    /// Only shard handoff (reactive controller).
-    pub fn handoff_only() -> Self {
-        PredictiveSpec {
-            slo_autoscale: false,
-            forecast_autoscale: false,
-            handoff: true,
         }
     }
 }
@@ -77,13 +55,7 @@ mod tests {
     #[test]
     fn default_enables_everything() {
         let s = PredictiveSpec::new();
-        assert!(s.slo_autoscale && s.forecast_autoscale && s.handoff);
+        assert!(s.slo_autoscale && s.forecast_autoscale);
         assert_eq!(s, PredictiveSpec::default());
-    }
-
-    #[test]
-    fn single_mechanism_constructors() {
-        let h = PredictiveSpec::handoff_only();
-        assert!(h.handoff && !h.slo_autoscale && !h.forecast_autoscale);
     }
 }

@@ -5,7 +5,7 @@
 //! transfer failures with a per-transfer probability, and delayed or
 //! failed autoscaler provisioning — plus the recovery policy knobs
 //! (failure-detection timeout, capped exponential retry backoff, retry
-//! budget, SLO-aware shedding threshold).
+//! budget, SLO-aware shedding threshold, crash-time shard recovery).
 //!
 //! Determinism is the design constraint everything here serves:
 //!
@@ -120,12 +120,16 @@ pub struct FaultSpec {
     /// Probability that a requested scale-up fails outright (the
     /// controller retries on its own cadence).
     pub provision_fail_prob: f64,
+    /// Crash-time shard recovery: warm-load a crashed engine's shard onto
+    /// the survivors that inherit it, racing the backlog's re-dispatch.
+    /// `false` (the default) leaves the survivors to load it on demand.
+    pub shard_recovery: bool,
 }
 
 impl FaultSpec {
     /// Recovery policy armed with defaults, no faults scheduled: a 100 ms
     /// failure detector, 50 ms base backoff capped at 2 s, 3 retries,
-    /// shedding and provisioning faults off.
+    /// shedding, provisioning faults and shard recovery off.
     pub fn new() -> Self {
         FaultSpec {
             seed: 0,
@@ -142,6 +146,7 @@ impl FaultSpec {
             shed_multiple: 0.0,
             provision_delay: SimDuration::ZERO,
             provision_fail_prob: 0.0,
+            shard_recovery: false,
         }
     }
 
@@ -278,6 +283,13 @@ impl FaultSpec {
         );
         self.provision_delay = delay;
         self.provision_fail_prob = fail_prob;
+        self
+    }
+
+    /// Arms crash-time shard recovery: a crashed engine's resident
+    /// adapters that homed on it are warm-loaded onto their new homes.
+    pub fn with_shard_recovery(mut self) -> Self {
+        self.shard_recovery = true;
         self
     }
 
@@ -461,7 +473,7 @@ mod tests {
         let s = FaultSpec::new();
         assert!(s.crashes.is_empty() && s.stragglers.is_empty());
         assert_eq!(s.pcie_fail_prob, 0.0);
-        assert!(!s.sheds());
+        assert!(!s.sheds() && !s.shard_recovery);
         assert_eq!(s.max_retries, 3);
         assert_eq!(FaultTimeline::compile(&s).remaining(), 0);
     }
@@ -481,7 +493,8 @@ mod tests {
             .with_detect_timeout(SimDuration::from_millis(250))
             .with_retry_policy(SimDuration::from_millis(10), SimDuration::from_secs(1), 5)
             .with_shedding(3.0)
-            .with_provisioning(SimDuration::from_secs(1), 0.25);
+            .with_provisioning(SimDuration::from_secs(1), 0.25)
+            .with_shard_recovery();
         assert_eq!(s.seed, 7);
         assert_eq!(s.crashes, vec![(1, SimTime::from_secs_f64(3.0))]);
         assert_eq!(s.stragglers.len(), 1);
@@ -490,6 +503,7 @@ mod tests {
         assert_eq!(s.max_retries, 5);
         assert!(s.sheds());
         assert_eq!(s.provision_delay, SimDuration::from_secs(1));
+        assert!(s.shard_recovery);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use chameleon_router::EngineId;
 use serde::{Deserialize, Serialize};
 
 /// Outcome counters of the predictive control plane (SLO/forecast
-/// autoscaling triggers, drain-time shard handoff). All-zero — and absent
+/// autoscaling triggers). All-zero — and absent
 /// from `canonical_text` — unless the control plane was enabled for the
 /// run: prediction is a strict opt-in overlay, and the byte-level oracles
 /// for non-predictive runs must not see these fields.
@@ -33,24 +33,12 @@ use serde::{Deserialize, Serialize};
 pub struct PredictiveStats {
     /// The control plane was active this run (gates report emission).
     pub enabled: bool,
-    /// Adapters pushed from a draining engine into survivors' caches.
-    pub handoff_adapters: u64,
-    /// Total bytes moved by drain-time shard handoff.
-    pub handoff_bytes: u64,
     /// Scale-ups fired by the per-engine TTFT-violation estimate while the
     /// queue-depth thresholds alone would have held.
     pub slo_scaleups: u64,
     /// Scale-ups fired by the predicted-arrivals signal while realised
     /// queue depth alone would have held.
     pub forecast_scaleups: u64,
-}
-
-impl PredictiveStats {
-    /// Records `adapters` adapters (`bytes` total) handed off at drain.
-    pub fn on_handoff(&mut self, adapters: u64, bytes: u64) {
-        self.handoff_adapters += adapters;
-        self.handoff_bytes += bytes;
-    }
 }
 
 /// Outcome counters of the fault-injection and recovery plane. All-zero —
@@ -358,18 +346,6 @@ mod tests {
         let s = RoutingStats::new("affinity", &ids(3));
         assert_eq!(s.predictive, PredictiveStats::default());
         assert!(!s.predictive.enabled);
-    }
-
-    #[test]
-    fn predictive_stats_count_handoffs() {
-        let mut p = PredictiveStats {
-            enabled: true,
-            ..PredictiveStats::default()
-        };
-        p.on_handoff(4, 1000);
-        p.on_handoff(1, 250);
-        assert_eq!(p.handoff_adapters, 5);
-        assert_eq!(p.handoff_bytes, 1250);
     }
 
     #[test]

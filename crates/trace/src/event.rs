@@ -126,16 +126,6 @@ pub enum TraceEvent {
         /// The draining engine.
         engine: u32,
     },
-    /// Drain-time shard handoff: the departing engine's resident adapters
-    /// were pushed to the survivors' caches.
-    Handoff {
-        /// The departing engine.
-        from: u32,
-        /// Adapters re-homed.
-        adapters: u32,
-        /// Total bytes transferred.
-        bytes: u64,
-    },
     /// The failure detector declared an engine dead, with the backlog it
     /// was holding at the time.
     EngineFailed {
@@ -274,7 +264,6 @@ impl TraceEvent {
             TraceEvent::QueueSample { .. } => "queue",
             TraceEvent::AutoscaleTrigger { .. } => "autoscale",
             TraceEvent::DrainStarted { .. } => "drain",
-            TraceEvent::Handoff { .. } => "handoff",
             TraceEvent::EngineFailed { .. } => "engine_failed",
             TraceEvent::RequestRetried { .. } => "retry",
             TraceEvent::RequestShed { .. } => "shed",
@@ -403,16 +392,6 @@ impl TaggedEvent {
             }
             TraceEvent::DrainStarted { engine } => {
                 let _ = write!(out, ",\"engine\":{engine}");
-            }
-            TraceEvent::Handoff {
-                from,
-                adapters,
-                bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"from\":{from},\"adapters\":{adapters},\"bytes\":{bytes}"
-                );
             }
             TraceEvent::EngineFailed {
                 engine,

@@ -43,4 +43,4 @@ pub use recorder::{
     AnomalyPredicate, FlightDump, FlightRecorder, RetryStormPredicate, ShedIdlePredicate,
     TtftSloPredicate,
 };
-pub use spec::TraceSpec;
+pub use spec::{TraceSpec, FLIGHT_CAPACITY, MAX_DUMPS};

@@ -2,17 +2,19 @@
 
 use chameleon_simcore::SimDuration;
 
+/// Flight-recorder ring length: the last N decisions kept per dump.
+pub const FLIGHT_CAPACITY: usize = 64;
+/// Maximum flight-recorder dumps materialised per run (firings past
+/// this still count).
+pub const MAX_DUMPS: usize = 8;
+
 /// Tracing configuration: which anomaly predicates arm the flight
-/// recorder and how much history it keeps. Tracing as a whole is opted
-/// into by the presence of this spec (`SystemConfig::trace: Option<..>`);
-/// with it absent, no layer allocates a buffer or emits an event and
-/// every run is byte-for-byte what it was before tracing existed.
+/// recorder. Tracing as a whole is opted into by the presence of this
+/// spec (`SystemConfig::trace: Option<..>`); with it absent, no layer
+/// allocates a buffer or emits an event and every run is byte-for-byte
+/// what it was before tracing existed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSpec {
-    /// Flight-recorder ring length (last N decisions per dump).
-    pub flight_capacity: usize,
-    /// Maximum dumps materialised per run (firings past this still count).
-    pub max_dumps: usize,
     /// Arm the TTFT-over-SLO predicate with this SLO.
     pub ttft_slo_trigger: Option<SimDuration>,
     /// Arm the retry-storm predicate: fires when at least `count` retries
@@ -24,22 +26,13 @@ pub struct TraceSpec {
 }
 
 impl TraceSpec {
-    /// Tracing on, flight recorder armed with no predicates: a 64-event
-    /// ring, at most 8 dumps.
+    /// Tracing on, flight recorder armed with no predicates.
     pub fn new() -> Self {
         TraceSpec {
-            flight_capacity: 64,
-            max_dumps: 8,
             ttft_slo_trigger: None,
             retry_storm_trigger: None,
             shed_idle_trigger: false,
         }
-    }
-
-    /// Overrides the ring length.
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        self.flight_capacity = capacity;
-        self
     }
 
     /// Arms the TTFT-over-SLO trigger.
@@ -77,11 +70,9 @@ mod tests {
         assert!(s.ttft_slo_trigger.is_none());
         assert!(s.retry_storm_trigger.is_none() && !s.shed_idle_trigger);
         let s = s
-            .with_flight_capacity(16)
             .with_ttft_slo_trigger(SimDuration::from_secs(1))
             .with_retry_storm_trigger(5, SimDuration::from_secs(2))
             .with_shed_idle_trigger();
-        assert_eq!(s.flight_capacity, 16);
         assert_eq!(s.ttft_slo_trigger, Some(SimDuration::from_secs(1)));
         assert_eq!(s.retry_storm_trigger, Some((5, SimDuration::from_secs(2))));
         assert!(s.shed_idle_trigger);

@@ -11,6 +11,10 @@
 //!    primary's own rack and die with it, so the survivors inherit a
 //!    deeper backlog and the shed gate trips more.
 //!
+//! Both arms arm crash-time shard recovery
+//! (`FaultSpec::with_shard_recovery`): the dead rack's shard is
+//! warm-loaded onto the engines that inherit it.
+//!
 //! A third scenario shows the partition injector: the coordinator loses
 //! sight of rack 1 for four seconds, routes around the dark rack, and
 //! re-dispatches every stranded request when the link heals — nothing
@@ -67,6 +71,7 @@ fn main() {
         FaultSpec::new()
             .with_domain_crash(1, SimTime::from_secs_f64(CRASH_AT_SECS))
             .with_shedding(16.0)
+            .with_shard_recovery()
     };
     let affine_cfg = preset::chameleon_cluster_domains(4).with_fault(fault());
     let blind_cfg = topology_blind(preset::chameleon_cluster_domains(4).with_fault(fault()));

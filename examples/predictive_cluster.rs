@@ -2,11 +2,9 @@
 //! clusters on an identical trace.
 //!
 //! **Elastic burst with drain-back** (2→4 fleet): the autoscaler grows
-//! through a 20× burst and drains back afterwards. Reactively, each drain
-//! leaves the survivors to cold-miss the migrated shard; with handoff the
-//! departing shard is pushed into the survivors' caches over their PCIe
-//! links. The full control plane additionally scales up on
-//! TTFT-violation estimates and forecast arrivals before queues back up.
+//! through a 20× burst and drains back afterwards. The full control plane
+//! additionally scales up on TTFT-violation estimates and forecast
+//! arrivals before queues back up.
 //!
 //! Run with `cargo run --release --example predictive_cluster`. The
 //! directional claims are asserted, so CI fails if prediction stops
@@ -21,13 +19,11 @@ fn show(name: &str, r: &RunReport) {
     let p = &r.routing.predictive;
     println!(
         "  {name:<22} cold-misses={:<4} hit-rate={:>5.1}% spills={:<4} p99-ttft={:.3}s \
-         handoff={} ({:.0} MB) slo-scaleups={} forecast-scaleups={}",
+         slo-scaleups={} forecast-scaleups={}",
         r.cache_stats.misses,
         r.hit_rate() * 100.0,
         r.routing.spills,
         r.p99_ttft(),
-        p.handoff_adapters,
-        p.handoff_bytes as f64 / 1e6,
         p.slo_scaleups,
         p.forecast_scaleups,
     );
@@ -48,21 +44,9 @@ fn main() {
     let mut sim = Simulation::new(elastic(None), SEED);
     let burst = workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, SEED, sim.pool());
     let reactive = sim.run(&burst);
-    let handoff = Simulation::new(elastic(Some(PredictiveSpec::handoff_only())), SEED).run(&burst);
     let full = Simulation::new(elastic(Some(PredictiveSpec::new())), SEED).run(&burst);
     show("reactive", &reactive);
-    show("handoff-only", &handoff);
     show("full control plane", &full);
-    assert!(
-        handoff.routing.predictive.handoff_adapters > 0,
-        "drain-back never handed a shard off"
-    );
-    assert!(
-        handoff.cache_stats.misses < reactive.cache_stats.misses,
-        "handoff failed to cut post-drain cold misses ({} vs {})",
-        handoff.cache_stats.misses,
-        reactive.cache_stats.misses
-    );
     assert!(
         full.cache_stats.misses < reactive.cache_stats.misses,
         "the full control plane should cut cold misses"
@@ -79,11 +63,10 @@ fn main() {
         .map(|r| r.arrival())
         .unwrap_or(SimTime::ZERO);
     println!(
-        "\n  {} requests over {:.0}s: prediction cut cold misses {} -> {} (handoff) / {} (full), P99 {:.3}s -> {:.3}s",
+        "\n  {} requests over {:.0}s: prediction cut cold misses {} -> {}, P99 {:.3}s -> {:.3}s",
         burst.len(),
         horizon.as_secs_f64(),
         reactive.cache_stats.misses,
-        handoff.cache_stats.misses,
         full.cache_stats.misses,
         reactive.p99_ttft(),
         full.p99_ttft(),

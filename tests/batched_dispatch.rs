@@ -414,12 +414,14 @@ fn canonical_and_stream(cfg: SystemConfig, seed: u64, trace_of: TraceOf) -> (Str
 /// An explicit `(1, 0)` budget is per-arrival dispatch on three fleets:
 /// the predictive affinity-4 fleet over a bursty trace, a JSQ fleet whose
 /// crash-recovery retries must each route from a fresh snapshot, and the
-/// predictive 3-rack fleet through a domain crash and a partition.
+/// 3-rack fleet with shard recovery through a domain crash and a
+/// partition.
 #[test]
 fn budget_one_is_per_arrival_dispatch() {
     let racks = FaultSpec::new()
         .with_domain_crash(0, SimTime::from_secs_f64(5.0))
-        .with_partition(1, SimTime::from_secs_f64(3.0), SimTime::from_secs_f64(6.0));
+        .with_partition(1, SimTime::from_secs_f64(3.0), SimTime::from_secs_f64(6.0))
+        .with_shard_recovery();
     let cases: [(&str, SystemConfig, TraceOf); 3] = [
         (
             "predictive-4, bursty trace",
@@ -433,7 +435,7 @@ fn budget_one_is_per_arrival_dispatch() {
             |seed, pool| workloads::splitwise(24.0, 12.0, seed, pool),
         ),
         (
-            "predictive 3-rack, domain crash + partition",
+            "3-rack, domain crash + partition",
             chaos_fleet().with_fault(racks),
             |seed, pool| workloads::splitwise(16.0, 10.0, seed, pool),
         ),

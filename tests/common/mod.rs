@@ -2,9 +2,7 @@
 //! suite uses a subset, hence the crate-level `dead_code` allowance.
 #![allow(dead_code)]
 
-use chameleon_repro::core::{
-    preset, FaultSpec, FleetSpec, PredictiveSpec, SystemConfig, TopologySpec,
-};
+use chameleon_repro::core::{preset, FaultSpec, FleetSpec, SystemConfig, TopologySpec};
 use chameleon_repro::fault::fault_roll;
 use chameleon_repro::simcore::SimTime;
 
@@ -25,22 +23,23 @@ pub fn kitchen_sink_faults() -> FaultSpec {
 
 /// Three racks of two: one crashed rack plus one partitioned rack still
 /// leaves a reachable rack, so most schedules pass the injection guards
-/// and actually land. The predictive plane warms crashed shards onto the
+/// and actually land. Pair it with a fault spec that arms shard
+/// recovery, as [`chaos_schedule`] does, to warm crashed shards onto the
 /// survivors.
 pub fn chaos_fleet() -> SystemConfig {
     preset::chameleon_cluster_partitioned(6)
-        .with_predictive(PredictiveSpec::new())
         .with_fleet(
             FleetSpec::homogeneous(6, 1).with_topology(TopologySpec::racks(&[0, 0, 1, 1, 2, 2])),
         )
         .with_label("Chameleon-DP6-Chaos")
 }
 
-/// One seeded random schedule. Streams partition the dice so adding a
-/// fault class never perturbs the draws of another.
+/// One seeded random schedule, with crashed shards warmed onto the
+/// survivors. Streams partition the dice so adding a fault class never
+/// perturbs the draws of another.
 pub fn chaos_schedule(seed: u64) -> FaultSpec {
     let roll = |stream: u64, counter: u64| fault_roll(seed, stream, counter);
-    let mut spec = FaultSpec::new().with_shedding(8.0);
+    let mut spec = FaultSpec::new().with_shedding(8.0).with_shard_recovery();
 
     // Usually a whole-domain crash somewhere mid-trace.
     let crash_rack = (roll(1, 0) * 3.0) as u32;

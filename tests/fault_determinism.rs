@@ -124,7 +124,8 @@ fn correlated_fault_runs_are_bit_identical() {
                 )
                 .with_partition(0, SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(5.0))
                 .with_domain_crash(1, SimTime::from_secs_f64(7.0))
-                .with_shedding(8.0),
+                .with_shedding(8.0)
+                .with_shard_recovery(),
         );
         let serial = run_text(cfg.clone(), ClusterExecution::Serial, seed, 24.0, 12.0);
         assert!(

@@ -17,8 +17,8 @@
 //!   and re-dispatches the stranded work, and the rack rejoins on heal.
 
 use chameleon_repro::core::{
-    preset, report::RunReport, sim::Simulation, workloads, FaultSpec, FleetSpec, PredictiveSpec,
-    SystemConfig, TopologySpec, TraceSpec,
+    preset, report::RunReport, sim::Simulation, workloads, FaultSpec, FleetSpec, SystemConfig,
+    TopologySpec, TraceSpec,
 };
 use chameleon_repro::simcore::SimTime;
 use chameleon_repro::trace::TraceEvent;
@@ -55,7 +55,8 @@ fn domain_crash_kills_every_member_and_loses_nothing() {
         .with_fault(
             FaultSpec::new()
                 .with_domain_crash(1, SimTime::from_secs_f64(10.0))
-                .with_shedding(8.0),
+                .with_shedding(8.0)
+                .with_shard_recovery(),
         )
         .with_trace(TraceSpec::new());
     let (report, offered) = run_faulted(cfg, SEED, 12.0, 25.0);
@@ -122,8 +123,9 @@ fn domain_crash_kills_every_member_and_loses_nothing() {
 }
 
 /// The domain-crash efficacy scenario on `seed`: a 2x burst over 10-20 s
-/// and a rack-1 crash mid-burst at 14 s, run with anti-affinity placement
-/// and with the topology-blind ablation on the identical trace. Returns
+/// and a rack-1 crash mid-burst at 14 s with shard recovery armed, run
+/// with anti-affinity placement and with the topology-blind ablation on
+/// the identical trace. Returns
 /// `(affine, blind, offered)` after checking conservation and that the
 /// crash took both rack members in each arm.
 fn domain_crash_arms(seed: u64) -> (RunReport, RunReport, usize) {
@@ -131,6 +133,7 @@ fn domain_crash_arms(seed: u64) -> (RunReport, RunReport, usize) {
         FaultSpec::new()
             .with_domain_crash(1, SimTime::from_secs_f64(14.0))
             .with_shedding(16.0)
+            .with_shard_recovery()
     };
     let affine_cfg = preset::chameleon_cluster_domains(4).with_fault(fault());
     let blind_cfg = without_anti_affinity(preset::chameleon_cluster_domains(4)).with_fault(fault());
@@ -285,9 +288,12 @@ fn domain_brownout_degrades_the_tail_but_loses_nothing() {
 #[test]
 fn single_rack_domain_crash_spares_the_last_engine() {
     let cfg = preset::chameleon_cluster_partitioned(2)
-        .with_predictive(PredictiveSpec::new())
         .with_fleet(FleetSpec::homogeneous(2, 1).with_topology(TopologySpec::racks(&[0, 0])))
-        .with_fault(FaultSpec::new().with_domain_crash(0, SimTime::from_secs_f64(5.0)))
+        .with_fault(
+            FaultSpec::new()
+                .with_domain_crash(0, SimTime::from_secs_f64(5.0))
+                .with_shard_recovery(),
+        )
         .with_label("Chameleon-DP2-OneRack");
     let (report, offered) = run_faulted(cfg, 3, 8.0, 12.0);
     let f = &report.routing.fault;

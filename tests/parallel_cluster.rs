@@ -124,8 +124,8 @@ fn elastic_fleet_with_mid_trace_scaling_is_bit_identical() {
 
 // ---------------------------------------------------------------------
 // Predictive control plane: every configuration must stay bit-identical
-// serial↔parallel — predictor updates, forecast signals, and drain
-// handoffs all happen at coordinator barriers.
+// serial↔parallel — predictor updates and forecast signals happen at
+// coordinator barriers.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -157,49 +157,6 @@ fn predictive_hetero_fleet_is_bit_identical_across_worker_counts() {
             assert_eq!(
                 serial, parallel,
                 "seed {seed}, {workers} workers: predictive hetero fleet diverged"
-            );
-        }
-    }
-}
-
-/// Drain handoff on the elastic scenario. The SLO and forecast
-/// autoscaler signals are left off so the controller takes the reactive
-/// decisions — which are known (asserted) to both grow *and* drain
-/// mid-trace, forcing the handoff path through the barriers.
-fn predictive_drain_cfg() -> SystemConfig {
-    elastic_cfg().with_predictive(PredictiveSpec {
-        slo_autoscale: false,
-        forecast_autoscale: false,
-        ..PredictiveSpec::new()
-    })
-}
-
-#[test]
-fn predictive_elastic_with_handoff_is_bit_identical() {
-    for seed in SEEDS {
-        let mut sim = Simulation::new(predictive_drain_cfg(), seed);
-        let trace = workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, seed, sim.pool());
-        let serial = sim.run(&trace);
-        assert!(
-            serial.routing.engines_added > 0 && serial.routing.engines_drained > 0,
-            "seed {seed}: scenario must add and drain mid-trace: {:?}",
-            serial.routing
-        );
-        let p = &serial.routing.predictive;
-        assert!(
-            p.handoff_adapters > 0,
-            "seed {seed}: handoff must fire: {p:?}"
-        );
-        let serial_text = serial.canonical_text();
-        for workers in WORKER_COUNTS {
-            let mut sim = Simulation::new(
-                predictive_drain_cfg().with_cluster_exec(ClusterExecution::Parallel { workers }),
-                seed,
-            );
-            let parallel = sim.run(&trace).canonical_text();
-            assert_eq!(
-                serial_text, parallel,
-                "seed {seed}, {workers} workers: predictive elastic run diverged"
             );
         }
     }

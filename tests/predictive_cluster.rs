@@ -2,9 +2,8 @@
 //!
 //! The opt-in oracle suite (`predictive_oracle.rs`) proves the control
 //! plane changes *nothing* when disabled; this suite proves it changes
-//! the *right things* when enabled: drain-time handoff spares survivors
-//! the migrated shard's cold misses, and the SLO/forecast autoscaler
-//! signals grow the fleet before queues (and P99 TTFT) blow out.
+//! the *right things* when enabled: the SLO/forecast autoscaler signals
+//! grow the fleet before queues (and P99 TTFT) blow out.
 //! Assertions are directional (counts, not floats): the scenarios are
 //! deterministic, but the claims should survive retuning.
 
@@ -31,42 +30,6 @@ fn elastic_cfg(predictive: Option<PredictiveSpec>) -> SystemConfig {
     auto.controller.scale_down_mean_queue = 0.5;
     cfg.predictive = predictive;
     cfg
-}
-
-/// Drain-time shard handoff, isolated from the other mechanisms: same
-/// trace, same scaling decisions, but each drained engine pushes its
-/// shard into the survivors — which must show up as fewer cold misses
-/// after the drains, with everything else identical.
-#[test]
-fn drain_handoff_cuts_post_drain_cold_misses() {
-    let mut sim = Simulation::new(elastic_cfg(None), SEED);
-    let trace = workloads::splitwise_bursty(4.0, 60.0, 10.0, 10.0, 20.0, SEED, sim.pool());
-    let reactive = sim.run(&trace);
-    let handoff = run(elastic_cfg(Some(PredictiveSpec::handoff_only())), &trace);
-
-    assert_eq!(reactive.completed(), trace.len());
-    assert_eq!(handoff.completed(), trace.len());
-    assert!(
-        reactive.routing.engines_drained > 0,
-        "scenario must drain mid-trace: {:?}",
-        reactive.routing
-    );
-    let p = &handoff.routing.predictive;
-    assert!(p.handoff_adapters > 0, "drains handed nothing off");
-    assert!(p.handoff_bytes > 0);
-    // Handoff-only leaves dispatch decisions alone (scaling is reactive),
-    // so the win is attributable: the survivors stop cold-missing the
-    // migrated shard.
-    assert_eq!(
-        handoff.routing.engines_drained,
-        reactive.routing.engines_drained
-    );
-    assert!(
-        handoff.cache_stats.misses < reactive.cache_stats.misses,
-        "handoff must cut post-drain cold misses: {} vs {}",
-        handoff.cache_stats.misses,
-        reactive.cache_stats.misses
-    );
 }
 
 /// The full control plane on the elastic burst: fewer cold misses than

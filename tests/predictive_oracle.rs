@@ -1,7 +1,7 @@
 //! Frozen-digest oracle suite for the cluster's opt-in planes and its
 //! dispatch paths.
 //!
-//! The control plane (SLO/forecast autoscaling, shard handoff) must be
+//! The control plane (SLO/forecast autoscaling) must be
 //! a **strict opt-in overlay**: with `PredictiveSpec` disabled (the
 //! default), every cluster run is byte-for-byte what it was before the
 //! control plane existed. The
@@ -30,7 +30,10 @@
 //! schedules were re-captured before drain-time handoff was deleted:
 //! predictive-4 and elastic-predictive with the two handoff counters cut
 //! from the `predictive` line, the chaos schedules, whose fleet armed the
-//! plane only for crash-time shard recovery, without the line.
+//! plane only for crash-time shard recovery, without the line. Deleting
+//! drain handoff and moving crash recovery onto `FaultSpec` left every
+//! one of them unchanged: elastic-predictive drains with the plane armed,
+//! but on both seeds its drains handed off nothing.
 //!
 //! If one of these tests fails, a behaviour-preserving path changed
 //! behaviour. Enabling an opt-in plane and expecting different bytes is
@@ -127,30 +130,6 @@ fn predictive_4() -> SystemConfig {
     preset::chameleon_cluster_partitioned(4)
         .with_predictive(PredictiveSpec::new())
         .with_label("Chameleon-DP4-Predictive")
-}
-
-/// `text` with the two drain-handoff counters cut from its `predictive`
-/// line, the line's format once drain-time handoff is gone.
-fn without_handoff_fields(text: &str) -> String {
-    text.lines()
-        .map(|l| match l.strip_prefix("predictive handoff_n=") {
-            Some(rest) => {
-                let at = rest.find("slo_scaleups=").expect("a full predictive line");
-                format!("predictive {}\n", &rest[at..])
-            }
-            None => format!("{l}\n"),
-        })
-        .collect()
-}
-
-/// `text` without its `predictive` line: the run of a configuration that
-/// armed the predictive plane only for crash-time shard recovery, once
-/// that recovery is armed on the fault plane instead.
-fn without_predictive_line(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.starts_with("predictive "))
-        .map(|l| format!("{l}\n"))
-        .collect()
 }
 
 fn assert_frozen(scenario: &str, seed: u64, text: &str, len: usize, fnv: u64) {
@@ -290,15 +269,14 @@ fn load_aware_routers_match_frozen_bytes() {
 }
 
 /// The predictive plane armed: on the fixed fleet it only feeds the
-/// forecaster; the elastic variant adds SLO/forecast scale-ups and
-/// drain-time handoff.
+/// forecaster; the elastic variant adds SLO/forecast scale-ups.
 #[test]
 fn predictive_fleets_match_frozen_bytes() {
     for (seed, len, fnv) in [
         (3u64, 154_833usize, 0xf679_b8e3_c18d_cf0b_u64),
         (11, 162_762, 0xc750_7174_4c7b_94d4),
     ] {
-        let text = without_handoff_fields(&run_bursty(predictive_4(), seed).0);
+        let text = run_bursty(predictive_4(), seed).0;
         assert_frozen("predictive-4", seed, &text, len, fnv);
     }
     for (seed, len, fnv) in [
@@ -306,7 +284,7 @@ fn predictive_fleets_match_frozen_bytes() {
         (11, 162_762, 0xda9c_f688_8d80_1692),
     ] {
         let cfg = tightened(preset::chameleon_cluster_elastic_predictive());
-        let text = without_handoff_fields(&run_bursty(cfg, seed).0);
+        let text = run_bursty(cfg, seed).0;
         assert_frozen("elastic-predictive", seed, &text, len, fnv);
     }
 }
@@ -327,7 +305,7 @@ fn fixed_fleet_predictive_plane_is_inert() {
             armed.lines().partition(|l| l.starts_with("predictive "));
         assert_eq!(
             predictive,
-            ["predictive handoff_n=0 handoff_bytes=0 slo_scaleups=0 forecast_scaleups=0"],
+            ["predictive slo_scaleups=0 forecast_scaleups=0"],
             "seed {seed}: the plane acted on a fixed, fault-free fleet"
         );
         assert_eq!(
@@ -363,8 +341,8 @@ fn faulted_fleets_match_frozen_bytes() {
         (11, 22110, 0xe527_024a_29f1_49d8),
     ] {
         let cfg = chaos_fleet().with_fault(chaos_schedule(seed));
-        let text = without_predictive_line(&canonical(cfg, seed, 16.0, 10.0));
-        assert_frozen("chaos schedule", seed, &text, len, fnv);
+        let text = canonical(cfg, seed, 16.0, 10.0);
+        assert_reactive_frozen("chaos schedule", seed, &text, len, fnv);
     }
 }
 
@@ -472,11 +450,32 @@ fn fault_armed_batching_matches_frozen_bytes() {
     }
 }
 
-/// A crash just after the last arrival leaves recovery re-dispatches
-/// pending while no arrival is: the pending retries alone must keep the
-/// idle survivors' periodic ticks alive until they land. Round-robin
-/// rendezvous on three engines, Splitwise at 0.5 rps, engine 0 crashed
-/// 1 ms after the last arrival with a 5 s detection timeout.
+/// `base` with engine 0 crashed 1 ms after the last arrival of
+/// Splitwise at 0.5 rps over 60 s, under a 5 s detection timeout: its
+/// recovery re-dispatches are pending while no arrival is. Returns the
+/// canonical text.
+fn crash_after_the_last_arrival(base: SystemConfig, seed: u64) -> String {
+    let pool = Simulation::new(base.clone(), seed).pool().clone();
+    let trace = workloads::splitwise(0.5, 60.0, seed, &pool);
+    let last = trace.requests().last().expect("non-empty trace").arrival();
+    let faults = FaultSpec::new()
+        .with_crash(0, last + SimDuration::from_millis(1))
+        .with_detect_timeout(SimDuration::from_secs(5));
+    run(base.with_fault(faults), seed, |_| trace).0
+}
+
+/// [`assert_reactive_frozen`] plus the run's `events=` count.
+fn assert_events_frozen(scenario: &str, seed: u64, text: &str, events: u64, len: usize, fnv: u64) {
+    assert!(
+        text.contains(&format!(" events={events}\n")),
+        "{scenario} (seed {seed}): {}",
+        text.lines().next().unwrap_or_default()
+    );
+    assert_reactive_frozen(scenario, seed, text, len, fnv);
+}
+
+/// The pending retries alone must keep the idle survivors' periodic
+/// ticks alive until they land. Round-robin rendezvous on three engines.
 #[test]
 fn crash_after_the_last_arrival_matches_frozen_bytes() {
     for (seed, events, len, fnv) in [
@@ -484,18 +483,35 @@ fn crash_after_the_last_arrival_matches_frozen_bytes() {
         (11, 1715, 6692, 0xa03f_897e_a81a_ad7a),
     ] {
         let base = preset::chameleon_cluster_rendezvous(3).with_router(RouterPolicy::RoundRobin);
-        let pool = Simulation::new(base.clone(), seed).pool().clone();
-        let trace = workloads::splitwise(0.5, 60.0, seed, &pool);
-        let last = trace.requests().last().expect("non-empty trace").arrival();
-        let faults = FaultSpec::new()
-            .with_crash(0, last + SimDuration::from_millis(1))
-            .with_detect_timeout(SimDuration::from_secs(5));
-        let (text, _) = run(base.with_fault(faults), seed, |_| trace);
-        assert!(
-            text.contains(&format!(" events={events}\n")),
-            "seed {seed}: {}",
-            text.lines().next().unwrap_or_default()
+        let text = crash_after_the_last_arrival(base, seed);
+        assert_events_frozen(
+            "crash after the last arrival",
+            seed,
+            &text,
+            events,
+            len,
+            fnv,
         );
-        assert_reactive_frozen("crash after the last arrival", seed, &text, len, fnv);
+    }
+}
+
+/// The autoscaler follows the engines' keep-alive rule: its ticks too
+/// continue until the latest pending retry is due, not only while
+/// arrivals are undispatched. The elastic preset.
+#[test]
+fn elastic_crash_after_the_last_arrival_matches_frozen_bytes() {
+    for (seed, events, len, fnv) in [
+        (3u64, 1707u64, 6601usize, 0x1b6e_f730_051f_e905_u64),
+        (11, 1315, 6632, 0x506f_fbee_df99_b821),
+    ] {
+        let text = crash_after_the_last_arrival(preset::chameleon_cluster_elastic(), seed);
+        assert_events_frozen(
+            "elastic crash after the last arrival",
+            seed,
+            &text,
+            events,
+            len,
+            fnv,
+        );
     }
 }

@@ -4,9 +4,9 @@
 //! `TraceLog` (and hence its JSONL rendering) must be **byte-identical**
 //! whether the cluster steps serially or on an epoch-synchronised worker
 //! pool, for any worker count. These tests pin that across seeds and
-//! worker counts on the fixed affinity fleet and — because autoscale,
-//! drain and handoff events ride the coordinator lane — on the elastic
-//! preset through a 20x burst.
+//! worker counts on the fixed affinity fleet and — because autoscale
+//! and drain events ride the coordinator lane — on the elastic preset
+//! through a 20x burst.
 
 use chameleon_repro::core::{
     preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, SystemConfig, TraceSpec,
@@ -92,7 +92,7 @@ fn elastic_traced_run(exec: ClusterExecution, seed: u64) -> String {
 }
 
 /// Elastic burst: the coordinator-lane events (autoscale triggers, drain
-/// starts, shard handoffs) interleave with engine-lane events in a pinned
+/// starts) interleave with engine-lane events in a pinned
 /// order that the worker pool must reproduce exactly.
 #[test]
 fn coordinator_lane_events_are_mode_invariant() {
@@ -121,7 +121,8 @@ fn correlated_fault_events_are_mode_invariant() {
         .with_fault(
             FaultSpec::new()
                 .with_partition(0, SimTime::from_secs_f64(3.0), SimTime::from_secs_f64(6.0))
-                .with_domain_crash(1, SimTime::from_secs_f64(8.0)),
+                .with_domain_crash(1, SimTime::from_secs_f64(8.0))
+                .with_shard_recovery(),
         )
         .with_trace(TraceSpec::new());
     let run = |exec: ClusterExecution| {
