@@ -32,8 +32,9 @@
 //! from the `predictive` line, the chaos schedules, whose fleet armed the
 //! plane only for crash-time shard recovery, without the line. Deleting
 //! drain handoff and moving crash recovery onto `FaultSpec` left every
-//! one of them unchanged: elastic-predictive drains with the plane armed,
-//! but on both seeds its drains handed off nothing.
+//! one of them unchanged: with the SLO and forecast signals on, the
+//! elastic-predictive fleet never drains on either seed, so handoff never
+//! ran there.
 //!
 //! If one of these tests fails, a behaviour-preserving path changed
 //! behaviour. Enabling an opt-in plane and expecting different bytes is
