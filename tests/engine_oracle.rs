@@ -6,10 +6,11 @@
 //! the paper's Chameleon system at 600 adapters (the `engine_high`
 //! benchmark system), the S-LoRA baselines (discard cache with
 //! block-on-load, folded chunked prefill, SJF), the static MLQ ablation,
-//! Chameleon with warm (predictive) prefetch, and the KV-guarded engine
-//! on a 24 GiB A40 (the `engine_kv24` benchmark system), whose traced
-//! stream carries admission refusals with their release-schedule wait
-//! estimate, demotions and restores.
+//! Chameleon with warm (predictive) prefetch, Chameleon's engine under
+//! the §5.3 comparison cache policies (LRU, GDSF, LFU, FairShare), and
+//! the KV-guarded engine on a 24 GiB A40 (the `engine_kv24` benchmark
+//! system), whose traced stream carries admission refusals with their
+//! release-schedule wait estimate, demotions and restores.
 //!
 //! Every test re-runs its scenario through the current tree and compares
 //! the `canonical_text` (or the traced JSONL) length + FNV-1a digest
@@ -19,7 +20,9 @@
 //! one of them unchanged. If one fails, a behaviour-preserving change to
 //! the engine changed behaviour.
 
-use chameleon_repro::core::{preset, sim::Simulation, workloads, KvSpec, SystemConfig, TraceSpec};
+use chameleon_repro::core::{
+    preset, sim::Simulation, workloads, CachePolicy, KvSpec, RunReport, SystemConfig, TraceSpec,
+};
 use chameleon_repro::models::GpuSpec;
 
 /// FNV-1a 64-bit over the canonical text.
@@ -32,13 +35,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `canonical_text` plus the traced decision stream as JSONL (empty for
-/// an untraced config) of `cfg` on a steady Splitwise trace.
-fn run_splitwise(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (String, String) {
+/// The report of `cfg` on a steady Splitwise trace, every request
+/// accounted for.
+fn splitwise_report(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> RunReport {
     let mut sim = Simulation::new(cfg, seed);
     let trace = workloads::splitwise(rps, secs, seed, sim.pool());
     let report = sim.run(&trace);
     report.assert_request_conservation(trace.len());
+    report
+}
+
+/// `canonical_text` plus the traced decision stream as JSONL (empty for
+/// an untraced config) of `cfg` on a steady Splitwise trace.
+fn run_splitwise(cfg: SystemConfig, seed: u64, rps: f64, secs: f64) -> (String, String) {
+    let report = splitwise_report(cfg, seed, rps, secs);
     let jsonl = report
         .trace
         .as_ref()
@@ -139,6 +149,60 @@ fn static_mlq_and_prefetch_match_frozen_bytes() {
         for (seed, (len, fnv)) in [3u64, 11].into_iter().zip(pins) {
             let text = run_splitwise(cfg.clone(), seed, 10.5, 60.0).0;
             assert_frozen(&cfg.label, seed, &text, len, fnv);
+        }
+    }
+}
+
+/// Chameleon's engine at 600 adapters under the §5.3 comparison cache
+/// policies: LRU, GDSF and LFU evict by a fixed key per idle adapter,
+/// FairShare by the equal-weight compound score. The 600 s traces cross
+/// the 300 s frequency decay, and every run must evict.
+#[test]
+fn comparison_cache_policies_match_frozen_bytes() {
+    let lfu = SystemConfig {
+        cache: CachePolicy::Lfu,
+        ..preset::chameleon()
+    }
+    .with_label("Ch-LFU");
+    let cases = [
+        (
+            preset::chameleon_lru(),
+            [
+                (1_066_094usize, 0xbeaf_3db3_ac10_8e8b_u64),
+                (1_072_205, 0x3dbd_5d65_47ab_c00f),
+            ],
+        ),
+        (
+            preset::chameleon_gdsf(),
+            [
+                (1_065_855, 0xb669_f7e4_ea1b_8de9),
+                (1_071_361, 0x0f74_d001_f17a_dffc),
+            ],
+        ),
+        (
+            lfu,
+            [
+                (1_066_264, 0x130c_4e1f_aa71_8d7a),
+                (1_071_775, 0xe915_0d80_b754_33ad),
+            ],
+        ),
+        (
+            preset::chameleon_fairshare(),
+            [
+                (1_066_999, 0x4872_8c2c_61cf_8328),
+                (1_072_733, 0x16d5_10b8_e78c_5762),
+            ],
+        ),
+    ];
+    for (cfg, pins) in cases {
+        for (seed, (len, fnv)) in [3u64, 11].into_iter().zip(pins) {
+            let report = splitwise_report(cfg.clone().with_adapters(600), seed, 10.5, 600.0);
+            assert!(
+                report.cache_stats.evictions > 0,
+                "{} (seed {seed}) never evicted",
+                cfg.label
+            );
+            assert_frozen(&cfg.label, seed, &report.canonical_text(), len, fnv);
         }
     }
 }
