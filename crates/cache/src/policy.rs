@@ -28,8 +28,6 @@ pub enum EvictionPolicy {
     Lru,
     /// Evict the least-frequently-used adapter.
     Lfu,
-    /// Evict the smallest adapter (cheapest to reload) first.
-    SizeOnly,
     /// The paper's compound score with equal weights (§5.3 "FairShare").
     FairShare,
     /// The paper's tuned compound score: F=0.45, R=0.10, S=0.45 (§4.2).
@@ -62,7 +60,6 @@ impl EvictionPolicy {
         match self {
             EvictionPolicy::Lru => "lru",
             EvictionPolicy::Lfu => "lfu",
-            EvictionPolicy::SizeOnly => "size-only",
             EvictionPolicy::FairShare => "fair-share",
             EvictionPolicy::ChameleonScore { .. } => "chameleon",
             EvictionPolicy::Gdsf => "gdsf",
@@ -70,7 +67,7 @@ impl EvictionPolicy {
     }
 
     /// The `(F, R, S)` weights of a compound (normalised) policy, `None`
-    /// for the keyed policies (LRU/LFU/size/GDSF) whose victim order
+    /// for the keyed policies (LRU/LFU/GDSF) whose victim order
     /// admits a stable per-entry key.
     pub fn compound_weights(&self) -> Option<(f64, f64, f64)> {
         match self {
@@ -106,10 +103,6 @@ impl EvictionPolicy {
             EvictionPolicy::Lfu => candidates
                 .iter()
                 .min_by_key(|c| (c.frequency, c.last_used, c.index))
-                .map(|c| c.index),
-            EvictionPolicy::SizeOnly => candidates
-                .iter()
-                .min_by_key(|c| (c.bytes, c.last_used, c.index))
                 .map(|c| c.index),
             EvictionPolicy::FairShare => {
                 let w = 1.0 / 3.0;
@@ -225,19 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn size_only_picks_smallest() {
-        let cs = [
-            cand(0, 64, 1, 90.0),
-            cand(1, 16, 9, 95.0),
-            cand(2, 128, 1, 50.0),
-        ];
-        assert_eq!(
-            EvictionPolicy::SizeOnly.pick_victim(&cs, now(), 0.0),
-            Some(1)
-        );
-    }
-
-    #[test]
     fn chameleon_prefers_evicting_small_cold_unpopular() {
         // Candidate 1 is small, old, and rarely used — the clear victim
         // under the tuned compound score.
@@ -295,7 +275,6 @@ mod tests {
         for p in [
             EvictionPolicy::Lru,
             EvictionPolicy::Lfu,
-            EvictionPolicy::SizeOnly,
             EvictionPolicy::FairShare,
             EvictionPolicy::chameleon(),
             EvictionPolicy::Gdsf,
@@ -310,7 +289,6 @@ mod tests {
         for p in [
             EvictionPolicy::Lru,
             EvictionPolicy::Lfu,
-            EvictionPolicy::SizeOnly,
             EvictionPolicy::FairShare,
             EvictionPolicy::chameleon(),
             EvictionPolicy::Gdsf,

@@ -8,12 +8,14 @@
 //! * `release` moves an adapter from in-use to cache (Chameleon) or frees
 //!   it outright (the S-LoRA discard-on-completion baseline, §2).
 //!
-//! Eviction candidates are the idle entries, indexed incrementally. The
-//! keyed policies (LRU/LFU/size/GDSF) keep them in a `BTreeSet` in victim
-//! order. The compound policies (FairShare and the §4.2 Chameleon score)
-//! have no stable order, so they keep an unordered dense table; an
-//! eviction pass scores each candidate once into a reused buffer and takes
-//! every victim by a linear min over `(score bits, id)`, with no heap.
+//! Eviction candidates are the idle entries, which every policy keeps in
+//! one unordered dense table. An eviction pass keys each unprotected
+//! candidate once into a reused buffer and takes every victim by a linear
+//! min over the keys, with no heap. A key packs the policy's sort words
+//! above the adapter id into one `u128`. The keyed policies (LRU/LFU/GDSF)
+//! sort by a fixed victim order; the compound policies (FairShare and the
+//! §4.2 Chameleon score) by their normalised score, which the pass
+//! recomputes only when a victim held a normalisation extremum.
 //!
 //! [`AdapterCache::make_room`] takes the adapters it should spare as a
 //! membership predicate, so a pass asks the caller's own table about each
@@ -25,7 +27,6 @@ use chameleon_gpu::memory::{MemoryPool, OutOfMemory, Region};
 use chameleon_models::{AdapterId, AdapterSpec};
 use chameleon_simcore::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Aggregate cache statistics (Figure 14 and §5.3 report these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,81 +93,34 @@ struct Entry {
     last_used: SimTime,
     frequency: u32,
     ref_count: u32,
-    /// Position in the dense idle table while idle under a compound
-    /// policy; unused otherwise.
+    /// Position in the dense idle table while idle; unused otherwise.
     idle_pos: u32,
 }
 
-/// An idle entry's key in the keyed policies' BTree: two policy-derived
-/// sort words plus the adapter id as the final, deterministic tie-break.
-/// LRU/LFU/size/GDSF victim choice admits a stable per-entry key, so the
-/// BTree's first non-protected element *is* the victim.
-type IdleKey = (u64, u64, AdapterId);
+/// A candidate's eviction key, smallest evicted first: the policy's sort
+/// words above the adapter id (see [`pack_key`]). The id breaks ties in
+/// the order [`EvictionPolicy::pick_victim`] breaks them, and makes every
+/// key distinct, so one integer comparison orders two candidates.
+type EvictKey = u128;
 
-/// The eviction-candidate index over the idle (`ref_count == 0`) entries.
-#[derive(Debug, Clone)]
-enum IdleIndex {
-    /// Keyed policies: ordered by [`idle_key`], victim first.
-    Keyed(BTreeSet<IdleKey>),
-    /// Compound policies: their scores depend on the candidate set and on
-    /// `now`, so no stable order exists and the idle set is an unordered
-    /// dense table of ids; each entry keeps its position in `idle_pos`.
-    Dense(Vec<AdapterId>),
+/// Packs an eviction key: `lead` above `word` above the adapter id.
+fn pack_key(lead: u32, word: u64, id: AdapterId) -> EvictKey {
+    u128::from(lead) << 96 | u128::from(word) << 32 | u128::from(id.0)
 }
 
-impl IdleIndex {
-    fn for_policy(policy: EvictionPolicy) -> Self {
-        if policy.compound_weights().is_some() {
-            IdleIndex::Dense(Vec::new())
-        } else {
-            IdleIndex::Keyed(BTreeSet::new())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            IdleIndex::Keyed(keys) => keys.len(),
-            IdleIndex::Dense(ids) => ids.len(),
-        }
-    }
-
-    /// The indexed ids: in victim order for the keyed policies, in no
-    /// particular (but deterministic) order for the compound ones.
-    fn ids(&self) -> impl Iterator<Item = AdapterId> + '_ {
-        let (keyed, dense) = match self {
-            IdleIndex::Keyed(keys) => (Some(keys.iter().map(|&(.., id)| id)), None),
-            IdleIndex::Dense(ids) => (None, Some(ids.iter().copied())),
-        };
-        keyed
-            .into_iter()
-            .flatten()
-            .chain(dense.into_iter().flatten())
-    }
-}
-
-fn idle_key(policy: EvictionPolicy, id: AdapterId, e: &Entry) -> IdleKey {
+/// The fixed victim-order key of a keyed policy (LRU/LFU/GDSF): the
+/// order [`EvictionPolicy::pick_victim`] ranks candidates in.
+fn keyed_key(policy: EvictionPolicy, id: AdapterId, c: &Candidate) -> EvictKey {
     match policy {
-        EvictionPolicy::Lru => (e.last_used.as_nanos(), 0, id),
-        EvictionPolicy::Lfu => (u64::from(e.frequency), e.last_used.as_nanos(), id),
-        EvictionPolicy::SizeOnly => (e.bytes, e.last_used.as_nanos(), id),
+        EvictionPolicy::Lru => pack_key(0, c.last_used.as_nanos(), id),
+        EvictionPolicy::Lfu => pack_key(c.frequency, c.last_used.as_nanos(), id),
         // The GDSF aging floor is added uniformly to every candidate, so
         // ordering by the floor-free base score is ordering by full score.
         // Base scores are finite and non-negative, making the IEEE-754 bit
         // pattern order-preserving as a u64.
-        EvictionPolicy::Gdsf => {
-            let base = EvictionPolicy::gdsf_score(
-                &Candidate {
-                    index: 0,
-                    bytes: e.bytes,
-                    frequency: e.frequency,
-                    last_used: e.last_used,
-                },
-                0.0,
-            );
-            (base.to_bits(), 0, id)
-        }
+        EvictionPolicy::Gdsf => pack_key(0, EvictionPolicy::gdsf_score(c, 0.0).to_bits(), id),
         EvictionPolicy::FairShare | EvictionPolicy::ChameleonScore { .. } => {
-            unreachable!("compound policies index idle entries densely")
+            unreachable!("compound policies key by their normalised score")
         }
     }
 }
@@ -182,8 +136,8 @@ fn resident_in(entries: &[Option<Entry>]) -> impl Iterator<Item = (AdapterId, &E
 /// The compound score of [`EvictionPolicy::pick_victim`], computed with
 /// the identical expression (term order included, so the bits match) and
 /// returned as its IEEE-754 pattern. Scores are finite and non-negative,
-/// making the bit pattern order-preserving as a `u64` — the sort key of
-/// the lazily rescored compound eviction pass.
+/// making the bit pattern order-preserving as a `u64` — the sort word of
+/// a compound policy's eviction keys.
 #[allow(clippy::too_many_arguments)]
 fn compound_score_bits(
     c: &Candidate,
@@ -214,6 +168,41 @@ fn compound_score_bits(
     (f * freq_n + r * rec_n + s * size_n).to_bits()
 }
 
+/// The normalisation extrema a compound scoring divided by: the largest
+/// frequency and size, and the oldest last use (the largest age).
+type Extrema = (f64, f64, SimTime);
+
+/// Keys every candidate of an eviction pass (adapter `ids[i]` has score
+/// inputs `cands[i]`) into `keys`, index for index. Returns the extrema a
+/// compound policy's scores were normalised by, and `None` for a keyed
+/// policy, whose keys never go stale.
+fn key_candidates(
+    policy: EvictionPolicy,
+    ids: &[AdapterId],
+    cands: &[Candidate],
+    now: SimTime,
+    keys: &mut Vec<EvictKey>,
+) -> Option<Extrema> {
+    keys.clear();
+    let pairs = ids.iter().zip(cands);
+    let Some((wf, wr, ws)) = policy.compound_weights() else {
+        keys.extend(pairs.map(|(&id, c)| keyed_key(policy, id, c)));
+        return None;
+    };
+    let max_freq = cands.iter().map(|c| c.frequency).max().unwrap_or(0) as f64;
+    let max_bytes = cands.iter().map(|c| c.bytes).max().unwrap_or(0) as f64;
+    let max_age = cands
+        .iter()
+        .map(|c| now.saturating_since(c.last_used).as_secs_f64())
+        .fold(0.0f64, f64::max);
+    let min_last = cands.iter().map(|c| c.last_used).min().unwrap_or(now);
+    keys.extend(pairs.map(|(&id, c)| {
+        let score = compound_score_bits(c, now, max_freq, max_bytes, max_age, wf, wr, ws);
+        pack_key(0, score, id)
+    }));
+    Some((max_freq, max_bytes, min_last))
+}
+
 /// The Chameleon Adapter Cache (§4.2) plus the in-use residency table.
 ///
 /// One instance exists per engine ("each LLM replica has its own local
@@ -230,21 +219,21 @@ pub struct AdapterCache {
     entries: Vec<Option<Entry>>,
     stats: CacheStats,
     gdsf_floor: f64,
-    /// Incrementally maintained eviction-candidate index over the idle
-    /// (`ref_count == 0`) entries, updated on acquire/release/insert/decay.
-    idle: IdleIndex,
-    /// Pre-index full-scan eviction: the reference path the indexed
-    /// passes are property-tested against.
+    /// Ids of the idle (`ref_count == 0`) entries, the eviction
+    /// candidates, in no particular order; each entry keeps its position
+    /// in `idle_pos`.
+    idle: Vec<AdapterId>,
+    /// Pre-index full-scan eviction: the reference path the eviction
+    /// pass is property-tested against.
     #[cfg(test)]
     full_scan_eviction: bool,
-    /// What the compound passes did, for tests that must see every branch.
+    /// What the eviction passes did, for tests that must see every branch.
     #[cfg(test)]
     compound_work: tests::CompoundWork,
-    /// Reusable per-pass scratch (compound policies + victim batching).
+    /// Reusable per-pass scratch: the candidates and their keys.
     scan_ids: Vec<AdapterId>,
     scan_cands: Vec<Candidate>,
-    scan_scores: Vec<u64>,
-    victims: Vec<AdapterId>,
+    scan_keys: Vec<EvictKey>,
     /// Decision journal for the telemetry overlay; `None` (the default)
     /// keeps the admit/evict paths free of any journalling work.
     journal: Option<Vec<CacheJournalEvent>>,
@@ -259,15 +248,14 @@ impl AdapterCache {
             entries: Vec::new(),
             stats: CacheStats::default(),
             gdsf_floor: 0.0,
-            idle: IdleIndex::for_policy(policy),
+            idle: Vec::new(),
             #[cfg(test)]
             full_scan_eviction: false,
             #[cfg(test)]
             compound_work: tests::CompoundWork::default(),
             scan_ids: Vec::new(),
             scan_cands: Vec::new(),
-            scan_scores: Vec::new(),
-            victims: Vec::new(),
+            scan_keys: Vec::new(),
             journal: None,
         }
     }
@@ -299,43 +287,27 @@ impl AdapterCache {
         self.entries.get_mut(id.0 as usize)?.as_mut()
     }
 
-    /// Adds a resident entry that just became idle to the idle index,
-    /// under its current key.
+    /// Adds a resident entry that just became idle to the idle table.
     fn index_idle(&mut self, id: AdapterId) {
         let e = self.entries[id.0 as usize]
             .as_mut()
             .expect("an indexed entry is resident");
-        match &mut self.idle {
-            IdleIndex::Keyed(keys) => {
-                keys.insert(idle_key(self.policy, id, e));
-            }
-            IdleIndex::Dense(ids) => {
-                e.idle_pos = ids.len() as u32;
-                ids.push(id);
-            }
-        }
+        e.idle_pos = self.idle.len() as u32;
+        self.idle.push(id);
     }
 
-    /// Removes an idle entry from the idle index; call before changing
-    /// anything its key reads.
+    /// Removes an idle entry from the idle table.
     fn unindex_idle(&mut self, id: AdapterId) {
-        let e = self.entries[id.0 as usize]
+        let pos = self.entries[id.0 as usize]
             .as_ref()
-            .expect("an indexed entry is resident");
-        match &mut self.idle {
-            IdleIndex::Keyed(keys) => {
-                keys.remove(&idle_key(self.policy, id, e));
-            }
-            IdleIndex::Dense(ids) => {
-                let pos = e.idle_pos as usize;
-                ids.swap_remove(pos);
-                if let Some(&moved) = ids.get(pos) {
-                    self.entries[moved.0 as usize]
-                        .as_mut()
-                        .expect("an indexed entry is resident")
-                        .idle_pos = pos as u32;
-                }
-            }
+            .expect("an indexed entry is resident")
+            .idle_pos as usize;
+        self.idle.swap_remove(pos);
+        if let Some(&moved) = self.idle.get(pos) {
+            self.entries[moved.0 as usize]
+                .as_mut()
+                .expect("an indexed entry is resident")
+                .idle_pos = pos as u32;
         }
     }
 
@@ -429,7 +401,6 @@ impl AdapterCache {
             return false;
         };
         if e.ref_count == 0 {
-            // Leaving the idle set: unindex under the *old* key.
             let bytes = e.bytes;
             self.unindex_idle(id);
             pool.transfer(Region::AdapterCache, Region::AdaptersInUse, bytes);
@@ -567,6 +538,21 @@ impl AdapterCache {
         pool.free() >= needed
     }
 
+    /// One eviction pass, for every policy. The pass collects the
+    /// unprotected idle candidates once into reusable scratch, keys each
+    /// into `scan_keys`, and takes every victim by a linear min over the
+    /// keys, whose id bits break ties in the order
+    /// [`EvictionPolicy::pick_victim`] breaks them, whatever the table
+    /// order. A keyed policy's key never changes
+    /// during a pass (the GDSF floor rises for every candidate alike). A
+    /// compound score depends on the candidate-set maxima and on `now`, so
+    /// the pass rescores lazily: a victim only invalidates the remaining
+    /// scores when it held one of the normalisation extrema (max
+    /// frequency, max bytes, or oldest use). The victim sequence is exactly
+    /// the one `pick_victim` produces (oracle tests
+    /// `prop_indexed_eviction_matches_full_scan` and
+    /// `compound_eviction_matches_full_scan_on_generated_workloads`), and
+    /// nothing allocates after warm-up.
     fn evict_pass(
         &mut self,
         pool: &mut MemoryPool,
@@ -579,72 +565,15 @@ impl AdapterCache {
             self.evict_pass_full_scan(pool, needed, now, protected);
             return;
         }
-        match self.idle {
-            IdleIndex::Keyed(_) => self.evict_pass_indexed(pool, needed, protected),
-            IdleIndex::Dense(_) => self.evict_pass_compound(pool, needed, now, protected),
-        }
-    }
-
-    /// Keyed policies: the index order *is* the victim order, so one walk
-    /// of the BTree prefix selects every victim of the pass —
-    /// O(evicted · log n) plus any protected entries skipped over.
-    fn evict_pass_indexed(
-        &mut self,
-        pool: &mut MemoryPool,
-        needed: u64,
-        protected: Option<&dyn Fn(AdapterId) -> bool>,
-    ) {
-        let mut victims = std::mem::take(&mut self.victims);
-        victims.clear();
-        let mut projected_free = pool.free();
-        for id in self.idle.ids() {
-            if projected_free >= needed {
-                break;
-            }
-            if protected.is_none_or(|p| !p(id)) {
-                projected_free += self.entry(id).expect("indexed entry is resident").bytes;
-                victims.push(id);
-            }
-        }
-        for id in victims.drain(..) {
-            self.evict_one(pool, id);
-        }
-        self.victims = victims;
-    }
-
-    /// Compound (normalised) policies: scores depend on the candidate-set
-    /// maxima and on `now`, so no stable across-call key exists. The pass
-    /// builds the candidate set once from the dense idle table into
-    /// reusable scratch, scores every candidate into `scan_scores`, and
-    /// takes each victim by a linear min over `(score bits, id)` — the
-    /// order [`EvictionPolicy::pick_victim`] breaks ties in, whatever the
-    /// table order. It rescores lazily: a victim only invalidates the
-    /// remaining scores when it held one of the normalisation extrema (max
-    /// frequency, max bytes, or oldest use). The victim sequence is exactly
-    /// the one `pick_victim` produces (oracle tests
-    /// `prop_indexed_eviction_matches_full_scan` and
-    /// `compound_eviction_matches_full_scan_on_generated_workloads`), and
-    /// nothing allocates after warm-up.
-    fn evict_pass_compound(
-        &mut self,
-        pool: &mut MemoryPool,
-        needed: u64,
-        now: SimTime,
-        protected: Option<&dyn Fn(AdapterId) -> bool>,
-    ) {
         if pool.free() >= needed {
             return;
         }
-        let (wf, wr, ws) = self
-            .policy
-            .compound_weights()
-            .expect("compound eviction pass requires a compound policy");
         let mut ids = std::mem::take(&mut self.scan_ids);
         let mut cands = std::mem::take(&mut self.scan_cands);
-        let mut scores = std::mem::take(&mut self.scan_scores);
+        let mut keys = std::mem::take(&mut self.scan_keys);
         ids.clear();
         cands.clear();
-        for id in self.idle.ids() {
+        for &id in &self.idle {
             if protected.is_none_or(|p| !p(id)) {
                 let e = self.entry(id).expect("indexed entry is resident");
                 cands.push(Candidate {
@@ -660,39 +589,27 @@ impl AdapterCache {
         let (mut victims, mut scorings) = (0u64, 0u64);
         #[cfg(test)]
         self.compound_work.note_skipped(self.idle.len() - ids.len());
-        // Normalisation state of the current scores:
-        // (max_freq, max_bytes, min_last); `None` forces a rescore.
-        let mut norm: Option<(f64, f64, SimTime)> = None;
+        // Whether `keys` holds every candidate's current key, and the
+        // normalisation extrema of the last compound scoring.
+        let mut keyed = false;
+        let mut extrema = None;
         while pool.free() < needed && !cands.is_empty() {
-            let (max_freq, max_bytes, min_last) = match norm {
-                Some(n) => n,
-                None => {
-                    let max_freq = cands.iter().map(|c| c.frequency).max().unwrap_or(0) as f64;
-                    let max_bytes = cands.iter().map(|c| c.bytes).max().unwrap_or(0) as f64;
-                    let max_age = cands
-                        .iter()
-                        .map(|c| now.saturating_since(c.last_used).as_secs_f64())
-                        .fold(0.0f64, f64::max);
-                    let min_last = cands.iter().map(|c| c.last_used).min().unwrap_or(now);
-                    scores.clear();
-                    scores.extend(cands.iter().map(|c| {
-                        compound_score_bits(c, now, max_freq, max_bytes, max_age, wf, wr, ws)
-                    }));
-                    #[cfg(test)]
-                    {
-                        scorings += 1;
-                    }
-                    let n = (max_freq, max_bytes, min_last);
-                    norm = Some(n);
-                    n
+            if !keyed {
+                extrema = key_candidates(self.policy, &ids, &cands, now, &mut keys);
+                keyed = true;
+                #[cfg(test)]
+                {
+                    scorings += 1;
                 }
-            };
-            let pos = (0..cands.len())
-                .min_by_key(|&i| (scores[i], ids[i]))
+            }
+            let (pos, _) = keys
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, key)| key)
                 .expect("candidates are non-empty");
             let victim = cands.swap_remove(pos);
             let victim_id = ids.swap_remove(pos);
-            scores.swap_remove(pos);
+            keys.swap_remove(pos);
             self.evict_one(pool, victim_id);
             #[cfg(test)]
             {
@@ -700,18 +617,17 @@ impl AdapterCache {
             }
             // Remaining scores stay exact unless the victim defined one of
             // the normalisation extrema.
-            if victim.frequency as f64 == max_freq
-                || victim.bytes as f64 == max_bytes
-                || victim.last_used == min_last
-            {
-                norm = None;
+            if let Some((max_freq, max_bytes, min_last)) = extrema {
+                keyed = victim.frequency as f64 != max_freq
+                    && victim.bytes as f64 != max_bytes
+                    && victim.last_used != min_last;
             }
         }
         #[cfg(test)]
         self.compound_work.note_pass(victims, scorings);
         self.scan_ids = ids;
         self.scan_cands = cands;
-        self.scan_scores = scores;
+        self.scan_keys = keys;
     }
 
     /// The pre-index reference: rebuild the candidate list from the entry
@@ -793,26 +709,13 @@ impl AdapterCache {
         for e in self.entries.iter_mut().flatten() {
             e.frequency /= 2;
         }
-        // Frequency participates in the LFU/GDSF index keys: rebuild.
-        if let IdleIndex::Keyed(keys) = &mut self.idle {
-            if matches!(self.policy, EvictionPolicy::Lfu | EvictionPolicy::Gdsf) {
-                keys.clear();
-                let policy = self.policy;
-                keys.extend(
-                    resident_in(&self.entries)
-                        .filter(|(_, e)| e.ref_count == 0)
-                        .map(|(id, e)| idle_key(policy, id, e)),
-                );
-            }
-        }
     }
 
-    /// Ids of all idle (evictable) adapters (no allocation — callers that
-    /// need a `Vec` collect explicitly): in victim order under the keyed
-    /// policies, in no particular but deterministic order under the
-    /// compound ones.
+    /// Ids of all idle (evictable) adapters, in no particular but
+    /// deterministic order (no allocation — callers that need a `Vec`
+    /// collect explicitly).
     pub fn idle_adapters(&self) -> impl Iterator<Item = AdapterId> + '_ {
-        self.idle.ids()
+        self.idle.iter().copied()
     }
 
     /// Iterates over every resident adapter (idle or in use), in id
@@ -821,28 +724,22 @@ impl AdapterCache {
         resident_in(&self.entries).map(|(id, _)| id)
     }
 
-    /// Asserts the idle index mirrors the entry table exactly (test/debug
+    /// Asserts the idle table mirrors the entry table exactly (test/debug
     /// hook for the index-maintenance invariant): every idle entry is
-    /// indexed once, under its current key or at the position it records.
+    /// indexed once, at the position it records.
     #[doc(hidden)]
     pub fn assert_index_consistent(&self) {
         let idle_entries = resident_in(&self.entries)
             .filter(|(_, e)| e.ref_count == 0)
             .count();
         assert_eq!(self.idle.len(), idle_entries, "idle index out of sync");
-        for (pos, id) in self.idle.ids().enumerate() {
+        for (pos, &id) in self.idle.iter().enumerate() {
             let e = self.entry(id).expect("indexed entry exists");
             assert_eq!(e.ref_count, 0, "{id} indexed while referenced");
-            match &self.idle {
-                IdleIndex::Keyed(keys) => assert!(
-                    keys.contains(&idle_key(self.policy, id, e)),
-                    "{id} indexed under a stale key"
-                ),
-                IdleIndex::Dense(_) => assert_eq!(
-                    e.idle_pos as usize, pos,
-                    "{id} records a stale idle position"
-                ),
-            }
+            assert_eq!(
+                e.idle_pos as usize, pos,
+                "{id} records a stale idle position"
+            );
         }
     }
 }
@@ -1253,19 +1150,19 @@ mod tests {
             }
         }
 
-        /// Oracle for the indexed eviction: under random workloads, every
-        /// policy's indexed path picks the exact victim sequence of the
-        /// pre-index full-scan path. Divergence in any single pick makes
-        /// the resident sets (and eviction statistics) drift apart.
+        /// Oracle for the eviction pass: under random workloads, every
+        /// policy's pass over the idle table picks the exact victim
+        /// sequence of the pre-index full-scan path. Divergence in any
+        /// single pick makes the resident sets (and eviction statistics)
+        /// drift apart.
         #[test]
         fn prop_indexed_eviction_matches_full_scan(
-            policy_sel in 0usize..6,
+            policy_sel in 0usize..5,
             ops in proptest::collection::vec((0u32..12, 0u8..5, 1u32..5), 1..250),
         ) {
             let policy = [
                 EvictionPolicy::Lru,
                 EvictionPolicy::Lfu,
-                EvictionPolicy::SizeOnly,
                 EvictionPolicy::FairShare,
                 EvictionPolicy::chameleon(),
                 EvictionPolicy::Gdsf,
