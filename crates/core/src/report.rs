@@ -2,7 +2,6 @@
 
 use chameleon_cache::CacheStats;
 use chameleon_engine::EngineReport;
-use chameleon_gpu::pcie::TransferRecord;
 use chameleon_metrics::series::BinnedSeries;
 use chameleon_metrics::{
     KvStats, LatencySummary, MemorySample, RequestRecord, RoutingStats, SizeClass,
@@ -31,8 +30,8 @@ pub struct RunReport {
     pub pcie_total_bytes: u64,
     /// Total host-link busy time.
     pub pcie_busy: SimDuration,
-    /// Raw transfer history for binned bandwidth.
-    pub pcie_history: Vec<TransferRecord>,
+    /// Transfers over the host link.
+    pub pcie_transfers: u64,
     /// GPU memory-occupancy series (Figure 6).
     pub mem_series: Vec<MemorySample>,
     /// Squash count (§4.3.3).
@@ -102,7 +101,7 @@ impl RunReport {
             cache_stats: engine.cache_stats,
             pcie_total_bytes: engine.pcie_total_bytes,
             pcie_busy: engine.pcie_busy,
-            pcie_history: engine.pcie_history,
+            pcie_transfers: engine.pcie_transfers,
             mem_series: engine.mem_series,
             squashes: engine.squashes,
             slo,
@@ -397,7 +396,7 @@ impl RunReport {
             "pcie bytes={} busy_ns={} transfers={} squashes={}",
             self.pcie_total_bytes,
             self.pcie_busy.as_nanos(),
-            self.pcie_history.len(),
+            self.pcie_transfers,
             self.squashes
         );
         let r = &self.routing;
@@ -563,7 +562,7 @@ mod tests {
             cache_stats: CacheStats::default(),
             pcie_total_bytes: 1_000_000,
             pcie_busy: SimDuration::from_millis(10),
-            pcie_history: Vec::new(),
+            pcie_transfers: 0,
             mem_series: Vec::new(),
             squashes: 0,
             slo: SimDuration::from_secs(5),

@@ -74,12 +74,10 @@ impl Simulation {
         }
     }
 
-    /// The TTFT SLO in effect for `trace` (§5.1: configured, or 5× the
-    /// mean isolated E2E).
+    /// The TTFT SLO in effect for `trace`: 5× the mean isolated E2E
+    /// (§5.1).
     pub fn slo_for(&self, trace: &Trace) -> SimDuration {
-        self.cfg
-            .slo
-            .unwrap_or_else(|| isolated::derive_slo(&self.cost, trace))
+        isolated::derive_slo(&self.cost, trace)
     }
 
     fn build_scheduler(
@@ -213,8 +211,8 @@ impl Simulation {
                 Some(auto) => {
                     let mut controller = auto.controller.clone();
                     // The predictive SLO signal compares per-engine TTFT
-                    // violation estimates against this run's SLO (§5.1:
-                    // configured, or derived from the isolated oracle).
+                    // violation estimates against this run's SLO (§5.1,
+                    // derived from the isolated oracle).
                     if self.cfg.predictive.is_some_and(|p| p.slo_autoscale)
                         && controller.ttft_slo.is_none()
                     {

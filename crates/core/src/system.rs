@@ -5,7 +5,6 @@ use chameleon_engine::{
 };
 use chameleon_models::{GpuSpec, LlmSpec, PoolConfig, PopularityDist};
 use chameleon_router::RouterPolicy;
-use chameleon_simcore::SimDuration;
 use chameleon_trace::TraceSpec;
 
 /// Shape of one engine in a (possibly heterogeneous) fleet.
@@ -323,8 +322,6 @@ pub struct SystemConfig {
     /// The system has no output-length predictor and must provision KV
     /// memory for the worst case (S-LoRA, §5.2.1).
     pub worst_case_predictor: bool,
-    /// TTFT SLO; `None` derives 5× the mean isolated E2E latency (§5.1).
-    pub slo: Option<SimDuration>,
     /// Maximum concurrent requests per engine.
     pub max_batch_requests: usize,
     /// Decision tracing and flight-recorder configuration. `None` — the
@@ -363,7 +360,6 @@ impl SystemConfig {
             predictive_prefetch: false,
             predictor_accuracy: 0.8,
             worst_case_predictor: false,
-            slo: None,
             max_batch_requests: 256,
             trace: None,
         }

@@ -814,7 +814,7 @@ impl Engine {
             cache_stats: self.cache.stats(),
             pcie_total_bytes: self.link.total_bytes(),
             pcie_busy: self.link.total_busy(),
-            pcie_history: self.link.history().to_vec(),
+            pcie_transfers: self.link.transfers(),
             mem_series: self.mem_series,
             squashes: self.squashes,
             scheduler: self.sched.name(),

@@ -1,7 +1,6 @@
 //! Per-engine run reports.
 
 use chameleon_cache::CacheStats;
-use chameleon_gpu::pcie::TransferRecord;
 use chameleon_metrics::{KvStats, MemorySample, RequestRecord, RoutingStats};
 use chameleon_simcore::SimDuration;
 
@@ -17,8 +16,8 @@ pub struct EngineReport {
     pub pcie_total_bytes: u64,
     /// Total time the host link was busy.
     pub pcie_busy: SimDuration,
-    /// Individual transfers (for binned bandwidth series).
-    pub pcie_history: Vec<TransferRecord>,
+    /// Transfers over the host link.
+    pub pcie_transfers: u64,
     /// Memory-occupancy samples (Figure 6).
     pub mem_series: Vec<MemorySample>,
     /// Requests squashed for re-execution (§4.3.3).
@@ -62,7 +61,7 @@ impl EngineReport {
         self.cache_stats.bytes_loaded += other.cache_stats.bytes_loaded;
         self.pcie_total_bytes += other.pcie_total_bytes;
         self.pcie_busy += other.pcie_busy;
-        self.pcie_history.extend(other.pcie_history);
+        self.pcie_transfers += other.pcie_transfers;
         self.mem_series.extend(other.mem_series);
         self.squashes += other.squashes;
         self.kv.merge(&other.kv);
@@ -99,7 +98,7 @@ mod tests {
             cache_stats: CacheStats::default(),
             pcie_total_bytes: 100,
             pcie_busy: SimDuration::from_millis(5),
-            pcie_history: Vec::new(),
+            pcie_transfers: 0,
             mem_series: Vec::new(),
             squashes: squashed as u64,
             scheduler: "test",

@@ -8,7 +8,7 @@
 
 use chameleon_simcore::{SimDuration, SimTime};
 
-/// One completed (or scheduled) transfer, for bandwidth accounting.
+/// One scheduled transfer: when the copy starts and ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferRecord {
     /// When the DMA engine started copying.
@@ -43,8 +43,7 @@ pub struct PcieLink {
     busy_until: SimTime,
     total_bytes: u64,
     total_busy: SimDuration,
-    history: Vec<TransferRecord>,
-    record_history: bool,
+    transfers: u64,
 }
 
 impl PcieLink {
@@ -63,16 +62,8 @@ impl PcieLink {
             busy_until: SimTime::ZERO,
             total_bytes: 0,
             total_busy: SimDuration::ZERO,
-            history: Vec::new(),
-            record_history: true,
+            transfers: 0,
         }
-    }
-
-    /// Disables per-transfer history (long experiments that only need
-    /// aggregate bandwidth).
-    pub fn without_history(mut self) -> Self {
-        self.record_history = false;
-        self
     }
 
     /// Effective copy bandwidth in bytes/second.
@@ -106,11 +97,8 @@ impl PcieLink {
         self.busy_until = end;
         self.total_bytes += bytes;
         self.total_busy += occupancy;
-        let rec = TransferRecord { start, end, bytes };
-        if self.record_history {
-            self.history.push(rec);
-        }
-        rec
+        self.transfers += 1;
+        TransferRecord { start, end, bytes }
     }
 
     /// The instant the link next becomes idle.
@@ -153,24 +141,9 @@ impl PcieLink {
         (self.total_busy.as_secs_f64() / secs).min(1.0)
     }
 
-    /// Per-transfer history (empty if disabled).
-    pub fn history(&self) -> &[TransferRecord] {
-        &self.history
-    }
-
-    /// Bytes transferred per time bin of width `bin` over `[0, horizon]`,
-    /// attributing each transfer to the bin of its completion.
-    pub fn binned_bytes(&self, horizon: SimTime, bin: SimDuration) -> Vec<u64> {
-        assert!(!bin.is_zero(), "zero bin width");
-        let nbins = (horizon.as_nanos() / bin.as_nanos() + 1) as usize;
-        let mut out = vec![0u64; nbins];
-        for rec in &self.history {
-            let idx = (rec.end.as_nanos() / bin.as_nanos()) as usize;
-            if idx < nbins {
-                out[idx] += rec.bytes;
-            }
-        }
-        out
+    /// Transfers scheduled so far.
+    pub fn transfers(&self) -> u64 {
+        self.transfers
     }
 }
 
@@ -203,6 +176,7 @@ mod tests {
             l.queue_delay(SimTime::from_secs_f64(10.5)),
             SimDuration::from_millis(500)
         );
+        assert_eq!(l.transfers(), 3);
     }
 
     #[test]
@@ -212,24 +186,6 @@ mod tests {
         let horizon = SimTime::from_secs_f64(2.0);
         assert!((l.utilization(horizon) - 0.25).abs() < 1e-9);
         assert!((l.mean_bandwidth(horizon) - 250e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn binned_accounting() {
-        let mut l = PcieLink::new(1e9);
-        l.transfer(100, SimTime::from_secs_f64(0.2)); // ends ~0.2
-        l.transfer(200, SimTime::from_secs_f64(1.5)); // ends ~1.5
-        let bins = l.binned_bytes(SimTime::from_secs_f64(2.0), SimDuration::from_secs(1));
-        assert_eq!(bins[0], 100);
-        assert_eq!(bins[1], 200);
-    }
-
-    #[test]
-    fn history_can_be_disabled() {
-        let mut l = PcieLink::new(1e9).without_history();
-        l.transfer(100, SimTime::ZERO);
-        assert!(l.history().is_empty());
-        assert_eq!(l.total_bytes(), 100);
     }
 
     proptest! {

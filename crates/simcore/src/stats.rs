@@ -1,8 +1,8 @@
-//! Online statistics, histograms, and exact percentile extraction.
+//! Online statistics, empirical CDFs, and exact percentile extraction.
 //!
 //! The metrics layer needs three things: cheap running summaries
-//! ([`OnlineStats`]), distribution shapes ([`Histogram`], [`Ecdf`]) and the
-//! exact percentiles the paper reports ([`percentile`], P50/P99 of TTFT and
+//! ([`OnlineStats`]), the distribution shape ([`Ecdf`]) and the exact
+//! percentiles the paper reports ([`percentile`], P50/P99 of TTFT and
 //! TBT). Everything here is deterministic and allocation-light.
 
 use serde::{Deserialize, Serialize};
@@ -160,110 +160,6 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Fixed-width histogram over `[lo, hi)` with an overflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    underflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width buckets spanning
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or the range is empty/not finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "zero bins");
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range");
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            counts: vec![0; bins],
-            overflow: 0,
-            underflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else {
-            let idx = ((x - self.lo) / self.width) as usize;
-            if idx >= self.counts.len() {
-                self.overflow += 1;
-            } else {
-                self.counts[idx] += 1;
-            }
-        }
-    }
-
-    /// Total observations recorded (including under/overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Number of regular buckets.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Observations above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Observations below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Midpoint of bucket `i`.
-    pub fn bucket_mid(&self, i: usize) -> f64 {
-        self.lo + (i as f64 + 0.5) * self.width
-    }
-
-    /// Approximate quantile from bucket boundaries (upper edge of the bucket
-    /// where the cumulative count crosses `q`).
-    ///
-    /// Returns `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut acc = self.underflow;
-        if acc >= target {
-            return Some(self.lo);
-        }
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(self.lo + (i as f64 + 1.0) * self.width);
-            }
-        }
-        Some(self.lo + self.width * self.counts.len() as f64)
-    }
-}
-
 /// Empirical CDF: the `(value, fraction ≤ value)` staircase of a sample.
 ///
 /// This is the exact object plotted in Figures 7, 8 and 14 of the paper.
@@ -392,26 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        h.record(-1.0);
-        h.record(42.0);
-        assert_eq!(h.total(), 102);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(0), 10);
-        assert_eq!(h.bins(), 10);
-        assert!((h.bucket_mid(0) - 0.5).abs() < 1e-12);
-        let q = h.quantile(0.5).unwrap();
-        assert!((4.0..=6.0).contains(&q), "median bucket {q}");
-        let empty = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(empty.quantile(0.5), None);
-    }
-
-    #[test]
     fn ecdf_eval_and_quantile() {
         let e = Ecdf::from_samples(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(e.len(), 4);
@@ -438,21 +314,6 @@ mod tests {
     }
 
     proptest! {
-        /// Histogram quantile brackets the exact nearest-rank order statistic
-        /// within one bucket width (both use the ceil(q·n) rank convention).
-        #[test]
-        fn prop_histogram_quantile_close(xs in proptest::collection::vec(0.0f64..100.0, 10..500)) {
-            let mut h = Histogram::new(0.0, 100.0, 100);
-            for &x in &xs { h.record(x); }
-            let approx = h.quantile(0.99).unwrap();
-            let mut sorted = xs.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let rank = ((0.99 * sorted.len() as f64).ceil() as usize).max(1) - 1;
-            let exact = sorted[rank];
-            prop_assert!(approx >= exact - 1e-9, "approx {approx} below exact {exact}");
-            prop_assert!(approx <= exact + 1.0 + 1e-9, "approx {approx} too far above {exact}");
-        }
-
         /// ECDF eval is a valid CDF: in [0,1] and monotone.
         #[test]
         fn prop_ecdf_monotone(xs in proptest::collection::vec(-1e3f64..1e3, 1..200)) {

@@ -222,7 +222,7 @@ fn run_report(rep: EngineReport, horizon: SimTime, events: u64) -> RunReport {
         cache_stats: rep.cache_stats,
         pcie_total_bytes: rep.pcie_total_bytes,
         pcie_busy: rep.pcie_busy,
-        pcie_history: rep.pcie_history,
+        pcie_transfers: rep.pcie_transfers,
         mem_series: rep.mem_series,
         squashes: rep.squashes,
         kv: rep.kv,
