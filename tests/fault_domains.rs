@@ -12,7 +12,11 @@
 //!   (seeds 1–12), and on seed 7 it **strictly beats** it on offered-P99
 //!   TTFT and on requests lost. Seed 7 is one of 4 seeds in 1–20 where
 //!   anti-affinity is strictly better (fewer requests lost, or as many
-//!   with a lower offered-P99); the other 16 tie;
+//!   with a lower offered-P99); the other 16 tie. The seed-7 win holds
+//!   only with crash-time shard recovery armed, as these scenarios arm
+//!   it (`FaultSpec::with_shard_recovery`): without it, blind placement
+//!   reads 0.589 s offered P99 against anti-affinity's 0.705 s, with one
+//!   request lost in each arm;
 //! * a coordinator↔domain partition routes traffic around the dark rack
 //!   and re-dispatches the stranded work, and the rack rejoins on heal.
 
