@@ -43,11 +43,11 @@
 mod common;
 
 use chameleon_repro::core::{
-    preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, PredictiveSpec, RouterPolicy,
-    SystemConfig, TraceSpec,
+    preset, sim::Simulation, workloads, ClusterExecution, FaultSpec, KvSpec, PredictiveSpec,
+    RouterPolicy, SystemConfig, TraceSpec,
 };
-use chameleon_repro::models::AdapterPool;
-use chameleon_repro::simcore::SimDuration;
+use chameleon_repro::models::{AdapterPool, GpuSpec};
+use chameleon_repro::simcore::{SimDuration, SimTime};
 use chameleon_repro::workload::Trace;
 use common::{chaos_fleet, chaos_schedule, kitchen_sink_faults};
 
@@ -514,5 +514,46 @@ fn elastic_crash_after_the_last_arrival_matches_frozen_bytes() {
             len,
             fnv,
         );
+    }
+}
+
+/// The two-rack domains fleet on a tight 15 GiB A40 with the KV economy
+/// armed (demoting past half pressure), engine 1 crashed at 6 s and rack
+/// 1 cut off from 7 s to 9 s, crashed shards warmed onto the survivors.
+/// At seeds 3 and 11 the partition evacuates one demoted request from a
+/// rack-1 engine along with its running and queued work.
+fn kv_under_faults() -> SystemConfig {
+    preset::chameleon_cluster_domains(4)
+        .with_gpu(GpuSpec::a40().with_memory_bytes(15 << 30))
+        .with_kv(KvSpec::new().with_pressure_threshold(0.5))
+        .with_fault(
+            FaultSpec::new()
+                .with_crash(1, SimTime::from_secs_f64(6.0))
+                .with_partition(1, SimTime::from_secs_f64(7.0), SimTime::from_secs_f64(9.0))
+                .with_shard_recovery(),
+        )
+}
+
+/// The KV economy under a crash and a partition: the parked requests of
+/// the failed engines are extracted and re-dispatched like running ones.
+#[test]
+fn kv_economy_under_faults_matches_frozen_bytes() {
+    for (seed, len, fnv) in [
+        (3u64, 57_823usize, 0x48e4_4688_5773_fb06_u64),
+        (11, 58_833, 0x73e0_489c_e500_2d5d),
+    ] {
+        let mut sim = Simulation::new(kv_under_faults(), seed);
+        let trace = workloads::splitwise(24.0, 15.0, seed, sim.pool());
+        let report = sim.run(&trace);
+        report.assert_request_conservation(trace.len());
+        assert!(report.kv.demotions > 0, "seed {seed}: nothing was demoted");
+        let fault = &report.routing.fault;
+        assert_eq!(
+            (fault.engines_failed, fault.partitions),
+            (1, 1),
+            "seed {seed}: the crash and the partition must both land"
+        );
+        let text = report.canonical_text();
+        assert_reactive_frozen("KV economy under faults", seed, &text, len, fnv);
     }
 }
