@@ -1204,9 +1204,11 @@ impl Cluster {
 
     /// Kills engine `engine` at `t`: its shard re-homes (warm, when the
     /// fault spec arms shard recovery), its unfinished requests are
-    /// extracted for router re-dispatch after the detection timeout plus
-    /// per-request capped exponential backoff, and the corpse is retired
-    /// (the records of requests it *completed* survive into the report).
+    /// evacuated, as a partition's are, for router re-dispatch after the
+    /// detection timeout plus per-request capped exponential backoff, and
+    /// the corpse is retired at once (the records of requests it
+    /// *completed* survive into the report, which reads none of the
+    /// reservations the evacuation released).
     /// The last active engine refuses to die — a fleet never crashes to
     /// zero — and a crash aimed at an engine that already left is moot.
     fn fault_crash(&mut self, engine: u32, t: SimTime) {
@@ -1247,7 +1249,7 @@ impl Cluster {
                 self.recover_shard(victim, t);
             }
         }
-        let lost = self.slots[pos].engine.crash_unfinished();
+        let lost = self.slots[pos].engine.evacuate_unfinished(t);
         self.enqueue_victims(lost, t, None);
         self.retire_slot(pos);
     }

@@ -72,6 +72,16 @@ impl Running {
     fn finished(&self) -> bool {
         self.prefill_remaining == 0 && self.produced >= self.req.output_tokens()
     }
+
+    /// The output reservation for running this request again after a
+    /// squash or a demotion: the system has seen it produce `produced`
+    /// tokens, so at least that plus a block of headroom — otherwise an
+    /// under-predicted request would OOM and preempt again forever.
+    fn replanned_output(&self) -> u32 {
+        self.predicted_output
+            .max(self.produced + KV_BLOCK_TOKENS)
+            .min(self.req.output_tokens().max(1))
+    }
 }
 
 /// An in-flight adapter transfer.
@@ -186,49 +196,36 @@ fn release_pairs(out: &mut Releases, running: &[Running], kv: &KvAllocator, pool
 }
 
 /// A running request demoted to a compact hidden-state proxy entry
-/// (hybrid cache mode, Apt-Serve-style). Progress is frozen, the full KV
-/// blocks are released, and the scheduler quota stays charged — the
-/// request never left the system, so its eventual retirement credits the
-/// quota exactly once.
+/// (hybrid cache mode, Apt-Serve-style). Progress is frozen in `run`,
+/// whose KV sequence now holds the proxy, the full KV blocks are
+/// released, and the scheduler quota stays charged — the request never
+/// left the system, so its eventual retirement credits the quota exactly
+/// once.
 #[derive(Debug, Clone)]
 struct Demoted {
-    req: Request,
-    slot: Slot,
-    /// The request's KV sequence, holding its proxy.
-    kv: KvSeq,
-    queue_index: usize,
-    charged_tokens: u64,
-    predicted_output: u32,
-    prefill_remaining: u32,
-    produced: u32,
+    run: Running,
     /// Proxy bytes left resident (the PCIe payload of the restore).
     proxy_bytes: u64,
-    admitted_at: SimTime,
     demoted_at: SimTime,
 }
 
 /// A demoted request whose full KV is being re-materialised over PCIe;
-/// it rejoins the running batch when the transfer lands.
+/// it rejoins the running batch when the transfer lands. The restore set
+/// `d.run.kv_reserved` to the tokens it reserved.
 #[derive(Debug, Clone)]
 struct Restoring {
     d: Demoted,
     ready_at: SimTime,
-    /// Tokens the restore reserved (input + refreshed prediction).
-    kv_reserved: u32,
 }
 
-/// What the engine is executing right now.
-#[derive(Debug, Clone)]
-enum StepPlan {
-    /// Full (or chunked) prefill: each `(slot, tokens)` processes that
-    /// many of the slot's prompt tokens.
-    Prefill { chunks: Vec<(Slot, u32)> },
-    /// One decode iteration for these requests, plus (in chunked-prefill
-    /// mode) prompt chunks folded in.
-    Decode {
-        slots: Vec<Slot>,
-        folded_prefill: Vec<(Slot, u32)>,
-    },
+/// What the engine is executing right now: `prefill` processes each
+/// `(slot, tokens)` chunk of prompt, and `decode` produces one token for
+/// each slot. A dedicated prefill iteration leaves `decode` empty; in
+/// chunked-prefill mode the chunks fold into a decode iteration.
+#[derive(Debug, Clone, Default)]
+struct StepPlan {
+    prefill: Vec<(Slot, u32)>,
+    decode: Vec<Slot>,
 }
 
 /// A record of an opportunistic bypass: `r2` jumped over a blocked head
@@ -312,8 +309,8 @@ pub struct Engine {
     prefetch_buf: Vec<AdapterId>,
     prefill_items: Vec<PrefillItem>,
     decode_batch: DecodeBatch,
-    slots_pool: Vec<Slot>,
-    folded_pool: Vec<(Slot, u32)>,
+    /// The buffers of the last finished step, refilled by the next.
+    spare_plan: StepPlan,
     pairs_scratch: Vec<BypassPair>,
     #[cfg(test)]
     residency_audit: Option<tests::ResidencyAudit>,
@@ -427,8 +424,7 @@ impl Engine {
             prefetch_buf: Vec::new(),
             prefill_items: Vec::new(),
             decode_batch: DecodeBatch::default(),
-            slots_pool: Vec::new(),
-            folded_pool: Vec::new(),
+            spare_plan: StepPlan::default(),
             pairs_scratch: Vec::new(),
             #[cfg(test)]
             residency_audit: None,
@@ -480,75 +476,22 @@ impl Engine {
         self.slowdown = factor;
     }
 
-    /// Rips every unfinished request out of a crashing engine: the queued
-    /// backlog and the running batch lose all progress, their collector
-    /// records are deleted (each will re-arrive on a surviving engine,
-    /// whose collector must register it fresh), and the requests come back
+    /// Rips every unfinished request out of the engine when the
+    /// coordinator loses it — a crash, or a network partition, after
+    /// which the engine stays up and rejoins the fleet at the heal. The
+    /// queued backlog, the running batch and the parked (demoted and
+    /// restoring) requests lose all progress, their collector records
+    /// are deleted (each will re-arrive on a surviving engine, whose
+    /// collector must register it fresh), and the requests come back
     /// sorted by `(arrival, id)` so the re-dispatch order is independent
     /// of internal container order. Records of requests the engine
-    /// *finished* before dying survive — that work really happened.
-    pub fn crash_unfinished(&mut self) -> Vec<Request> {
-        let mut queued = Vec::new();
-        self.sched.drain_queued_into(&mut queued);
-        let mut lost: Vec<Request> = queued.iter().map(|q| *q.request()).collect();
-        while let Some(last) = self.running.len().checked_sub(1) {
-            lost.push(self.take_running(last).req);
-        }
-        let parked = self.demoted.drain(..);
-        for d in parked.chain(self.restoring.drain(..).map(|r| r.d)) {
-            self.charged_total -= d.charged_tokens;
-            lost.push(d.req);
-        }
-        debug_assert_eq!(self.charged_total, 0, "a crash leaves no charge behind");
-        self.current_step = None;
-        self.loading.clear();
-        self.bypass_pairs.clear();
-        self.poke_pending = false;
-        for req in &lost {
-            self.collector.remove(req.id());
-        }
-        lost.sort_by_key(|r| (r.arrival(), r.id()));
-        lost
-    }
-
-    /// [`Engine::crash_unfinished`] for an engine that *survives* the
-    /// event — a network partition: the coordinator presumes the work
-    /// lost and re-dispatches it elsewhere, while the engine itself
-    /// stays up and rejoins the fleet at the heal. Beyond the
-    /// extraction, every reservation the unfinished work held — KV
-    /// blocks, scheduler quota, adapter-cache references, in-flight load
-    /// reservations — is released, so the survivor comes back idle and
-    /// consistent, able to admit fresh work. Events the dead work left
-    /// in flight (step or load completions) are ignored as stale when
-    /// they land.
+    /// *finished* survive — that work really happened. Every reservation
+    /// the unfinished work held — KV blocks and proxies, scheduler quota,
+    /// adapter-cache references, in-flight load reservations — is
+    /// released, so a partitioned engine comes back idle and consistent,
+    /// able to admit fresh work; events the dead work left in flight
+    /// (step or load completions) are ignored as stale when they land.
     pub fn evacuate_unfinished(&mut self, now: SimTime) -> Vec<Request> {
-        for idx in 0..self.running.len() {
-            let (seq, queue_index, charged) = {
-                let r = &self.running[idx];
-                (r.kv, r.queue_index, r.charged_tokens)
-            };
-            self.kv.free(&mut self.mem, seq);
-            self.sched.on_finish(queue_index, charged);
-        }
-        // Hybrid-cache state evacuates like running reservations: proxies
-        // are dropped, in-flight restores release the full KV they had
-        // already re-reserved, and both give their scheduler quota back.
-        for idx in 0..self.demoted.len() {
-            let (seq, queue_index, charged) = {
-                let d = &self.demoted[idx];
-                (d.kv, d.queue_index, d.charged_tokens)
-            };
-            self.kv.drop_proxy(&mut self.mem, seq);
-            self.sched.on_finish(queue_index, charged);
-        }
-        for idx in 0..self.restoring.len() {
-            let (seq, queue_index, charged) = {
-                let r = &self.restoring[idx];
-                (r.d.kv, r.d.queue_index, r.d.charged_tokens)
-            };
-            self.kv.free(&mut self.mem, seq);
-            self.sched.on_finish(queue_index, charged);
-        }
         // Cache references: a running request holds one on its adapter
         // unless it is still waiting on an in-flight load (that
         // reference would only have materialised at the LoadDone that is
@@ -558,8 +501,8 @@ impl Engine {
         let mut held: Vec<AdapterId> = self
             .running
             .iter()
+            .chain(self.restoring.iter().map(|r| &r.d.run))
             .map(|r| r.req.adapter())
-            .chain(self.restoring.iter().map(|r| r.d.req.adapter()))
             .filter(|&a| !self.loading.contains(a))
             .collect();
         held.sort_unstable();
@@ -572,7 +515,39 @@ impl Engine {
         for bytes in loads {
             self.mem.release(Region::AdaptersInUse, bytes);
         }
-        self.crash_unfinished()
+        self.loading.clear();
+        let mut queued = Vec::new();
+        self.sched.drain_queued_into(&mut queued);
+        let mut lost: Vec<Request> = queued.iter().map(|q| *q.request()).collect();
+        while let Some(last) = self.running.len().checked_sub(1) {
+            let r = self.take_running(last);
+            self.kv.free(&mut self.mem, r.kv);
+            self.sched.on_finish(r.queue_index, r.charged_tokens);
+            lost.push(r.req);
+        }
+        // Demoted requests drop their proxy; in-flight restores free the
+        // full KV they had already re-reserved.
+        let parked = self.demoted.drain(..);
+        for d in parked.chain(self.restoring.drain(..).map(|r| r.d)) {
+            if self.kv.has_proxy(d.run.kv) {
+                self.kv.drop_proxy(&mut self.mem, d.run.kv);
+            } else {
+                self.kv.free(&mut self.mem, d.run.kv);
+            }
+            self.sched
+                .on_finish(d.run.queue_index, d.run.charged_tokens);
+            self.charged_total -= d.run.charged_tokens;
+            lost.push(d.run.req);
+        }
+        debug_assert_eq!(self.charged_total, 0, "evacuation leaves no charge behind");
+        debug_assert!(self.bypass_pairs.is_empty(), "only running requests bypass");
+        self.current_step = None;
+        self.poke_pending = false;
+        for req in &lost {
+            self.collector.remove(req.id());
+        }
+        lost.sort_by_key(|r| (r.arrival(), r.id()));
+        lost
     }
 
     /// The engine's WRS configuration (used by callers for reporting).
@@ -621,11 +596,15 @@ impl Engine {
         debug_assert_eq!(
             self.charged_total,
             self.running.iter().map(|r| r.charged_tokens).sum::<u64>()
-                + self.demoted.iter().map(|d| d.charged_tokens).sum::<u64>()
+                + self
+                    .demoted
+                    .iter()
+                    .map(|d| d.run.charged_tokens)
+                    .sum::<u64>()
                 + self
                     .restoring
                     .iter()
-                    .map(|r| r.d.charged_tokens)
+                    .map(|r| r.d.run.charged_tokens)
                     .sum::<u64>(),
             "charged total out of step"
         );
@@ -902,7 +881,8 @@ impl Engine {
 
     /// Removes the request at batch position `idx` by `swap_remove`, the
     /// removal order the timeline depends on, keeping the slot table and
-    /// the per-adapter counts current.
+    /// the per-adapter counts current and dissolving the request's bypass
+    /// pair.
     fn take_running(&mut self, idx: usize) -> Running {
         let r = self.running.swap_remove(idx);
         self.batch_pos[r.slot.index()] = NOT_RUNNING;
@@ -911,7 +891,21 @@ impl Engine {
         }
         self.adapter_users[r.req.adapter().0 as usize] -= 1;
         self.charged_total -= r.charged_tokens;
+        self.bypass_pairs.retain(|p| p.r2 != r.slot);
         r
+    }
+
+    /// Gives back a preempted request's hold on `adapter`: its cache
+    /// reference, or — when the adapter is still in flight, as for a
+    /// request preempted before its prefill ever started — its place
+    /// among the load's waiters, since the reference would only have
+    /// materialised at the `LoadDone`.
+    fn drop_adapter_hold(&mut self, adapter: AdapterId, now: SimTime) {
+        if let Some(l) = self.loading.get_mut(adapter) {
+            l.waiters = l.waiters.saturating_sub(1);
+        } else {
+            self.cache.release(&mut self.mem, adapter, now);
+        }
     }
 
     fn on_load_done(&mut self, now: SimTime, id: AdapterId, out: &mut Vec<(SimTime, EngineEvent)>) {
@@ -966,28 +960,13 @@ impl Engine {
         let Some(plan) = self.current_step.take() else {
             return;
         };
-        match plan {
-            StepPlan::Prefill { chunks } => {
-                for &(slot, chunk) in &chunks {
-                    self.apply_prefill_progress(slot, chunk, now);
-                }
-                // Return the plan's buffer to the pool for the next step.
-                self.folded_pool = chunks;
-            }
-            StepPlan::Decode {
-                slots,
-                folded_prefill,
-            } => {
-                for &(slot, chunk) in &folded_prefill {
-                    self.apply_prefill_progress(slot, chunk, now);
-                }
-                for &slot in &slots {
-                    self.apply_decode_progress(slot, now);
-                }
-                self.slots_pool = slots;
-                self.folded_pool = folded_prefill;
-            }
+        for &(slot, chunk) in &plan.prefill {
+            self.apply_prefill_progress(slot, chunk, now);
         }
+        for &slot in &plan.decode {
+            self.apply_decode_progress(slot, now);
+        }
+        self.spare_plan = plan;
         self.retire_finished(now);
         self.try_dispatch(now, out);
         self.prefetch(now, out);
@@ -1029,12 +1008,21 @@ impl Engine {
         self.collector.on_token(slot, now);
         self.work.tokens_applied += 1;
         if needed > reserved && !self.ensure_kv_growth(slot, now) {
-            // OOM during decode: with the hybrid cache armed and pressure
-            // past the threshold, demote the youngest running request to a
-            // compact hidden-state proxy; otherwise squash it outright
+            // OOM during decode: preempt the youngest other running
+            // request — demoted to a compact hidden-state proxy when the
+            // hybrid cache allows it, squashed outright otherwise
             // (recompute-style preemption).
-            if !self.try_demote_youngest_except(slot, now) {
-                self.squash_youngest_except(slot, now);
+            let youngest = self
+                .running
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.slot != slot)
+                .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
+                .map(|(i, _)| i);
+            if let Some(idx) = youngest {
+                if !self.try_demote(idx, now) {
+                    self.squash(idx, now);
+                }
             }
             // Retry; if it still fails the request stalls one token —
             // growth will be retried next iteration.
@@ -1057,12 +1045,12 @@ impl Engine {
     }
 
     /// Hybrid cache mode (Apt-Serve): under KV pressure, demotes the
-    /// youngest running request (except `keep`) to a compact proxy entry
+    /// running request at batch position `idx` to a compact proxy entry
     /// instead of squashing it. The victim's full blocks free, a
     /// [`PROXY_RATIO`] fraction stays resident, and the scheduler quota
     /// stays charged — retirement after restore credits it exactly once.
     /// Returns whether a demotion happened.
-    fn try_demote_youngest_except(&mut self, keep: Slot, now: SimTime) -> bool {
+    fn try_demote(&mut self, idx: usize, now: SimTime) -> bool {
         let Some(spec) = self.kv_spec else {
             return false;
         };
@@ -1072,51 +1060,24 @@ impl Engine {
         {
             return false;
         }
-        let Some(idx) = self
-            .running
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.slot != keep)
-            .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
-            .map(|(i, _)| i)
-        else {
-            return false;
-        };
-        let r = self.take_running(idx);
-        let id = r.req.id();
-        let (full, proxy) = self.kv.demote(&mut self.mem, r.kv, PROXY_RATIO);
-        // Adapter reference: same discipline as squash — the adapter may
-        // still be in flight, in which case the waiter is dropped instead
-        // of a cache reference that does not exist yet.
-        if let Some(l) = self.loading.get_mut(r.req.adapter()) {
-            l.waiters = l.waiters.saturating_sub(1);
-        } else {
-            self.cache.release(&mut self.mem, r.req.adapter(), now);
-        }
-        self.bypass_pairs.retain(|p| p.r2 != r.slot);
+        let run = self.take_running(idx);
+        let (full, proxy) = self.kv.demote(&mut self.mem, run.kv, PROXY_RATIO);
+        self.drop_adapter_hold(run.req.adapter(), now);
         self.kv_stats.on_demoted(self.kv.proxy_bytes());
         if let Some(buf) = self.trace.as_mut() {
             buf.push((
                 now,
                 TraceEvent::KvDemoted {
-                    req: id.0,
+                    req: run.req.id().0,
                     full_bytes: full,
                     proxy_bytes: proxy,
                 },
             ));
         }
-        self.charged_total += r.charged_tokens;
+        self.charged_total += run.charged_tokens;
         self.demoted.push(Demoted {
-            req: r.req,
-            slot: r.slot,
-            kv: r.kv,
-            queue_index: r.queue_index,
-            charged_tokens: r.charged_tokens,
-            predicted_output: r.predicted_output,
-            prefill_remaining: r.prefill_remaining,
-            produced: r.produced,
+            run,
             proxy_bytes: proxy,
-            admitted_at: r.admitted_at,
             demoted_at: now,
         });
         true
@@ -1140,93 +1101,56 @@ impl Engine {
                 i += 1;
                 continue;
             }
-            let rst = self.restoring.remove(i);
-            self.charged_total -= rst.d.charged_tokens;
+            let Demoted {
+                run, demoted_at, ..
+            } = self.restoring.remove(i).d;
+            self.charged_total -= run.charged_tokens;
             if let Some(buf) = self.trace.as_mut() {
                 buf.push((
                     now,
                     TraceEvent::KvRestored {
-                        req: rst.d.req.id().0,
-                        kv_bytes: self.kv.bytes_for(rst.kv_reserved),
-                        stalled: now.saturating_since(rst.d.demoted_at),
+                        req: run.req.id().0,
+                        kv_bytes: self.kv.bytes_for(run.kv_reserved),
+                        stalled: now.saturating_since(demoted_at),
                     },
                 ));
             }
-            self.push_running(Running {
-                req: rst.d.req,
-                slot: rst.d.slot,
-                kv: rst.d.kv,
-                queue_index: rst.d.queue_index,
-                charged_tokens: rst.d.charged_tokens,
-                predicted_output: rst.d.predicted_output,
-                prefill_remaining: rst.d.prefill_remaining,
-                produced: rst.d.produced,
-                kv_reserved: rst.kv_reserved,
-                admitted_at: rst.d.admitted_at,
-            });
+            self.push_running(run);
         }
-        while !self.demoted.is_empty() {
-            let (kv_tokens, adapter, adapter_need) = {
-                let d = &self.demoted[0];
-                // Refresh the reservation the way squash re-annotation
-                // does: the system has seen `produced` tokens, so reserve
-                // at least that plus a block of headroom.
-                let predicted = d
-                    .predicted_output
-                    .max(d.produced + KV_BLOCK_TOKENS)
-                    .min(d.req.output_tokens().max(1));
-                let kv_tokens = d.req.input_tokens() + predicted;
-                let adapter = d.req.adapter();
-                let adapter_need =
-                    if self.cache.is_resident(adapter) || self.loading.contains(adapter) {
-                        0
-                    } else {
-                        self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0)
-                    };
-                (kv_tokens, adapter, adapter_need)
+        while let Some(d) = self.demoted.first() {
+            let kv_tokens = d.run.req.input_tokens() + d.run.replanned_output();
+            let adapter = d.run.req.adapter();
+            let adapter_need = if self.cache.is_resident(adapter) || self.loading.contains(adapter)
+            {
+                0
+            } else {
+                self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0)
             };
             let need = self.kv.bytes_for(kv_tokens) + adapter_need + 2 * self.kv.block_bytes();
             if self.mem.free() < need {
                 break;
             }
-            let d = self.demoted.remove(0);
+            let mut d = self.demoted.remove(0);
             self.kv
-                .restore(&mut self.mem, d.kv, kv_tokens)
+                .restore(&mut self.mem, d.run.kv, kv_tokens)
                 .expect("free memory checked above");
+            d.run.kv_reserved = kv_tokens;
             // The proxy → full-KV re-materialisation rides the host link
             // like any transfer.
-            let mut ready_at = self.issue_adapter_transfer(d.proxy_bytes, now);
-            // Adapter residency, exactly as admission acquires it.
-            if self.cache.acquire(&mut self.mem, adapter, now) {
-                // Hit: nothing to do.
-            } else if let Some(l) = self.loading.get_mut(adapter) {
-                l.waiters += 1;
-                ready_at = ready_at.max(l.ready_at);
-            } else {
-                self.mem
-                    .reserve(Region::AdaptersInUse, adapter_need)
-                    .expect("free memory checked above");
-                let adapter_ready = self.issue_adapter_transfer(adapter_need, now);
-                self.loading.insert(
-                    adapter,
-                    Loading {
-                        ready_at: adapter_ready,
-                        bytes: adapter_need,
-                        waiters: 1,
-                    },
-                );
-                out.push((adapter_ready, EngineEvent::LoadDone(adapter)));
-                ready_at = ready_at.max(adapter_ready);
-            }
+            let kv_ready = self.issue_adapter_transfer(d.proxy_bytes, now);
+            // Adapter residency, exactly as admission takes it. The check
+            // above covered a cold load's bytes, so a restore never evicts.
+            let hit = self.cache.acquire(&mut self.mem, adapter, now);
+            debug_assert!(self.mem.free() >= adapter_need, "a restore never evicts");
+            let ready_at = self
+                .hold_adapter(adapter, adapter_need, hit, now, out)
+                .expect("free memory checked above")
+                .max(kv_ready);
             self.kv_stats.on_restored(d.proxy_bytes);
             // Revisit this state machine when the transfer lands even if
             // no other event would fire then.
             out.push((ready_at, EngineEvent::Poke));
-            self.restoring.push(Restoring {
-                kv_reserved: kv_tokens,
-                ready_at,
-                d,
-            });
+            self.restoring.push(Restoring { d, ready_at });
         }
     }
 
@@ -1301,7 +1225,6 @@ impl Engine {
             self.cache.release(&mut self.mem, r.req.adapter(), now);
             self.sched.on_finish(r.queue_index, r.charged_tokens);
             self.completed += 1;
-            self.bypass_pairs.retain(|p| p.r2 != r.slot);
         }
     }
 
@@ -1475,7 +1398,7 @@ impl Engine {
             .expect("the engine stamps a slot on every request it queues");
         let req = *queued.request();
         let adapter = req.adapter();
-        let spec = self.pool.get(adapter).expect("known adapter").clone();
+        let bytes = self.pool.get(adapter).expect("known adapter").bytes();
         // The queues do not change within one admission, so the protected
         // set is built at most once, and only if something reads it.
         self.protected_ready = false;
@@ -1495,7 +1418,7 @@ impl Engine {
             {
                 0
             } else {
-                spec.bytes()
+                bytes
             };
             let need = kv_bytes + adapter_need;
             // Reclaimable mirrors what `make_room` can actually deliver:
@@ -1508,7 +1431,7 @@ impl Engine {
             // self-inflicted storm when the cold-load reserve fails.
             // O(1): the idle adapters' bytes are the pool's cache region.
             let own_idle = if self.cache.ref_count(adapter) == Some(0) {
-                spec.bytes()
+                bytes
             } else {
                 0
             };
@@ -1570,52 +1493,17 @@ impl Engine {
         };
 
         // 2. Adapter residency.
-        let mut load_on_path = SimDuration::ZERO;
-        let hit = match pre_acquired {
-            Some(h) => h,
-            None => self.cache.acquire(&mut self.mem, adapter, now),
+        let hit = pre_acquired.unwrap_or_else(|| self.cache.acquire(&mut self.mem, adapter, now));
+        let Some(ready_at) = self.hold_adapter(adapter, bytes, hit, now, out) else {
+            // No memory for the adapter: undo the KV reservation.
+            if self.kv_stats.enabled {
+                self.kv_stats.on_storm();
+            }
+            self.kv.free(&mut self.mem, seq);
+            self.sched.on_finish(adm.queue_index, adm.charged_tokens);
+            self.sched.requeue_front(queued.requeued_at(now));
+            return false;
         };
-        if hit {
-            // Hit: nothing to do.
-        } else if let Some(l) = self.loading.get_mut(adapter) {
-            // Already in flight (prefetch or earlier admission).
-            l.waiters += 1;
-            load_on_path = l.ready_at.saturating_since(now);
-        } else {
-            // Cold: reserve memory and start the transfer.
-            if self.mem.free() < spec.bytes() {
-                self.ensure_protected();
-                self.cache
-                    .make_room(&mut self.mem, spec.bytes(), now, &|a| {
-                        self.protected_buf.contains(a)
-                    });
-            }
-            if self
-                .mem
-                .reserve(Region::AdaptersInUse, spec.bytes())
-                .is_err()
-            {
-                // No memory for the adapter: undo the KV reservation.
-                if self.kv_stats.enabled {
-                    self.kv_stats.on_storm();
-                }
-                self.kv.free(&mut self.mem, seq);
-                self.sched.on_finish(adm.queue_index, adm.charged_tokens);
-                self.sched.requeue_front(queued.requeued_at(now));
-                return false;
-            }
-            let ready_at = self.issue_adapter_transfer(spec.bytes(), now);
-            self.loading.insert(
-                adapter,
-                Loading {
-                    ready_at,
-                    bytes: spec.bytes(),
-                    waiters: 1,
-                },
-            );
-            out.push((ready_at, EngineEvent::LoadDone(adapter)));
-            load_on_path = ready_at.saturating_since(now);
-        }
 
         // 3. Bookkeeping.
         if adm.bypassed {
@@ -1643,7 +1531,8 @@ impl Engine {
                 });
             }
         }
-        self.collector.on_admitted(slot, now, load_on_path);
+        self.collector
+            .on_admitted(slot, now, ready_at.saturating_since(now));
         self.push_running(Running {
             slot,
             kv: seq,
@@ -1659,6 +1548,62 @@ impl Engine {
         true
     }
 
+    /// Holds `adapter` for one more request once
+    /// [`AdapterCache::acquire`] answered `hit`, and returns when the
+    /// adapter is usable: `now` on a hit; the in-flight load's `ready_at`,
+    /// as one more waiter; or a cold load's, evicting idle adapters first
+    /// only when fewer than `bytes` are free. `None` when the cold load
+    /// cannot reserve its bytes.
+    fn hold_adapter(
+        &mut self,
+        adapter: AdapterId,
+        bytes: u64,
+        hit: bool,
+        now: SimTime,
+        out: &mut Vec<(SimTime, EngineEvent)>,
+    ) -> Option<SimTime> {
+        if hit {
+            return Some(now);
+        }
+        if let Some(l) = self.loading.get_mut(adapter) {
+            l.waiters += 1;
+            return Some(l.ready_at);
+        }
+        if self.mem.free() < bytes {
+            self.ensure_protected();
+            self.cache.make_room(&mut self.mem, bytes, now, &|a| {
+                self.protected_buf.contains(a)
+            });
+        }
+        self.start_load(adapter, bytes, 1, now, out)
+    }
+
+    /// Reserves `bytes` for `adapter`, starts its host→GPU transfer with
+    /// `waiters` admitted requests waiting on it, and schedules its
+    /// `LoadDone`. Returns when the adapter is usable, or `None` when the
+    /// reservation fails.
+    fn start_load(
+        &mut self,
+        adapter: AdapterId,
+        bytes: u64,
+        waiters: u32,
+        now: SimTime,
+        out: &mut Vec<(SimTime, EngineEvent)>,
+    ) -> Option<SimTime> {
+        self.mem.reserve(Region::AdaptersInUse, bytes).ok()?;
+        let ready_at = self.issue_adapter_transfer(bytes, now);
+        self.loading.insert(
+            adapter,
+            Loading {
+                ready_at,
+                bytes,
+                waiters,
+            },
+        );
+        out.push((ready_at, EngineEvent::LoadDone(adapter)));
+        Some(ready_at)
+    }
+
     /// §4.3.3 squash rule: if memory sufficient for a previously blocked
     /// request has freed while a bypasser is still running, squash the
     /// bypasser for later re-execution.
@@ -1668,8 +1613,9 @@ impl Engine {
         }
         let free_tokens = self.free_memory_bytes() / self.kv_bytes_per_token;
         // Two persistent vectors trade roles each call: `bypass_pairs` is
-        // emptied (so `squash`'s retain sees the same empty list the old
-        // `mem::take` produced), survivors accumulate in the scratch, and
+        // emptied (so a squash's retain in `take_running` sees the same
+        // empty list the old `mem::take` produced), survivors accumulate
+        // in the scratch, and
         // a final swap makes the scratch the live list — no allocation.
         let pairs = std::mem::take(&mut self.bypass_pairs);
         debug_assert!(self.pairs_scratch.is_empty());
@@ -1691,7 +1637,7 @@ impl Engine {
                     .map(|a| a.bytes() / self.kv_bytes_per_token)
                     .unwrap_or(0);
             if free_tokens + r2_frees >= pair.r1_tokens {
-                self.squash(pair.r2, now);
+                self.squash(idx, now);
             } else {
                 self.pairs_scratch.push(pair);
             }
@@ -1701,60 +1647,23 @@ impl Engine {
         self.pairs_scratch.clear();
     }
 
-    /// Squashes a running request: its generated state is discarded and it
-    /// returns to the front of its queue for re-execution.
-    fn squash(&mut self, slot: Slot, now: SimTime) {
-        let Some(idx) = self.batch_index(slot) else {
-            return;
-        };
+    /// Squashes the running request at batch position `idx`: its
+    /// generated state is discarded and it returns to the front of its
+    /// queue for re-execution.
+    fn squash(&mut self, idx: usize, now: SimTime) {
         let r = self.take_running(idx);
         self.kv.free(&mut self.mem, r.kv);
-        // The adapter may still be in flight (a request can be squashed
-        // before its prefill ever started): drop the waiter instead of
-        // releasing a cache reference that does not exist yet.
-        if let Some(l) = self.loading.get_mut(r.req.adapter()) {
-            l.waiters = l.waiters.saturating_sub(1);
-        } else {
-            self.cache.release(&mut self.mem, r.req.adapter(), now);
-        }
+        self.drop_adapter_hold(r.req.adapter(), now);
         self.sched.on_finish(r.queue_index, r.charged_tokens);
-        self.collector.on_squash(slot);
+        self.collector.on_squash(r.slot);
         self.squashes += 1;
-        // Re-annotate and requeue at the front. The system has observed the
-        // request produce `produced` tokens already, so the re-execution
-        // reserves at least that much plus a block of headroom — otherwise
-        // an under-predicted request would OOM and squash again forever.
-        let spec = self.pool.get(r.req.adapter()).expect("known").clone();
-        let predicted = r
-            .predicted_output
-            .max(r.produced + KV_BLOCK_TOKENS)
-            .min(r.req.output_tokens().max(1));
-        let wrs = self
-            .wrs_cfg
-            .compute(r.req.input_tokens(), predicted, spec.bytes());
-        let queued = QueuedRequest::new(
-            r.req,
-            predicted,
-            spec.bytes(),
-            spec.bytes() / self.kv_bytes_per_token,
-            wrs,
-            now,
-        )
-        .with_slot(slot);
-        self.sched.requeue_front(queued);
-        self.bypass_pairs.retain(|p| p.r2 != slot);
-    }
-
-    fn squash_youngest_except(&mut self, keep: Slot, now: SimTime) {
-        let youngest = self
-            .running
-            .iter()
-            .filter(|r| r.slot != keep)
-            .max_by_key(|r| (r.admitted_at, r.req.id()))
-            .map(|r| r.slot);
-        if let Some(slot) = youngest {
-            self.squash(slot, now);
-        }
+        // Re-annotate and requeue at the front.
+        let bytes = self.pool.get(r.req.adapter()).expect("known").bytes();
+        let predicted = r.replanned_output();
+        let wrs = self.wrs_cfg.compute(r.req.input_tokens(), predicted, bytes);
+        let tokens = bytes / self.kv_bytes_per_token;
+        let queued = QueuedRequest::new(r.req, predicted, bytes, tokens, wrs, now);
+        self.sched.requeue_front(queued.with_slot(r.slot));
     }
 
     /// Chooses and launches the next iteration.
@@ -1773,10 +1682,9 @@ impl Engine {
         } else {
             MAX_PREFILL_BATCH_TOKENS
         };
-        let mut chunks = std::mem::take(&mut self.folded_pool);
-        let mut slots = std::mem::take(&mut self.slots_pool);
-        chunks.clear();
-        slots.clear();
+        let mut plan = std::mem::take(&mut self.spare_plan);
+        plan.prefill.clear();
+        plan.decode.clear();
         self.prefill_items.clear();
         self.decode_batch.clear();
         let (mut prefilling, mut blocked) = (false, false);
@@ -1806,14 +1714,14 @@ impl Engine {
                 let take = r.prefill_remaining.min(budget);
                 if take > 0 {
                     budget -= take;
-                    chunks.push((r.slot, take));
+                    plan.prefill.push((r.slot, take));
                     self.prefill_items.push(PrefillItem {
                         tokens: take,
                         rank: Some(r.req.rank()),
                     });
                 }
             } else if resident && !r.finished() {
-                slots.push(r.slot);
+                plan.decode.push(r.slot);
                 self.decode_batch.push(
                     self.cost.llm(),
                     DecodeItem {
@@ -1823,20 +1731,18 @@ impl Engine {
                 );
             }
         }
-        if blocked || (!prefilling && slots.is_empty()) {
+        if blocked || (!prefilling && plan.decode.is_empty()) {
             // Waiting on a load (a LoadDone event will re-trigger
             // dispatch), or nothing executable.
-            self.folded_pool = chunks;
-            self.slots_pool = slots;
+            self.spare_plan = plan;
             return;
         }
-        let (plan, duration) = if prefilling && !chunked {
+        let duration = if prefilling && !chunked {
             // Default (LightLLM/S-LoRA-style) execution: pending prefills
             // run as a dedicated prefill iteration before decoding
             // continues.
-            self.slots_pool = slots;
-            let dur = self.cost.prefill_time(&self.prefill_items);
-            (StepPlan::Prefill { chunks }, dur)
+            plan.decode.clear();
+            self.cost.prefill_time(&self.prefill_items)
         } else {
             // One decode iteration; in Sarathi-style chunked prefill the
             // prompt chunks fold into it and their compute rides along,
@@ -1851,11 +1757,7 @@ impl Engine {
                     dur + pf.saturating_sub(overhead)
                 };
             }
-            let plan = StepPlan::Decode {
-                slots,
-                folded_prefill: chunks,
-            };
-            (plan, dur)
+            dur
         };
         // Straggler windows stretch every iteration; the healthy-path
         // branch (factor exactly 1.0) skips the multiply so arming the
@@ -1942,30 +1844,14 @@ impl Engine {
         if self.cache.is_resident(adapter) || self.loading.contains(adapter) {
             return None;
         }
-        let spec = self.pool.get(adapter)?.clone();
+        let bytes = self.pool.get(adapter)?.bytes();
         // Never evict for speculation: only genuinely free memory, with
         // headroom for a few KV blocks.
-        if self.mem.free() < spec.bytes() + WARM_LOAD_HEADROOM_BLOCKS * self.kv.block_bytes() {
+        if self.mem.free() < bytes + WARM_LOAD_HEADROOM_BLOCKS * self.kv.block_bytes() {
             return None;
         }
-        if self
-            .mem
-            .reserve(Region::AdaptersInUse, spec.bytes())
-            .is_err()
-        {
-            return None;
-        }
-        let ready_at = self.issue_adapter_transfer(spec.bytes(), now);
-        self.loading.insert(
-            adapter,
-            Loading {
-                ready_at,
-                bytes: spec.bytes(),
-                waiters: 0,
-            },
-        );
-        out.push((ready_at, EngineEvent::LoadDone(adapter)));
-        Some(spec.bytes())
+        self.start_load(adapter, bytes, 0, now, out)?;
+        Some(bytes)
     }
 }
 
@@ -2028,7 +1914,7 @@ mod tests {
             }
             self.probes += 1;
             if restoring.iter().any(|r| {
-                let a = r.d.req.adapter();
+                let a = r.d.run.req.adapter();
                 cache.is_resident(a) && !reference.contains(&a)
             }) {
                 self.restoring_only += 1;
@@ -2570,7 +2456,8 @@ mod tests {
 
     /// The charged total follows every move in and out of the running,
     /// demoted and restoring sets on a hybrid-KV run, through demotions
-    /// and landed restores, and a crash leaves none behind.
+    /// and landed restores, and the evacuation a crash or a partition
+    /// runs leaves none behind.
     #[test]
     fn charged_total_tracks_demotion_restore_and_crash() {
         let llm = LlmSpec::llama_7b();
@@ -2588,8 +2475,11 @@ mod tests {
         );
         let recomputed = |e: &Engine| {
             e.running.iter().map(|r| r.charged_tokens).sum::<u64>()
-                + e.demoted.iter().map(|d| d.charged_tokens).sum::<u64>()
-                + e.restoring.iter().map(|r| r.d.charged_tokens).sum::<u64>()
+                + e.demoted.iter().map(|d| d.run.charged_tokens).sum::<u64>()
+                + e.restoring
+                    .iter()
+                    .map(|r| r.d.run.charged_tokens)
+                    .sum::<u64>()
         };
         let mut q = chameleon_simcore::EventQueue::new();
         for r in trace.requests() {
@@ -2605,7 +2495,7 @@ mod tests {
             // Each restore started is in flight or has landed.
             let landed = e.kv_stats.restores - e.restoring.len() as u64;
             if landed > 0 && (!e.demoted.is_empty() || !e.restoring.is_empty()) {
-                assert!(!e.crash_unfinished().is_empty());
+                assert!(!e.evacuate_unfinished(t).is_empty());
                 assert_eq!(e.charged_total, 0);
                 assert_eq!(e.outstanding_tokens(), 0);
                 return;
