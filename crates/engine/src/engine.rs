@@ -251,8 +251,8 @@ pub struct Engine {
     load_predictor: HistogramLoadPredictor,
     collector: Collector,
     running: Vec<Running>,
-    /// Resource tokens charged to the running, demoted and restoring
-    /// requests, kept by every move in or out of those sets.
+    /// Resource tokens charged to the running requests, kept by
+    /// `push_running` and `take_running`.
     charged_total: u64,
     /// Position in `running` of each registered slot, `NOT_RUNNING` when
     /// the request is queued, demoted, restoring or gone. Kept current by
@@ -536,7 +536,6 @@ impl Engine {
             }
             self.sched
                 .on_finish(d.run.queue_index, d.run.charged_tokens);
-            self.charged_total -= d.run.charged_tokens;
             lost.push(d.run.req);
         }
         debug_assert_eq!(self.charged_total, 0, "evacuation leaves no charge behind");
@@ -589,33 +588,29 @@ impl Engine {
             || !self.restoring.is_empty()
     }
 
-    /// Outstanding resource tokens (running + queued) — the JSQ signal for
-    /// the cluster's global scheduler. Demoted/restoring requests keep
-    /// their charge: they never left the system.
+    /// Outstanding resource tokens (running + parked + queued) — the JSQ
+    /// signal for the cluster's global scheduler. Demoted and restoring
+    /// requests keep their charge: they never left the system. Each
+    /// queued request is priced at the running requests' mean charge
+    /// (256 tokens on an empty batch).
     pub fn outstanding_tokens(&self) -> u64 {
         debug_assert_eq!(
             self.charged_total,
-            self.running.iter().map(|r| r.charged_tokens).sum::<u64>()
-                + self
-                    .demoted
-                    .iter()
-                    .map(|d| d.run.charged_tokens)
-                    .sum::<u64>()
-                + self
-                    .restoring
-                    .iter()
-                    .map(|r| r.d.run.charged_tokens)
-                    .sum::<u64>(),
+            self.running.iter().map(|r| r.charged_tokens).sum::<u64>(),
             "charged total out of step"
         );
-        let running = self.charged_total;
-        // Queued work approximated by queue length × mean running charge.
+        let parked: u64 = self
+            .demoted
+            .iter()
+            .chain(self.restoring.iter().map(|r| &r.d))
+            .map(|d| d.run.charged_tokens)
+            .sum();
         let mean = if self.running.is_empty() {
             256
         } else {
-            running / self.running.len() as u64
+            self.charged_total / self.running.len() as u64
         };
-        running + self.sched.len() as u64 * mean
+        self.charged_total + parked + self.sched.len() as u64 * mean
     }
 
     /// Number of requests in the running batch.
@@ -1074,7 +1069,6 @@ impl Engine {
                 },
             ));
         }
-        self.charged_total += run.charged_tokens;
         self.demoted.push(Demoted {
             run,
             proxy_bytes: proxy,
@@ -1104,7 +1098,6 @@ impl Engine {
             let Demoted {
                 run, demoted_at, ..
             } = self.restoring.remove(i).d;
-            self.charged_total -= run.charged_tokens;
             if let Some(buf) = self.trace.as_mut() {
                 buf.push((
                     now,
@@ -2454,10 +2447,10 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
-    /// The charged total follows every move in and out of the running,
-    /// demoted and restoring sets on a hybrid-KV run, through demotions
-    /// and landed restores, and the evacuation a crash or a partition
-    /// runs leaves none behind.
+    /// The charged total follows every move in and out of the running
+    /// batch on a hybrid-KV run, through demotions and landed restores,
+    /// and the evacuation a crash or a partition runs leaves no charge
+    /// behind, parked requests' included.
     #[test]
     fn charged_total_tracks_demotion_restore_and_crash() {
         let llm = LlmSpec::llama_7b();
@@ -2473,14 +2466,6 @@ mod tests {
             AdapterCache::new(EvictionPolicy::chameleon()),
             WrsConfig::paper(2048.0, 1024.0, (256 << 20) as f64),
         );
-        let recomputed = |e: &Engine| {
-            e.running.iter().map(|r| r.charged_tokens).sum::<u64>()
-                + e.demoted.iter().map(|d| d.run.charged_tokens).sum::<u64>()
-                + e.restoring
-                    .iter()
-                    .map(|r| r.d.run.charged_tokens)
-                    .sum::<u64>()
-        };
         let mut q = chameleon_simcore::EventQueue::new();
         for r in trace.requests() {
             q.push(r.arrival(), EngineEvent::Arrival(*r));
@@ -2491,7 +2476,8 @@ mod tests {
             for (at, ev) in out.drain(..) {
                 q.push(at, ev);
             }
-            assert_eq!(e.charged_total, recomputed(&e), "at {t}");
+            let running: u64 = e.running.iter().map(|r| r.charged_tokens).sum();
+            assert_eq!(e.charged_total, running, "at {t}");
             // Each restore started is in flight or has landed.
             let landed = e.kv_stats.restores - e.restoring.len() as u64;
             if landed > 0 && (!e.demoted.is_empty() || !e.restoring.is_empty()) {
@@ -2502,6 +2488,32 @@ mod tests {
             }
         }
         panic!("no restore landed while another request was parked");
+    }
+
+    /// The queue is priced at the running requests' mean charge: a parked
+    /// request adds its own charge to the backlog but does not raise the
+    /// price of each queued one.
+    #[test]
+    fn outstanding_tokens_prices_the_queue_at_the_running_mean() {
+        let mut e = mk_engine();
+        e.kv_spec = Some(KvSpec::new().with_pressure_threshold(0.0));
+        for (id, adapter) in [(1, 0), (2, 1)] {
+            let req = request(id, 0.0, 16, 8, adapter);
+            let slot = install_running(&mut e, req, 16, SimTime::ZERO);
+            let mut r = e.take_running(e.batch_index(slot).expect("installed"));
+            r.charged_tokens = 100;
+            e.push_running(r);
+        }
+        assert!(e.try_demote(1, SimTime::from_secs_f64(1.0)));
+        for id in [3, 4] {
+            let req = request(id, 0.0, 64, 4, 2);
+            let slot = e.register(&req);
+            let queued = QueuedRequest::new(req, 4, 0, 0, 0.1, SimTime::ZERO);
+            e.sched.enqueue(queued.with_slot(slot));
+        }
+        assert_eq!((e.running.len(), e.demoted.len(), e.sched.len()), (1, 1, 2));
+        // 100 running + 100 demoted + 2 queued at the running mean of 100.
+        assert_eq!(e.outstanding_tokens(), 400);
     }
 
     /// §4.3.3 squash rule, dissolve branch: when enough memory has freed
