@@ -619,7 +619,7 @@ impl Engine {
     }
 
     /// Free GPU memory in bytes, counting evictable idle cache bytes —
-    /// the memory signal cluster routers and admission paths see.
+    /// the memory signal the scheduler's probe and admission see.
     ///
     /// O(1): idle cached adapters are billed to [`Region::AdapterCache`],
     /// so the pool's region counter equals `cache.idle_bytes()` (the
@@ -661,10 +661,10 @@ impl Engine {
     }
 
     /// Introspection snapshot for the cluster router (§4.4's global
-    /// scheduler input, generalised): queue depth, outstanding work, free
-    /// memory, capacity weight, and — when `with_residency` is set, for
-    /// routers that ask for it — the resident-adapter set, tagged with
-    /// this engine's stable `id` in the cluster.
+    /// scheduler input, generalised): queue depth, outstanding work,
+    /// capacity weight, and — when `with_residency` is set, for routers
+    /// that ask for it — the resident-adapter set, tagged with this
+    /// engine's stable `id` in the cluster.
     pub fn snapshot(
         &self,
         id: chameleon_router::EngineId,
@@ -677,7 +677,6 @@ impl Engine {
             queue_depth: self.sched.len(),
             running: self.running.len(),
             outstanding_tokens: outstanding,
-            free_memory_bytes: self.free_memory_bytes(),
             est_ttft_secs: self.ttft_secs_of(outstanding),
             resident_adapters: if with_residency {
                 self.resident_adapters()

@@ -27,7 +27,7 @@
 //! delegated to the `chameleon_router` subsystem: each arrival is routed
 //! through a pluggable [`Router`] fed per-engine [`EngineSnapshot`]s
 //! (stable identity, capacity weight, queue depth, outstanding tokens,
-//! free memory, resident adapters, built by [`Engine::snapshot`]).
+//! estimated TTFT, built by [`Engine::snapshot`]).
 //! [`Cluster::new`] keeps the paper's join-shortest-queue dispatch with
 //! replicated adapter caches; [`Cluster::with_router`] swaps in any
 //! policy — adapter-affinity routing partitions the adapter working set

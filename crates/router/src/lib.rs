@@ -19,7 +19,8 @@
 //!   survivors and rendezvous assignments for them are untouched.
 //! * [`EngineSnapshot`] — the per-engine state a router sees at each
 //!   arrival: identity, capacity weight, queue depth, outstanding
-//!   resource tokens, free memory, and the resident-adapter set.
+//!   resource tokens, estimated TTFT, rack, and — for routers that ask
+//!   for it — the resident-adapter set.
 //! * [`Router`] — the placement policy trait: request + live snapshots →
 //!   [`RouteDecision`].
 //! * [`policies`] — the built-in policies:
@@ -63,8 +64,8 @@ use chameleon_workload::Request;
 /// class mid-run) and sizes arrival batches accordingly:
 ///
 /// * [`StateIndependent`](StalenessClass::StateIndependent) — placement
-///   reads no load fields (queue depth, outstanding tokens, free memory,
-///   TTFT estimates), only stable facts that change exclusively at true
+///   reads no load fields (queue depth, outstanding tokens, TTFT
+///   estimates), only stable facts that change exclusively at true
 ///   barriers: fleet membership, identities, and capacity weights. Whole
 ///   arrival batches route from one snapshot generation with zero
 ///   refreshes and the result is byte-identical to per-arrival dispatch.

@@ -51,8 +51,6 @@ pub struct EngineSnapshot {
     /// Outstanding resource tokens (running + queued) — the paper's
     /// join-shortest-queue signal.
     pub outstanding_tokens: u64,
-    /// Free GPU memory in bytes, counting evictable idle cache bytes.
-    pub free_memory_bytes: u64,
     /// Estimated TTFT, in seconds, of a request dispatched to this engine
     /// right now: the engine's outstanding backlog priced through its
     /// isolated-latency oracle (per-token decode cost × outstanding
@@ -82,21 +80,10 @@ impl EngineSnapshot {
             queue_depth: 0,
             running: 0,
             outstanding_tokens: 0,
-            free_memory_bytes: u64::MAX,
             est_ttft_secs: 0.0,
             resident_adapters: HashSet::new(),
             rack: None,
         }
-    }
-
-    /// True when the adapter's weights are already on this engine.
-    pub fn has_adapter(&self, id: AdapterId) -> bool {
-        self.resident_adapters.contains(&id)
-    }
-
-    /// Total in-flight request count (queued + running).
-    pub fn in_flight(&self) -> usize {
-        self.queue_depth + self.running
     }
 }
 
@@ -109,16 +96,8 @@ mod tests {
         let s = EngineSnapshot::idle(EngineId(3));
         assert_eq!(s.id, EngineId(3));
         assert_eq!(s.weight, 1.0);
-        assert_eq!(s.in_flight(), 0);
-        assert!(!s.has_adapter(AdapterId(0)));
-    }
-
-    #[test]
-    fn residency_query() {
-        let mut s = EngineSnapshot::idle(EngineId(0));
-        s.resident_adapters.insert(AdapterId(9));
-        assert!(s.has_adapter(AdapterId(9)));
-        assert!(!s.has_adapter(AdapterId(8)));
+        assert_eq!((s.queue_depth, s.running, s.outstanding_tokens), (0, 0, 0));
+        assert!(s.resident_adapters.is_empty());
     }
 
     #[test]
