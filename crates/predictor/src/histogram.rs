@@ -1,8 +1,8 @@
 //! Histogram-based adapter-load prediction.
 //!
 //! §4.2 (3): "we explore techniques that predict future load, such as a
-//! histogram-based approach [48], and prefetch adapters even for requests
-//! that are not currently queued". Reference [48] is Serverless in the Wild,
+//! histogram-based approach \[48\], and prefetch adapters even for requests
+//! that are not currently queued". Reference \[48\] is Serverless in the Wild,
 //! whose keep-alive policy tracks per-function inter-arrival histograms.
 //! [`HistogramLoadPredictor`] applies the same idea per adapter: observe
 //! arrival gaps, predict the next use as `last_use + median_gap`, and

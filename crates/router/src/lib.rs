@@ -24,11 +24,9 @@
 //! * [`Router`] — the placement policy trait: request + live snapshots →
 //!   [`RouteDecision`].
 //! * [`policies`] — the built-in policies:
-//!   [`RoundRobin`](policies::RoundRobin),
-//!   [`JoinShortestQueue`](policies::JoinShortestQueue) (the paper's
-//!   global scheduler, extracted from the cluster unchanged),
-//!   [`PowerOfTwoChoices`](policies::PowerOfTwoChoices), and
-//!   [`AdapterAffinity`](policies::AdapterAffinity) — capacity-weighted
+//!   [`RoundRobin`], [`JoinShortestQueue`] (the paper's global
+//!   scheduler, extracted from the cluster unchanged),
+//!   [`PowerOfTwoChoices`], and [`AdapterAffinity`] — capacity-weighted
 //!   rendezvous hashing on the adapter id (wider/TP-larger engines win
 //!   proportional shards) with load-aware spill to the adapter's stable
 //!   *second* rendezvous choice (2-replica partitioning).

@@ -41,12 +41,12 @@ impl TokenLengthModel {
 /// three public traces; all three keep the heavy-tail signature of Figure 7.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LengthModel {
-    /// Azure/Splitwise conversation trace [41]: long prompts, long heavy
+    /// Azure/Splitwise conversation trace \[41\]: long prompts, long heavy
     /// tails. The paper's default workload.
     SplitwiseLike,
-    /// WildChat-1M [65]: "generally smaller input and output lengths".
+    /// WildChat-1M \[65\]: "generally smaller input and output lengths".
     WildChatLike,
-    /// LMSYS-Chat-1M [67]: similar, slightly shorter still.
+    /// LMSYS-Chat-1M \[67\]: similar, slightly shorter still.
     LmsysLike,
     /// Fully custom length models.
     Custom {
