@@ -1112,11 +1112,10 @@ impl Engine {
         while let Some(d) = self.demoted.first() {
             let kv_tokens = d.run.req.input_tokens() + d.run.replanned_output();
             let adapter = d.run.req.adapter();
-            let adapter_need = if self.cache.is_resident(adapter) || self.loading.contains(adapter)
-            {
+            let adapter_need = if self.is_adapter_resident(adapter) {
                 0
             } else {
-                self.pool.get(adapter).map(|a| a.bytes()).unwrap_or(0)
+                self.pool.get(adapter).map_or(0, |a| a.bytes())
             };
             let need = self.kv.bytes_for(kv_tokens) + adapter_need + 2 * self.kv.block_bytes();
             if self.mem.free() < need {
@@ -1398,7 +1397,8 @@ impl Engine {
         // 1. KV reservation for input + predicted output.
         let kv_tokens = req.input_tokens() + queued.predicted_output();
         let kv_bytes = self.kv.bytes_for(kv_tokens);
-        if self.kv_spec.is_some_and(|s| s.admission) {
+        let guarded = self.kv_spec.is_some_and(|s| s.admission);
+        if guarded {
             // KV-aware admission control: refuse *before* touching the
             // allocator when the block-rounded footprint — KV plus a cold
             // adapter load — cannot be met even by evicting every idle,
@@ -1406,8 +1406,7 @@ impl Engine {
             // output up front is the completability criterion; the
             // optimistic baseline instead allocates, fails halfway, and
             // unwinds via requeue-front.
-            let adapter_need = if self.cache.is_resident(adapter) || self.loading.contains(adapter)
-            {
+            let adapter_need = if self.is_adapter_resident(adapter) {
                 0
             } else {
                 bytes
@@ -1458,11 +1457,7 @@ impl Engine {
         // reclaimable sum, so no eviction pass may spend them (referenced
         // adapters are never evicted). `None` preserves the optimistic
         // baseline's acquire-after-allocate order byte for byte.
-        let pre_acquired = if self.kv_spec.is_some_and(|s| s.admission) {
-            Some(self.cache.acquire(&mut self.mem, adapter, now))
-        } else {
-            None
-        };
+        let pre_acquired = guarded.then(|| self.cache.acquire(&mut self.mem, adapter, now));
         if self.mem.free() < kv_bytes {
             self.ensure_protected();
             self.cache.make_room(&mut self.mem, kv_bytes, now, &|a| {
