@@ -217,9 +217,10 @@ fn armed_accounting_holds_under_pressure() {
 /// Partition-recovery interleaving: the engine is evacuated mid-pressure
 /// (in-flight KV, proxies and loads all in play), both views drop to
 /// zero, the presumed-lost work re-arrives, and the re-driven run keeps
-/// the identity to completion. (A *crashed* engine keeps its state by
-/// design — the cluster replaces the object — so evacuation is the path
-/// where release-everything accounting can actually go wrong.)
+/// the identity to completion. A crash now evacuates like a partition
+/// (`Cluster::fault_crash` calls `evacuate_unfinished` and then retires
+/// the engine), so this interleaving covers the release-everything
+/// accounting of both.
 #[test]
 fn partition_recovery_keeps_accounting() {
     for seed in SEEDS {
