@@ -597,6 +597,32 @@ mod tests {
         let mut t = FaultTimeline::compile(&s);
         assert_eq!(t.pop_due(at), Some(FaultAction::Crash(0)));
         assert_eq!(t.pop_due(at), Some(FaultAction::DomainCrash(9)));
+
+        // Every kind at one instant, scheduled in reverse of the pinned
+        // order: engine slowdowns, engine crashes, rack crashes, rack
+        // slowdowns, then partitions; the windows' ends keep that order.
+        let end = SimTime::from_secs_f64(5.0);
+        let s = FaultSpec::new()
+            .with_partition(1, at, end)
+            .with_domain_brownout(0, at, end, 2.0)
+            .with_domain_crash(1, at)
+            .with_crash(0, at)
+            .with_straggler(2, at, end, 3.0);
+        let mut t = FaultTimeline::compile(&s);
+        let pops: Vec<FaultAction> = std::iter::from_fn(|| t.pop_due(end)).collect();
+        assert_eq!(
+            pops,
+            vec![
+                FaultAction::StragglerStart(2, 3.0),
+                FaultAction::Crash(0),
+                FaultAction::DomainCrash(1),
+                FaultAction::BrownoutStart(0, 2.0),
+                FaultAction::PartitionStart(1, end),
+                FaultAction::StragglerEnd(2),
+                FaultAction::BrownoutEnd(0),
+                FaultAction::PartitionEnd(1),
+            ]
+        );
     }
 
     #[test]
