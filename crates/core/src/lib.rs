@@ -48,13 +48,12 @@ pub mod system;
 pub mod workloads;
 
 pub use chameleon_engine::{
-    ClusterExecution, DispatchSpec, FaultSpec, KvSpec, PredictiveSpec, StragglerWindow,
+    ClusterExecution, DispatchSpec, FaultSpec, FaultTarget, KvSpec, PredictiveSpec, SlowdownWindow,
 };
 pub use chameleon_router::{EngineId, RouterPolicy};
 pub use chameleon_trace::{BarrierProfile, FlightDump, TraceLog, TraceSpec};
 pub use report::RunReport;
 pub use sim::Simulation;
 pub use system::{
-    AutoscaleSpec, CachePolicy, EngineSpec, FaultDomain, FleetSpec, SchedPolicy, SystemConfig,
-    TopologySpec,
+    AutoscaleSpec, CachePolicy, EngineSpec, FleetSpec, SchedPolicy, SystemConfig, TopologySpec,
 };

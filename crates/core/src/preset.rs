@@ -313,6 +313,7 @@ pub fn chameleon_output_only() -> SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chameleon_engine::FaultTarget;
 
     #[test]
     fn baselines_have_no_cache() {
@@ -410,7 +411,10 @@ mod tests {
         let faulted = chameleon_cluster_faulted(4);
         assert!(clean.fault.is_none());
         let spec = faulted.fault.as_ref().expect("fault plane armed");
-        assert_eq!(spec.crashes, vec![(1, SimTime::from_secs_f64(10.0))]);
+        assert_eq!(
+            spec.crashes,
+            vec![(FaultTarget::Engine(1), SimTime::from_secs_f64(10.0))]
+        );
         assert!(spec.sheds());
         assert_eq!(faulted.router, clean.router);
         assert_eq!(faulted.sched, clean.sched);
@@ -484,11 +488,7 @@ mod tests {
         let c = chameleon_cluster_domains(4);
         let topo = c.topology().expect("topology attached");
         assert!(topo.anti_affinity);
-        assert_eq!(topo.rack_count(), 2);
-        assert_eq!(
-            topo.domains.iter().map(|d| d.rack).collect::<Vec<_>>(),
-            vec![0, 0, 1, 1]
-        );
+        assert_eq!(topo.racks, vec![0, 0, 1, 1]);
         assert!(c.predictive.is_none() && c.fault.is_none());
         assert_eq!(c.router, RouterPolicy::AdapterAffinity);
     }

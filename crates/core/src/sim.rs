@@ -189,10 +189,7 @@ impl Simulation {
                 self.cfg.router.build(self.seed),
             );
             if let Some(topo) = self.cfg.topology() {
-                cluster.set_topology(
-                    &topo.domains.iter().map(|d| d.rack).collect::<Vec<_>>(),
-                    topo.anti_affinity,
-                );
+                cluster.set_topology(&topo.racks, topo.anti_affinity);
             }
             if let Some(spec) = &self.cfg.predictive {
                 cluster.set_predictive(*spec);

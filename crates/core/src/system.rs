@@ -26,70 +26,39 @@ impl EngineSpec {
     }
 }
 
-/// The correlated failure unit an engine lives in: a host within a rack.
-/// Correlated fault injections ([`FaultSpec::with_domain_crash`] and
-/// friends) take out every engine sharing a rack, and domain-aware
-/// placement keeps spilled work *outside* the primary's rack so exactly
-/// that work survives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultDomain {
-    /// Host index within the rack.
-    pub host: u32,
-    /// Rack (power/network domain) index — the correlated failure unit.
-    pub rack: u32,
-}
-
-/// Physical topology of the initial fleet: one [`FaultDomain`] per engine
-/// in `EngineId` order. Engines added by the autoscaler are placed in
-/// fresh singleton domains (nothing else fails with them).
+/// Physical topology of the initial fleet: the rack (power/network
+/// domain, the correlated failure unit) of each engine in `EngineId`
+/// order. Rack-targeted fault injections
+/// ([`FaultSpec::with_domain_crash`] and friends) hit every engine of a
+/// rack, and domain-aware placement keeps spilled work *outside* the
+/// primary's rack so exactly that work survives. Engines added by the
+/// autoscaler belong to no rack (nothing else fails with them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
-    /// One domain per engine, in `EngineId` order.
-    pub domains: Vec<FaultDomain>,
+    /// The rack of each engine, in `EngineId` order.
+    pub racks: Vec<u32>,
     /// When true (the default) the weighted-rendezvous *second* choice —
     /// the spill target — prefers the best-ranked engine outside the
-    /// primary's rack whenever one exists. `false` attaches domains (so
-    /// correlated injections still resolve rack members) but keeps
+    /// primary's rack whenever one exists. `false` keeps the racks (so
+    /// rack-targeted injections still resolve their members) but keeps
     /// placement topology-blind — the efficacy ablation.
     pub anti_affinity: bool,
 }
 
 impl TopologySpec {
-    /// One domain per entry of `racks`: engine `i` is host `i` in rack
-    /// `racks[i]`.
+    /// Engine `i` lives in rack `racks[i]`; anti-affinity on.
     pub fn racks(racks: &[u32]) -> Self {
         TopologySpec {
-            domains: racks
-                .iter()
-                .enumerate()
-                .map(|(i, &rack)| FaultDomain {
-                    host: i as u32,
-                    rack,
-                })
-                .collect(),
+            racks: racks.to_vec(),
             anti_affinity: true,
         }
     }
 
-    /// Builder-style: keeps the domains but makes placement ignore them
+    /// Builder-style: keeps the racks but makes placement ignore them
     /// (the topology-blind ablation).
     pub fn without_anti_affinity(mut self) -> Self {
         self.anti_affinity = false;
         self
-    }
-
-    /// The domain of initial-fleet engine `i`; `None` past the fleet
-    /// (autoscaled engines live in fresh singleton domains).
-    pub fn domain_of(&self, i: usize) -> Option<FaultDomain> {
-        self.domains.get(i).copied()
-    }
-
-    /// Number of distinct racks in the topology.
-    pub fn rack_count(&self) -> usize {
-        let mut racks: Vec<u32> = self.domains.iter().map(|d| d.rack).collect();
-        racks.sort_unstable();
-        racks.dedup();
-        racks.len()
     }
 }
 
@@ -125,11 +94,11 @@ impl FleetSpec {
         }
     }
 
-    /// Builder-style: attaches a fault-domain topology (one domain per
+    /// Builder-style: attaches a fault-domain topology (one rack per
     /// engine; must match the fleet size).
     pub fn with_topology(mut self, topology: TopologySpec) -> Self {
         assert_eq!(
-            topology.domains.len(),
+            topology.racks.len(),
             self.engines.len(),
             "topology must name one fault domain per engine"
         );
@@ -631,10 +600,7 @@ mod tests {
         );
         let topo = t.topology().expect("topology attached");
         assert!(topo.anti_affinity, "anti-affinity defaults on");
-        assert_eq!(topo.rack_count(), 2);
-        assert_eq!(topo.domain_of(1), Some(FaultDomain { host: 1, rack: 0 }));
-        assert_eq!(topo.domain_of(3), Some(FaultDomain { host: 3, rack: 1 }));
-        assert_eq!(topo.domain_of(4), None, "autoscaled engines: singleton");
+        assert_eq!(topo.racks, vec![0, 0, 1, 1]);
         let blind = TopologySpec::racks(&[0, 1]).without_anti_affinity();
         assert!(!blind.anti_affinity);
     }

@@ -66,7 +66,9 @@ use crate::dispatch::DispatchSpec;
 use crate::engine::{Engine, EngineEvent};
 use crate::predictive::PredictiveSpec;
 use crate::report::EngineReport;
-use chameleon_fault::{fault_roll, FaultAction, FaultSpec, FaultTimeline, PcieFaultInjector};
+use chameleon_fault::{
+    fault_roll, FaultAction, FaultSpec, FaultTarget, FaultTimeline, PcieFaultInjector,
+};
 use chameleon_metrics::RoutingStats;
 use chameleon_models::AdapterId;
 use chameleon_predictor::{Forecast, HistogramLoadPredictor};
@@ -143,12 +145,16 @@ enum CrossEvent {
     Fault,
 }
 
-/// One crash-recovery re-dispatch waiting out its backoff.
+/// One crash-recovery re-dispatch waiting out its backoff. A request
+/// is in the retry list at most once, so the episode it was queued
+/// under is the one its re-dispatch closes.
 #[derive(Debug, Clone, Copy)]
 struct RetryEntry {
     due: SimTime,
     attempt: u32,
     req: Request,
+    /// Index into `FaultState::episodes`.
+    episode: usize,
 }
 
 /// The MTTR ledger entry for one recovery episode: a crash (or a
@@ -167,25 +173,13 @@ struct RecoveryEpisode {
     victims: Vec<u64>,
 }
 
-/// Engine-id → fault-domain map pinned by [`Cluster::set_topology`].
-/// Engines provisioned after the pin (autoscaler growth) are absent —
-/// each is its own singleton domain, which anti-affinity treats as
-/// "always a different rack".
-struct ClusterTopology {
-    racks: HashMap<u32, u32>,
-    /// Whether placement (spill second choices) should see the racks.
-    /// Fault scoping (domain crash, brownout, partition membership)
-    /// reads the map regardless — a topology-blind ablation still lives
-    /// on real racks.
-    anti_affinity: bool,
-}
-
 /// Coordinator-owned fault-plane state ([`Cluster::set_fault`]). Every
 /// field is observed and mutated only at barriers, which is what keeps
 /// fault-armed runs bit-identical between serial and parallel execution.
 struct FaultState {
     spec: FaultSpec,
-    /// Scheduled crashes and straggler windows, replayed in time order.
+    /// Scheduled crashes, slowdown windows and partitions, replayed in
+    /// time order.
     timeline: FaultTimeline,
     /// TTFT SLO the shedding gate prices against (the run's SLO axis).
     slo: Option<SimDuration>,
@@ -202,15 +196,17 @@ struct FaultState {
     partitioned: BTreeSet<u32>,
     /// MTTR ledger: one entry per crash / partition that orphaned work.
     episodes: Vec<RecoveryEpisode>,
-    /// Victim request id → index into `episodes` (latest extraction wins;
-    /// removed when the victim re-dispatches).
-    victim_episode: HashMap<u64, usize>,
 }
 
 /// One engine plus its cluster-lifecycle state and its shard of the
 /// event horizon (the engine-local future-event queue).
 struct EngineSlot {
     id: EngineId,
+    /// The rack [`Cluster::set_topology`] assigned this engine to. `None`
+    /// without a topology and for engines provisioned after it: each is
+    /// its own singleton domain, which anti-affinity treats as "always a
+    /// different rack".
+    rack: Option<u32>,
     /// Draining engines accept no new dispatches; they finish their
     /// queued and running work and are then retired.
     draining: bool,
@@ -250,6 +246,7 @@ impl EngineSlot {
     fn new(id: EngineId, draining: bool, engine: Engine) -> Self {
         EngineSlot {
             id,
+            rack: None,
             draining,
             retire_ready: false,
             engine,
@@ -358,6 +355,18 @@ impl EngineSlot {
             self.arrivals.is_empty(),
             "batched arrivals must drain within their epoch"
         );
+    }
+
+    /// Arms this engine's PCIe fault injector, seeded by its id, when
+    /// `spec` injects PCIe transfer failures.
+    fn arm_pcie_faults(&mut self, spec: &FaultSpec) {
+        if spec.pcie_fail_prob > 0.0 {
+            self.engine.set_pcie_fault_injector(PcieFaultInjector::new(
+                spec.seed,
+                u64::from(self.id.0),
+                spec.pcie_fail_prob,
+            ));
+        }
     }
 
     /// Hands a routed arrival to the engine at its own instant `ta`,
@@ -480,10 +489,11 @@ pub struct Cluster {
     /// retries from the batch's generation (and its echoes) while it has
     /// room, and from a fresh one otherwise.
     snap_served: u32,
-    /// Fault-domain topology ([`Cluster::set_topology`]); `None` keeps
-    /// every placement and fault byte-identical to the topology-free
-    /// stack.
-    topology: Option<ClusterTopology>,
+    /// Whether placement (spill second choices) sees the slots' racks
+    /// ([`Cluster::set_topology`]). Fault scoping (rack crash, brownout,
+    /// partition membership) reads the racks regardless: a
+    /// topology-blind ablation still lives on real racks.
+    anti_affinity: bool,
 }
 
 impl Cluster {
@@ -537,7 +547,7 @@ impl Cluster {
             snap_gen: 0,
             snap_filled_at: None,
             snap_served: 0,
-            topology: None,
+            anti_affinity: false,
         }
     }
 
@@ -610,23 +620,17 @@ impl Cluster {
     }
 
     /// Arms the fault-injection and recovery plane: `spec`'s scheduled
-    /// crashes and straggler windows replay at coordinator barriers,
-    /// PCIe fault injectors (seeded per engine id) attach to every
-    /// engine, and recovery — timeout-detected failover with capped
+    /// crashes, slowdown windows and partitions replay at coordinator
+    /// barriers, PCIe fault injectors (seeded per engine id) attach to
+    /// every engine, and recovery — timeout-detected failover with capped
     /// exponential backoff, plus warm shard re-homing and SLO-aware
     /// shedding against `slo` where `spec` arms them — switches on.
     /// Strictly additive: a cluster without this call behaves
     /// byte-for-byte as if the plane did not exist.
     pub fn set_fault(&mut self, spec: FaultSpec, slo: Option<SimDuration>) {
         let timeline = FaultTimeline::compile(&spec);
-        if spec.pcie_fail_prob > 0.0 {
-            for slot in &mut self.slots {
-                slot.engine.set_pcie_fault_injector(PcieFaultInjector::new(
-                    spec.seed,
-                    u64::from(slot.id.0),
-                    spec.pcie_fail_prob,
-                ));
-            }
+        for slot in &mut self.slots {
+            slot.arm_pcie_faults(&spec);
         }
         self.stats.fault.enabled = true;
         self.fault = Some(FaultState {
@@ -639,7 +643,6 @@ impl Cluster {
             attempts: HashMap::new(),
             partitioned: BTreeSet::new(),
             episodes: Vec::new(),
-            victim_episode: HashMap::new(),
         });
     }
 
@@ -647,7 +650,7 @@ impl Cluster {
     /// rack id per engine currently in the fleet. With `anti_affinity`
     /// on, second-choice placement (affinity spill) prefers the
     /// best-ranked engine *outside* the primary's rack; with it off the
-    /// racks scope only correlated faults (domain crash, brownout,
+    /// racks scope only correlated faults (rack crash, brownout,
     /// partition) — the topology-blind ablation.
     ///
     /// # Panics
@@ -659,43 +662,17 @@ impl Cluster {
             self.slots.len(),
             "topology must name one fault domain per engine"
         );
-        let map = self
-            .slots
-            .iter()
-            .zip(racks)
-            .map(|(s, &r)| (s.id.0, r))
-            .collect();
-        self.topology = Some(ClusterTopology {
-            racks: map,
-            anti_affinity,
-        });
+        for (slot, &rack) in self.slots.iter_mut().zip(racks) {
+            slot.rack = Some(rack);
+        }
+        self.anti_affinity = anti_affinity;
         self.snap_filled_at = None;
     }
 
-    /// The rack engine `id` lives on, for fault scoping. `None` when no
-    /// topology is pinned or the engine joined after the pin (a
-    /// singleton domain correlated with nothing).
-    fn rack_of(&self, id: EngineId) -> Option<u32> {
-        self.topology
-            .as_ref()
-            .and_then(|t| t.racks.get(&id.0).copied())
-    }
-
-    /// The rack placement decisions see: [`Cluster::rack_of`] when
-    /// anti-affinity is armed, `None` (topology-blind) otherwise.
-    fn placement_rack(&self, id: EngineId) -> Option<u32> {
-        match &self.topology {
-            Some(t) if t.anti_affinity => t.racks.get(&id.0).copied(),
-            _ => None,
-        }
-    }
-
-    /// True while engine `id`'s rack is cut off from the coordinator.
-    fn slot_unreachable(&self, id: EngineId) -> bool {
-        match self.fault.as_ref() {
-            Some(fs) if !fs.partitioned.is_empty() => self
-                .rack_of(id)
-                .is_some_and(|r| fs.partitioned.contains(&r)),
+    /// True while `slot`'s rack is cut off from the coordinator.
+    fn is_unreachable(&self, slot: &EngineSlot) -> bool {
+        match (slot.rack, self.fault.as_ref()) {
+            (Some(rack), Some(fs)) => fs.partitioned.contains(&rack),
             _ => false,
         }
     }
@@ -706,8 +683,29 @@ impl Cluster {
     fn reachable_active(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| !s.draining && !self.slot_unreachable(s.id))
+            .filter(|s| !s.draining && !self.is_unreachable(s))
             .count()
+    }
+
+    /// True when taking the active engine at `pos` out of the fleet would
+    /// leave no active engine, or none the coordinator can reach (arrivals
+    /// would find an empty candidate set for as long as the partition
+    /// lasts): a fleet never drains or crashes to zero.
+    fn is_last_standing(&self, pos: usize) -> bool {
+        self.active_engines() <= 1
+            || (!self.is_unreachable(&self.slots[pos]) && self.reachable_active() <= 1)
+    }
+
+    /// Slot positions of the engines `target` hits, in slot order: the
+    /// engine while it is in the fleet, or every engine assigned to the
+    /// rack.
+    fn members(&self, target: FaultTarget) -> Vec<usize> {
+        (0..self.slots.len())
+            .filter(|&pos| match target {
+                FaultTarget::Engine(id) => self.slots[pos].id.0 == id,
+                FaultTarget::Rack(rack) => self.slots[pos].rack == Some(rack),
+            })
+            .collect()
     }
 
     /// The active fault configuration, if any.
@@ -781,13 +779,7 @@ impl Cluster {
             slot.engine.enable_tracing();
         }
         if let Some(fs) = &self.fault {
-            if fs.spec.pcie_fail_prob > 0.0 {
-                slot.engine.set_pcie_fault_injector(PcieFaultInjector::new(
-                    fs.spec.seed,
-                    u64::from(id.0),
-                    fs.spec.pcie_fail_prob,
-                ));
-            }
+            slot.arm_pcie_faults(&fs.spec);
         }
         self.slots.push(slot);
         // The cached routing generation indexes slot positions; any
@@ -809,13 +801,7 @@ impl Cluster {
         let Some(pos) = self.slots.iter().position(|s| s.id == id) else {
             return false;
         };
-        if self.slots[pos].draining || self.active_engines() <= 1 {
-            return false;
-        }
-        // Draining the last engine the coordinator can still reach would
-        // leave arrivals with an empty candidate set for as long as the
-        // partition lasts. (Without partitions this is the check above.)
-        if !self.slot_unreachable(id) && self.reachable_active() <= 1 {
+        if self.slots[pos].draining || self.is_last_standing(pos) {
             return false;
         }
         if self.router.uses_affinity() {
@@ -835,7 +821,7 @@ impl Cluster {
     fn active_weights(&self) -> Vec<(EngineId, f64)> {
         self.slots
             .iter()
-            .filter(|s| !s.draining && !self.slot_unreachable(s.id))
+            .filter(|s| !s.draining && !self.is_unreachable(s))
             .map(|s| (s.id, s.engine.capacity_weight()))
             .collect()
     }
@@ -890,14 +876,14 @@ impl Cluster {
         self.snap_slots.clear();
         self.snap_filled_at = None;
         for (pos, slot) in self.slots.iter().enumerate() {
-            if slot.draining || self.slot_unreachable(slot.id) {
+            if slot.draining || self.is_unreachable(slot) {
                 continue;
             }
             let mut snap = slot.engine.snapshot(slot.id, with_residency);
             // Racks ride along only under an anti-affinity topology, so
             // the blind ablation routes byte-identically to the
             // topology-free stack.
-            snap.rack = self.placement_rack(slot.id);
+            snap.rack = slot.rack.filter(|_| self.anti_affinity);
             self.snap_buf.push(snap);
             self.snap_slots.push(pos);
         }
@@ -1098,9 +1084,10 @@ impl Cluster {
     }
 
     /// One fault barrier: applies every fault-plane item due at `t`, in a
-    /// fixed order — scheduled faults (crashes, straggler windows), then
-    /// delayed provisions completing, then due re-dispatches. Runs on the
-    /// coordinator with exclusive fleet access, like every other barrier.
+    /// fixed order — scheduled faults (crashes, slowdown windows,
+    /// partitions), then delayed provisions completing, then due
+    /// re-dispatches. Runs on the coordinator with exclusive fleet
+    /// access, like every other barrier.
     fn fault_barrier(
         &mut self,
         t: SimTime,
@@ -1114,14 +1101,10 @@ impl Cluster {
             };
             let Some(action) = action else { break };
             match action {
-                FaultAction::Crash(engine) => self.fault_crash(engine, t),
-                FaultAction::StragglerStart(engine, factor) => {
-                    self.set_slot_slowdown(engine, factor)
-                }
-                FaultAction::StragglerEnd(engine) => self.set_slot_slowdown(engine, 1.0),
-                FaultAction::DomainCrash(rack) => self.fault_domain_crash(rack, t),
-                FaultAction::BrownoutStart(rack, factor) => self.set_domain_slowdown(rack, factor),
-                FaultAction::BrownoutEnd(rack) => self.set_domain_slowdown(rack, 1.0),
+                FaultAction::Crash(FaultTarget::Engine(id)) => self.fault_crash(EngineId(id), t),
+                FaultAction::Crash(FaultTarget::Rack(rack)) => self.fault_domain_crash(rack, t),
+                FaultAction::SlowdownStart(target, factor) => self.set_slowdown(target, factor),
+                FaultAction::SlowdownEnd(target, _) => self.set_slowdown(target, 1.0),
                 FaultAction::PartitionStart(rack, heal) => self.partition_start(rack, heal, t),
                 FaultAction::PartitionEnd(rack) => self.partition_end(rack, t),
             }
@@ -1202,7 +1185,7 @@ impl Cluster {
         slot.seed_ticks(t);
     }
 
-    /// Kills engine `engine` at `t`: its shard re-homes (warm, when the
+    /// Kills engine `victim` at `t`: its shard re-homes (warm, when the
     /// fault spec arms shard recovery), its unfinished requests are
     /// evacuated, as a partition's are, for router re-dispatch after the
     /// detection timeout plus per-request capped exponential backoff, and
@@ -1211,16 +1194,12 @@ impl Cluster {
     /// reservations the evacuation released).
     /// The last active engine refuses to die — a fleet never crashes to
     /// zero — and a crash aimed at an engine that already left is moot.
-    fn fault_crash(&mut self, engine: u32, t: SimTime) {
-        let victim = EngineId(engine);
+    fn fault_crash(&mut self, victim: EngineId, t: SimTime) {
         let Some(pos) = self.slots.iter().position(|s| s.id == victim) else {
             return;
         };
         let was_draining = self.slots[pos].draining;
-        if !was_draining
-            && (self.active_engines() <= 1
-                || (!self.slot_unreachable(victim) && self.reachable_active() <= 1))
-        {
+        if !was_draining && self.is_last_standing(pos) {
             return;
         }
         let queued = self.slots[pos].engine.queue_len() as u32;
@@ -1231,7 +1210,7 @@ impl Cluster {
                 t,
                 Lane::Coordinator,
                 TraceEvent::EngineFailed {
-                    engine,
+                    engine: victim.0,
                     queued,
                     running,
                 },
@@ -1261,6 +1240,9 @@ impl Cluster {
     /// MTTR episode over those that stayed within their retry budget.
     fn enqueue_victims(&mut self, victims: Vec<Request>, t: SimTime, heal: Option<SimTime>) {
         let fs = self.fault.as_mut().expect("victims without fault plane");
+        // A victim crashed out of an earlier episode joins this one: its
+        // earlier re-dispatch already closed it there.
+        let episode = fs.episodes.len();
         let mut recovered: Vec<u64> = Vec::new();
         for req in victims {
             let attempt = {
@@ -1278,15 +1260,14 @@ impl Cluster {
                 due = due.min(heal);
             }
             recovered.push(req.id().0);
-            fs.retries.push(RetryEntry { due, attempt, req });
+            fs.retries.push(RetryEntry {
+                due,
+                attempt,
+                req,
+                episode,
+            });
         }
         if !recovered.is_empty() {
-            // A victim crashed out of an earlier episode re-keys to this
-            // one: its earlier re-dispatch already closed it there.
-            let ep = fs.episodes.len();
-            for &id in &recovered {
-                fs.victim_episode.insert(id, ep);
-            }
             fs.episodes.push(RecoveryEpisode {
                 at: t,
                 outstanding: recovered.len() as u32,
@@ -1305,11 +1286,10 @@ impl Cluster {
     /// applies per member, so a rack holding the whole fleet loses all
     /// but one engine.
     fn fault_domain_crash(&mut self, rack: u32, t: SimTime) {
-        let members: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| self.rack_of(s.id) == Some(rack))
-            .map(|s| s.id.0)
+        let members: Vec<EngineId> = self
+            .members(FaultTarget::Rack(rack))
+            .into_iter()
+            .map(|pos| self.slots[pos].id)
             .collect();
         if members.is_empty() {
             return;
@@ -1325,22 +1305,16 @@ impl Cluster {
                 },
             );
         }
-        for engine in members {
-            self.fault_crash(engine, t);
+        for victim in members {
+            self.fault_crash(victim, t);
         }
     }
 
-    /// Applies a brownout slowdown to every engine of `rack` (`1.0`
-    /// heals it).
-    fn set_domain_slowdown(&mut self, rack: u32, factor: f64) {
-        let members: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| self.rack_of(s.id) == Some(rack))
-            .map(|s| s.id.0)
-            .collect();
-        for engine in members {
-            self.set_slot_slowdown(engine, factor);
+    /// Sets the step slowdown of every engine `target` hits (`1.0` heals
+    /// it).
+    fn set_slowdown(&mut self, target: FaultTarget, factor: f64) {
+        for pos in self.members(target) {
+            self.slots[pos].engine.set_slowdown(factor);
         }
     }
 
@@ -1353,22 +1327,14 @@ impl Cluster {
     /// partition that would leave the coordinator with no reachable
     /// engine is refused, as is one for a memberless or already-cut rack.
     fn partition_start(&mut self, rack: u32, heal: SimTime, t: SimTime) {
-        let members: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| self.rack_of(s.id) == Some(rack))
-            .map(|(pos, _)| pos)
-            .collect();
+        let members = self.members(FaultTarget::Rack(rack));
         if members.is_empty() {
             return;
         }
         let remaining = self
             .slots
             .iter()
-            .filter(|s| {
-                !s.draining && !self.slot_unreachable(s.id) && self.rack_of(s.id) != Some(rack)
-            })
+            .filter(|s| !s.draining && !self.is_unreachable(s) && s.rack != Some(rack))
             .count();
         if remaining == 0 {
             return;
@@ -1405,13 +1371,6 @@ impl Cluster {
         self.snap_filled_at = None;
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.push(t, Lane::Coordinator, TraceEvent::PartitionHealed { rack });
-        }
-    }
-
-    /// Sets the straggler slowdown on one engine (moot when it left).
-    fn set_slot_slowdown(&mut self, engine: u32, factor: f64) {
-        if let Some(slot) = self.slots.iter_mut().find(|s| s.id.0 == engine) {
-            slot.engine.set_slowdown(factor);
         }
     }
 
@@ -1498,11 +1457,9 @@ impl Cluster {
         self.stats.fault.retries += 1;
         if let Some(fs) = self.fault.as_mut() {
             // Close the victim's MTTR episode leg: re-dispatched.
-            if let Some(ep) = fs.victim_episode.remove(&entry.req.id().0) {
-                let e = &mut fs.episodes[ep];
-                e.outstanding = e.outstanding.saturating_sub(1);
-                e.redispatch_last = Some(e.redispatch_last.map_or(t, |p| p.max(t)));
-            }
+            let e = &mut fs.episodes[entry.episode];
+            e.outstanding = e.outstanding.saturating_sub(1);
+            e.redispatch_last = Some(e.redispatch_last.map_or(t, |p| p.max(t)));
         }
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.push(

@@ -67,7 +67,7 @@ pub mod probe;
 pub mod report;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ForecastSignal, ScaleAction, ScaleTrigger};
-pub use chameleon_fault::{FaultSpec, StragglerWindow};
+pub use chameleon_fault::{FaultSpec, FaultTarget, SlowdownWindow};
 pub use cluster::{run_alone, Cluster, ClusterExecution};
 pub use config::EngineConfig;
 pub use dispatch::DispatchSpec;

@@ -1,11 +1,24 @@
 //! Deterministic fault injection for the cluster simulator.
 //!
-//! A [`FaultSpec`] is a *seeded, pre-compiled schedule* of failures —
-//! engine crashes at fixed times, transient straggler windows, PCIe
-//! transfer failures with a per-transfer probability, and delayed or
-//! failed autoscaler provisioning — plus the recovery policy knobs
-//! (failure-detection timeout, capped exponential retry backoff, retry
-//! budget, SLO-aware shedding threshold, crash-time shard recovery).
+//! A [`FaultSpec`] is a *seeded, pre-compiled schedule* of failures plus
+//! the recovery policy knobs (failure-detection timeout, capped
+//! exponential retry backoff, retry budget, SLO-aware shedding
+//! threshold, crash-time shard recovery).
+//!
+//! Every scheduled fault names what it hits, a [`FaultTarget`]: one
+//! engine, or every engine the fleet topology assigns to a rack (the
+//! correlated failure unit). The schedule is three lists:
+//!
+//! * `crashes` — hard crashes at fixed times; a rack target is a
+//!   whole-domain crash;
+//! * `slowdowns` — [`SlowdownWindow`]s multiplying step durations, a
+//!   straggler on an engine or a brownout on a rack; an engine inside
+//!   several open windows runs at the largest factor;
+//! * `partitions` — [`PartitionWindow`]s cutting a rack off from the
+//!   coordinator until they heal.
+//!
+//! PCIe transfer failures with a per-transfer probability and delayed or
+//! failed autoscaler provisioning complete the plane.
 //!
 //! Determinism is the design constraint everything here serves:
 //!
@@ -27,33 +40,31 @@
 
 use chameleon_simcore::{SimDuration, SimTime};
 
-/// One transient straggler window: between `from` and `until` the engine's
-/// step (iteration) durations are multiplied by `factor`.
+/// What a scheduled fault hits: one engine, or every engine of one rack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultTarget {
+    /// One engine, by raw id (the cluster's `EngineId.0`). A fault aimed
+    /// at an engine that is not in the fleet is moot.
+    Engine(u32),
+    /// Every engine pinned to the rack (fault domain) by the fleet
+    /// topology. A rack no engine lives in is moot.
+    Rack(u32),
+}
+
+/// One transient slowdown window: between `from` and `until` the target's
+/// step (iteration) durations are multiplied by `factor` — a straggler
+/// when the target is an engine, a brownout (a shared power cap, a
+/// top-of-rack switch melting down) when it is a rack. An engine inside
+/// several open windows runs at the largest factor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StragglerWindow {
-    /// Raw engine id (matches the cluster's `EngineId.0`).
-    pub engine: u32,
+pub struct SlowdownWindow {
+    /// The engine or rack that slows down.
+    pub target: FaultTarget,
     /// Window start (inclusive), observed at the first barrier ≥ `from`.
     pub from: SimTime,
     /// Window end, observed at the first barrier ≥ `until`.
     pub until: SimTime,
     /// Per-step slowdown factor (e.g. `3.0` = steps take 3× as long).
-    pub factor: f64,
-}
-
-/// One domain-scoped brownout window: between `from` and `until` every
-/// engine in the rack runs its steps `factor`× slower — the correlated
-/// generalisation of a [`StragglerWindow`] (a shared power cap, a top-of-
-/// rack switch melting down).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BrownoutWindow {
-    /// Rack (fault domain) the brownout covers.
-    pub rack: u32,
-    /// Window start (inclusive), observed at the first barrier ≥ `from`.
-    pub from: SimTime,
-    /// Window end, observed at the first barrier ≥ `until`.
-    pub until: SimTime,
-    /// Per-step slowdown factor applied to every engine in the rack.
     pub factor: f64,
 }
 
@@ -82,18 +93,13 @@ pub struct PartitionWindow {
 pub struct FaultSpec {
     /// Seed for the counter-hashed probabilistic faults.
     pub seed: u64,
-    /// Hard engine crashes: `(engine id, crash time)`. Observed at the
-    /// first coordinator barrier ≥ the crash time; the failure detector
-    /// then declares the engine dead `detect_timeout` later.
-    pub crashes: Vec<(u32, SimTime)>,
-    /// Transient straggler windows (per-step slowdown factors).
-    pub stragglers: Vec<StragglerWindow>,
-    /// Whole-domain crashes: `(rack, crash time)` — every engine in the
-    /// rack crashes at once. Requires a fleet topology; racks no engine
-    /// lives in are no-ops.
-    pub domain_crashes: Vec<(u32, SimTime)>,
-    /// Domain-scoped brownout windows (correlated slowdowns).
-    pub brownouts: Vec<BrownoutWindow>,
+    /// Hard crashes: `(target, crash time)`. A rack target takes out
+    /// every engine of the rack at once. Observed at the first
+    /// coordinator barrier ≥ the crash time; the failure detector then
+    /// declares the engines dead `detect_timeout` later.
+    pub crashes: Vec<(FaultTarget, SimTime)>,
+    /// Transient slowdown windows: stragglers and brownouts.
+    pub slowdowns: Vec<SlowdownWindow>,
     /// Coordinator↔domain partition windows.
     pub partitions: Vec<PartitionWindow>,
     /// Probability that any single PCIe adapter transfer fails and must
@@ -134,9 +140,7 @@ impl FaultSpec {
         FaultSpec {
             seed: 0,
             crashes: Vec::new(),
-            stragglers: Vec::new(),
-            domain_crashes: Vec::new(),
-            brownouts: Vec::new(),
+            slowdowns: Vec::new(),
             partitions: Vec::new(),
             pcie_fail_prob: 0.0,
             detect_timeout: SimDuration::from_millis(100),
@@ -158,7 +162,7 @@ impl FaultSpec {
 
     /// Schedules a hard crash of `engine` at `at`.
     pub fn with_crash(mut self, engine: u32, at: SimTime) -> Self {
-        self.crashes.push((engine, at));
+        self.crashes.push((FaultTarget::Engine(engine), at));
         self
     }
 
@@ -167,28 +171,14 @@ impl FaultSpec {
     /// # Panics
     ///
     /// Panics on an empty window or a factor below 1.
-    pub fn with_straggler(
-        mut self,
-        engine: u32,
-        from: SimTime,
-        until: SimTime,
-        factor: f64,
-    ) -> Self {
-        assert!(from < until, "empty straggler window");
-        assert!(factor >= 1.0 && factor.is_finite(), "slowdown factor < 1");
-        self.stragglers.push(StragglerWindow {
-            engine,
-            from,
-            until,
-            factor,
-        });
-        self
+    pub fn with_straggler(self, engine: u32, from: SimTime, until: SimTime, factor: f64) -> Self {
+        self.with_slowdown(FaultTarget::Engine(engine), from, until, factor)
     }
 
     /// Schedules a whole-domain crash: every engine in `rack` crashes at
     /// `at` (correlated failure of a host/rack/power domain).
     pub fn with_domain_crash(mut self, rack: u32, at: SimTime) -> Self {
-        self.domain_crashes.push((rack, at));
+        self.crashes.push((FaultTarget::Rack(rack), at));
         self
     }
 
@@ -199,16 +189,30 @@ impl FaultSpec {
     ///
     /// Panics on an empty window or a factor below 1.
     pub fn with_domain_brownout(
-        mut self,
+        self,
         rack: u32,
         from: SimTime,
         until: SimTime,
         factor: f64,
     ) -> Self {
-        assert!(from < until, "empty brownout window");
+        self.with_slowdown(FaultTarget::Rack(rack), from, until, factor)
+    }
+
+    fn with_slowdown(
+        mut self,
+        target: FaultTarget,
+        from: SimTime,
+        until: SimTime,
+        factor: f64,
+    ) -> Self {
+        let kind = match target {
+            FaultTarget::Engine(_) => "straggler",
+            FaultTarget::Rack(_) => "brownout",
+        };
+        assert!(from < until, "empty {kind} window");
         assert!(factor >= 1.0 && factor.is_finite(), "slowdown factor < 1");
-        self.brownouts.push(BrownoutWindow {
-            rack,
+        self.slowdowns.push(SlowdownWindow {
+            target,
             from,
             until,
             factor,
@@ -316,25 +320,36 @@ impl Default for FaultSpec {
 /// One scheduled fault popped off the [`FaultTimeline`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
-    /// The engine halts; the failure detector fires `detect_timeout`
-    /// later and recovery begins.
-    Crash(u32),
-    /// The engine's steps slow down by the factor from now on.
-    StragglerStart(u32, f64),
-    /// The straggler window ends; the engine runs at full speed again.
-    StragglerEnd(u32),
-    /// Every engine in the rack crashes at once.
-    DomainCrash(u32),
-    /// Every engine in the rack slows down by the factor from now on.
-    BrownoutStart(u32, f64),
-    /// The brownout lifts; the rack runs at full speed again.
-    BrownoutEnd(u32),
+    /// The target's engines halt; the failure detector fires
+    /// `detect_timeout` later and recovery begins.
+    Crash(FaultTarget),
+    /// A slowdown window opens: the target's steps slow down by the
+    /// factor.
+    SlowdownStart(FaultTarget, f64),
+    /// The slowdown window with this factor closes.
+    SlowdownEnd(FaultTarget, f64),
     /// The rack becomes unreachable: traffic routes around it and
     /// in-flight victims enter the retry ledger, due at the carried heal
     /// instant or their retry timeout, whichever is sooner.
     PartitionStart(u32, SimTime),
     /// The partition heals: the rack's engines rejoin the fleet intact.
     PartitionEnd(u32),
+}
+
+impl FaultAction {
+    /// Rank among faults due at the same instant: engine slowdowns,
+    /// engine crashes, rack crashes, rack slowdowns, then partitions.
+    fn tie_rank(self) -> u8 {
+        match self {
+            FaultAction::SlowdownStart(FaultTarget::Engine(_), _)
+            | FaultAction::SlowdownEnd(FaultTarget::Engine(_), _) => 0,
+            FaultAction::Crash(FaultTarget::Engine(_)) => 1,
+            FaultAction::Crash(FaultTarget::Rack(_)) => 2,
+            FaultAction::SlowdownStart(FaultTarget::Rack(_), _)
+            | FaultAction::SlowdownEnd(FaultTarget::Rack(_), _) => 3,
+            FaultAction::PartitionStart(..) | FaultAction::PartitionEnd(_) => 4,
+        }
+    }
 }
 
 /// The spec's scheduled faults compiled into one sorted, replayable event
@@ -347,37 +362,25 @@ pub struct FaultTimeline {
 }
 
 impl FaultTimeline {
-    /// Compiles the spec's crashes, straggler windows and correlated
-    /// domain faults, sorted by time (stable: spec order breaks ties, and
-    /// the correlated kinds are appended after the PR 7 kinds so legacy
-    /// same-instant orderings are unchanged).
+    /// Compiles the spec's crashes, slowdown windows and partitions,
+    /// sorted by time; faults at the same instant sort by kind (see
+    /// [`FaultAction`]'s tie rank), then by spec order.
     pub fn compile(spec: &FaultSpec) -> Self {
         let mut events = Vec::with_capacity(
-            spec.crashes.len()
-                + 2 * spec.stragglers.len()
-                + spec.domain_crashes.len()
-                + 2 * spec.brownouts.len()
-                + 2 * spec.partitions.len(),
+            spec.crashes.len() + 2 * spec.slowdowns.len() + 2 * spec.partitions.len(),
         );
-        for w in &spec.stragglers {
-            events.push((w.from, FaultAction::StragglerStart(w.engine, w.factor)));
-            events.push((w.until, FaultAction::StragglerEnd(w.engine)));
+        for &(target, at) in &spec.crashes {
+            events.push((at, FaultAction::Crash(target)));
         }
-        for &(engine, at) in &spec.crashes {
-            events.push((at, FaultAction::Crash(engine)));
-        }
-        for &(rack, at) in &spec.domain_crashes {
-            events.push((at, FaultAction::DomainCrash(rack)));
-        }
-        for w in &spec.brownouts {
-            events.push((w.from, FaultAction::BrownoutStart(w.rack, w.factor)));
-            events.push((w.until, FaultAction::BrownoutEnd(w.rack)));
+        for w in &spec.slowdowns {
+            events.push((w.from, FaultAction::SlowdownStart(w.target, w.factor)));
+            events.push((w.until, FaultAction::SlowdownEnd(w.target, w.factor)));
         }
         for w in &spec.partitions {
             events.push((w.from, FaultAction::PartitionStart(w.rack, w.until)));
             events.push((w.until, FaultAction::PartitionEnd(w.rack)));
         }
-        events.sort_by_key(|&(t, _)| t);
+        events.sort_by_key(|&(t, action)| (t, action.tie_rank()));
         FaultTimeline { events, next: 0 }
     }
 
@@ -471,7 +474,7 @@ mod tests {
     #[test]
     fn spec_defaults_schedule_nothing() {
         let s = FaultSpec::new();
-        assert!(s.crashes.is_empty() && s.stragglers.is_empty());
+        assert!(s.crashes.is_empty() && s.slowdowns.is_empty());
         assert_eq!(s.pcie_fail_prob, 0.0);
         assert!(!s.sheds() && !s.shard_recovery);
         assert_eq!(s.max_retries, 3);
@@ -496,8 +499,11 @@ mod tests {
             .with_provisioning(SimDuration::from_secs(1), 0.25)
             .with_shard_recovery();
         assert_eq!(s.seed, 7);
-        assert_eq!(s.crashes, vec![(1, SimTime::from_secs_f64(3.0))]);
-        assert_eq!(s.stragglers.len(), 1);
+        assert_eq!(
+            s.crashes,
+            vec![(FaultTarget::Engine(1), SimTime::from_secs_f64(3.0))]
+        );
+        assert_eq!(s.slowdowns.len(), 1);
         assert_eq!(s.pcie_fail_prob, 0.1);
         assert_eq!(s.detect_timeout, SimDuration::from_millis(250));
         assert_eq!(s.max_retries, 5);
@@ -535,16 +541,16 @@ mod tests {
         assert_eq!(t.peek(), Some(SimTime::from_secs_f64(1.0)));
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(1.0)),
-            Some(FaultAction::StragglerStart(0, 2.0))
+            Some(FaultAction::SlowdownStart(FaultTarget::Engine(0), 2.0))
         );
         assert_eq!(t.pop_due(SimTime::from_secs_f64(1.0)), None, "not yet due");
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(5.0)),
-            Some(FaultAction::Crash(2))
+            Some(FaultAction::Crash(FaultTarget::Engine(2)))
         );
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(6.0)),
-            Some(FaultAction::StragglerEnd(0))
+            Some(FaultAction::SlowdownEnd(FaultTarget::Engine(0), 2.0))
         );
         assert_eq!(t.peek(), None);
     }
@@ -560,22 +566,25 @@ mod tests {
                 3.0,
             )
             .with_partition(1, SimTime::from_secs_f64(5.0), SimTime::from_secs_f64(7.0));
-        assert_eq!(s.domain_crashes, vec![(1, SimTime::from_secs_f64(4.0))]);
-        assert_eq!(s.brownouts.len(), 1);
+        assert_eq!(
+            s.crashes,
+            vec![(FaultTarget::Rack(1), SimTime::from_secs_f64(4.0))]
+        );
+        assert_eq!(s.slowdowns.len(), 1);
         assert_eq!(s.partitions.len(), 1);
         let mut t = FaultTimeline::compile(&s);
         assert_eq!(t.remaining(), 5);
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(1.0)),
-            Some(FaultAction::BrownoutStart(0, 3.0))
+            Some(FaultAction::SlowdownStart(FaultTarget::Rack(0), 3.0))
         );
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(2.0)),
-            Some(FaultAction::BrownoutEnd(0))
+            Some(FaultAction::SlowdownEnd(FaultTarget::Rack(0), 3.0))
         );
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(4.0)),
-            Some(FaultAction::DomainCrash(1))
+            Some(FaultAction::Crash(FaultTarget::Rack(1)))
         );
         assert_eq!(
             t.pop_due(SimTime::from_secs_f64(5.0)),
@@ -590,13 +599,19 @@ mod tests {
 
     #[test]
     fn same_instant_correlated_faults_sort_after_legacy_kinds() {
-        // A crash and a domain crash at the same instant: the stable sort
-        // must keep the PR 7 kind first, preserving legacy tie orderings.
+        // A crash and a domain crash at the same instant: the engine
+        // crash goes first whatever the spec order.
         let at = SimTime::from_secs_f64(2.0);
         let s = FaultSpec::new().with_domain_crash(9, at).with_crash(0, at);
         let mut t = FaultTimeline::compile(&s);
-        assert_eq!(t.pop_due(at), Some(FaultAction::Crash(0)));
-        assert_eq!(t.pop_due(at), Some(FaultAction::DomainCrash(9)));
+        assert_eq!(
+            t.pop_due(at),
+            Some(FaultAction::Crash(FaultTarget::Engine(0)))
+        );
+        assert_eq!(
+            t.pop_due(at),
+            Some(FaultAction::Crash(FaultTarget::Rack(9)))
+        );
 
         // Every kind at one instant, scheduled in reverse of the pinned
         // order: engine slowdowns, engine crashes, rack crashes, rack
@@ -610,16 +625,17 @@ mod tests {
             .with_straggler(2, at, end, 3.0);
         let mut t = FaultTimeline::compile(&s);
         let pops: Vec<FaultAction> = std::iter::from_fn(|| t.pop_due(end)).collect();
+        let (engine, rack) = (FaultTarget::Engine, FaultTarget::Rack);
         assert_eq!(
             pops,
             vec![
-                FaultAction::StragglerStart(2, 3.0),
-                FaultAction::Crash(0),
-                FaultAction::DomainCrash(1),
-                FaultAction::BrownoutStart(0, 2.0),
+                FaultAction::SlowdownStart(engine(2), 3.0),
+                FaultAction::Crash(engine(0)),
+                FaultAction::Crash(rack(1)),
+                FaultAction::SlowdownStart(rack(0), 2.0),
                 FaultAction::PartitionStart(1, end),
-                FaultAction::StragglerEnd(2),
-                FaultAction::BrownoutEnd(0),
+                FaultAction::SlowdownEnd(engine(2), 3.0),
+                FaultAction::SlowdownEnd(rack(0), 2.0),
                 FaultAction::PartitionEnd(1),
             ]
         );
