@@ -207,6 +207,9 @@ struct EngineSlot {
     /// its own singleton domain, which anti-affinity treats as "always a
     /// different rack".
     rack: Option<u32>,
+    /// Factors of the slowdown windows open on this engine; it runs at
+    /// the largest (full speed when none is open).
+    slowdowns: Vec<f64>,
     /// Draining engines accept no new dispatches; they finish their
     /// queued and running work and are then retired.
     draining: bool,
@@ -247,6 +250,7 @@ impl EngineSlot {
         EngineSlot {
             id,
             rack: None,
+            slowdowns: Vec::new(),
             draining,
             retire_ready: false,
             engine,
@@ -1103,8 +1107,8 @@ impl Cluster {
             match action {
                 FaultAction::Crash(FaultTarget::Engine(id)) => self.fault_crash(EngineId(id), t),
                 FaultAction::Crash(FaultTarget::Rack(rack)) => self.fault_domain_crash(rack, t),
-                FaultAction::SlowdownStart(target, factor) => self.set_slowdown(target, factor),
-                FaultAction::SlowdownEnd(target, _) => self.set_slowdown(target, 1.0),
+                FaultAction::SlowdownStart(target, factor) => self.slowdown(target, factor, true),
+                FaultAction::SlowdownEnd(target, factor) => self.slowdown(target, factor, false),
                 FaultAction::PartitionStart(rack, heal) => self.partition_start(rack, heal, t),
                 FaultAction::PartitionEnd(rack) => self.partition_end(rack, t),
             }
@@ -1310,11 +1314,20 @@ impl Cluster {
         }
     }
 
-    /// Sets the step slowdown of every engine `target` hits (`1.0` heals
-    /// it).
-    fn set_slowdown(&mut self, target: FaultTarget, factor: f64) {
+    /// Opens (`open`) or closes a slowdown window of `factor` on every
+    /// engine `target` hits. Each engine then runs at the largest factor
+    /// among its open windows, so a milder window nested in a harsher one
+    /// changes nothing.
+    fn slowdown(&mut self, target: FaultTarget, factor: f64, open: bool) {
         for pos in self.members(target) {
-            self.slots[pos].engine.set_slowdown(factor);
+            let slot = &mut self.slots[pos];
+            if open {
+                slot.slowdowns.push(factor);
+            } else if let Some(i) = slot.slowdowns.iter().position(|&f| f == factor) {
+                slot.slowdowns.swap_remove(i);
+            }
+            let worst = slot.slowdowns.iter().copied().fold(1.0, f64::max);
+            slot.engine.set_slowdown(worst);
         }
     }
 

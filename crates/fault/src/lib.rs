@@ -326,7 +326,8 @@ pub enum FaultAction {
     /// A slowdown window opens: the target's steps slow down by the
     /// factor.
     SlowdownStart(FaultTarget, f64),
-    /// The slowdown window with this factor closes.
+    /// The slowdown window with this factor closes; the target's engines
+    /// fall back to the largest factor still open on them.
     SlowdownEnd(FaultTarget, f64),
     /// The rack becomes unreachable: traffic routes around it and
     /// in-flight victims enter the retry ledger, due at the carried heal

@@ -306,3 +306,37 @@ fn single_rack_domain_crash_spares_the_last_engine() {
     report.assert_request_conservation(offered);
     assert_eq!(report.completed(), offered);
 }
+
+/// Overlapping slowdown windows run at the largest open factor: a ×2
+/// brownout of rack 0 nested inside a ×3 straggler window on engine 0
+/// (rack 0's only member) neither speeds the straggler up when it opens
+/// nor cancels it when it closes, so every request fares exactly as
+/// under the straggler alone. Only the header's `events=` differs, by the
+/// brownout's two fault barriers.
+#[test]
+fn nested_brownout_leaves_a_harsher_straggler_alone() {
+    let secs = SimTime::from_secs_f64;
+    let straggler = FaultSpec::new().with_straggler(0, secs(2.0), secs(9.0), 3.0);
+    let nested = straggler
+        .clone()
+        .with_domain_brownout(0, secs(4.0), secs(6.0), 2.0);
+    for seed in [3, 11] {
+        let [alone, overlapped] = [&straggler, &nested].map(|fault| {
+            let cfg = preset::chameleon_cluster_domains(2).with_fault(fault.clone());
+            let (report, offered) = run_faulted(cfg, seed, 8.0, 12.0);
+            report.assert_request_conservation(offered);
+            let text = report.canonical_text();
+            let reqs: Vec<String> = text
+                .lines()
+                .filter(|l| l.starts_with("req "))
+                .map(str::to_owned)
+                .collect();
+            assert!(!reqs.is_empty(), "seed {seed}: no request ran");
+            reqs
+        });
+        assert_eq!(
+            alone, overlapped,
+            "seed {seed}: the nested brownout changed how requests fared"
+        );
+    }
+}
