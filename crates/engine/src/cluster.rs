@@ -466,11 +466,6 @@ pub struct Cluster {
     /// Fault-injection and recovery plane ([`Cluster::set_fault`]);
     /// `None` keeps every run byte-identical to the pre-fault stack.
     fault: Option<FaultState>,
-    /// The batched-dispatch spec ([`Cluster::set_dispatch`]). Only
-    /// reporting reads it: `Some` arms the `DispatchStats` counters and
-    /// the `dispatch_batch`/`retry_batch` trace events. Routing and
-    /// delivery read `budget`.
-    dispatch: Option<DispatchSpec>,
     /// The `(batch size, age)` budget of one snapshot generation: `(1,
     /// 0)` — per-arrival dispatch — by default, and the router's declared
     /// [`StalenessClass`] tightened by the spec once
@@ -546,7 +541,6 @@ impl Cluster {
             trace_epoch: 0,
             profile: None,
             fault: None,
-            dispatch: None,
             budget: (1, SimDuration::ZERO),
             snap_gen: 0,
             snap_filled_at: None,
@@ -570,11 +564,6 @@ impl Cluster {
         }
     }
 
-    /// True when [`enable_tracing`](Self::enable_tracing) was called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Turns on the wall-clock barrier profiler: per-epoch coordinator
     /// dispatch vs worker stepping vs barrier wait, accumulated across
     /// runs into a [`BarrierProfile`]. Wall-clock only — profiled runs
@@ -590,11 +579,6 @@ impl Cluster {
     pub fn set_predictive(&mut self, spec: PredictiveSpec) {
         self.predictive = Some(spec);
         self.stats.predictive.enabled = true;
-    }
-
-    /// The active predictive configuration, if any.
-    pub fn predictive(&self) -> Option<&PredictiveSpec> {
-        self.predictive.as_ref()
     }
 
     /// Enables amortised dispatch barriers: widens the dispatch budget
@@ -614,13 +598,7 @@ impl Cluster {
             StalenessClass::BoundedStaleness { max_batch, max_age } => (max_batch, max_age),
         };
         self.budget = spec.effective(declared_batch, declared_age);
-        self.dispatch = Some(spec);
         self.stats.dispatch.enabled = true;
-    }
-
-    /// The active batched-dispatch configuration, if any.
-    pub fn dispatch(&self) -> Option<&DispatchSpec> {
-        self.dispatch.as_ref()
     }
 
     /// Arms the fault-injection and recovery plane: `spec`'s scheduled
@@ -710,11 +688,6 @@ impl Cluster {
                 FaultTarget::Rack(rack) => self.slots[pos].rack == Some(rack),
             })
             .collect()
-    }
-
-    /// The active fault configuration, if any.
-    pub fn fault(&self) -> Option<&FaultSpec> {
-        self.fault.as_ref().map(|f| &f.spec)
     }
 
     /// Events processed across all run calls so far.
@@ -903,7 +876,7 @@ impl Cluster {
         self.snap_gen += 1;
         self.snap_filled_at = Some(at);
         self.snap_served = 0;
-        if self.dispatch.is_some() {
+        if self.stats.dispatch.enabled {
             self.stats.dispatch.snapshot_refreshes += 1;
         }
     }
@@ -1159,7 +1132,7 @@ impl Cluster {
     /// Reports one retry batch — `(size, reused)`, routed from the open
     /// generation — to the batching plane's stats and trace.
     fn report_retry_batch(&mut self, t: SimTime, batch: Option<(u32, bool)>) {
-        let Some((size, reused)) = batch.filter(|_| self.dispatch.is_some()) else {
+        let Some((size, reused)) = batch.filter(|_| self.stats.dispatch.enabled) else {
             return;
         };
         if reused {
@@ -1696,7 +1669,7 @@ impl Cluster {
             }
         }
         self.snap_served = size;
-        if self.dispatch.is_some() {
+        if self.stats.dispatch.enabled {
             self.stats.dispatch.on_batch(u64::from(size));
             if let Some(tracer) = self.tracer.as_mut() {
                 tracer.push(

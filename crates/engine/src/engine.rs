@@ -630,17 +630,11 @@ impl Engine {
     }
 
     /// Estimated TTFT, in seconds, of a request dispatched to this engine
-    /// right now: the outstanding backlog (running + queued resource
-    /// tokens) priced through the isolated-latency oracle (per-token
+    /// behind an `outstanding` backlog (running + queued resource
+    /// tokens), priced through the isolated-latency oracle (per-token
     /// decode cost at batch 1). A crude but monotone estimate — exactly
     /// what the SLO-aware autoscaler needs to see a saturated engine as a
     /// TTFT violation in the making. O(1) per call.
-    pub fn estimated_ttft_secs(&self) -> f64 {
-        self.ttft_secs_of(self.outstanding_tokens())
-    }
-
-    /// [`estimated_ttft_secs`](Self::estimated_ttft_secs) of an
-    /// `outstanding` backlog.
     fn ttft_secs_of(&self, outstanding: u64) -> f64 {
         outstanding as f64 * self.isolated_secs_per_token
     }

@@ -101,11 +101,6 @@ impl PcieLink {
         TransferRecord { start, end, bytes }
     }
 
-    /// The instant the link next becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Queueing delay a transfer issued at `now` would experience.
     pub fn queue_delay(&self, now: SimTime) -> SimDuration {
         self.busy_until.saturating_since(now)

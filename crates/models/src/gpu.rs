@@ -95,11 +95,6 @@ impl GpuSpec {
         self.peak_fp16_flops
     }
 
-    /// Raw PCIe link capacity (bytes/second).
-    pub fn pcie_bytes_per_sec(&self) -> f64 {
-        self.pcie_bytes_per_sec
-    }
-
     /// Achievable host→GPU copy bandwidth (bytes/second).
     pub fn effective_copy_bytes_per_sec(&self) -> f64 {
         self.effective_copy_bytes_per_sec

@@ -121,7 +121,6 @@ impl Sample for LogNormal {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -147,7 +146,7 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Zipf { cdf, exponent: s }
+        Zipf { cdf }
     }
 
     /// Number of items.
@@ -159,11 +158,6 @@ impl Zipf {
     /// forbids it), provided for API completeness.
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
-    }
-
-    /// The exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
     }
 
     /// Draws an item index in `[0, n)` (0 is the most popular item).
