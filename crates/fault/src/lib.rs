@@ -198,6 +198,8 @@ impl FaultSpec {
         self.with_slowdown(FaultTarget::Rack(rack), from, until, factor)
     }
 
+    /// The body of [`with_straggler`](Self::with_straggler) and
+    /// [`with_domain_brownout`](Self::with_domain_brownout).
     fn with_slowdown(
         mut self,
         target: FaultTarget,
