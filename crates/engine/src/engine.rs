@@ -2504,6 +2504,75 @@ mod tests {
         assert_eq!(e.outstanding_tokens(), 400);
     }
 
+    /// A restore can land while its adapter's reload is still in flight:
+    /// a wake-up handled before the `LoadDone` of the same instant puts
+    /// the request back in the batch with its adapter loading. It does not
+    /// decode until the load lands, then decodes its remaining tokens,
+    /// each applied once, with one gap per token after the first.
+    #[test]
+    fn restore_landing_before_its_adapter_load_waits_for_the_load() {
+        let mut e = mk_engine();
+        e.kv_spec = Some(KvSpec::new().with_pressure_threshold(0.0));
+        let output = 12;
+        let mut q = chameleon_simcore::EventQueue::new();
+        q.push(
+            SimTime::ZERO,
+            EngineEvent::Arrival(request(0, 0.0, 64, output, 0)),
+        );
+        let mut out = Vec::new();
+        // The cold load, the prefill and four decode iterations.
+        let mut steps = 0;
+        while steps < 5 {
+            let (t, ev) = q.pop().expect("the request is still running");
+            steps += u32::from(matches!(ev, EngineEvent::StepDone(_)));
+            e.handle(t, ev, &mut out);
+            for (at, ev) in out.drain(..) {
+                q.push(at, ev);
+            }
+        }
+        // Demote it while the next iteration runs and evict its idle
+        // adapter, so the restore needs a cold reload.
+        let (t, ev) = q.pop().expect("an iteration is in flight");
+        assert!(matches!(ev, EngineEvent::StepDone(_)));
+        assert!(e.try_demote(0, t));
+        e.cache.make_room(&mut e.mem, u64::MAX, t, &|_| false);
+        assert!(!e.cache.is_resident(AdapterId(0)));
+        e.handle(t, ev, &mut out);
+        assert_eq!(e.restoring.len(), 1, "the restore started");
+        assert!(e.loading.contains(AdapterId(0)), "the adapter reloads");
+        // Wake-ups first, so the restore lands before the LoadDone.
+        out.sort_by_key(|(_, ev)| !matches!(ev, EngineEvent::Poke));
+        let (poke_at, _) = out[0];
+        assert!(out
+            .iter()
+            .any(|&(at, ref ev)| at == poke_at && matches!(ev, EngineEvent::LoadDone(_))));
+        for (at, ev) in out.drain(..) {
+            q.push(at, ev);
+        }
+        let (t, ev) = q.pop().expect("the restore's wake-up");
+        assert!(matches!(ev, EngineEvent::Poke));
+        e.handle(t, ev, &mut out);
+        assert_eq!(e.running.len(), 1, "the restore landed");
+        assert!(e.loading.contains(AdapterId(0)), "before the adapter");
+        assert!(e.current_step.is_none(), "nothing can run before the load");
+        for (at, ev) in out.drain(..) {
+            q.push(at, ev);
+        }
+        while let Some((t, ev)) = q.pop() {
+            e.handle(t, ev, &mut out);
+            for (at, ev) in out.drain(..) {
+                q.push(at, ev);
+            }
+        }
+        assert_eq!(e.completed(), 1);
+        assert_eq!(e.work().tokens_applied, u64::from(output));
+        let report = e.into_report();
+        let rec = &report.records[0];
+        assert!(rec.is_complete());
+        assert_eq!(rec.tbt_gaps.len(), output as usize - 1);
+        assert_eq!(report.kv.restores, 1);
+    }
+
     /// §4.3.3 squash rule, dissolve branch: when enough memory has freed
     /// for the blocked head even without squashing, the pair dissolves.
     #[test]

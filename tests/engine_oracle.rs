@@ -78,6 +78,13 @@ fn kv24() -> SystemConfig {
 const KV24_RPS: f64 = 10.0;
 const KV24_SECS: f64 = 600.0;
 
+/// `cfg` with Sarathi-style chunked prefill: prompt chunks fold into the
+/// decode iterations.
+fn chunked(mut cfg: SystemConfig, label: &str) -> SystemConfig {
+    cfg.chunked_prefill = true;
+    cfg.with_label(label)
+}
+
 /// The `engine_high` benchmark system near its knee.
 #[test]
 fn engine_high_system_matches_frozen_bytes() {
@@ -205,6 +212,48 @@ fn comparison_cache_policies_match_frozen_bytes() {
             assert_frozen(&cfg.label, seed, &report.canonical_text(), len, fnv);
         }
     }
+}
+
+/// Chameleon's engine at 600 adapters with chunked prefill: every
+/// iteration after the first admission decodes, with the prompt chunks
+/// of new admissions folded in.
+#[test]
+fn chameleon_chunked_prefill_matches_frozen_bytes() {
+    for (seed, len, fnv) in [
+        (3u64, 95_660usize, 0x4d50_ddad_aa47_6d49_u64),
+        (11, 104_213, 0x6fee_b7cd_b485_2661),
+    ] {
+        let cfg = chunked(preset::chameleon().with_adapters(600), "Ch-Chunked");
+        let text = run_splitwise(cfg, seed, 10.5, 60.0).0;
+        assert_frozen("Chameleon with chunked prefill", seed, &text, len, fnv);
+    }
+}
+
+/// The KV-guarded engine with chunked prefill on an A40 capped at
+/// 15 GiB, demoting past half KV pressure. At seed 8 decode growth runs
+/// out of memory often enough to reach the rare preemption orders: five
+/// victims sit before the growing request in the iteration's decode
+/// order, so they already hold the iteration's token, and one of them,
+/// demoted right after its last token, is restored already finished and
+/// retired at the next iteration boundary.
+#[test]
+fn kv15_chunked_preemption_orders_match_frozen_bytes() {
+    let seed = 8;
+    let mut cfg = chunked(kv24(), "Chameleon-KvGuarded-Chunked")
+        .with_gpu(GpuSpec::a40().with_memory_bytes(15 << 30));
+    cfg.kv = Some(KvSpec::new().with_pressure_threshold(0.5));
+    let report = splitwise_report(cfg, seed, KV24_RPS, KV24_SECS);
+    assert!(
+        report.kv.demotions > 0 && report.kv.restores > 0 && report.squashes > 0,
+        "the run must demote, restore and squash"
+    );
+    assert_frozen(
+        "KV-guarded chunked engine on 15 GiB",
+        seed,
+        &report.canonical_text(),
+        1_038_491,
+        0x0e10_b219_580e_31cc,
+    );
 }
 
 /// The `engine_kv24` system at seeds whose output depends on which
