@@ -26,7 +26,8 @@ use chameleon_sched::{AdmissionOutcome, QueuedRequest, Scheduler, WrsConfig};
 use chameleon_simcore::{SimDuration, SimTime};
 use chameleon_trace::TraceEvent;
 use chameleon_workload::{Request, Slot};
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Events driving the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,16 +62,41 @@ struct Running {
     predicted_output: u32,
     /// Prompt tokens not yet prefilled.
     prefill_remaining: u32,
-    /// Output tokens produced.
+    /// Output tokens produced — in the decode set, those produced when
+    /// the request joined it; [`produced`](Self::produced) adds the rest.
     produced: u32,
+    /// The request's stint in the decode set, while it is in it.
+    stint: Option<Stint>,
     /// KV tokens currently reserved for this request.
     kv_reserved: u32,
     admitted_at: SimTime,
+    /// Debug builds: output tokens counted one at a time in each
+    /// iteration's decode order, the reference the lazy count must match.
+    #[cfg(debug_assertions)]
+    eager_produced: u32,
+}
+
+/// A running request's membership of the decode set: every decode
+/// iteration launched while it is a member gives it one token.
+#[derive(Debug, Clone, Copy)]
+struct Stint {
+    /// Decode iterations completed when the request joined.
+    joined: u64,
+    /// Engine-unique number of the stint, which keys its due events.
+    stamp: u64,
 }
 
 impl Running {
-    fn finished(&self) -> bool {
-        self.prefill_remaining == 0 && self.produced >= self.req.output_tokens()
+    /// Output tokens produced once `done` decode iterations completed.
+    fn produced(&self, done: u64) -> u32 {
+        match self.stint {
+            Some(s) => self.produced + (done - s.joined) as u32,
+            None => self.produced,
+        }
+    }
+
+    fn finished(&self, done: u64) -> bool {
+        self.prefill_remaining == 0 && self.produced(done) >= self.req.output_tokens()
     }
 
     /// The output reservation for running this request again after a
@@ -78,6 +104,10 @@ impl Running {
     /// tokens, so at least that plus a block of headroom — otherwise an
     /// under-predicted request would OOM and preempt again forever.
     fn replanned_output(&self) -> u32 {
+        debug_assert!(
+            self.stint.is_none(),
+            "a preempted request left the decode set"
+        );
         self.predicted_output
             .max(self.produced + KV_BLOCK_TOKENS)
             .min(self.req.output_tokens().max(1))
@@ -179,20 +209,34 @@ pub struct EngineWork {
 }
 
 /// Appends each running request's predicted `(remaining steps, bytes
-/// freed)`: its remaining decode tokens plus pending prompt at 64 tokens a
-/// step, and its block-rounded KV plus adapter bytes — what
-/// `KvAllocator::free` and the cache release at retirement.
-fn release_pairs(out: &mut Releases, running: &[Running], kv: &KvAllocator, pool: &AdapterPool) {
+/// freed)` once `done` decode iterations completed: its remaining decode
+/// tokens plus pending prompt at 64 tokens a step, and its block-rounded
+/// KV plus adapter bytes — what `KvAllocator::free` and the cache release
+/// at retirement.
+fn release_pairs(
+    out: &mut Releases,
+    running: &[Running],
+    done: u64,
+    kv: &KvAllocator,
+    pool: &AdapterPool,
+) {
     out.extend(running.iter().map(|r| {
-        let remaining = u64::from(
-            r.predicted_output
-                .max(r.produced)
-                .saturating_sub(r.produced),
-        ) + u64::from(r.prefill_remaining) / 64;
+        let produced = r.produced(done);
+        let remaining = u64::from(r.predicted_output.max(produced).saturating_sub(produced))
+            + u64::from(r.prefill_remaining) / 64;
         let freed =
             kv.bytes_for(r.kv_reserved) + pool.get(r.req.adapter()).map(|a| a.bytes()).unwrap_or(0);
         (remaining, freed)
     }));
+}
+
+/// True when `slot` runs in the decode stint `stamp` names.
+fn in_stint(running: &[Running], batch_pos: &[u32], slot: Slot, stamp: u64) -> bool {
+    let pos = batch_pos[slot.index()];
+    pos != NOT_RUNNING
+        && running[pos as usize]
+            .stint
+            .is_some_and(|s| s.stamp == stamp)
 }
 
 /// A running request demoted to a compact hidden-state proxy entry
@@ -219,13 +263,26 @@ struct Restoring {
 }
 
 /// What the engine is executing right now: `prefill` processes each
-/// `(slot, tokens)` chunk of prompt, and `decode` produces one token for
-/// each slot. A dedicated prefill iteration leaves `decode` empty; in
-/// chunked-prefill mode the chunks fold into a decode iteration.
+/// `(slot, tokens)` chunk of prompt, and a `decode` iteration produces one
+/// token for every request in the decode set. A dedicated prefill
+/// iteration does not decode; in chunked-prefill mode the chunks fold
+/// into a decode iteration.
 #[derive(Debug, Clone, Default)]
 struct StepPlan {
     prefill: Vec<(Slot, u32)>,
-    decode: Vec<Slot>,
+    decode: bool,
+}
+
+/// An event of a decode stint, due at the decode iteration whose token
+/// triggers it (the engine's `iter`-th): the request's last token, or its
+/// first token past its KV reservation, after which its KV grows every
+/// iteration. A stint that ended early leaves its events stale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    iter: u64,
+    stamp: u64,
+    slot: u32,
+    grows: bool,
 }
 
 /// A record of an opportunistic bypass: `r2` jumped over a blocked head
@@ -261,6 +318,33 @@ pub struct Engine {
     batch_pos: Vec<u32>,
     /// Running requests per adapter, indexed by adapter id.
     adapter_users: Vec<u32>,
+    /// Running requests with prompt left to prefill, in no order.
+    prefilling: Vec<Slot>,
+    /// Running requests past prefill whose adapter is still loading (a
+    /// restore that landed before its adapter's `LoadDone`); each joins
+    /// the decode set at the first launch after the load.
+    awaiting_adapter: Vec<Slot>,
+    /// The decode set's pricing sums. The decode set is the running
+    /// requests past prefill, unfinished, whose adapter is on the GPU;
+    /// `join_decode` and `leave_decode` keep the sums live, and every
+    /// decode iteration advances them.
+    decode_batch: DecodeBatch,
+    /// End instant of every decode iteration, oldest first; its length is
+    /// the count of decode iterations completed. A request leaving the
+    /// decode set reads the times of its tokens here.
+    decode_ends: Vec<SimTime>,
+    /// Decode stints begun, the source of their stamps.
+    stints: u64,
+    /// Due events of the decode stints, soonest first.
+    due: BinaryHeap<Reverse<Due>>,
+    /// Decode-set requests past their KV reservation, with their stints'
+    /// stamps: each grows its KV by one token per decode iteration.
+    growing: Vec<(Slot, u64)>,
+    /// Running requests that may have produced their last token, checked
+    /// and retired at the end of the next iteration: due finishes,
+    /// prefills whose first token was the last, and restored requests
+    /// that were demoted after their last token.
+    retiring: Vec<Slot>,
     loading: LoadingTable,
     /// KV plane (unified GPU-memory economy): `None` keeps every path
     /// byte-identical to the optimistic allocate-then-unwind baseline.
@@ -308,10 +392,18 @@ pub struct Engine {
     protected_ready: bool,
     prefetch_buf: Vec<AdapterId>,
     prefill_items: Vec<PrefillItem>,
-    decode_batch: DecodeBatch,
     /// The buffers of the last finished step, refilled by the next.
     spare_plan: StepPlan,
     pairs_scratch: Vec<BypassPair>,
+    /// The growth pass's requests as `(launch position, slot)`.
+    growth_order: Vec<(u32, Slot)>,
+    /// Requests a preemption's `swap_remove` moved during the growth
+    /// pass, with their launch positions.
+    moved: Vec<(Slot, u32)>,
+    /// Debug builds: the decode set of the iteration in flight in batch
+    /// order, and how far its eager token count has gone.
+    #[cfg(debug_assertions)]
+    eager_decode: (Vec<Slot>, usize),
     #[cfg(test)]
     residency_audit: Option<tests::ResidencyAudit>,
     /// Decision-trace buffer in this engine's own execution order; `None`
@@ -394,6 +486,14 @@ impl Engine {
             charged_total: 0,
             batch_pos: Vec::new(),
             adapter_users: vec![0; pool.len()],
+            prefilling: Vec::new(),
+            awaiting_adapter: Vec::new(),
+            decode_batch: DecodeBatch::default(),
+            decode_ends: Vec::new(),
+            stints: 0,
+            due: BinaryHeap::new(),
+            growing: Vec::new(),
+            retiring: Vec::new(),
             loading: LoadingTable::new(pool.len()),
             pool,
             kv_spec,
@@ -423,9 +523,12 @@ impl Engine {
             protected_ready: false,
             prefetch_buf: Vec::new(),
             prefill_items: Vec::new(),
-            decode_batch: DecodeBatch::default(),
             spare_plan: StepPlan::default(),
             pairs_scratch: Vec::new(),
+            growth_order: Vec::new(),
+            moved: Vec::new(),
+            #[cfg(debug_assertions)]
+            eager_decode: (Vec::new(), 0),
             #[cfg(test)]
             residency_audit: None,
             trace: None,
@@ -540,6 +643,12 @@ impl Engine {
         }
         debug_assert_eq!(self.charged_total, 0, "evacuation leaves no charge behind");
         debug_assert!(self.bypass_pairs.is_empty(), "only running requests bypass");
+        debug_assert!(self.decode_batch.is_empty() && self.prefilling.is_empty());
+        // Every due event and retirement candidate named a request just
+        // evacuated.
+        self.due.clear();
+        self.growing.clear();
+        self.retiring.clear();
         self.current_step = None;
         self.poke_pending = false;
         for req in &lost {
@@ -695,7 +804,15 @@ impl Engine {
 
     /// Exact counts of the bookkeeping work done so far.
     pub fn work(&self) -> EngineWork {
+        // Tokens of the decode set are applied when a request leaves it.
+        let done = self.decode_done();
+        let unapplied: u64 = self
+            .running
+            .iter()
+            .map(|r| u64::from(r.produced(done) - r.produced))
+            .sum();
         EngineWork {
+            tokens_applied: self.work.tokens_applied + unapplied,
             release_schedules: self.release.builds(),
             ..self.work
         }
@@ -859,19 +976,41 @@ impl Engine {
         }
     }
 
-    /// Appends `r` to the running batch.
+    /// Decode iterations completed so far.
+    fn decode_done(&self) -> u64 {
+        self.decode_ends.len() as u64
+    }
+
+    /// Appends `r` to the running batch, where it prefills, joins the
+    /// decode set, waits for its adapter's load or, when it was demoted
+    /// after its last token, waits to be retired.
     fn push_running(&mut self, r: Running) {
-        self.batch_pos[r.slot.index()] = self.running.len() as u32;
+        debug_assert!(
+            r.stint.is_none(),
+            "a request joins the decode set in the batch"
+        );
+        let (slot, idx) = (r.slot, self.running.len());
+        self.batch_pos[slot.index()] = idx as u32;
         self.adapter_users[r.req.adapter().0 as usize] += 1;
         self.charged_total += r.charged_tokens;
+        let loading = self.loading.contains(r.req.adapter());
+        let state = (r.prefill_remaining > 0, r.finished(self.decode_done()));
         self.running.push(r);
+        match state {
+            (true, _) => self.prefilling.push(slot),
+            (false, true) => self.retiring.push(slot),
+            (false, false) if loading => self.awaiting_adapter.push(slot),
+            (false, false) => self.join_decode(idx),
+        }
     }
 
     /// Removes the request at batch position `idx` by `swap_remove`, the
     /// removal order the timeline depends on, keeping the slot table and
     /// the per-adapter counts current and dissolving the request's bypass
-    /// pair.
+    /// pair. A request in the decode set leaves it with every token the
+    /// completed decode iterations gave it.
     fn take_running(&mut self, idx: usize) -> Running {
+        self.leave_decode(idx, self.decode_done());
         let r = self.running.swap_remove(idx);
         self.batch_pos[r.slot.index()] = NOT_RUNNING;
         if let Some(moved) = self.running.get(idx) {
@@ -880,7 +1019,78 @@ impl Engine {
         self.adapter_users[r.req.adapter().0 as usize] -= 1;
         self.charged_total -= r.charged_tokens;
         self.bypass_pairs.retain(|p| p.r2 != r.slot);
+        let list = if r.prefill_remaining > 0 {
+            &mut self.prefilling
+        } else {
+            &mut self.awaiting_adapter
+        };
+        if let Some(i) = list.iter().position(|&s| s == r.slot) {
+            list.swap_remove(i);
+        }
         r
+    }
+
+    /// Puts the running request at batch position `idx` in the decode set
+    /// and schedules its stint's due events: the iteration of its last
+    /// token and, unless it finishes first, that of its first token past
+    /// its KV reservation.
+    fn join_decode(&mut self, idx: usize) {
+        let done = self.decode_done();
+        self.stints += 1;
+        let stamp = self.stints;
+        let r = &mut self.running[idx];
+        debug_assert!(r.prefill_remaining == 0 && !r.finished(done));
+        r.stint = Some(Stint {
+            joined: done,
+            stamp,
+        });
+        let context = r.req.input_tokens() + r.produced;
+        self.decode_batch.push(
+            self.cost.llm(),
+            DecodeItem {
+                kv_tokens: context,
+                rank: Some(r.req.rank()),
+            },
+        );
+        let slot = r.slot.index() as u32;
+        let last = done + u64::from(r.req.output_tokens() - r.produced);
+        let grows = done + 1 + u64::from(r.kv_reserved.saturating_sub(context));
+        for (iter, grows) in [(last, false), (grows, true)] {
+            if iter <= last {
+                self.due.push(Reverse(Due {
+                    iter,
+                    stamp,
+                    slot,
+                    grows,
+                }));
+            }
+        }
+    }
+
+    /// Takes the running request at batch position `idx` out of the
+    /// decode set, if it is in it, with the tokens of the decode
+    /// iterations up to `through`: its count, its records' gaps and the
+    /// work counter. The pricing sums drop the context they hold for it.
+    fn leave_decode(&mut self, idx: usize, through: u64) {
+        let done = self.decode_done();
+        let r = &mut self.running[idx];
+        let Some(stint) = r.stint.take() else {
+            return;
+        };
+        self.decode_batch.remove(
+            self.cost.llm(),
+            DecodeItem {
+                kv_tokens: r.req.input_tokens() + r.produced + (done - stint.joined) as u32,
+                rank: Some(r.req.rank()),
+            },
+        );
+        let from = stint.joined as usize;
+        let tokens = &self.decode_ends[from..(through as usize).max(from)];
+        r.produced += tokens.len() as u32;
+        self.collector.on_tokens(r.slot, tokens);
+        self.work.tokens_applied += tokens.len() as u64;
+        #[cfg(debug_assertions)]
+        assert_eq!(r.produced, r.eager_produced, "{} left decoding", r.req.id());
     }
 
     /// Gives back a preempted request's hold on `adapter`: its cache
@@ -948,11 +1158,17 @@ impl Engine {
         let Some(plan) = self.current_step.take() else {
             return;
         };
+        if plan.decode {
+            // Every request in the decode set produced a token.
+            self.decode_ends.push(now);
+            self.decode_batch.advance();
+            self.take_due_events();
+        }
         for &(slot, chunk) in &plan.prefill {
             self.apply_prefill_progress(slot, chunk, now);
         }
-        for &slot in &plan.decode {
-            self.apply_decode_progress(slot, now);
+        if plan.decode {
+            self.grow_past_reservations(now);
         }
         self.spare_plan = plan;
         self.retire_finished(now);
@@ -966,9 +1182,16 @@ impl Engine {
         };
         let r = &mut self.running[idx];
         r.prefill_remaining = r.prefill_remaining.saturating_sub(chunk);
-        if r.prefill_remaining == 0 && r.produced == 0 {
+        if r.prefill_remaining > 0 {
+            return;
+        }
+        if r.produced == 0 {
             // Prefill completion produces the first token.
             r.produced = 1;
+            #[cfg(debug_assertions)]
+            {
+                r.eager_produced = 1;
+            }
             let (id, arrival) = (r.req.id(), r.req.arrival());
             self.collector.on_token(slot, now);
             self.work.tokens_applied += 1;
@@ -982,40 +1205,142 @@ impl Engine {
                 ));
             }
         }
+        if let Some(i) = self.prefilling.iter().position(|&s| s == slot) {
+            self.prefilling.swap_remove(i);
+        }
+        // The adapter that ran the prefill stays on the GPU.
+        debug_assert!(!self.loading.contains(self.running[idx].req.adapter()));
+        if self.running[idx].finished(self.decode_done()) {
+            self.retiring.push(slot);
+        } else {
+            self.join_decode(idx);
+        }
     }
 
-    fn apply_decode_progress(&mut self, slot: Slot, now: SimTime) {
-        let Some(idx) = self.batch_index(slot) else {
-            return; // squashed mid-step
-        };
-        let r = &mut self.running[idx];
-        r.produced += 1;
-        // Grow KV beyond the admission reservation when the request
-        // outlives its prediction.
-        let (needed, reserved) = (r.req.input_tokens() + r.produced, r.kv_reserved);
-        self.collector.on_token(slot, now);
-        self.work.tokens_applied += 1;
-        if needed > reserved && !self.ensure_kv_growth(slot, now) {
-            // OOM during decode: preempt the youngest other running
-            // request — demoted to a compact hidden-state proxy when the
-            // hybrid cache allows it, squashed outright otherwise
-            // (recompute-style preemption).
-            let youngest = self
-                .running
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.slot != slot)
-                .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
-                .map(|(i, _)| i);
-            if let Some(idx) = youngest {
-                if !self.try_demote(idx, now) {
-                    self.squash(idx, now);
-                }
+    /// Moves the stint events due at the decode iteration just completed
+    /// into the growing set and the retirement candidates, dropping those
+    /// of stints that already ended.
+    fn take_due_events(&mut self) {
+        let done = self.decode_done();
+        while let Some(&Reverse(due)) = self.due.peek() {
+            if due.iter > done {
+                break;
             }
-            // Retry; if it still fails the request stalls one token —
-            // growth will be retried next iteration.
-            let _ = self.ensure_kv_growth(slot, now);
+            self.due.pop();
+            let slot = Slot::new(due.slot as usize);
+            if !in_stint(&self.running, &self.batch_pos, slot, due.stamp) {
+                continue;
+            }
+            if due.grows {
+                self.growing.push((slot, due.stamp));
+            } else {
+                self.retiring.push(slot);
+            }
         }
+    }
+
+    /// Grows the KV of every decode-set request past its reservation by
+    /// the token this iteration gave it, in the iteration's decode order —
+    /// batch order at launch — so that each out-of-memory preemption picks
+    /// its victim from the batch exactly as a per-token pass over the
+    /// decode set would have left it.
+    fn grow_past_reservations(&mut self, now: SimTime) {
+        let (running, batch_pos) = (&self.running, &self.batch_pos);
+        self.growing
+            .retain(|&(slot, stamp)| in_stint(running, batch_pos, slot, stamp));
+        let mut order = std::mem::take(&mut self.growth_order);
+        order.clear();
+        order.extend(
+            self.growing
+                .iter()
+                .map(|&(slot, _)| (self.batch_pos[slot.index()], slot)),
+        );
+        order.sort_unstable_by_key(|&(pos, _)| pos);
+        self.moved.clear();
+        for &(pos, slot) in &order {
+            #[cfg(debug_assertions)]
+            self.eager_tokens(Some(slot));
+            // A preemption earlier in this pass may have taken it.
+            if self.batch_index(slot).is_some() {
+                self.grow_decoder(slot, pos, now);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.eager_tokens(None);
+        self.growth_order = order;
+    }
+
+    /// Grows the KV of decode-set request `slot`, at `launch_pos` in the
+    /// iteration's decode order, once its tokens outgrew its reservation.
+    /// On OOM it preempts the youngest other running request — demoted to
+    /// a compact hidden-state proxy when the hybrid cache allows it,
+    /// squashed outright otherwise (recompute-style preemption) — and
+    /// retries once; if that fails too, the reservation lags a token and
+    /// growth retries next iteration.
+    fn grow_decoder(&mut self, slot: Slot, launch_pos: u32, now: SimTime) {
+        let done = self.decode_done();
+        let r = &self.running[self.batch_index(slot).expect("growing requests run")];
+        let past = r.req.input_tokens() + r.produced(done) > r.kv_reserved;
+        if !past || self.ensure_kv_growth(slot, now) {
+            return;
+        }
+        let youngest = self
+            .running
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.slot != slot)
+            .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
+            .map(|(i, _)| i);
+        if let Some(idx) = youngest {
+            // A victim after `slot` in the decode order has not had this
+            // iteration's token yet.
+            let through = if self.launch_pos(self.running[idx].slot) > launch_pos {
+                done.saturating_sub(1)
+            } else {
+                done
+            };
+            self.leave_decode(idx, through);
+            // The preemption's `swap_remove` moves the batch's last
+            // request into the victim's place.
+            let last = self.running.len() - 1;
+            let tail = self.running[last].slot;
+            if idx != last && !self.moved.iter().any(|&(s, _)| s == tail) {
+                self.moved.push((tail, last as u32));
+            }
+            if !self.try_demote(idx, now) {
+                self.squash(idx, now);
+            }
+        }
+        let _ = self.ensure_kv_growth(slot, now);
+    }
+
+    /// Position of running request `slot` in the batch when the iteration
+    /// in progress launched.
+    fn launch_pos(&self, slot: Slot) -> u32 {
+        self.moved
+            .iter()
+            .find(|&&(s, _)| s == slot)
+            .map_or(self.batch_pos[slot.index()], |&(_, pos)| pos)
+    }
+
+    /// Debug builds: gives the iteration's token to each request of its
+    /// decode set in decode order, up to and including `upto` (all of
+    /// them for `None`), skipping requests preempted earlier in the
+    /// iteration — the per-token count the lazy one must match.
+    #[cfg(debug_assertions)]
+    fn eager_tokens(&mut self, upto: Option<Slot>) {
+        let (decode, cursor) = &mut self.eager_decode;
+        while let Some(&slot) = decode.get(*cursor) {
+            *cursor += 1;
+            let pos = self.batch_pos[slot.index()];
+            if pos != NOT_RUNNING {
+                self.running[pos as usize].eager_produced += 1;
+            }
+            if Some(slot) == upto {
+                return;
+            }
+        }
+        assert!(upto.is_none(), "{upto:?} grew outside the decode set");
     }
 
     /// KV pressure: KV-cache bytes over usable (non-weight,
@@ -1196,21 +1521,30 @@ impl Engine {
         }
     }
 
+    /// Retires the running requests that produced their last token, in
+    /// descending batch position: the order of a descending rescan of the
+    /// batch, whose `swap_remove`s only move requests it already checked.
     fn retire_finished(&mut self, now: SimTime) {
-        // Descending scan with in-place swap_remove: identical removal
-        // order to the old collect-then-remove (every element past `idx`
-        // has already been examined), without the per-step index Vec.
-        for idx in (0..self.running.len()).rev() {
-            if !self.running[idx].finished() {
-                continue;
-            }
-            let r = self.take_running(idx);
+        let done = self.decode_done();
+        let mut retiring = std::mem::take(&mut self.retiring);
+        let (running, batch_pos) = (&self.running, &self.batch_pos);
+        retiring.retain(|&slot| {
+            let pos = batch_pos[slot.index()];
+            pos != NOT_RUNNING && running[pos as usize].finished(done)
+        });
+        retiring.sort_unstable_by_key(|&slot| Reverse(batch_pos[slot.index()]));
+        debug_assert!(retiring.windows(2).all(|w| w[0] != w[1]));
+        for &slot in &retiring {
+            let r = self.take_running(self.batch_index(slot).expect("checked above"));
             self.collector.on_finish(r.slot, now);
             self.kv.free(&mut self.mem, r.kv);
             self.cache.release(&mut self.mem, r.req.adapter(), now);
             self.sched.on_finish(r.queue_index, r.charged_tokens);
             self.completed += 1;
         }
+        debug_assert!(self.running.iter().all(|r| !r.finished(done)));
+        retiring.clear();
+        self.retiring = retiring;
     }
 
     // ------------------------------------------------------------------
@@ -1228,6 +1562,7 @@ impl Engine {
     fn with_probe(&mut self, now: SimTime, f: impl FnOnce(&mut dyn Scheduler, &EngineProbe<'_>)) {
         let scalars = self.probe_scalars(now);
         self.work.probes += 1;
+        let done = self.decode_done();
         let Engine {
             sched,
             cache,
@@ -1247,7 +1582,7 @@ impl Engine {
                 || loading.contains(a)
         };
         let (batch, kv, pool) = (&running[..*release_batch], &*kv, &*pool);
-        let fill = |out: &mut Releases| release_pairs(out, batch, kv, pool);
+        let fill = |out: &mut Releases| release_pairs(out, batch, done, kv, pool);
         let probe = EngineProbe {
             scalars,
             resident: &resident,
@@ -1428,8 +1763,9 @@ impl Engine {
                     // probe says the deficit takes to free up.
                     let (batch, kv, pool) =
                         (&self.running[..self.release_batch], &self.kv, &self.pool);
+                    let done = self.decode_ends.len() as u64;
                     let est_wait = self.release.wait(need - reclaimable, |out| {
-                        release_pairs(out, batch, kv, pool)
+                        release_pairs(out, batch, done, kv, pool)
                     });
                     buf.push((
                         now,
@@ -1519,6 +1855,9 @@ impl Engine {
             kv: seq,
             prefill_remaining: req.input_tokens(),
             produced: 0,
+            stint: None,
+            #[cfg(debug_assertions)]
+            eager_produced: 0,
             kv_reserved: kv_tokens,
             predicted_output: queued.predicted_output(),
             charged_tokens: adm.charged_tokens,
@@ -1649,14 +1988,15 @@ impl Engine {
 
     /// Chooses and launches the next iteration.
     ///
-    /// One pass over the running batch plans it: each request whose
-    /// adapter is on the GPU either takes a prompt chunk while the prefill
-    /// budget lasts or, when decoding, joins the step's slots and its
-    /// pricing sums.
+    /// Only requests whose state changes are touched: the prefilling ones
+    /// take prompt chunks in batch order while the budget lasts, restored
+    /// requests whose adapter has landed join the decode set, and the
+    /// decode set is priced from its live sums.
     fn launch_step(&mut self, now: SimTime, out: &mut Vec<(SimTime, EngineEvent)>) {
         if self.current_step.is_some() {
             return;
         }
+        self.join_loaded_decoders();
         let chunked = self.cfg.chunked_prefill;
         let mut budget = if chunked {
             PREFILL_CHUNK_TOKENS
@@ -1665,64 +2005,53 @@ impl Engine {
         };
         let mut plan = std::mem::take(&mut self.spare_plan);
         plan.prefill.clear();
-        plan.decode.clear();
         self.prefill_items.clear();
-        self.decode_batch.clear();
+        let batch_pos = &self.batch_pos;
+        self.prefilling
+            .sort_unstable_by_key(|slot| batch_pos[slot.index()]);
         let (mut prefilling, mut blocked) = (false, false);
-        for r in &self.running {
+        for &slot in &self.prefilling {
+            let r = &self.running[self.batch_pos[slot.index()] as usize];
             // A running request holds a cache reference or waits on its
             // adapter's load, so its adapter is resident exactly when it
             // is not loading.
-            let adapter = r.req.adapter();
-            let resident = !self.loading.contains(adapter);
-            debug_assert_eq!(resident, self.cache.is_resident(adapter), "{adapter}");
-            if r.prefill_remaining > 0 {
-                if !resident {
-                    // S-LoRA batch semantics (§2): the engine does not
-                    // launch the next iteration while an admitted request's
-                    // adapter is still loading — the scheduler synchronously
-                    // loads missing adapters before sending the batch.
-                    // Chameleon's asynchronous cache manager avoids this.
-                    blocked = self.cfg.block_on_load;
-                    if blocked {
-                        break;
-                    }
-                    continue;
+            if self.loading.contains(r.req.adapter()) {
+                // S-LoRA batch semantics (§2): the engine does not
+                // launch the next iteration while an admitted request's
+                // adapter is still loading — the scheduler synchronously
+                // loads missing adapters before sending the batch.
+                // Chameleon's asynchronous cache manager avoids this.
+                blocked = self.cfg.block_on_load;
+                if blocked {
+                    break;
                 }
-                prefilling = true;
-                // Cap the prompt tokens processed this iteration so a wave
-                // of admissions cannot stall running decodes indefinitely.
-                let take = r.prefill_remaining.min(budget);
-                if take > 0 {
-                    budget -= take;
-                    plan.prefill.push((r.slot, take));
-                    self.prefill_items.push(PrefillItem {
-                        tokens: take,
-                        rank: Some(r.req.rank()),
-                    });
-                }
-            } else if resident && !r.finished() {
-                plan.decode.push(r.slot);
-                self.decode_batch.push(
-                    self.cost.llm(),
-                    DecodeItem {
-                        kv_tokens: r.req.input_tokens() + r.produced,
-                        rank: Some(r.req.rank()),
-                    },
-                );
+                continue;
+            }
+            prefilling = true;
+            // Cap the prompt tokens processed this iteration so a wave
+            // of admissions cannot stall running decodes indefinitely.
+            let take = r.prefill_remaining.min(budget);
+            if take > 0 {
+                budget -= take;
+                plan.prefill.push((slot, take));
+                self.prefill_items.push(PrefillItem {
+                    tokens: take,
+                    rank: Some(r.req.rank()),
+                });
             }
         }
-        if blocked || (!prefilling && plan.decode.is_empty()) {
+        // Default (LightLLM/S-LoRA-style) execution: pending prefills run
+        // as a dedicated prefill iteration before decoding continues.
+        plan.decode = !self.decode_batch.is_empty() && (chunked || !prefilling);
+        #[cfg(debug_assertions)]
+        self.check_plan(&plan, blocked);
+        if blocked || (!prefilling && self.decode_batch.is_empty()) {
             // Waiting on a load (a LoadDone event will re-trigger
             // dispatch), or nothing executable.
             self.spare_plan = plan;
             return;
         }
         let duration = if prefilling && !chunked {
-            // Default (LightLLM/S-LoRA-style) execution: pending prefills
-            // run as a dedicated prefill iteration before decoding
-            // continues.
-            plan.decode.clear();
             self.cost.prefill_time(&self.prefill_items)
         } else {
             // One decode iteration; in Sarathi-style chunked prefill the
@@ -1752,6 +2081,72 @@ impl Engine {
         self.current_step = Some(plan);
         self.busy_until = now + duration;
         out.push((self.busy_until, EngineEvent::StepDone(self.step_seq)));
+    }
+
+    /// Moves the running requests whose adapter landed since they rejoined
+    /// the batch into the decode set.
+    fn join_loaded_decoders(&mut self) {
+        let mut i = 0;
+        while let Some(&slot) = self.awaiting_adapter.get(i) {
+            let idx = self.batch_pos[slot.index()] as usize;
+            if self.loading.contains(self.running[idx].req.adapter()) {
+                i += 1;
+            } else {
+                self.awaiting_adapter.swap_remove(i);
+                self.join_decode(idx);
+            }
+        }
+    }
+
+    /// Debug builds: plans the step the way one pass over the whole batch
+    /// does, the reference the live planner replaced, and checks the plan,
+    /// the decode set and its sums, and every running request's token
+    /// count against it. Keeps the decode set in batch order for the
+    /// iteration's eager token count.
+    #[cfg(debug_assertions)]
+    fn check_plan(&mut self, plan: &StepPlan, blocked: bool) {
+        let done = self.decode_done();
+        let mut budget = if self.cfg.chunked_prefill {
+            PREFILL_CHUNK_TOKENS
+        } else {
+            MAX_PREFILL_BATCH_TOKENS
+        };
+        let (mut prefill, mut decode) = (Vec::new(), Vec::new());
+        let mut sums = DecodeBatch::default();
+        let mut eager_blocked = false;
+        for r in &self.running {
+            let id = r.req.id();
+            assert_eq!(r.produced(done), r.eager_produced, "{id} token count");
+            let adapter = r.req.adapter();
+            let resident = !self.loading.contains(adapter);
+            assert_eq!(resident, self.cache.is_resident(adapter), "{adapter}");
+            let decodes = r.prefill_remaining == 0 && resident && !r.finished(done);
+            assert_eq!(r.stint.is_some(), decodes, "{id} in the decode set");
+            if r.prefill_remaining > 0 {
+                if !resident {
+                    eager_blocked |= self.cfg.block_on_load;
+                } else if !eager_blocked {
+                    let take = r.prefill_remaining.min(budget);
+                    if take > 0 {
+                        budget -= take;
+                        prefill.push((r.slot, take));
+                    }
+                }
+            } else if decodes {
+                decode.push(r.slot);
+                let item = DecodeItem {
+                    kv_tokens: r.req.input_tokens() + r.produced(done),
+                    rank: Some(r.req.rank()),
+                };
+                sums.push(self.cost.llm(), item);
+            }
+        }
+        assert_eq!((eager_blocked, &prefill), (blocked, &plan.prefill));
+        assert_eq!(sums, self.decode_batch, "decode sums");
+        if !plan.decode {
+            decode.clear();
+        }
+        self.eager_decode = (decode, 0);
     }
 
     /// Issues the host→GPU copy for an adapter load and returns the
@@ -2155,6 +2550,9 @@ mod tests {
             kv,
             prefill_remaining: 0,
             produced: 1,
+            stint: None,
+            #[cfg(debug_assertions)]
+            eager_produced: 1,
             kv_reserved,
             predicted_output: 1,
             charged_tokens: 0,
@@ -2163,6 +2561,17 @@ mod tests {
             req,
         });
         slot
+    }
+
+    /// Sets the output tokens an installed request has produced.
+    fn set_produced(e: &mut Engine, slot: Slot, produced: u32) {
+        let idx = e.batch_index(slot).expect("installed");
+        let r = &mut e.running[idx];
+        r.produced = produced;
+        #[cfg(debug_assertions)]
+        {
+            r.eager_produced = produced;
+        }
     }
 
     /// Regression for the spurious-squash bug: a decode token that fits in
@@ -2190,7 +2599,8 @@ mod tests {
         assert!(e.mem.free() < e.kv.block_bytes());
         let squashes_before = e.squashes;
         // Token 18 of request 1 (16 input + produced 2) fits in block 2.
-        e.apply_decode_progress(r1, now);
+        set_produced(&mut e, r1, 2);
+        e.grow_decoder(r1, 0, now);
         assert_eq!(e.squashes, squashes_before, "within-block growth preempted");
         assert_eq!(e.running.len(), 2, "victim stayed in the batch");
         let seq = e.running[e.batch_index(r1).expect("r1 runs")].kv;
@@ -2217,12 +2627,9 @@ mod tests {
         e.mem
             .reserve(Region::Activations, free)
             .expect("free bytes just measured");
-        // Request 1 produced token → needed = 30 + 2 = 32... grow to 33
-        // requires a new block. Force needed > reserved by bumping produced.
-        if let Some(r) = e.running.iter_mut().find(|r| r.req.id() == RequestId(1)) {
-            r.produced = 2; // needed = 33 > reserved 32 after the +1 below
-        }
-        e.apply_decode_progress(r1, now);
+        // Token 33 of request 1 (30 input + produced 3) needs block 3.
+        set_produced(&mut e, r1, 3);
+        e.grow_decoder(r1, 0, now);
         assert_eq!(e.squashes, 1, "boundary growth under OOM must preempt");
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }

@@ -98,31 +98,34 @@ pub struct DecodeItem {
     pub rank: Option<AdapterRank>,
 }
 
-/// The sums one decode iteration is priced from, added one sequence at a
-/// time: the sequence count, their total context, and the adapter bytes of
-/// their distinct ranks. Every sum is an integer, so the order sequences
-/// arrive in does not matter. [`clear`](Self::clear) keeps the rank list's
-/// capacity, so refilling one batch every iteration allocates nothing
-/// after warm-up.
+/// The sums one decode iteration is priced from: the sequence count, their
+/// total context, and the adapter bytes of their distinct ranks. Every
+/// sum is an integer, so the order sequences join and leave in does not
+/// matter. The sums stay live: a sequence is [`push`](Self::push)ed when
+/// it joins the decoding set and [`remove`](Self::remove)d with the same
+/// item when it leaves, and [`advance`](Self::advance) grows every
+/// sequence's context by the token an iteration gave it.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeBatch {
     items: usize,
     kv_tokens: u64,
     lora_bytes: u64,
-    /// Power-of-two ranks seen (every rank the paper uses), one bit each.
-    pow2_ranks: u32,
-    /// Every other rank seen.
-    other_ranks: Vec<u32>,
+    /// Sequences per power-of-two rank (every rank the paper uses),
+    /// indexed by the rank's log2.
+    pow2_ranks: [u32; 32],
+    /// Sequences per other rank, as `(rank, count)` with `count > 0`.
+    other_ranks: Vec<(u32, u32)>,
 }
 
 impl DecodeBatch {
-    /// Empties the batch.
-    pub fn clear(&mut self) {
-        self.items = 0;
-        self.kv_tokens = 0;
-        self.lora_bytes = 0;
-        self.pow2_ranks = 0;
-        self.other_ranks.clear();
+    /// Number of sequences in the batch.
+    pub fn len(&self) -> usize {
+        self.items
+    }
+
+    /// True when no sequence decodes.
+    pub fn is_empty(&self) -> bool {
+        self.items == 0
     }
 
     /// Adds one sequence of a model with `llm`'s geometry.
@@ -132,22 +135,80 @@ impl DecodeBatch {
         let Some(rank) = item.rank else {
             return;
         };
-        let r = rank.get();
-        let first = if r.is_power_of_two() {
-            let fresh = self.pow2_ranks & r == 0;
-            self.pow2_ranks |= r;
-            fresh
-        } else if self.other_ranks.contains(&r) {
-            false
-        } else {
-            self.other_ranks.push(r);
-            true
-        };
-        if first {
+        let count = self.rank_count(rank.get());
+        *count += 1;
+        if *count == 1 {
             self.lora_bytes += adapter_bytes(llm, rank);
         }
     }
+
+    /// Removes one sequence added by [`push`](Self::push), described by
+    /// its context now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sequence of the item's rank is in the batch.
+    pub fn remove(&mut self, llm: &LlmSpec, item: DecodeItem) {
+        self.items -= 1;
+        self.kv_tokens -= u64::from(item.kv_tokens);
+        let Some(rank) = item.rank else {
+            return;
+        };
+        let r = rank.get();
+        let count = self.rank_count(r);
+        *count = count.checked_sub(1).expect("rank in the batch");
+        if *count == 0 {
+            self.lora_bytes -= adapter_bytes(llm, rank);
+            if !r.is_power_of_two() {
+                self.other_ranks.retain(|&(_, n)| n > 0);
+            }
+        }
+    }
+
+    /// Grows every sequence's context by one token: the batch after one
+    /// decode iteration.
+    pub fn advance(&mut self) {
+        self.kv_tokens += self.items as u64;
+    }
+
+    /// The sequence count of rank `r`, a fresh zero entry for an unseen
+    /// rank other than a power of two.
+    fn rank_count(&mut self, r: u32) -> &mut u32 {
+        if r.is_power_of_two() {
+            return &mut self.pow2_ranks[r.trailing_zeros() as usize];
+        }
+        let i = match self.other_ranks.iter().position(|&(rank, _)| rank == r) {
+            Some(i) => i,
+            None => {
+                self.other_ranks.push((r, 0));
+                self.other_ranks.len() - 1
+            }
+        };
+        &mut self.other_ranks[i].1
+    }
 }
+
+/// Two batches are equal when they hold the same ranks the same number
+/// of times and price from the same sums, whatever order their
+/// sequences joined in.
+impl PartialEq for DecodeBatch {
+    fn eq(&self, other: &Self) -> bool {
+        (self.items, self.kv_tokens, self.lora_bytes, self.pow2_ranks)
+            == (
+                other.items,
+                other.kv_tokens,
+                other.lora_bytes,
+                other.pow2_ranks,
+            )
+            && self.other_ranks.len() == other.other_ranks.len()
+            && self
+                .other_ranks
+                .iter()
+                .all(|entry| other.other_ranks.contains(entry))
+    }
+}
+
+impl Eq for DecodeBatch {}
 
 /// TTFT decomposition of a single request, Figure 2's three bars.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -607,7 +668,6 @@ mod tests {
     #[test]
     fn distinct_rank_bytes_matches_sort_dedup() {
         let m = model();
-        let mut sums = DecodeBatch::default();
         for ranks in [
             &[][..],
             &[32, 32, 32],
@@ -615,7 +675,7 @@ mod tests {
             &[12, 24, 12, 8, 24, 8],
             &[3, 5, 3, 16, 5],
         ] {
-            sums.clear();
+            let mut sums = DecodeBatch::default();
             let items = ranks.iter().map(|&r| Some(AdapterRank::new(r)));
             for rank in items.chain([None]) {
                 sums.push(
@@ -660,10 +720,10 @@ mod tests {
         m.decode_step(batch.len(), kv_bytes, distinct_rank_bytes(m, &ranks))
     }
 
-    /// A reused batch, cleared between iterations and filled in any order,
-    /// prices every generated batch exactly as the slice formula does, and
-    /// so does `decode_step_time`: power-of-two and other ranks, duplicates,
-    /// base-only items and the empty batch, at TP 1, 2, 4 and 8.
+    /// A batch filled in any order prices every generated batch exactly as
+    /// the slice formula does, and so does `decode_step_time`:
+    /// power-of-two and other ranks, duplicates, base-only items and the
+    /// empty batch, at TP 1, 2, 4 and 8.
     #[test]
     fn decode_batch_time_matches_the_slice_formula() {
         const RANKS: [u32; 9] = [8, 16, 32, 64, 128, 3, 12, 24, 100];
@@ -674,7 +734,6 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) % n
         };
-        let mut sums = DecodeBatch::default();
         let (mut other_ranks, mut duplicates) = (0, 0);
         for tp in [1, 2, 4, 8] {
             let m = CostModel::new(LlmSpec::llama_7b(), GpuSpec::a40(), tp);
@@ -694,7 +753,7 @@ mod tests {
                         .iter()
                         .map(|&r| adapter_bytes(m.llm(), AdapterRank::new(r)))
                         .sum()) as u32;
-                sums.clear();
+                let mut sums = DecodeBatch::default();
                 for &item in batch.iter().rev() {
                     sums.push(m.llm(), item);
                 }
@@ -706,6 +765,63 @@ mod tests {
         assert!(
             other_ranks > 0 && duplicates > 0,
             "{other_ranks} {duplicates}"
+        );
+    }
+
+    /// A live batch that sequences join and leave in random order while
+    /// iterations advance every context prices exactly as a batch rebuilt
+    /// from the current sequences, and equals it: power-of-two and other
+    /// ranks, duplicates and base-only items, down to the empty batch.
+    #[test]
+    fn live_batch_matches_a_rebuilt_one() {
+        const RANKS: [u32; 7] = [8, 16, 64, 3, 12, 24, 100];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let m = model();
+        let mut live = DecodeBatch::default();
+        let mut current: Vec<DecodeItem> = Vec::new();
+        let (mut left_empty, mut removed_other) = (0, 0);
+        for _ in 0..3_000 {
+            match below(3) {
+                0 if !current.is_empty() => {
+                    let item = current.swap_remove(below(current.len() as u64) as usize);
+                    removed_other += item.rank.is_some_and(|r| !r.get().is_power_of_two()) as u32;
+                    live.remove(m.llm(), item);
+                    left_empty += current.is_empty() as u32;
+                }
+                1 => {
+                    live.advance();
+                    current.iter_mut().for_each(|i| i.kv_tokens += 1);
+                }
+                _ => {
+                    let item = DecodeItem {
+                        kv_tokens: below(2_000) as u32,
+                        rank: (below(6) != 0)
+                            .then(|| AdapterRank::new(RANKS[below(RANKS.len() as u64) as usize])),
+                    };
+                    current.push(item);
+                    live.push(m.llm(), item);
+                }
+            }
+            let mut rebuilt = DecodeBatch::default();
+            for &item in &current {
+                rebuilt.push(m.llm(), item);
+            }
+            assert_eq!(live, rebuilt, "{current:?}");
+            assert_eq!(live.len(), current.len());
+            assert_eq!(
+                m.decode_batch_time(&live),
+                slice_decode_step_time(&m, &current)
+            );
+        }
+        assert!(
+            left_empty > 0 && removed_other > 0,
+            "{left_empty} {removed_other}"
         );
     }
 

@@ -112,13 +112,30 @@ impl Collector {
     /// later one a TBT gap.
     #[inline]
     pub fn on_token(&mut self, slot: Slot, at: SimTime) {
+        self.on_tokens(slot, &[at]);
+    }
+
+    /// Records one produced output token at each instant of `at`, in
+    /// order, as [`on_token`](Self::on_token) would one by one: the
+    /// tokens a request decoded over several iterations, recorded when it
+    /// leaves the decoding batch.
+    pub fn on_tokens(&mut self, slot: Slot, at: &[SimTime]) {
         let e = self.entry(slot);
+        let mut at = at.iter().copied();
         if e.record.first_token.is_none() {
-            e.record.first_token = Some(at);
-        } else {
-            e.record.tbt_gaps.push(at.saturating_since(e.last_token));
+            let Some(first) = at.next() else {
+                return;
+            };
+            e.record.first_token = Some(first);
+            e.last_token = first;
         }
-        e.last_token = at;
+        let mut last = e.last_token;
+        e.record.tbt_gaps.extend(at.map(|t| {
+            let gap = t.saturating_since(last);
+            last = t;
+            gap
+        }));
+        e.last_token = last;
     }
 
     /// Records completion.
@@ -228,6 +245,30 @@ mod tests {
         assert_eq!(r.tbt_gaps[1], SimDuration::from_millis(150));
         assert_eq!(r.load_on_critical_path, SimDuration::from_millis(6));
         assert_eq!(r.class, Some(SizeClass::Small));
+    }
+
+    /// Batched tokens record exactly what one call per token records:
+    /// the first sets TTFT, each later one a gap from its predecessor,
+    /// across batches of any length, the empty one included.
+    #[test]
+    fn batched_tokens_match_one_call_per_token() {
+        let times: Vec<SimTime> = [0.5, 0.52, 0.57, 0.6, 0.9, 0.95, 1.4].map(t).to_vec();
+        let mut one = Collector::new();
+        let a = arrive(&mut one, 1, 0.0);
+        for &at in &times {
+            one.on_token(a, at);
+        }
+        for cuts in [[0, 0, 7], [1, 3, 7], [0, 5, 5], [2, 2, 7]] {
+            let mut batched = Collector::new();
+            let b = arrive(&mut batched, 1, 0.0);
+            let mut from = 0;
+            for to in cuts {
+                batched.on_tokens(b, &times[from..to]);
+                from = to;
+            }
+            batched.on_tokens(b, &times[from..]);
+            assert_eq!(batched.get(b), one.get(a), "cuts {cuts:?}");
+        }
     }
 
     #[test]
