@@ -79,7 +79,7 @@ use chameleon_simcore::shard::{self, ShardPool};
 use chameleon_simcore::{EventQueue, SimDuration, SimTime};
 use chameleon_trace::{AutoscaleAction, BarrierProfile, Lane, TraceBuffer, TraceEvent, TraceLog};
 use chameleon_workload::{Request, Trace};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
 /// Counter-hash stream for provisioning-fault rolls. Engine PCIe streams
@@ -191,9 +191,10 @@ struct FaultState {
     provision_counter: u64,
     /// Crash count per request id — the retry budget ledger.
     attempts: HashMap<u64, u32>,
-    /// Racks currently cut off from the coordinator. Members leave the
-    /// routing candidate set until the partition heals.
-    partitioned: BTreeSet<u32>,
+    /// Racks currently cut off from the coordinator, each with the heal
+    /// instants of its open partition windows. Members leave the routing
+    /// candidate set until the last window heals.
+    partitioned: BTreeMap<u32, Vec<SimTime>>,
     /// MTTR ledger: one entry per crash / partition that orphaned work.
     episodes: Vec<RecoveryEpisode>,
 }
@@ -623,7 +624,7 @@ impl Cluster {
             pending_provisions: Vec::new(),
             provision_counter: 0,
             attempts: HashMap::new(),
-            partitioned: BTreeSet::new(),
+            partitioned: BTreeMap::new(),
             episodes: Vec::new(),
         });
     }
@@ -654,7 +655,7 @@ impl Cluster {
     /// True while `slot`'s rack is cut off from the coordinator.
     fn is_unreachable(&self, slot: &EngineSlot) -> bool {
         match (slot.rack, self.fault.as_ref()) {
-            (Some(rack), Some(fs)) => fs.partitioned.contains(&rack),
+            (Some(rack), Some(fs)) => fs.partitioned.contains_key(&rack),
             _ => false,
         }
     }
@@ -1311,7 +1312,9 @@ impl Cluster {
     /// heal or the detection timeout, whichever lands first. The engines
     /// themselves stay up and rejoin at [`Cluster::partition_end`]. A
     /// partition that would leave the coordinator with no reachable
-    /// engine is refused, as is one for a memberless or already-cut rack.
+    /// engine is refused, as is one for a memberless rack. A window on a
+    /// rack that is already cut off keeps it cut off until this window's
+    /// heal too, without a second evacuation.
     fn partition_start(&mut self, rack: u32, heal: SimTime, t: SimTime) {
         let members = self.members(FaultTarget::Rack(rack));
         if members.is_empty() {
@@ -1327,7 +1330,9 @@ impl Cluster {
         }
         {
             let fs = self.fault.as_mut().expect("partition without fault plane");
-            if !fs.partitioned.insert(rack) {
+            let heals = fs.partitioned.entry(rack).or_default();
+            heals.push(heal);
+            if heals.len() > 1 {
                 return;
             }
         }
@@ -1340,20 +1345,22 @@ impl Cluster {
         self.enqueue_victims(victims, t, Some(heal));
     }
 
-    /// Heals the partition on `rack`: its engines rejoin the candidate
-    /// set at the next snapshot fill, and the victims whose retry clamp
-    /// was this heal re-dispatch at this same barrier (actions run
-    /// before due retries).
+    /// Closes the partition windows on `rack` whose heal has come, and
+    /// heals the rack once none is left open: its engines rejoin the
+    /// candidate set at the next snapshot fill, and the victims whose
+    /// retry clamp was this heal re-dispatch at this same barrier (actions
+    /// run before due retries). The end of a refused window finds no
+    /// window of its own to close and leaves an accepted one open.
     fn partition_end(&mut self, rack: u32, t: SimTime) {
-        let healed = self
-            .fault
-            .as_mut()
-            .expect("partition without fault plane")
-            .partitioned
-            .remove(&rack);
-        if !healed {
+        let fs = self.fault.as_mut().expect("partition without fault plane");
+        let Some(heals) = fs.partitioned.get_mut(&rack) else {
+            return;
+        };
+        heals.retain(|&heal| heal > t);
+        if !heals.is_empty() {
             return;
         }
+        fs.partitioned.remove(&rack);
         self.snap_filled_at = None;
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.push(t, Lane::Coordinator, TraceEvent::PartitionHealed { rack });

@@ -307,6 +307,42 @@ fn single_rack_domain_crash_spares_the_last_engine() {
     assert_eq!(report.completed(), offered);
 }
 
+/// Overlapping partition windows on one rack keep it cut off until the
+/// last of them ends: with rack 1 (engines 2 and 3) partitioned over
+/// 2-6 s and 4-9 s, no request routes to it before 9 s, it heals once, at
+/// 9 s, and the two windows count as one partition. Routing reaches the
+/// rack again after the heal.
+#[test]
+fn overlapping_partitions_keep_the_rack_cut_off_until_the_last_heal() {
+    let secs = SimTime::from_secs_f64;
+    let cfg = preset::chameleon_cluster_domains(4)
+        .with_fault(
+            FaultSpec::new()
+                .with_partition(1, secs(2.0), secs(6.0))
+                .with_partition(1, secs(4.0), secs(9.0)),
+        )
+        .with_trace(TraceSpec::new());
+    let (report, offered) = run_faulted(cfg, 3, 8.0, 12.0);
+    report.assert_request_conservation(offered);
+    assert_eq!(report.routing.fault.partitions, 1);
+    let events = report.trace.as_ref().expect("traced run").events();
+    let to_rack_1 = |from: f64, until: f64| {
+        events
+            .iter()
+            .filter(|e| (secs(from)..secs(until)).contains(&e.at))
+            .filter(|e| matches!(e.event, TraceEvent::RouteDecision { chosen: 2 | 3, .. }))
+            .count()
+    };
+    assert_eq!(to_rack_1(2.0, 9.0), 0, "requests reached the cut-off rack");
+    assert!(to_rack_1(9.0, 12.0) > 0, "the rack never rejoined");
+    let heals: Vec<SimTime> = events
+        .iter()
+        .filter(|e| matches!(e.event, TraceEvent::PartitionHealed { rack: 1 }))
+        .map(|e| e.at)
+        .collect();
+    assert_eq!(heals, [secs(9.0)]);
+}
+
 /// Overlapping slowdown windows run at the largest open factor: a ×2
 /// brownout of rack 0 nested inside a ×3 straggler window on engine 0
 /// (rack 0's only member) neither speeds the straggler up when it opens
