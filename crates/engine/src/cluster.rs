@@ -675,8 +675,14 @@ impl Cluster {
     /// would find an empty candidate set for as long as the partition
     /// lasts): a fleet never drains or crashes to zero.
     fn is_last_standing(&self, pos: usize) -> bool {
-        self.active_engines() <= 1
-            || (!self.is_unreachable(&self.slots[pos]) && self.reachable_active() <= 1)
+        self.spares(pos, self.active_engines(), self.reachable_active())
+    }
+
+    /// True when the engine at slot position `pos` would be the last one
+    /// standing among `active` active engines, `reachable` of them
+    /// reachable: the crash and drain guards spare it.
+    fn spares(&self, pos: usize, active: usize, reachable: usize) -> bool {
+        active <= 1 || (!self.is_unreachable(&self.slots[pos]) && reachable <= 1)
     }
 
     /// Slot positions of the engines `target` hits, in slot order: the
@@ -1262,30 +1268,45 @@ impl Cluster {
     /// rack with no members (engines all retired, or topology absent) is
     /// moot; the last-engine refusal in [`Cluster::fault_crash`] still
     /// applies per member, so a rack holding the whole fleet loses all
-    /// but one engine.
+    /// but one engine. The `DomainFailed` event ahead of the members'
+    /// `EngineFailed` events counts the engines the crash takes down.
     fn fault_domain_crash(&mut self, rack: u32, t: SimTime) {
-        let members: Vec<EngineId> = self
-            .members(FaultTarget::Rack(rack))
-            .into_iter()
-            .map(|pos| self.slots[pos].id)
-            .collect();
-        if members.is_empty() {
+        let positions = self.members(FaultTarget::Rack(rack));
+        if positions.is_empty() {
             return;
         }
         self.stats.fault.domains_failed += 1;
+        let engines = self.crash_toll(&positions);
         if let Some(tracer) = self.tracer.as_mut() {
             tracer.push(
                 t,
                 Lane::Coordinator,
-                TraceEvent::DomainFailed {
-                    rack,
-                    engines: members.len() as u32,
-                },
+                TraceEvent::DomainFailed { rack, engines },
             );
         }
+        let members: Vec<EngineId> = positions.iter().map(|&pos| self.slots[pos].id).collect();
         for victim in members {
             self.fault_crash(victim, t);
         }
+    }
+
+    /// How many of the engines at slot positions `positions` crashing them
+    /// in order with [`Cluster::fault_crash`] takes down: every draining
+    /// one, and every active one its last-engine guard does not spare.
+    fn crash_toll(&self, positions: &[usize]) -> u32 {
+        let (mut active, mut reachable) = (self.active_engines(), self.reachable_active());
+        let mut toll = 0;
+        for &pos in positions {
+            if !self.slots[pos].draining {
+                if self.spares(pos, active, reachable) {
+                    continue;
+                }
+                active -= 1;
+                reachable -= usize::from(!self.is_unreachable(&self.slots[pos]));
+            }
+            toll += 1;
+        }
+        toll
     }
 
     /// Opens (`open`) or closes a slowdown window of `factor` on every

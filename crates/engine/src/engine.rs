@@ -546,11 +546,6 @@ impl Engine {
         self.cache.enable_journal();
     }
 
-    /// True when [`enable_tracing`](Self::enable_tracing) was called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Drains buffered trace events in this engine's execution order.
     /// Returns an empty vec when tracing is off.
     pub fn take_trace_events(&mut self) -> Vec<(SimTime, TraceEvent)> {
@@ -2479,7 +2474,6 @@ mod tests {
                 EngineEvent::Arrival(request(0, 0.0, 64, 4, 0)),
             )],
         );
-        assert!(!e.tracing_enabled());
         assert!(e.take_trace_events().is_empty());
     }
 

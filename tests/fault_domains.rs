@@ -286,25 +286,55 @@ fn domain_brownout_degrades_the_tail_but_loses_nothing() {
     );
 }
 
-/// Single-domain degradation: when every engine shares one rack, a
-/// domain crash may not take the fleet to zero — the guard spares the
-/// last reachable engine and the run still drains.
-#[test]
-fn single_rack_domain_crash_spares_the_last_engine() {
-    let cfg = preset::chameleon_cluster_partitioned(2)
+/// Two engines racked as one domain, the whole rack crashed at 5 s.
+fn one_rack_crash() -> SystemConfig {
+    preset::chameleon_cluster_partitioned(2)
         .with_fleet(FleetSpec::homogeneous(2, 1).with_topology(TopologySpec::racks(&[0, 0])))
         .with_fault(
             FaultSpec::new()
                 .with_domain_crash(0, SimTime::from_secs_f64(5.0))
                 .with_shard_recovery(),
         )
-        .with_label("Chameleon-DP2-OneRack");
-    let (report, offered) = run_faulted(cfg, 3, 8.0, 12.0);
+        .with_label("Chameleon-DP2-OneRack")
+}
+
+/// Single-domain degradation: when every engine shares one rack, a
+/// domain crash may not take the fleet to zero — the guard spares the
+/// last reachable engine and the run still drains.
+#[test]
+fn single_rack_domain_crash_spares_the_last_engine() {
+    let (report, offered) = run_faulted(one_rack_crash(), 3, 8.0, 12.0);
     let f = &report.routing.fault;
     assert_eq!(f.domains_failed, 1);
     assert_eq!(f.engines_failed, 1, "the guard must spare the last engine");
     report.assert_request_conservation(offered);
     assert_eq!(report.completed(), offered);
+}
+
+/// `DomainFailed` counts the engines the crash took down: when the
+/// last-engine guard spares one of the rack's two members, the event —
+/// still ahead of the member's `EngineFailed` — reads one engine.
+#[test]
+fn domain_failed_counts_the_engines_the_crash_took_down() {
+    let (report, _) = run_faulted(one_rack_crash().with_trace(TraceSpec::new()), 3, 8.0, 12.0);
+    let events = report.trace.as_ref().expect("traced run").events();
+    let domain = events
+        .iter()
+        .position(|e| matches!(e.event, TraceEvent::DomainFailed { .. }))
+        .expect("domain crash emits a DomainFailed event");
+    assert_eq!(
+        events[domain].event,
+        TraceEvent::DomainFailed {
+            rack: 0,
+            engines: 1
+        },
+        "the guard spared one of the two members"
+    );
+    let failed: Vec<usize> = (0..events.len())
+        .filter(|&i| matches!(events[i].event, TraceEvent::EngineFailed { .. }))
+        .collect();
+    assert_eq!(failed.len(), 1);
+    assert!(domain < failed[0], "the rack event precedes its member's");
 }
 
 /// Overlapping partition windows on one rack keep it cut off until the
