@@ -17,6 +17,7 @@ use chameleon_trace::{
     AnomalyPredicate, FlightRecorder, Lane, RetryStormPredicate, ShedIdlePredicate, TraceBuffer,
     TtftSloPredicate, FLIGHT_CAPACITY, MAX_DUMPS,
 };
+use chameleon_workload::trace::TraceSummary;
 use chameleon_workload::Trace;
 
 /// Runs traces through one configured serving system.
@@ -59,9 +60,8 @@ impl Simulation {
         &self.cost
     }
 
-    /// The WRS normalisation for a given trace envelope.
-    fn wrs_config(&self, trace: &Trace) -> WrsConfig {
-        let s = trace.summary();
+    /// The WRS normalisation for a trace with summary `s`.
+    fn wrs_config(&self, s: &TraceSummary) -> WrsConfig {
         let max_in = f64::from(s.max_input.max(1));
         let max_out = f64::from(s.max_output.max(1));
         let cfg = WrsConfig::paper(max_in, max_out, self.pool.max_adapter_bytes().max(1) as f64);
@@ -178,8 +178,9 @@ impl Simulation {
 
     fn run_inner(&mut self, trace: &Trace, k_max: Option<usize>) -> RunReport {
         let slo = self.slo_for(trace);
-        let wrs = self.wrs_config(trace);
-        let max_output = trace.summary().max_output;
+        let summary = trace.summary();
+        let wrs = self.wrs_config(&summary);
+        let max_output = summary.max_output;
         let tracing = self.cfg.trace.is_some();
         let (engine_report, horizon, events, trace_log) = if self.cfg.is_cluster() {
             let initial = self.cfg.engine_count();
@@ -253,7 +254,7 @@ impl Simulation {
             horizon,
             isolated_e2e,
             wrs,
-            trace.summary().mean_rps,
+            summary.mean_rps,
             events,
         );
         if let (Some(spec), Some(log)) = (&self.cfg.trace, trace_log) {
