@@ -27,7 +27,7 @@ use chameleon_simcore::{SimDuration, SimTime};
 use chameleon_trace::TraceEvent;
 use chameleon_workload::{Request, Slot};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{HashSet, VecDeque};
 
 /// Events driving the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,14 +274,13 @@ struct StepPlan {
 }
 
 /// An event of a decode stint, due at the decode iteration whose token
-/// triggers it (the engine's `iter`-th): the request's last token, or its
-/// first token past its KV reservation, after which its KV grows every
-/// iteration. A stint that ended early leaves its events stale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// triggers it: the request's last token, or its first token past its KV
+/// reservation, after which its KV grows every iteration. A stint that
+/// ended early leaves its events stale.
+#[derive(Debug, Clone, Copy)]
 struct Due {
-    iter: u64,
     stamp: u64,
-    slot: u32,
+    slot: Slot,
     grows: bool,
 }
 
@@ -335,8 +334,10 @@ pub struct Engine {
     decode_ends: Vec<SimTime>,
     /// Decode stints begun, the source of their stamps.
     stints: u64,
-    /// Due events of the decode stints, soonest first.
-    due: BinaryHeap<Reverse<Due>>,
+    /// Due events of the decode stints by iteration: `due[k]` holds those
+    /// of the decode iteration after the next `k`. Drained buckets return
+    /// to the back, so the calendar spans the longest lookahead seen.
+    due: VecDeque<Vec<Due>>,
     /// Decode-set requests past their KV reservation, with their stints'
     /// stamps: each grows its KV by one token per decode iteration.
     growing: Vec<(Slot, u64)>,
@@ -491,7 +492,7 @@ impl Engine {
             decode_batch: DecodeBatch::default(),
             decode_ends: Vec::new(),
             stints: 0,
-            due: BinaryHeap::new(),
+            due: VecDeque::new(),
             growing: Vec::new(),
             retiring: Vec::new(),
             loading: LoadingTable::new(pool.len()),
@@ -1047,18 +1048,19 @@ impl Engine {
                 rank: Some(r.req.rank()),
             },
         );
-        let slot = r.slot.index() as u32;
-        let last = done + u64::from(r.req.output_tokens() - r.produced);
-        let grows = done + 1 + u64::from(r.kv_reserved.saturating_sub(context));
-        for (iter, grows) in [(last, false), (grows, true)] {
-            if iter <= last {
-                self.due.push(Reverse(Due {
-                    iter,
-                    stamp,
-                    slot,
-                    grows,
-                }));
+        let slot = r.slot;
+        // Iterations from the next one: that of the last token, and that
+        // of the first token past the reservation.
+        let last = (r.req.output_tokens() - r.produced - 1) as usize;
+        let grows = r.kv_reserved.saturating_sub(context) as usize;
+        for (k, grows) in [(last, false), (grows, true)] {
+            if k > last {
+                continue;
             }
+            if k >= self.due.len() {
+                self.due.resize_with(k + 1, Vec::new);
+            }
+            self.due[k].push(Due { stamp, slot, grows });
         }
     }
 
@@ -1216,22 +1218,20 @@ impl Engine {
     /// into the growing set and the retirement candidates, dropping those
     /// of stints that already ended.
     fn take_due_events(&mut self) {
-        let done = self.decode_done();
-        while let Some(&Reverse(due)) = self.due.peek() {
-            if due.iter > done {
-                break;
-            }
-            self.due.pop();
-            let slot = Slot::new(due.slot as usize);
-            if !in_stint(&self.running, &self.batch_pos, slot, due.stamp) {
+        let Some(mut bucket) = self.due.pop_front() else {
+            return;
+        };
+        for due in bucket.drain(..) {
+            if !in_stint(&self.running, &self.batch_pos, due.slot, due.stamp) {
                 continue;
             }
             if due.grows {
-                self.growing.push((slot, due.stamp));
+                self.growing.push((due.slot, due.stamp));
             } else {
-                self.retiring.push(slot);
+                self.retiring.push(due.slot);
             }
         }
+        self.due.push_back(bucket);
     }
 
     /// Grows the KV of every decode-set request past its reservation by
