@@ -1051,9 +1051,10 @@ impl Engine {
         let slot = r.slot;
         // Iterations from the next one: that of the last token, and that
         // of the first token past the reservation.
-        let last = (r.req.output_tokens() - r.produced - 1) as usize;
-        let grows = r.kv_reserved.saturating_sub(context) as usize;
-        for (k, grows) in [(last, false), (grows, true)] {
+        let last = r.req.output_tokens().checked_sub(r.produced + 1);
+        let last = last.expect("a finished request never joins the decode set") as usize;
+        let past = r.kv_reserved.saturating_sub(context) as usize;
+        for (k, grows) in [(last, false), (past, true)] {
             if k > last {
                 continue;
             }
@@ -1066,7 +1067,7 @@ impl Engine {
 
     /// Takes the running request at batch position `idx` out of the
     /// decode set, if it is in it, with the tokens of the decode
-    /// iterations up to `through`: its count, its records' gaps and the
+    /// iterations up to `through`: its count, its record's gaps and the
     /// work counter. The pricing sums drop the context they hold for it.
     fn leave_decode(&mut self, idx: usize, through: u64) {
         let done = self.decode_done();

@@ -118,11 +118,6 @@ pub struct DecodeBatch {
 }
 
 impl DecodeBatch {
-    /// Number of sequences in the batch.
-    pub fn len(&self) -> usize {
-        self.items
-    }
-
     /// True when no sequence decodes.
     pub fn is_empty(&self) -> bool {
         self.items == 0
@@ -813,7 +808,6 @@ mod tests {
                 rebuilt.push(m.llm(), item);
             }
             assert_eq!(live, rebuilt, "{current:?}");
-            assert_eq!(live.len(), current.len());
             assert_eq!(
                 m.decode_batch_time(&live),
                 slice_decode_step_time(&m, &current)
