@@ -2629,6 +2629,71 @@ mod tests {
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }
 
+    /// KV tokens reserved for running request `slot`.
+    fn reserved(e: &Engine, slot: Slot) -> u32 {
+        e.running[e.batch_index(slot).expect("running")].kv_reserved
+    }
+
+    /// A decode-time block crossing that finds no free memory, nothing to
+    /// evict and no other request to preempt fails and leaves the
+    /// reservation a token behind the context; the next iteration retries
+    /// it, and once a retry lands the reservation keeps its lag. The
+    /// request's timeline does not depend on its reservation, so it
+    /// retires with the record an unconstrained run gives it.
+    #[test]
+    fn failed_block_crossing_lags_the_reservation_and_retries() {
+        // Starved while the request produces its tokens 21 and 22.
+        let run = |starved: &[u32]| {
+            let mut e = mk_engine();
+            e.predictor = Box::new(HalfPredictor);
+            // 60 prompt tokens plus 20 predicted: 80 reserved, 5 full blocks.
+            let mut q = chameleon_simcore::EventQueue::new();
+            q.push(
+                SimTime::ZERO,
+                EngineEvent::Arrival(request(0, 0.0, 60, 40, 0)),
+            );
+            let (mut out, mut held, mut lag) = (Vec::new(), 0, 0);
+            while let Some((t, ev)) = q.pop() {
+                let step = matches!(ev, EngineEvent::StepDone(_));
+                e.handle(t, ev, &mut out);
+                for (at, ev) in out.drain(..) {
+                    q.push(at, ev);
+                }
+                let Some(r) = e.running.first().filter(|_| step) else {
+                    continue;
+                };
+                let (slot, produced) = (r.slot, r.produced(e.decode_done()));
+                let context = 60 + produced;
+                if starved.contains(&produced) {
+                    // The crossing at context 81 found no block: the
+                    // reservation stays at 80.
+                    lag += 1;
+                    assert_eq!(reserved(&e, slot), 80, "token {produced}");
+                } else {
+                    assert_eq!(reserved(&e, slot), (context - lag).max(80));
+                }
+                let blocks = e.kv.blocks_for(reserved(&e, slot));
+                assert_eq!(e.kv.total_blocks(), u64::from(blocks), "token {produced}");
+                let (kv, pool) = e.kv_accounting();
+                assert_eq!(kv, pool);
+                // Take every free byte before the crossing's iteration and
+                // give it back after the last starved one.
+                if starved.first() == Some(&(produced + 1)) {
+                    held = e.mem.free();
+                    e.mem.reserve(Region::Activations, held).expect("free");
+                } else if starved.last() == Some(&produced) {
+                    e.mem.release(Region::Activations, held);
+                }
+            }
+            assert_eq!(e.completed(), 1);
+            assert_eq!(e.squashes, 0, "nothing to preempt");
+            e.into_report().records.remove(0)
+        };
+        let starved = run(&[21, 22]);
+        assert_eq!(starved, run(&[]), "the lag moved the timeline");
+        assert!(starved.is_complete());
+    }
+
     /// The probe's predicted release schedule reports block-rounded bytes —
     /// exactly what `KvAllocator::free` will release at retirement.
     #[test]
