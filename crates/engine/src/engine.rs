@@ -67,23 +67,35 @@ struct Running {
     produced: u32,
     /// The request's stint in the decode set, while it is in it.
     stint: Option<Stint>,
-    /// KV tokens currently reserved for this request.
+    /// KV tokens reserved for this request — in the decode set, those its
+    /// KV sequence held when it joined or last crossed into a new block;
+    /// [`kv_reserved`](Self::kv_reserved) derives the rest.
     kv_reserved: u32,
     admitted_at: SimTime,
     /// Debug builds: output tokens counted one at a time in each
     /// iteration's decode order, the reference the lazy count must match.
     #[cfg(debug_assertions)]
     eager_produced: u32,
+    /// Debug builds: KV tokens reserved, grown one token at a time with
+    /// each eager token past the reservation, the reference the derived
+    /// reservation and the allocator's block count must match.
+    #[cfg(debug_assertions)]
+    eager_reserved: u32,
 }
 
 /// A running request's membership of the decode set: every decode
-/// iteration launched while it is a member gives it one token.
+/// iteration launched while it is a member gives it one token, and once
+/// its context outgrows its KV reservation, one token of reservation.
 #[derive(Debug, Clone, Copy)]
 struct Stint {
     /// Decode iterations completed when the request joined.
     joined: u64,
     /// Engine-unique number of the stint, which keys its due events.
     stamp: u64,
+    /// Context tokens the outgrown reservation lacks: the context's excess
+    /// over the reservation at the join, plus each token whose block
+    /// crossing failed for want of memory.
+    lag: u32,
 }
 
 impl Running {
@@ -92,6 +104,19 @@ impl Running {
         match self.stint {
             Some(s) => self.produced + (done - s.joined) as u32,
             None => self.produced,
+        }
+    }
+
+    /// KV tokens reserved once `done` decode iterations completed: fixed
+    /// until the context outgrows it, then the context less the stint's
+    /// lag, since every token past the reservation grows it by one.
+    fn kv_reserved(&self, done: u64) -> u32 {
+        match self.stint {
+            Some(s) => {
+                let context = self.req.input_tokens() + self.produced(done);
+                self.kv_reserved.max(context - s.lag)
+            }
+            None => self.kv_reserved,
         }
     }
 
@@ -206,6 +231,9 @@ pub struct EngineWork {
     pub release_schedules: u64,
     /// Protected-adapter sets built for eviction or bypass bookkeeping.
     pub protected_sets: u64,
+    /// KV allocator growth calls on the decode path, each for the block a
+    /// decoding request's next token crosses into.
+    pub kv_grows: u64,
 }
 
 /// Appends each running request's predicted `(remaining steps, bytes
@@ -224,8 +252,8 @@ fn release_pairs(
         let produced = r.produced(done);
         let remaining = u64::from(r.predicted_output.max(produced).saturating_sub(produced))
             + u64::from(r.prefill_remaining) / 64;
-        let freed =
-            kv.bytes_for(r.kv_reserved) + pool.get(r.req.adapter()).map(|a| a.bytes()).unwrap_or(0);
+        let freed = kv.bytes_for(r.kv_reserved(done))
+            + pool.get(r.req.adapter()).map(|a| a.bytes()).unwrap_or(0);
         (remaining, freed)
     }));
 }
@@ -274,8 +302,8 @@ struct StepPlan {
 }
 
 /// An event of a decode stint, due at the decode iteration whose token
-/// triggers it: the request's last token, or its first token past its KV
-/// reservation, after which its KV grows every iteration. A stint that
+/// triggers it: the request's last token, or its first token past the
+/// KV blocks its sequence holds, which needs a new block. A stint that
 /// ended early leaves its events stale.
 #[derive(Debug, Clone, Copy)]
 struct Due {
@@ -338,9 +366,9 @@ pub struct Engine {
     /// of the decode iteration after the next `k`. Drained buckets return
     /// to the back, so the calendar spans the longest lookahead seen.
     due: VecDeque<Vec<Due>>,
-    /// Decode-set requests past their KV reservation, with their stints'
-    /// stamps: each grows its KV by one token per decode iteration.
-    growing: Vec<(Slot, u64)>,
+    /// Decode-set requests whose token of the iteration just completed
+    /// crosses into a KV block their sequence does not hold yet.
+    crossing: Vec<Slot>,
     /// Running requests that may have produced their last token, checked
     /// and retired at the end of the next iteration: due finishes,
     /// prefills whose first token was the last, and restored requests
@@ -493,7 +521,7 @@ impl Engine {
             decode_ends: Vec::new(),
             stints: 0,
             due: VecDeque::new(),
-            growing: Vec::new(),
+            crossing: Vec::new(),
             retiring: Vec::new(),
             loading: LoadingTable::new(pool.len()),
             pool,
@@ -643,7 +671,6 @@ impl Engine {
         // Every due event and retirement candidate named a request just
         // evacuated.
         self.due.clear();
-        self.growing.clear();
         self.retiring.clear();
         self.current_step = None;
         self.poke_pending = false;
@@ -1028,19 +1055,20 @@ impl Engine {
 
     /// Puts the running request at batch position `idx` in the decode set
     /// and schedules its stint's due events: the iteration of its last
-    /// token and, unless it finishes first, that of its first token past
-    /// its KV reservation.
+    /// token and, unless it finishes first, that of its first block
+    /// crossing.
     fn join_decode(&mut self, idx: usize) {
         let done = self.decode_done();
         self.stints += 1;
         let stamp = self.stints;
         let r = &mut self.running[idx];
         debug_assert!(r.prefill_remaining == 0 && !r.finished(done));
+        let context = r.req.input_tokens() + r.produced;
         r.stint = Some(Stint {
             joined: done,
             stamp,
+            lag: context.saturating_sub(r.kv_reserved),
         });
-        let context = r.req.input_tokens() + r.produced;
         self.decode_batch.push(
             self.cost.llm(),
             DecodeItem {
@@ -1049,32 +1077,64 @@ impl Engine {
             },
         );
         let slot = r.slot;
-        // Iterations from the next one: that of the last token, and that
-        // of the first token past the reservation.
         let last = r.req.output_tokens().checked_sub(r.produced + 1);
-        let last = last.expect("a finished request never joins the decode set") as usize;
-        let past = r.kv_reserved.saturating_sub(context) as usize;
-        for (k, grows) in [(last, false), (past, true)] {
-            if k > last {
-                continue;
-            }
-            if k >= self.due.len() {
-                self.due.resize_with(k + 1, Vec::new);
-            }
-            self.due[k].push(Due { stamp, slot, grows });
+        let last = last.expect("a finished request never joins the decode set");
+        self.book_due(
+            last,
+            Due {
+                stamp,
+                slot,
+                grows: false,
+            },
+        );
+        self.book_crossing(idx);
+    }
+
+    /// Books the next block crossing of decode-set request `idx`: the
+    /// iteration whose token its reservation, grown a token per token past
+    /// it, no longer fits in the blocks its sequence holds — unless the
+    /// request finishes first.
+    fn book_crossing(&mut self, idx: usize) {
+        let r = &self.running[idx];
+        let stint = r.stint.expect("only the decode set grows its KV");
+        let produced = r.produced(self.decode_done());
+        // The reservation fills its blocks' `capacity` at the context
+        // `capacity + lag`, so the crossing comes with the next token.
+        let capacity = self.kv.blocks_for(r.kv_reserved) * KV_BLOCK_TOKENS;
+        let k = capacity + stint.lag - (r.req.input_tokens() + produced);
+        if r.req.output_tokens().checked_sub(produced + 1) >= Some(k) {
+            let due = Due {
+                stamp: stint.stamp,
+                slot: r.slot,
+                grows: true,
+            };
+            self.book_due(k, due);
         }
+    }
+
+    /// Files `due` for the decode iteration after the next `k`.
+    fn book_due(&mut self, k: u32, due: Due) {
+        let k = k as usize;
+        if k >= self.due.len() {
+            self.due.resize_with(k + 1, Vec::new);
+        }
+        self.due[k].push(due);
     }
 
     /// Takes the running request at batch position `idx` out of the
     /// decode set, if it is in it, with the tokens of the decode
-    /// iterations up to `through`: its count, its record's gaps and the
-    /// work counter. The pricing sums drop the context they hold for it.
+    /// iterations up to `through`: its count, its reservation, its
+    /// record's gaps and the work counter. The pricing sums drop the
+    /// context they hold for it.
     fn leave_decode(&mut self, idx: usize, through: u64) {
         let done = self.decode_done();
         let r = &mut self.running[idx];
-        let Some(stint) = r.stint.take() else {
+        let Some(stint) = r.stint else {
             return;
         };
+        let through = through.max(stint.joined);
+        r.kv_reserved = r.kv_reserved(through);
+        r.stint = None;
         self.decode_batch.remove(
             self.cost.llm(),
             DecodeItem {
@@ -1082,13 +1142,16 @@ impl Engine {
                 rank: Some(r.req.rank()),
             },
         );
-        let from = stint.joined as usize;
-        let tokens = &self.decode_ends[from..(through as usize).max(from)];
+        let tokens = &self.decode_ends[stint.joined as usize..through as usize];
         r.produced += tokens.len() as u32;
         self.collector.on_tokens(r.slot, tokens);
         self.work.tokens_applied += tokens.len() as u64;
         #[cfg(debug_assertions)]
-        assert_eq!(r.produced, r.eager_produced, "{} left decoding", r.req.id());
+        {
+            let id = r.req.id();
+            assert_eq!(r.produced, r.eager_produced, "{id} left decoding");
+            assert_eq!(r.kv_reserved, r.eager_reserved, "{id} reservation");
+        }
     }
 
     /// Gives back a preempted request's hold on `adapter`: its cache
@@ -1216,8 +1279,8 @@ impl Engine {
     }
 
     /// Moves the stint events due at the decode iteration just completed
-    /// into the growing set and the retirement candidates, dropping those
-    /// of stints that already ended.
+    /// into this iteration's block crossings and the retirement
+    /// candidates, dropping those of stints that already ended.
     fn take_due_events(&mut self) {
         let Some(mut bucket) = self.due.pop_front() else {
             return;
@@ -1227,7 +1290,7 @@ impl Engine {
                 continue;
             }
             if due.grows {
-                self.growing.push((due.slot, due.stamp));
+                self.crossing.push(due.slot);
             } else {
                 self.retiring.push(due.slot);
             }
@@ -1235,21 +1298,21 @@ impl Engine {
         self.due.push_back(bucket);
     }
 
-    /// Grows the KV of every decode-set request past its reservation by
-    /// the token this iteration gave it, in the iteration's decode order —
-    /// batch order at launch — so that each out-of-memory preemption picks
-    /// its victim from the batch exactly as a per-token pass over the
-    /// decode set would have left it.
+    /// Reserves the new KV block of every decode-set request whose token
+    /// of this iteration crossed into one, in the iteration's decode order
+    /// — batch order at launch — so that each out-of-memory preemption
+    /// picks its victim from the batch exactly as a per-token pass over the
+    /// decode set would have left it. A token that stays inside its
+    /// sequence's blocks needs no memory and cannot fail, so the derived
+    /// reservation covers it without an allocator call.
     fn grow_past_reservations(&mut self, now: SimTime) {
-        let (running, batch_pos) = (&self.running, &self.batch_pos);
-        self.growing
-            .retain(|&(slot, stamp)| in_stint(running, batch_pos, slot, stamp));
         let mut order = std::mem::take(&mut self.growth_order);
         order.clear();
+        let batch_pos = &self.batch_pos;
         order.extend(
-            self.growing
-                .iter()
-                .map(|&(slot, _)| (self.batch_pos[slot.index()], slot)),
+            self.crossing
+                .drain(..)
+                .map(|slot| (batch_pos[slot.index()], slot)),
         );
         order.sort_unstable_by_key(|&(pos, _)| pos);
         self.moved.clear();
@@ -1266,20 +1329,32 @@ impl Engine {
         self.growth_order = order;
     }
 
-    /// Grows the KV of decode-set request `slot`, at `launch_pos` in the
-    /// iteration's decode order, once its tokens outgrew its reservation.
-    /// On OOM it preempts the youngest other running request — demoted to
-    /// a compact hidden-state proxy when the hybrid cache allows it,
-    /// squashed outright otherwise (recompute-style preemption) — and
-    /// retries once; if that fails too, the reservation lags a token and
-    /// growth retries next iteration.
+    /// Reserves the KV block that decode-set request `slot`, at
+    /// `launch_pos` in the iteration's decode order, needs for this
+    /// iteration's token, and books its next crossing. On OOM it preempts
+    /// the youngest other running request and retries once; if that fails
+    /// too, the reservation lags a token and the crossing retries next
+    /// iteration.
     fn grow_decoder(&mut self, slot: Slot, launch_pos: u32, now: SimTime) {
-        let done = self.decode_done();
-        let r = &self.running[self.batch_index(slot).expect("growing requests run")];
-        let past = r.req.input_tokens() + r.produced(done) > r.kv_reserved;
-        if !past || self.ensure_kv_growth(slot, now) {
-            return;
+        let grown = self.ensure_kv_growth(slot, now) || {
+            self.preempt_youngest_but(slot, launch_pos, now);
+            self.ensure_kv_growth(slot, now)
+        };
+        let idx = self.batch_index(slot).expect("a growing request runs");
+        if !grown {
+            let stint = self.running[idx].stint.as_mut();
+            stint.expect("a growing request decodes").lag += 1;
         }
+        self.book_crossing(idx);
+    }
+
+    /// Preempts the youngest running request other than `slot`, at
+    /// `launch_pos` in the iteration's decode order, to free memory for
+    /// its KV: demoted to a compact hidden-state proxy when the hybrid
+    /// cache allows it, squashed outright otherwise (recompute-style
+    /// preemption).
+    fn preempt_youngest_but(&mut self, slot: Slot, launch_pos: u32, now: SimTime) {
+        let done = self.decode_done();
         let youngest = self
             .running
             .iter()
@@ -1287,27 +1362,27 @@ impl Engine {
             .filter(|(_, r)| r.slot != slot)
             .max_by_key(|(_, r)| (r.admitted_at, r.req.id()))
             .map(|(i, _)| i);
-        if let Some(idx) = youngest {
-            // A victim after `slot` in the decode order has not had this
-            // iteration's token yet.
-            let through = if self.launch_pos(self.running[idx].slot) > launch_pos {
-                done.saturating_sub(1)
-            } else {
-                done
-            };
-            self.leave_decode(idx, through);
-            // The preemption's `swap_remove` moves the batch's last
-            // request into the victim's place.
-            let last = self.running.len() - 1;
-            let tail = self.running[last].slot;
-            if idx != last && !self.moved.iter().any(|&(s, _)| s == tail) {
-                self.moved.push((tail, last as u32));
-            }
-            if !self.try_demote(idx, now) {
-                self.squash(idx, now);
-            }
+        let Some(idx) = youngest else {
+            return;
+        };
+        // A victim after `slot` in the decode order has not had this
+        // iteration's token yet.
+        let through = if self.launch_pos(self.running[idx].slot) > launch_pos {
+            done.saturating_sub(1)
+        } else {
+            done
+        };
+        self.leave_decode(idx, through);
+        // The preemption's `swap_remove` moves the batch's last request
+        // into the victim's place.
+        let last = self.running.len() - 1;
+        let tail = self.running[last].slot;
+        if idx != last && !self.moved.iter().any(|&(s, _)| s == tail) {
+            self.moved.push((tail, last as u32));
         }
-        let _ = self.ensure_kv_growth(slot, now);
+        if !self.try_demote(idx, now) {
+            self.squash(idx, now);
+        }
     }
 
     /// Position of running request `slot` in the batch when the iteration
@@ -1322,7 +1397,11 @@ impl Engine {
     /// Debug builds: gives the iteration's token to each request of its
     /// decode set in decode order, up to and including `upto` (all of
     /// them for `None`), skipping requests preempted earlier in the
-    /// iteration — the per-token count the lazy one must match.
+    /// iteration, and grows by that token the reservation of each one the
+    /// token takes past it — the per-token counts the lazy ones must
+    /// match. A token that needs a new block must be `upto`'s, the
+    /// crossing the growth pass serves next, whose allocator call decides
+    /// whether its reservation grows.
     #[cfg(debug_assertions)]
     fn eager_tokens(&mut self, upto: Option<Slot>) {
         let (decode, cursor) = &mut self.eager_decode;
@@ -1330,7 +1409,15 @@ impl Engine {
             *cursor += 1;
             let pos = self.batch_pos[slot.index()];
             if pos != NOT_RUNNING {
-                self.running[pos as usize].eager_produced += 1;
+                let r = &mut self.running[pos as usize];
+                r.eager_produced += 1;
+                let past = r.req.input_tokens() + r.eager_produced > r.eager_reserved;
+                let room = self.kv.blocks_for(r.eager_reserved) * KV_BLOCK_TOKENS;
+                let crosses = past && r.eager_reserved == room;
+                assert_eq!(crosses, Some(slot) == upto, "{} crossing", r.req.id());
+                if past && !crosses {
+                    r.eager_reserved += 1;
+                }
             }
             if Some(slot) == upto {
                 return;
@@ -1441,6 +1528,10 @@ impl Engine {
                 .restore(&mut self.mem, d.run.kv, kv_tokens)
                 .expect("free memory checked above");
             d.run.kv_reserved = kv_tokens;
+            #[cfg(debug_assertions)]
+            {
+                d.run.eager_reserved = kv_tokens;
+            }
             // The proxy → full-KV re-materialisation rides the host link
             // like any transfer.
             let kv_ready = self.issue_adapter_transfer(d.proxy_bytes, now);
@@ -1479,22 +1570,17 @@ impl Engine {
         }
     }
 
-    /// Tries to grow `id`'s KV reservation by one token, evicting idle
-    /// cached adapters if needed. Returns success.
+    /// Reserves the KV block that running request `slot`'s token of this
+    /// iteration crossed into, evicting idle cached adapters if needed.
+    /// Returns success.
     ///
-    /// The grow is attempted *first*: when the new token fits in the
-    /// sequence's already-allocated block, `kv.grow` reserves zero bytes
-    /// and succeeds regardless of free memory, so neither eviction nor
-    /// preemption may be demanded on that path. Only a failed grow — the
-    /// token crosses a block boundary and the pool is out — evicts idle
-    /// cache and retries.
+    /// The grow is attempted *first*, and only a failed one — the pool is
+    /// out of free memory — evicts idle cache and retries.
     fn ensure_kv_growth(&mut self, slot: Slot, now: SimTime) -> bool {
         let idx = self
             .batch_index(slot)
             .expect("only running requests grow their KV");
-        let seq = self.running[idx].kv;
-        if self.kv.grow(&mut self.mem, seq, 1).is_ok() {
-            self.running[idx].kv_reserved += 1;
+        if self.grow_block(idx) {
             return true;
         }
         // A new block is genuinely needed: make room and retry once.
@@ -1508,13 +1594,37 @@ impl Engine {
                 return false;
             }
         }
-        match self.kv.grow(&mut self.mem, seq, 1) {
-            Ok(()) => {
-                self.running[idx].kv_reserved += 1;
-                true
-            }
-            Err(_) => false,
+        self.grow_block(idx)
+    }
+
+    /// One allocator call: grows the KV sequence of running request `idx`
+    /// to its reservation with this iteration's token, a token past the
+    /// blocks it holds. Returns success; a failure leaves the sequence as
+    /// it was.
+    fn grow_block(&mut self, idx: usize) -> bool {
+        self.work.kv_grows += 1;
+        let done = self.decode_done();
+        let r = &mut self.running[idx];
+        let target = r.kv_reserved(done);
+        debug_assert_eq!(
+            self.kv.blocks_for(target),
+            self.kv.blocks_for(r.kv_reserved) + 1,
+            "{} grows by a block",
+            r.req.id()
+        );
+        if self
+            .kv
+            .grow(&mut self.mem, r.kv, target - r.kv_reserved)
+            .is_err()
+        {
+            return false;
         }
+        r.kv_reserved = target;
+        #[cfg(debug_assertions)]
+        {
+            r.eager_reserved += 1;
+        }
+        true
     }
 
     /// Retires the running requests that produced their last token, in
@@ -1855,6 +1965,8 @@ impl Engine {
             #[cfg(debug_assertions)]
             eager_produced: 0,
             kv_reserved: kv_tokens,
+            #[cfg(debug_assertions)]
+            eager_reserved: kv_tokens,
             predicted_output: queued.predicted_output(),
             charged_tokens: adm.charged_tokens,
             queue_index: adm.queue_index,
@@ -1928,6 +2040,7 @@ impl Engine {
             return;
         }
         let free_tokens = self.free_memory_bytes() / self.kv_bytes_per_token;
+        let done = self.decode_done();
         // Two persistent vectors trade roles each call: `bypass_pairs` is
         // emptied (so a squash's retain in `take_running` sees the same
         // empty list the old `mem::take` produced), survivors accumulate
@@ -1946,7 +2059,7 @@ impl Engine {
             }
             // Would squashing r2 free enough?
             let r2 = &self.running[idx];
-            let r2_frees = u64::from(r2.kv_reserved)
+            let r2_frees = u64::from(r2.kv_reserved(done))
                 + self
                     .pool
                     .get(r2.req.adapter())
@@ -2097,8 +2210,8 @@ impl Engine {
     /// Debug builds: plans the step the way one pass over the whole batch
     /// does, the reference the live planner replaced, and checks the plan,
     /// the decode set and its sums, and every running request's token
-    /// count against it. Keeps the decode set in batch order for the
-    /// iteration's eager token count.
+    /// count and KV reservation against it. Keeps the decode set in batch
+    /// order for the iteration's eager token count.
     #[cfg(debug_assertions)]
     fn check_plan(&mut self, plan: &StepPlan, blocked: bool) {
         let done = self.decode_done();
@@ -2113,6 +2226,13 @@ impl Engine {
         for r in &self.running {
             let id = r.req.id();
             assert_eq!(r.produced(done), r.eager_produced, "{id} token count");
+            assert_eq!(r.kv_reserved(done), r.eager_reserved, "{id} reservation");
+            // The sequence holds the tokens of the last crossing, in the
+            // blocks the per-token reservation needs.
+            let held = self.kv.tokens_of(r.kv);
+            assert_eq!(held, Some(r.kv_reserved), "{id} KV sequence");
+            let blocks = self.kv.blocks_for(r.eager_reserved);
+            assert_eq!(self.kv.blocks_for(r.kv_reserved), blocks, "{id} KV blocks");
             let adapter = r.req.adapter();
             let resident = !self.loading.contains(adapter);
             assert_eq!(resident, self.cache.is_resident(adapter), "{adapter}");
@@ -2549,6 +2669,8 @@ mod tests {
             #[cfg(debug_assertions)]
             eager_produced: 1,
             kv_reserved,
+            #[cfg(debug_assertions)]
+            eager_reserved: kv_reserved,
             predicted_output: 1,
             charged_tokens: 0,
             queue_index: 0,
@@ -2558,48 +2680,73 @@ mod tests {
         slot
     }
 
-    /// Sets the output tokens an installed request has produced.
-    fn set_produced(e: &mut Engine, slot: Slot, produced: u32) {
-        let idx = e.batch_index(slot).expect("installed");
-        let r = &mut e.running[idx];
-        r.produced = produced;
-        #[cfg(debug_assertions)]
-        {
-            r.eager_produced = produced;
+    /// Lands the adapter loads `install_running` left in flight, which
+    /// puts the installed requests in the decode set and launches an
+    /// iteration, takes every free byte, so that any demand for a fresh
+    /// KV block fails unless something is freed, and runs `n` iterations.
+    fn starve_and_decode(e: &mut Engine, adapters: &[u32], n: u32) {
+        let now = SimTime::from_secs_f64(2.0);
+        let mut q = chameleon_simcore::EventQueue::new();
+        for &a in adapters {
+            q.push(now, EngineEvent::LoadDone(AdapterId(a)));
+        }
+        let mut out = Vec::new();
+        for _ in adapters {
+            let (t, ev) = q.pop().expect("queued above");
+            e.handle(t, ev, &mut out);
+        }
+        let free = e.mem.free();
+        e.mem
+            .reserve(Region::Activations, free)
+            .expect("free bytes just measured");
+        assert!(e.mem.free() < e.kv.block_bytes());
+        let mut steps = 0;
+        while steps < n {
+            for (at, ev) in out.drain(..) {
+                q.push(at, ev);
+            }
+            let (t, ev) = q.pop().expect("the batch decodes");
+            steps += u32::from(matches!(ev, EngineEvent::StepDone(_)));
+            e.handle(t, ev, &mut out);
         }
     }
 
     /// Regression for the spurious-squash bug: a decode token that fits in
     /// the sequence's already-allocated block reserves zero bytes, so KV
     /// growth must succeed — and never preempt a neighbour — even with no
-    /// free memory and nothing evictable.
+    /// free memory and nothing evictable. Such tokens grow the derived
+    /// reservation without an allocator call.
     #[test]
     fn within_block_kv_growth_never_squashes() {
         let mut e = mk_engine();
-        let now = SimTime::from_secs_f64(2.0);
         // 17 reserved tokens occupy 2 × 16-token blocks: room for 32.
-        let r1 = install_running(&mut e, request(1, 0.0, 16, 8, 0), 17, SimTime::ZERO);
-        // A younger neighbour — the victim the buggy path would squash.
+        let r1 = install_running(&mut e, request(1, 0.0, 16, 40, 0), 17, SimTime::ZERO);
+        // A younger neighbour — the victim the buggy path would squash —
+        // with room for 56 more tokens.
         install_running(
             &mut e,
-            request(2, 0.0, 8, 8, 1),
-            16,
+            request(2, 0.0, 8, 100, 1),
+            64,
             SimTime::from_secs_f64(1.0),
         );
-        // Exhaust every free byte so any demand for a fresh block fails.
-        let free = e.mem.free();
-        e.mem
-            .reserve(Region::Activations, free)
-            .expect("free bytes just measured");
-        assert!(e.mem.free() < e.kv.block_bytes());
-        let squashes_before = e.squashes;
-        // Token 18 of request 1 (16 input + produced 2) fits in block 2.
-        set_produced(&mut e, r1, 2);
-        e.grow_decoder(r1, 0, now);
-        assert_eq!(e.squashes, squashes_before, "within-block growth preempted");
+        // Tokens 18 to 32 of request 1 (16 input + produced 2 to 16) fit
+        // in block 2.
+        starve_and_decode(&mut e, &[0, 1], 15);
+        assert_eq!(e.squashes, 0, "within-block growth preempted");
         assert_eq!(e.running.len(), 2, "victim stayed in the batch");
+        assert_eq!(reserved(&e, r1), 32);
+        assert_eq!(
+            e.work().kv_grows,
+            0,
+            "a within-block token called the allocator"
+        );
         let seq = e.running[e.batch_index(r1).expect("r1 runs")].kv;
-        assert_eq!(e.kv.tokens_of(seq), Some(18));
+        assert_eq!(
+            e.kv.tokens_of(seq),
+            Some(17),
+            "the sequence lags in its block"
+        );
+        assert_eq!(e.kv.total_blocks(), 2 + 4);
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }
 
@@ -2608,9 +2755,7 @@ mod tests {
     #[test]
     fn block_boundary_growth_without_memory_still_squashes() {
         let mut e = mk_engine();
-        let now = SimTime::from_secs_f64(2.0);
-        // 18 reserved = 2 blocks exactly at 32 tokens? No: 18 tokens → 2
-        // blocks, full at 32. Use 32 so the next token needs block 3.
+        // 32 reserved tokens fill 2 blocks, so token 33 needs block 3.
         let r1 = install_running(&mut e, request(1, 0.0, 30, 8, 0), 32, SimTime::ZERO);
         install_running(
             &mut e,
@@ -2618,20 +2763,18 @@ mod tests {
             16,
             SimTime::from_secs_f64(1.0),
         );
-        let free = e.mem.free();
-        e.mem
-            .reserve(Region::Activations, free)
-            .expect("free bytes just measured");
         // Token 33 of request 1 (30 input + produced 3) needs block 3.
-        set_produced(&mut e, r1, 3);
-        e.grow_decoder(r1, 0, now);
+        starve_and_decode(&mut e, &[0, 1], 2);
         assert_eq!(e.squashes, 1, "boundary growth under OOM must preempt");
+        assert_eq!(reserved(&e, r1), 33);
+        // The failed grow, then the retry after the preemption.
+        assert_eq!(e.work().kv_grows, 2);
         assert_eq!(e.kv.total_bytes(), e.mem.used(Region::KvCache));
     }
 
     /// KV tokens reserved for running request `slot`.
     fn reserved(e: &Engine, slot: Slot) -> u32 {
-        e.running[e.batch_index(slot).expect("running")].kv_reserved
+        e.running[e.batch_index(slot).expect("running")].kv_reserved(e.decode_done())
     }
 
     /// A decode-time block crossing that finds no free memory, nothing to

@@ -8,14 +8,16 @@
 //! [`MemoryPool`].
 //!
 //! Sequences live in a slot table addressed by the [`KvSeq`] handle that
-//! [`KvAllocator::allocate`] returns, so a grow (one per decoded token) is
-//! an index, not a hash lookup. Freed slots are reused, so the table holds
-//! as many slots as sequences and proxies were ever live at once; each
-//! slot's generation makes a handle that outlived its sequence panic
-//! instead of reaching the slot's next owner.
+//! [`KvAllocator::allocate`] returns, so a grow is an index, not a hash
+//! lookup. Freed slots are reused, so the table holds as many slots as
+//! sequences and proxies were ever live at once; each slot's generation
+//! makes a handle that outlived its sequence panic instead of reaching the
+//! slot's next owner. A set of the live owners' request ids keeps the
+//! one-sequence-per-request check of each allocation O(1).
 
 use crate::memory::{MemoryPool, OutOfMemory, Region};
-use chameleon_workload::RequestId;
+use chameleon_workload::{IdHashBuilder, RequestId};
+use std::collections::HashSet;
 
 /// Default tokens per KV block (vLLM/S-LoRA use 16).
 pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
@@ -71,6 +73,8 @@ pub struct KvAllocator {
     slots: Vec<SeqSlot>,
     /// Vacant slots, reused last-freed first.
     vacant: Vec<u32>,
+    /// The requests owning a live slot.
+    owners: HashSet<RequestId, IdHashBuilder>,
     total_blocks: u64,
     proxy_bytes_total: u64,
 }
@@ -89,6 +93,7 @@ impl KvAllocator {
             block_tokens,
             slots: Vec::new(),
             vacant: Vec::new(),
+            owners: HashSet::default(),
             total_blocks: 0,
             proxy_bytes_total: 0,
         }
@@ -134,6 +139,7 @@ impl KvAllocator {
         let s = &mut self.slots[seq.slot as usize];
         s.state = SeqState::Vacant;
         s.generation = s.generation.wrapping_add(1);
+        self.owners.remove(&s.id);
         self.vacant.push(seq.slot);
     }
 
@@ -154,17 +160,10 @@ impl KvAllocator {
         id: RequestId,
         tokens: u32,
     ) -> Result<KvSeq, OutOfMemory> {
-        // A scan of the live slots: as many as sequences were ever live
-        // at once, and once per admission rather than per token.
-        assert!(
-            !self
-                .slots
-                .iter()
-                .any(|s| s.id == id && s.state != SeqState::Vacant),
-            "{id} already has KV state"
-        );
+        assert!(!self.owners.contains(&id), "{id} already has KV state");
         let blocks = self.blocks_for(tokens);
         mem.reserve(Region::KvCache, u64::from(blocks) * self.block_bytes())?;
+        self.owners.insert(id);
         self.total_blocks += u64::from(blocks);
         let state = SeqState::Full { tokens, blocks };
         let seq = match self.vacant.pop() {
@@ -592,6 +591,8 @@ mod tests {
                 let live = seqs.iter().flatten().filter(|&&s| kv.tokens_of(s).is_some()).count();
                 prop_assert_eq!(kv.num_seqs(), live);
                 prop_assert!(kv.slots.len() <= 8, "the table outgrew the live set");
+                let owned = kv.slots.iter().filter(|s| s.state != SeqState::Vacant).count();
+                prop_assert_eq!(kv.owners.len(), owned);
             }
             for seq in seqs.into_iter().flatten() {
                 if kv.tokens_of(seq).is_some() {
@@ -602,6 +603,7 @@ mod tests {
             }
             prop_assert_eq!(mem.used(Region::KvCache), 0);
             prop_assert_eq!(kv.total_bytes(), 0);
+            prop_assert!(kv.owners.is_empty());
         }
     }
 }

@@ -18,5 +18,5 @@ pub mod request;
 pub mod trace;
 
 pub use generator::{ArrivalModel, BurstEpisode, LengthModel, TraceGenerator};
-pub use request::{Request, RequestId, Slot};
+pub use request::{IdHashBuilder, IdHasher, Request, RequestId, Slot};
 pub use trace::Trace;

@@ -3,6 +3,7 @@
 use chameleon_models::{AdapterId, AdapterRank};
 use chameleon_simcore::SimTime;
 use serde::{Deserialize, Serialize};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Unique identifier of a request within a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -13,6 +14,32 @@ impl std::fmt::Display for RequestId {
         write!(f, "req#{}", self.0)
     }
 }
+
+/// Hashes a request id by one multiplication (Fibonacci hashing), for the
+/// tables keyed by [`RequestId`]. Ids are integers the trace assigns, so no
+/// input is adversarial, and the low bits the table indexes by stay a
+/// bijection of the id's low bits.
+#[derive(Debug, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// The hasher of a `HashMap` or `HashSet` keyed by [`RequestId`].
+pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 
 /// A request's dense index in the engine serving it, assigned when the
 /// engine registers the arrival. Per-request engine state (the metrics
