@@ -2935,8 +2935,10 @@ mod tests {
     }
 
     /// The work counters are exact: on a light-load Chameleon run every
-    /// applied token lands in a record (no squash discards any), and no
-    /// head ever blocks, so no release schedule is built.
+    /// applied token lands in a record (no squash discards any), no head
+    /// ever blocks, so no release schedule is built, and the KV allocator
+    /// grows a decoding request once per block its under-predicted
+    /// reservation outgrows, not once per token past it.
     #[test]
     fn work_counters_count_tokens_and_lazy_schedules() {
         use chameleon_sched::{ChameleonConfig, ChameleonScheduler};
@@ -2950,14 +2952,23 @@ mod tests {
             EngineConfig::new(llm, GpuSpec::a40()),
             pool,
             Box::new(sched),
-            Box::new(OraclePredictor::new()),
+            Box::new(HalfPredictor),
             AdapterCache::new(EvictionPolicy::chameleon()),
             wrs,
         );
         let (e, _, _) = crate::cluster::run_alone(e, &trace);
         let work = e.work();
+        let blocks = |tokens: u32| e.kv.blocks_for(tokens);
+        let (mut crossings, mut past) = (0, 0);
+        for r in trace.requests() {
+            let reserved = r.input_tokens() + (r.output_tokens() / 2).max(1);
+            let context = r.input_tokens() + r.output_tokens();
+            crossings += u64::from(blocks(context.max(reserved)) - blocks(reserved));
+            past += u64::from(context.saturating_sub(reserved));
+        }
         let report = e.into_report();
         assert_eq!(report.records.len(), trace.len());
+        assert_eq!(report.squashes, 0);
         let recorded: u64 = report
             .records
             .iter()
@@ -2967,6 +2978,11 @@ mod tests {
         assert_eq!(work.tokens_applied, recorded);
         assert!(work.probes > 0);
         assert_eq!(work.release_schedules, 0, "a schedule was built unasked");
+        assert_eq!(work.kv_grows, crossings);
+        assert!(
+            crossings > 0 && 8 * crossings < past,
+            "{crossings} for {past} tokens"
+        );
     }
 
     /// A FIFO scheduler that counts `queued_adapters_into` calls.
