@@ -11,14 +11,6 @@ use chameleon_simcore::{SimDuration, SimTime};
 use chameleon_workload::{IdHashBuilder, RequestId, Slot};
 use std::collections::HashMap;
 
-/// One registered request: its record plus the instant of its latest
-/// output token, the base of the next TBT gap.
-#[derive(Debug)]
-struct Entry {
-    record: RequestRecord,
-    last_token: SimTime,
-}
-
 /// Collects per-request records as the engine reports lifecycle events.
 ///
 /// The collector is deliberately forgiving about event order within one
@@ -26,8 +18,13 @@ struct Entry {
 /// events for unknown slots — those are engine bugs worth catching early.
 #[derive(Debug, Default)]
 pub struct Collector {
-    /// Records by slot; `None` once crash recovery removed the request.
-    slots: Vec<Option<Entry>>,
+    /// Records by slot, in registration order.
+    records: Vec<RequestRecord>,
+    /// The instant of each slot's latest output token, the base of its
+    /// next TBT gap.
+    last_token: Vec<SimTime>,
+    /// Slots whose request crash recovery removed; empty until a removal.
+    removed: Vec<bool>,
     /// The live slot of each registered id. Only looked up (registration's
     /// duplicate check, crash removal), never iterated.
     index: HashMap<RequestId, Slot, IdHashBuilder>,
@@ -54,7 +51,7 @@ impl Collector {
         adapter: AdapterId,
         rank: AdapterRank,
     ) -> Slot {
-        let slot = Slot::new(self.slots.len());
+        let slot = Slot::new(self.records.len());
         let prev = self.index.insert(id, slot);
         assert!(prev.is_none(), "{id} arrived twice");
         let mut record = RequestRecord::arrive(id, at, input_tokens, output_tokens, adapter, rank);
@@ -63,10 +60,8 @@ impl Collector {
         record
             .tbt_gaps
             .reserve_exact(output_tokens.saturating_sub(1) as usize);
-        self.slots.push(Some(Entry {
-            record,
-            last_token: at,
-        }));
+        self.records.push(record);
+        self.last_token.push(at);
         slot
     }
 
@@ -97,22 +92,22 @@ impl Collector {
     /// tokens a request decoded over several iterations, recorded when it
     /// leaves the decoding batch.
     pub fn on_tokens(&mut self, slot: Slot, at: &[SimTime]) {
-        let e = self.entry(slot);
+        let (record, last_token) = self.entry(slot);
         let mut at = at.iter().copied();
-        if e.record.first_token.is_none() {
+        if record.first_token.is_none() {
             let Some(first) = at.next() else {
                 return;
             };
-            e.record.first_token = Some(first);
-            e.last_token = first;
+            record.first_token = Some(first);
+            *last_token = first;
         }
-        let mut last = e.last_token;
-        e.record.tbt_gaps.extend(at.map(|t| {
+        let mut last = *last_token;
+        record.tbt_gaps.extend(at.map(|t| {
             let gap = t.saturating_since(last);
             last = t;
             gap
         }));
-        e.last_token = last;
+        *last_token = last;
     }
 
     /// Records completion.
@@ -149,36 +144,54 @@ impl Collector {
 
     /// Read access to one record.
     pub fn get(&self, slot: Slot) -> Option<&RequestRecord> {
-        self.slots.get(slot.index())?.as_ref().map(|e| &e.record)
+        let i = slot.index();
+        self.records.get(i).filter(|_| !self.is_removed(i))
     }
 
-    /// Removes a request from the collector entirely, returning its
-    /// partial record (crash recovery: the request re-arrives on another
-    /// engine, whose collector registers it fresh — without this the
-    /// re-dispatch would trip the arrived-twice guard or leave a duplicate
-    /// record behind on the dead engine).
-    pub fn remove(&mut self, id: RequestId) -> Option<RequestRecord> {
-        let slot = self.index.remove(&id)?;
-        self.slots[slot.index()].take().map(|e| e.record)
+    /// Removes a request from the collector entirely (crash recovery: the
+    /// request re-arrives on another engine, whose collector registers it
+    /// fresh — without this the re-dispatch would trip the arrived-twice
+    /// guard or leave a duplicate record behind on the dead engine). Its
+    /// slot takes no more events, and its record is dropped when the
+    /// collector is finalised.
+    pub fn remove(&mut self, id: RequestId) {
+        if let Some(slot) = self.index.remove(&id) {
+            self.removed.resize(self.records.len(), false);
+            self.removed[slot.index()] = true;
+        }
     }
 
     /// Finalises the collector into records sorted by `(arrival, id)`.
+    /// The records stay where they were recorded: registration order is
+    /// arrival order except after a crash re-dispatch, so the sort
+    /// usually finds them sorted.
     pub fn into_records(self) -> Vec<RequestRecord> {
-        let mut v: Vec<RequestRecord> =
-            self.slots.into_iter().flatten().map(|e| e.record).collect();
-        v.sort_by_key(|r| (r.arrival, r.id));
-        v
+        let mut records = self.records;
+        if !self.removed.is_empty() {
+            let mut removed = self.removed.into_iter();
+            records.retain(|_| !removed.next().unwrap_or(false));
+        }
+        records.sort_by_key(|r| (r.arrival, r.id));
+        records
     }
 
-    fn entry(&mut self, slot: Slot) -> &mut Entry {
-        self.slots
-            .get_mut(slot.index())
-            .and_then(Option::as_mut)
-            .unwrap_or_else(|| panic!("event for unknown {slot}"))
+    /// True when crash recovery removed slot `i`'s request.
+    fn is_removed(&self, i: usize) -> bool {
+        self.removed.get(i).copied().unwrap_or(false)
+    }
+
+    /// The record and last-token instant of a registered slot.
+    fn entry(&mut self, slot: Slot) -> (&mut RequestRecord, &mut SimTime) {
+        let i = slot.index();
+        assert!(
+            i < self.records.len() && !self.is_removed(i),
+            "event for unknown {slot}"
+        );
+        (&mut self.records[i], &mut self.last_token[i])
     }
 
     fn rec(&mut self, slot: Slot) -> &mut RequestRecord {
-        &mut self.entry(slot).record
+        self.entry(slot).0
     }
 }
 
@@ -359,6 +372,34 @@ mod tests {
         let mut c = Collector::new();
         arrive(&mut c, 1, 0.0);
         arrive(&mut c, 1, 1.0);
+    }
+
+    #[test]
+    fn removed_requests_leave_no_record() {
+        let mut c = Collector::new();
+        let a = arrive(&mut c, 1, 0.0);
+        let b = arrive(&mut c, 2, 1.0);
+        c.on_token(a, t(2.0));
+        c.remove(RequestId(1));
+        assert_eq!(c.get(a), None);
+        assert_eq!(c.len(), 1);
+        // The request may re-arrive, as a crash re-dispatch does.
+        let again = arrive(&mut c, 1, 0.0);
+        c.on_token(again, t(3.0));
+        c.on_token(b, t(4.0));
+        let recs = c.into_records();
+        let seen: Vec<(u64, Option<SimTime>)> =
+            recs.iter().map(|r| (r.id.0, r.first_token)).collect();
+        assert_eq!(seen, vec![(1, Some(t(3.0))), (2, Some(t(4.0)))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown")]
+    fn removed_request_takes_no_events() {
+        let mut c = Collector::new();
+        let a = arrive(&mut c, 1, 0.0);
+        c.remove(RequestId(1));
+        c.on_token(a, t(1.0));
     }
 
     #[test]
