@@ -10,6 +10,20 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// Rounds a non-negative float to the nearest integer, halfway cases away
+/// from zero, saturating at `u64::MAX`: `x.round() as u64` without the
+/// libm call `f64::round` makes on the baseline x86-64 target. The
+/// truncation is exact, and so is the fraction it leaves, since both are
+/// representable whenever `x` is.
+fn round_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
+}
+
 /// An absolute instant of simulated time, in nanoseconds since simulation
 /// start.
 ///
@@ -54,7 +68,7 @@ impl SimTime {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid sim time: {secs}");
-        SimTime((secs * 1e9).round() as u64)
+        SimTime(round_u64(secs * 1e9))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -129,7 +143,7 @@ impl SimDuration {
     /// Panics if `secs` is negative or not finite.
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_u64(secs * 1e9))
     }
 
     /// Creates a span from fractional milliseconds.
@@ -139,7 +153,7 @@ impl SimDuration {
     /// Panics if `ms` is negative or not finite.
     pub fn from_millis_f64(ms: f64) -> Self {
         assert!(ms.is_finite() && ms >= 0.0, "invalid duration: {ms}ms");
-        SimDuration((ms * 1e6).round() as u64)
+        SimDuration(round_u64(ms * 1e6))
     }
 
     /// Raw nanoseconds.
@@ -169,7 +183,7 @@ impl SimDuration {
     /// Panics if `k` is negative or not finite.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "invalid scale: {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k))
     }
 
     /// True when the span is zero.
@@ -334,6 +348,64 @@ mod tests {
     #[should_panic(expected = "invalid duration")]
     fn negative_duration_panics() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    /// The reference `round_u64` must match.
+    fn reference(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn rounding_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1e-300,
+            f64::MIN_POSITIVE,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52 - 1.0,
+            2.0 * two52,
+            u64::MAX as f64,
+            1.8446744073709552e19,
+            1e25,
+            f64::MAX,
+        ];
+        // Every halfway case below 2^52 in steps, and the neighbours of
+        // each in the last place.
+        for k in (0..1u64 << 52).step_by((1 << 40) + 7).chain(0..4096) {
+            let half = k as f64 + 0.5;
+            cases.extend([
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ]);
+        }
+        // [2^52, 2^53), where every float is an integer.
+        cases.extend((0..4096u64).map(|k| two52 + (k * 977) as f64));
+        for x in cases {
+            assert_eq!(round_u64(x), reference(x), "{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Any non-negative finite float, drawn uniformly over its bit
+        /// patterns so that every magnitude shows up, rounds as
+        /// `f64::round` does; so does the time it makes.
+        #[test]
+        fn prop_rounding_matches_f64_round(bits in 0u64..0x7ff0_0000_0000_0000, k in 0u64..1 << 53) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_u64(x), reference(x));
+            let half = k as f64 + 0.5;
+            proptest::prop_assert_eq!(round_u64(half), reference(half));
+            let secs = x.min(1e9);
+            proptest::prop_assert_eq!(SimTime::from_secs_f64(secs).as_nanos(), reference(secs * 1e9));
+        }
     }
 
     #[test]
