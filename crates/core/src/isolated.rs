@@ -34,12 +34,22 @@ pub fn isolated(cost: &CostModel, req: &Request, with_lora: bool) -> IsolatedLat
     IsolatedLatency { ttft, e2e }
 }
 
+/// One rank's isolated pricing: the running sums of its decode steps and
+/// its isolated TTFT by input length, each computed when first needed.
+struct RankPrices {
+    rank: AdapterRank,
+    decode_sums: Vec<SimDuration>,
+    /// `None` until a record of that input length asks.
+    ttft: Vec<Option<SimDuration>>,
+}
+
 /// The isolated E2E latency of every record, by request id: what
 /// [`isolated`] gives each one (adapter included, cold), in O(1) per
 /// record. Each rank's decode steps are summed once, up to the longest
 /// context any record reaches ([`CostModel::solo_decode_sums`]); a
 /// record's decode time is then the difference of two sums, in integer
-/// nanoseconds and so exact.
+/// nanoseconds and so exact. Each rank prices the isolated TTFT of an
+/// input length once.
 pub fn isolated_e2e_by_id(
     cost: &CostModel,
     records: &[RequestRecord],
@@ -48,19 +58,24 @@ pub fn isolated_e2e_by_id(
     // prefill.
     let last_kv = |r: &RequestRecord| r.input_tokens + r.output_tokens.saturating_sub(1);
     let top = records.iter().map(last_kv).max().unwrap_or(0);
-    let mut sums: Vec<(AdapterRank, Vec<SimDuration>)> = Vec::new();
+    let mut ranks: Vec<RankPrices> = Vec::new();
     let mut e2e = HashMap::with_capacity(records.len());
     for r in records {
-        let i = match sums.iter().position(|(rank, _)| *rank == r.rank) {
+        let i = match ranks.iter().position(|p| p.rank == r.rank) {
             Some(i) => i,
             None => {
-                sums.push((r.rank, cost.solo_decode_sums(Some(r.rank), top)));
-                sums.len() - 1
+                ranks.push(RankPrices {
+                    rank: r.rank,
+                    decode_sums: cost.solo_decode_sums(Some(r.rank), top),
+                    ttft: vec![None; top as usize + 1],
+                });
+                ranks.len() - 1
             }
         };
-        let p = &sums[i].1;
-        let decode = p[last_kv(r) as usize] - p[r.input_tokens as usize];
-        let ttft = cost.isolated_ttft(r.input_tokens, Some(r.rank), true);
+        let p = &mut ranks[i];
+        let decode = p.decode_sums[last_kv(r) as usize] - p.decode_sums[r.input_tokens as usize];
+        let ttft = *p.ttft[r.input_tokens as usize]
+            .get_or_insert_with(|| cost.isolated_ttft(r.input_tokens, Some(r.rank), true));
         e2e.insert(r.id, ttft + decode);
     }
     e2e
