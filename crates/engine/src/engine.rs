@@ -1098,8 +1098,8 @@ impl Engine {
         let r = &self.running[idx];
         let stint = r.stint.expect("only the decode set grows its KV");
         let produced = r.produced(self.decode_done());
-        // The reservation fills its blocks' `capacity` at the context
-        // `capacity + lag`, so the crossing comes with the next token.
+        // The reservation fills its blocks at the context `capacity +
+        // lag`; the token after that one crosses.
         let capacity = self.kv.blocks_for(r.kv_reserved) * KV_BLOCK_TOKENS;
         let k = capacity + stint.lag - (r.req.input_tokens() + produced);
         if r.req.output_tokens().checked_sub(produced + 1) >= Some(k) {
@@ -1583,7 +1583,7 @@ impl Engine {
         if self.grow_block(idx) {
             return true;
         }
-        // A new block is genuinely needed: make room and retry once.
+        // Out of free memory: make room and retry once.
         let need_block = self.kv.block_bytes();
         if self.mem.free() < need_block {
             self.protected_ready = false;
